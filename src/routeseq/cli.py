@@ -16,7 +16,6 @@ from . import datagen, inference, scoring, training
 from .completion import complete_sequence
 from .errors import RouteSeqError
 from .predictor import VARIANTS, load_model, prepare_route
-from .tsp import solve_tour
 
 PREDICTIONS_VERSION = "routeseq-predictions/1"
 
@@ -190,8 +189,7 @@ def _cmd_solve_tsp(cfg):
     rows = []
     for route in routes:
         prep = prepare_route(route)
-        tour = solve_tour(prep.zinst.zone_travel_time, origin=0)
-        zone_order = [v - 1 for v in tour.order[1:]]
+        zone_order = prep.tsp_order
         row = {
             "route_id": route.route_id,
             "zone_sequence": [prep.zinst.zones[z].zone_id for z in zone_order],
@@ -300,10 +298,8 @@ def _cmd_benchmark(cfg):
     tsp_sequences = {}
     for route in test_routes:
         prep = prepare_route(route)
-        tour = solve_tour(prep.zinst.zone_travel_time, origin=0)
-        zone_order = [v - 1 for v in tour.order[1:]]
         tsp_sequences[route.route_id] = {
-            "zone_sequence": [prep.zinst.zones[z].zone_id for z in zone_order],
+            "zone_sequence": [prep.zinst.zones[z].zone_id for z in prep.tsp_order],
         }
     rows = []
     tsp_report = scoring.evaluate_testset(test_routes, sequences=tsp_sequences)

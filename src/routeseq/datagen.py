@@ -33,7 +33,7 @@ import numpy as np
 from .completion import complete_sequence
 from .domain import RouteInstance, StopRecord, build_zone_instance, parse_zone_id, validate_route
 from .errors import InvalidInputError, MalformedRouteError, SchemaError
-from .tsp import solve_tour
+from .tsp import route_cost, solve_tour
 
 SCHEMA_VERSION = "routeseq/1"
 BEHAVIORS = ("tsp", "nearest_zone", "cluster_biased")
@@ -114,18 +114,12 @@ def _cluster_rollout(ztt: np.ndarray, majors: list, first: int) -> list:
     return order
 
 
-def _tour_cost(ztt: np.ndarray, order: list) -> float:
-    nodes = [0] + [z + 1 for z in order]
-    total = sum(ztt[a, b] for a, b in zip(nodes, nodes[1:]))
-    return float(total + ztt[nodes[-1], 0])
-
-
 def _cluster_biased_order(ztt: np.ndarray, majors: list) -> list:
     n = ztt.shape[0] - 1
     best_order, best_cost = None, None
     for first in range(n):
         order = _cluster_rollout(ztt, majors, first)
-        cost = _tour_cost(ztt, order)
+        cost = route_cost([0] + [z + 1 for z in order], ztt, close_tour=True)
         if best_cost is None or cost < best_cost:
             best_order, best_cost = order, cost
     return best_order

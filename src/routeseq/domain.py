@@ -286,8 +286,3 @@ def depot_pair_features(j: int, instance: ZoneInstance) -> np.ndarray:
     tt = float(instance.zone_travel_time[0, j + 1])
     return np.array([tt, 0.0, 0.0, 0.0, 0.0, 0.0])
 
-
-def phi_features(x_i: np.ndarray, x_j: np.ndarray) -> np.ndarray:
-    """Hook for extra pair-wise feature processing of the two zones' feature
-    vectors.  Intentionally empty in this case study; replace to experiment."""
-    return np.zeros(0)

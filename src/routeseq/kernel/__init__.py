@@ -13,11 +13,9 @@ from .autodiff import (
     nsum,
     relu,
     reshape,
-    scale,
     sigmoid,
     softmax,
     stack_rows,
-    sub,
     tanh,
     tile_rows,
     transpose,
@@ -48,8 +46,8 @@ from .optim import AdamState, adam_init, adam_step, clip_gradients
 
 __all__ = [
     "Node", "Tape", "add", "concat", "cross_entropy", "hstack", "matmul", "mul",
-    "nsum", "relu", "reshape", "scale", "sigmoid", "softmax", "stack_rows", "sub",
-    "tanh", "tile_rows", "transpose",
+    "nsum", "relu", "reshape", "sigmoid", "softmax", "stack_rows", "tanh",
+    "tile_rows", "transpose",
     "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint",
     "load_checkpoint", "save_checkpoint", "serialize_checkpoint",
     "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "init_lstm",

@@ -139,25 +139,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    av, bv = _val(a), _val(b)
-    out_v = av - bv
-    tape = _tape(a, b)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        g = out.grad
-        ga = _unbroadcast(g, np.shape(av))
-        _acc(a, ga, own=ga is not g)
-        _acc(b, _unbroadcast(-g, np.shape(bv)), own=True)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
-
-
 def mul(a, b):
     """Elementwise product (broadcasting allowed)."""
     av, bv = _val(a), _val(b)
@@ -171,22 +152,6 @@ def mul(a, b):
         g = out.grad
         _acc(a, _unbroadcast(g * bv, np.shape(av)), own=True)
         _acc(b, _unbroadcast(g * av, np.shape(bv)), own=True)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
-
-
-def scale(a, c: float):
-    av = _val(a)
-    out_v = av * c
-    tape = _tape(a)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        _acc(a, out.grad * c, own=True)
 
     out._backward = _bw
     tape._nodes.append(out)

@@ -68,7 +68,7 @@ INPUT_ORDER_MODES = ("tsp", "random")
 class ModelConfig:
     variant: str
     n_features: int
-    pair_dim: int = N_PAIR_FEATURES  # includes the phi hook's width
+    pair_dim: int = N_PAIR_FEATURES
     hidden: int = 32
     asnn_hidden: tuple = (128, 128)
     att_dim: int = 32
@@ -162,20 +162,16 @@ def prepare_route(route) -> PreparedRoute:
     zinst = build_zone_instance(route)
     n = zinst.n_zones
     x = np.stack([zone_features(z, zinst, route) for z in zinst.zones])
-    phi_probe = domain.phi_features(zinst.depot_features, x[0])
-    phi_dim = phi_probe.shape[0]
-    pair = np.zeros((n + 1, n, N_PAIR_FEATURES + phi_dim))
+    pair = np.zeros((n + 1, n, N_PAIR_FEATURES))
     for j in range(n):
-        base = domain.depot_pair_features(j, zinst)
-        pair[0, j] = np.concatenate([base, domain.phi_features(zinst.depot_features, x[j])])
+        pair[0, j] = domain.depot_pair_features(j, zinst)
     for i in range(n):
         for j in range(n):
             if i == j:
                 # A zone's relationship with itself: zero time, all flags set.
-                base = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+                pair[i + 1, j] = (0.0, 1.0, 1.0, 1.0, 0.0, 0.0)
             else:
-                base = domain.pair_features(i, j, zinst)
-            pair[i + 1, j] = np.concatenate([base, domain.phi_features(x[i], x[j])])
+                pair[i + 1, j] = domain.pair_features(i, j, zinst)
     tour = solve_tour(zinst.zone_travel_time, origin=0)
     tsp_order = tuple(v - 1 for v in tour.order[1:])
     return PreparedRoute(route, zinst, x, zinst.depot_features, pair,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import completion, inference
 from .domain import RouteInstance
-from .errors import InvalidInputError
+from .errors import InvalidInputError, RouteSeqError
 from .predictor import ModelParams, prepare_route
 
 _MATCH, _DELETE, _INSERT = 0, 1, 2  # ERP tie-break preference order
@@ -236,8 +236,9 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
     """Predict (or take given sequences), expand to stops, score, aggregate.
 
     ``sequences`` maps route_id to {"zone_sequence": [zone ids]} and/or
-    {"stop_sequence": [stop ids]}.  Routes that fail to predict or score are
-    excluded and surfaced in the report's ``failures``.
+    {"stop_sequence": [stop ids]}.  Routes whose input is rejected with a
+    ``RouteSeqError`` are excluded and surfaced in the report's ``failures``;
+    any other exception is a program bug and propagates.
     """
     if not routes:
         raise InvalidInputError("routes must be non-empty")
@@ -254,7 +255,10 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                     raise InvalidInputError("no prediction for this route")
                 if entry.get("stop_sequence") is not None:
                     by_id = {s.stop_id: i for i, s in enumerate(route.stops)}
-                    stop_indices = [by_id[sid] for sid in entry["stop_sequence"]]
+                    try:
+                        stop_indices = [by_id[sid] for sid in entry["stop_sequence"]]
+                    except KeyError as exc:
+                        raise InvalidInputError(f"unknown stop id {exc.args[0]!r}") from None
                 if entry.get("zone_sequence") is not None:
                     zone_order = [prep.zinst.zone_index(zid) for zid in entry["zone_sequence"]]
             else:
@@ -266,6 +270,6 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                     raise InvalidInputError(f"unknown generation mode {mode!r}")
                 zone_order = pred.zone_order
             rows.append(score_route(route, prep, zone_order, stop_indices, k))
-        except Exception as exc:  # noqa: BLE001 - per-route isolation by design
+        except RouteSeqError as exc:
             failures.append((route.route_id, f"{type(exc).__name__}: {exc}"))
     return aggregate(rows, failures, k)

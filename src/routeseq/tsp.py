@@ -4,7 +4,12 @@ Small instances (n <= EXACT_THRESHOLD) are solved exactly with Held-Karp
 dynamic programming; larger ones with nearest-neighbor construction plus
 2-opt.  Because matrices may be asymmetric, 2-opt recomputes the full cost
 of the reversed segment instead of using the symmetric delta formula.
-Ties are broken toward smaller node indices so results are deterministic.
+Results are deterministic.  Held-Karp's tie rule: walking back from the end
+of the order, each tie goes to the smallest node index, so an all-equal
+matrix gives a descending interior (the tour from 0 over 4 nodes is
+[0, 3, 2, 1]).  Nearest neighbor takes the smallest index among equally
+near nodes; 2-opt keeps the first move it scans unless a later one is
+better by more than 1e-12.
 """
 
 from __future__ import annotations
@@ -66,59 +71,23 @@ def route_cost(order, costs, close_tour: bool = False) -> float:
     return _seq_cost(list(order), m, close_tour)
 
 
-def _held_karp_tour(m: np.ndarray, origin: int):
-    n = m.shape[0]
-    others = [v for v in range(n) if v != origin]
-    k = len(others)
-    if k == 0:
-        return [origin], 0.0
-    full = (1 << k) - 1
-    dp = [[_INF] * k for _ in range(full + 1)]
-    parent = [[-1] * k for _ in range(full + 1)]
-    for i in range(k):
-        dp[1 << i][i] = m[origin, others[i]]
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        for last in range(k):
-            cur = row[last]
-            if cur == _INF or not (mask >> last) & 1:
-                continue
-            base = others[last]
-            for nxt in range(k):
-                if (mask >> nxt) & 1:
-                    continue
-                nmask = mask | (1 << nxt)
-                cand = cur + m[base, others[nxt]]
-                if cand < dp[nmask][nxt]:
-                    dp[nmask][nxt] = cand
-                    parent[nmask][nxt] = last
-    best, best_last = _INF, -1
-    for last in range(k):
-        cand = dp[full][last] + m[others[last], origin]
-        if cand < best:
-            best, best_last = cand, last
-    order = []
-    mask, last = full, best_last
-    while last != -1:
-        order.append(others[last])
-        prev = parent[mask][last]
-        mask ^= 1 << last
-        last = prev
-    order.reverse()
-    return [origin] + order, float(best)
+def _held_karp(m: np.ndarray, start: int, end: int):
+    """Cheapest path from ``start`` through every other node to ``end``.
 
-
-def _held_karp_path(m: np.ndarray, first: int, last: int):
+    ``start == end`` gives the tour from ``start`` (the order then ends with
+    ``start`` again).  Every scan runs in ascending index order and keeps its
+    first strict minimum; that is what gives the module's tie rule.
+    """
     n = m.shape[0]
-    interior = [v for v in range(n) if v not in (first, last)]
+    interior = [v for v in range(n) if v not in (start, end)]
     k = len(interior)
     if k == 0:
-        return [first, last], float(m[first, last])
+        return [start, end], float(m[start, end])
     full = (1 << k) - 1
     dp = [[_INF] * k for _ in range(full + 1)]
     parent = [[-1] * k for _ in range(full + 1)]
     for i in range(k):
-        dp[1 << i][i] = m[first, interior[i]]
+        dp[1 << i][i] = m[start, interior[i]]
     for mask in range(1, full + 1):
         row = dp[mask]
         for u in range(k):
@@ -136,7 +105,7 @@ def _held_karp_path(m: np.ndarray, first: int, last: int):
                     parent[nmask][nxt] = u
     best, best_u = _INF, -1
     for u in range(k):
-        cand = dp[full][u] + m[interior[u], last]
+        cand = dp[full][u] + m[interior[u], end]
         if cand < best:
             best, best_u = cand, u
     mid = []
@@ -147,7 +116,7 @@ def _held_karp_path(m: np.ndarray, first: int, last: int):
         mask ^= 1 << u
         u = prev
     mid.reverse()
-    return [first] + mid + [last], float(best)
+    return [start] + mid + [end], float(best)
 
 
 def _nearest_neighbor(m: np.ndarray, start: int, pool: list, end: int | None):
@@ -209,8 +178,8 @@ def solve_tour(costs, origin: int = 0, exact_threshold: int = EXACT_THRESHOLD) -
     if n == 1:
         return TspSolution([origin], 0.0, "tour", "exact")
     if n <= exact_threshold:
-        order, cost = _held_karp_tour(m, origin)
-        return TspSolution(order, cost, "tour", "exact")
+        order, cost = _held_karp(m, origin, origin)
+        return TspSolution(order[:-1], cost, "tour", "exact")
     order = _nearest_neighbor(m, origin, [v for v in range(n) if v != origin], None)
     order, cost = _two_opt(order, m, close=True, fixed_last=False)
     return TspSolution(order, cost, "tour", "heuristic")
@@ -232,7 +201,7 @@ def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESH
             return TspSolution([first], 0.0, "path", "exact")
         raise InvalidInputError("first == last is only valid for a single-node path")
     if n <= exact_threshold:
-        order, cost = _held_karp_path(m, first, last)
+        order, cost = _held_karp(m, first, last)
         return TspSolution(order, cost, "path", "exact")
     pool = [v for v in range(n) if v not in (first, last)]
     order = _nearest_neighbor(m, first, pool, last)

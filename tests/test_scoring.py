@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_route
 from oracles import erp_exhaustive, sd_ref, time_norm_ref
-from routeseq import datagen
+from routeseq import completion, datagen
 from routeseq.errors import InvalidInputError
 from routeseq.predictor import prepare_route
 from routeseq.scoring import (
@@ -213,6 +213,35 @@ def test_failures_surfaced_not_fatal():
     assert len(report.rows) == 2
     assert len(report.failures) == 1
     assert report.failures[0][0] == routes[2].route_id
+
+
+def test_unknown_stop_id_is_a_route_failure():
+    routes = _dataset(n=2)
+    sequences = {
+        r.route_id: {"stop_sequence": [r.stops[i].stop_id for i in r.actual_stop_sequence]}
+        for r in routes
+    }
+    sequences[routes[1].route_id]["stop_sequence"][0] = "NO-SUCH-STOP"
+    report = evaluate_testset(routes, sequences=sequences)
+    assert len(report.rows) == 1
+    assert report.failures == [
+        (routes[1].route_id, "InvalidInputError: unknown stop id 'NO-SUCH-STOP'")]
+
+
+def test_program_errors_propagate(monkeypatch):
+    routes = _dataset(n=2)
+    sequences = {}
+    for r in routes:
+        prep = prepare_route(r)
+        sequences[r.route_id] = {
+            "zone_sequence": [prep.zinst.zones[z].zone_id for z in prep.targets]}
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in completion")
+
+    monkeypatch.setattr(completion, "complete_sequence", broken)
+    with pytest.raises(RuntimeError, match="bug in completion"):
+        evaluate_testset(routes, sequences=sequences)
 
 
 def test_score_route_expands_zone_order():

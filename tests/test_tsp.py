@@ -27,9 +27,16 @@ def test_symmetric_triangle():
     assert sol.order[0] == 0
 
 
+def _tie_heavy_matrix(rng, n):
+    """Integer costs in 1..3, so many tours and paths tie."""
+    m = rng.integers(1, 4, size=(n, n)).astype(float)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
 def test_tour_matches_brute_force(rng):
-    for _ in range(10):
-        m = random_cost_matrix(rng, 7)
+    for i in range(20):
+        m = random_cost_matrix(rng, 7) if i < 10 else _tie_heavy_matrix(rng, 7)
         sol = solve_tour(m, origin=0)
         _, best = brute_force_tour(m, 0)
         assert sol.cost == pytest.approx(best, rel=1e-12)
@@ -56,11 +63,39 @@ def test_path_same_endpoints_rejected():
 
 
 def test_path_matches_brute_force(rng):
-    for _ in range(10):
-        m = random_cost_matrix(rng, 6)
+    for i in range(20):
+        m = random_cost_matrix(rng, 6) if i < 10 else _tie_heavy_matrix(rng, 6)
         sol = solve_path(m, 0, 5)
         _, best = brute_force_path(m, 0, 5)
         assert sol.cost == pytest.approx(best, rel=1e-12)
+
+
+# Held-Karp's tie rule: walking back from the end, each tie goes to the
+# smallest node index.  On an all-equal matrix every order ties, so the last
+# interior node is the smallest one, the one before it the next smallest, and
+# so on: the interior comes out in descending order.
+TIE_RULE_TOURS = {  # (n, origin): order
+    (3, 0): [0, 2, 1], (3, 1): [1, 2, 0],
+    (4, 0): [0, 3, 2, 1], (4, 2): [2, 3, 1, 0],
+    (5, 0): [0, 4, 3, 2, 1], (5, 2): [2, 4, 3, 1, 0],
+    (6, 0): [0, 5, 4, 3, 2, 1], (6, 3): [3, 5, 4, 2, 1, 0],
+}
+TIE_RULE_PATHS = {  # (n, first, last): order
+    (3, 0, 2): [0, 1, 2], (3, 2, 0): [2, 1, 0],
+    (4, 0, 3): [0, 2, 1, 3], (4, 3, 0): [3, 2, 1, 0],
+    (5, 0, 4): [0, 3, 2, 1, 4], (5, 4, 0): [4, 3, 2, 1, 0],
+    (6, 0, 5): [0, 4, 3, 2, 1, 5], (6, 5, 0): [5, 4, 3, 2, 1, 0],
+    (6, 1, 4): [1, 5, 3, 2, 0, 4], (6, 4, 1): [4, 5, 3, 2, 0, 1],
+}
+
+
+def test_held_karp_tie_rule_on_all_equal_matrix():
+    for (n, origin), order in TIE_RULE_TOURS.items():
+        sol = solve_tour(np.ones((n, n)) - np.eye(n), origin=origin)
+        assert (sol.order, sol.cost, sol.method) == (order, float(n), "exact"), (n, origin)
+    for (n, first, last), order in TIE_RULE_PATHS.items():
+        sol = solve_path(np.ones((n, n)) - np.eye(n), first, last)
+        assert (sol.order, sol.cost, sol.method) == (order, float(n - 1), "exact"), (n, first, last)
 
 
 def test_invalid_matrices_rejected():
