@@ -144,7 +144,6 @@ def _resolve(args) -> dict:
         with open(config_path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
         unknown = set(overrides) - set(cfg) - set(given)
-        unknown -= {k for k in overrides if k in cfg}
         if unknown:
             raise RouteSeqError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(overrides)
@@ -352,12 +351,6 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         print(json.dumps({"command": args.command, "config": cfg}, sort_keys=True))
         _HANDLERS[args.command](cfg)
-    except SystemExit:
-        raise
-    except RouteSeqError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
-              file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - uniform runtime error surface
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}),
               file=sys.stderr)

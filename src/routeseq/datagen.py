@@ -33,7 +33,7 @@ import numpy as np
 from .completion import complete_sequence
 from .domain import RouteInstance, StopRecord, build_zone_instance, parse_zone_id, validate_route
 from .errors import InvalidInputError, MalformedRouteError, SchemaError
-from .tsp import route_cost, solve_tour
+from .tsp import _nearest_neighbor, route_cost, solve_tour
 
 SCHEMA_VERSION = "routeseq/1"
 BEHAVIORS = ("tsp", "nearest_zone", "cluster_biased")
@@ -74,24 +74,6 @@ def _to_latlng(xy: np.ndarray) -> tuple:
     lat = _BASE_LAT + xy[1] / _KM_PER_DEG_LAT
     lng = _BASE_LNG + xy[0] / (_KM_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT)))
     return float(lat), float(lng)
-
-
-def _nearest_zone_order(ztt: np.ndarray) -> list:
-    n = ztt.shape[0] - 1
-    order, visited = [], set()
-    cur = 0
-    for _ in range(n):
-        best, best_z = None, -1
-        for z in range(n):
-            if z in visited:
-                continue
-            c = ztt[cur, z + 1]
-            if best is None or c < best:
-                best, best_z = c, z
-        order.append(best_z)
-        visited.add(best_z)
-        cur = best_z + 1
-    return order
 
 
 def _cluster_rollout(ztt: np.ndarray, majors: list, first: int) -> list:
@@ -179,14 +161,14 @@ def _gen_route(rng: np.random.Generator, config: SynthConfig, route_id: str) -> 
 
     route = RouteInstance(route_id, depot, stops, tt, list(range(len(stops))), {})
     zinst = build_zone_instance(route)
+    ztt = zinst.zone_travel_time
     if config.behavior == "tsp":
-        tour = solve_tour(zinst.zone_travel_time, origin=0)
-        zone_order = [v - 1 for v in tour.order[1:]]
+        zone_order = [v - 1 for v in solve_tour(ztt, origin=0).order[1:]]
     elif config.behavior == "nearest_zone":
-        zone_order = _nearest_zone_order(zinst.zone_travel_time)
+        zone_order = [v - 1 for v in _nearest_neighbor(ztt, 0, list(range(1, len(ztt))), None)[1:]]
     else:
         majors = [parse_zone_id(z.zone_id)[1] for z in zinst.zones]
-        zone_order = _cluster_biased_order(zinst.zone_travel_time, majors)
+        zone_order = _cluster_biased_order(ztt, majors)
     route.actual_stop_sequence = complete_sequence(zone_order, zinst, route)
 
     hour = int(rng.integers(6, 11))

@@ -2,15 +2,22 @@
 
 Every op accepts either plain ndarrays or ``Node`` objects.  With plain
 arrays it just computes the value; as soon as one input is a ``Node`` the op
-is recorded on that node's tape, and ``Tape.backward`` later pushes exact
-gradients to every reachable leaf.  Tapes record nodes in execution order,
-so reversing that order is a valid topological order for backpropagation.
+is recorded on that node's tape by ``_record``, and ``Tape.backward`` later
+pushes exact gradients to every reachable leaf.  Tapes record nodes in
+execution order, so reversing that order is a valid topological order for
+backpropagation.
+
+The graph is acyclic: a node holds its parents (through its backward
+closure) and a weak proxy of its tape, never itself or its tape, so a
+finished step's graph is freed by reference counting alone.
 
 Shapes are deliberately modest: vectors, matrices, and 0-d scalars, which is
 all the sequence models need.  Everything is float64.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -39,14 +46,16 @@ class Node:
 
 
 class Tape:
-    """Execution-ordered record of ops for one forward pass."""
+    """Execution-ordered record of ops for one forward pass.  Nodes hold the
+    tape weakly, so the caller keeps it referenced while it records."""
 
     def __init__(self):
         self._nodes: list[Node] = []
+        self._proxy = weakref.proxy(self)  # what nodes hold, so no node keeps the tape alive
 
     def leaf(self, value) -> Node:
         """Wrap an array as a differentiable leaf (not recorded; no parents)."""
-        return Node(np.asarray(value, dtype=np.float64), self)
+        return Node(np.asarray(value, dtype=np.float64), self._proxy)
 
     def backward(self, loss: Node) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``."""
@@ -55,18 +64,24 @@ class Tape:
         loss.grad = np.ones((), dtype=np.float64)
         for node in reversed(self._nodes):
             if node.grad is not None and node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
 
 def _val(x):
     return x.value if isinstance(x, Node) else x
 
 
-def _tape(*xs):
-    for x in xs:
-        if isinstance(x, Node):
-            return x.tape
-    return None
+def _record(out_v, parents, backward):
+    """Record ``out_v`` on the tape of the first ``Node`` among ``parents``,
+    with ``backward(g)`` pushing the output gradient ``g`` to the parents;
+    with no ``Node`` parent, return ``out_v`` unrecorded."""
+    for p in parents:
+        if isinstance(p, Node):
+            out = Node(out_v, p.tape)
+            out._backward = backward
+            p.tape._nodes.append(out)
+            return out
+    return out_v
 
 
 def _acc(x, g, own: bool = False):
@@ -93,14 +108,8 @@ def _unbroadcast(g, shape):
 def matmul(a, b):
     """Matrix/vector product covering 2d@2d, 2d@1d, 1d@2d, and 1d@1d (dot)."""
     av, bv = _val(a), _val(b)
-    out_v = av @ bv
-    tape = _tape(a, b)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
 
-    def _bw():
-        g = out.grad
+    def backward(g):
         if av.ndim == 2 and bv.ndim == 2:
             _acc(a, g @ bv.T, own=True)
             _acc(b, av.T @ g, own=True)
@@ -114,48 +123,30 @@ def matmul(a, b):
             _acc(a, g * bv, own=True)
             _acc(b, g * av, own=True)
 
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(av @ bv, (a, b), backward)
 
 
 def add(a, b):
     av, bv = _val(a), _val(b)
-    out_v = av + bv
-    tape = _tape(a, b)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
 
-    def _bw():
-        g = out.grad
+    def backward(g):
         ga = _unbroadcast(g, np.shape(av))
         _acc(a, ga, own=ga is not g)
         gb = _unbroadcast(g, np.shape(bv))
         _acc(b, gb, own=gb is not g)
 
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(av + bv, (a, b), backward)
 
 
 def mul(a, b):
     """Elementwise product (broadcasting allowed)."""
     av, bv = _val(a), _val(b)
-    out_v = av * bv
-    tape = _tape(a, b)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
 
-    def _bw():
-        g = out.grad
+    def backward(g):
         _acc(a, _unbroadcast(g * bv, np.shape(av)), own=True)
         _acc(b, _unbroadcast(g * av, np.shape(bv)), own=True)
 
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(av * bv, (a, b), backward)
 
 
 def _sigmoid_np(x):
@@ -169,181 +160,66 @@ def _sigmoid_np(x):
 
 
 def sigmoid(a):
-    av = _val(a)
-    out_v = _sigmoid_np(av)
-    tape = _tape(a)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        _acc(a, out.grad * out_v * (1.0 - out_v), own=True)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    out_v = _sigmoid_np(_val(a))
+    return _record(out_v, (a,), lambda g: _acc(a, g * out_v * (1.0 - out_v), own=True))
 
 
 def tanh(a):
-    av = _val(a)
-    out_v = np.tanh(av)
-    tape = _tape(a)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        _acc(a, out.grad * (1.0 - out_v * out_v), own=True)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    out_v = np.tanh(_val(a))
+    return _record(out_v, (a,), lambda g: _acc(a, g * (1.0 - out_v * out_v), own=True))
 
 
 def relu(a):
     av = _val(a)
-    out_v = np.maximum(av, 0.0)
-    tape = _tape(a)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        _acc(a, out.grad * (av > 0.0), own=True)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(np.maximum(av, 0.0), (a,), lambda g: _acc(a, g * (av > 0.0), own=True))
 
 
 def concat(parts):
-    """Concatenate 1-d vectors."""
+    """Concatenate along the last axis: 1-d vectors end to end, 2-d blocks
+    side by side."""
     vals = [_val(p) for p in parts]
-    out_v = np.concatenate(vals)
-    tape = _tape(*parts)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-    sizes = [v.shape[0] for v in vals]
+    sizes = [v.shape[-1] for v in vals]
 
-    def _bw():
-        g = out.grad
+    def backward(g):
         off = 0
         for p, s in zip(parts, sizes):
-            _acc(p, g[off:off + s])
+            _acc(p, g[..., off:off + s])
             off += s
 
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
-
-
-def hstack(parts):
-    """Concatenate 2-d blocks along columns."""
-    vals = [_val(p) for p in parts]
-    out_v = np.concatenate(vals, axis=1)
-    tape = _tape(*parts)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-    widths = [v.shape[1] for v in vals]
-
-    def _bw():
-        g = out.grad
-        off = 0
-        for p, w in zip(parts, widths):
-            _acc(p, g[:, off:off + w])
-            off += w
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(np.concatenate(vals, axis=-1), parts, backward)
 
 
 def stack_rows(parts):
     """Stack 1-d vectors into a matrix, one per row."""
-    vals = [_val(p) for p in parts]
-    out_v = np.stack(vals, axis=0)
-    tape = _tape(*parts)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        g = out.grad
+    def backward(g):
         for k, p in enumerate(parts):
             _acc(p, g[k])
 
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(np.stack([_val(p) for p in parts], axis=0), parts, backward)
 
 
 def tile_rows(v, n: int):
     """Repeat a vector as n identical rows."""
-    vv = _val(v)
-    out_v = np.tile(vv, (n, 1))
-    tape = _tape(v)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        _acc(v, out.grad.sum(axis=0), own=True)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(np.tile(_val(v), (n, 1)), (v,), lambda g: _acc(v, g.sum(axis=0), own=True))
 
 
 def transpose(a):
-    av = _val(a)
-    out_v = av.T
-    tape = _tape(a)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        _acc(a, out.grad.T)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(_val(a).T, (a,), lambda g: _acc(a, g.T))
 
 
 def reshape(a, shape):
     av = _val(a)
-    out_v = av.reshape(shape)
-    tape = _tape(a)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        _acc(a, out.grad.reshape(av.shape))
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(av.reshape(shape), (a,), lambda g: _acc(a, g.reshape(av.shape)))
 
 
 def nsum(parts):
     """Sum of scalar terms."""
-    vals = [_val(p) for p in parts]
-    out_v = np.asarray(sum(float(v) for v in vals), dtype=np.float64)
-    tape = _tape(*parts)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
+    def backward(g):
         for p in parts:
-            _acc(p, out.grad)
+            _acc(p, g)
 
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    out_v = np.asarray(sum(float(_val(p)) for p in parts), dtype=np.float64)
+    return _record(out_v, parts, backward)
 
 
 def softmax(u, allowed=None):
@@ -365,18 +241,7 @@ def softmax(u, allowed=None):
         e = np.zeros_like(uv)
         e[allowed] = np.exp(kept - kept.max())
     out_v = e / e.sum()
-    tape = _tape(u)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
-
-    def _bw():
-        g = out.grad
-        _acc(u, out_v * (g - g @ out_v), own=True)
-
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(out_v, (u,), lambda g: _acc(u, out_v * (g - g @ out_v), own=True))
 
 
 def cross_entropy(probs, target: int):
@@ -393,19 +258,12 @@ def cross_entropy(probs, target: int):
     if abs(float(pv.sum()) - 1.0) > 1e-6:
         raise InvalidInputError("probabilities must sum to 1 within 1e-6")
     pt = float(pv[target])
-    clamped = max(pt, CROSS_ENTROPY_CLAMP)
-    out_v = np.asarray(-np.log(clamped), dtype=np.float64)
-    tape = _tape(probs)
-    if tape is None:
-        return out_v
-    out = Node(out_v, tape)
 
-    def _bw():
+    def backward(g):
         if pt > CROSS_ENTROPY_CLAMP:
-            g = np.zeros_like(pv)
-            g[target] = -float(out.grad) / pt
-            _acc(probs, g, own=True)
+            gp = np.zeros_like(pv)
+            gp[target] = -float(g) / pt
+            _acc(probs, gp, own=True)
 
-    out._backward = _bw
-    tape._nodes.append(out)
-    return out
+    return _record(np.asarray(-np.log(max(pt, CROSS_ENTROPY_CLAMP)), dtype=np.float64),
+                   (probs,), backward)

@@ -41,7 +41,6 @@ from .kernel import (
     add,
     concat,
     cross_entropy,
-    hstack,
     init_lstm,
     init_mlp,
     lstm_cell,
@@ -337,7 +336,7 @@ def asnn_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | No
     z_rows = _pair_rows(scaled, prev_zone, by_position=True)
     if _value(d).shape[0] != params.config.hidden:
         raise InvalidInputError("decoder output width does not match the model config")
-    v = hstack([z_rows, tile_rows(d, n), enc_matrix])
+    v = concat([z_rows, tile_rows(d, n), enc_matrix])
     u = reshape(mlp_forward(v, params.asnn), (n,))
     return softmax(u, allowed)
 

@@ -13,6 +13,7 @@ the ERP gap element.  Stop sequences are travel-time matrix indices
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,6 +245,8 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
         raise InvalidInputError("routes must be non-empty")
     if params is None and sequences is None:
         raise InvalidInputError("need a model or fixed sequences")
+    if mode not in (inference.GREEDY, inference.BEST_FIRST):
+        raise InvalidInputError(f"unknown generation mode {mode!r}")
     rows, failures = [], []
     for route in routes:
         try:
@@ -253,6 +256,9 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                 entry = sequences.get(route.route_id)
                 if entry is None:
                     raise InvalidInputError("no prediction for this route")
+                if not isinstance(entry, Mapping):
+                    raise InvalidInputError(
+                        f"prediction entry must be a mapping, not {type(entry).__name__}")
                 if entry.get("stop_sequence") is not None:
                     by_id = {s.stop_id: i for i, s in enumerate(route.stops)}
                     try:
@@ -264,10 +270,8 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
             else:
                 if mode == inference.GREEDY:
                     pred = inference.greedy_decode(params, prep)
-                elif mode == inference.BEST_FIRST:
-                    pred = inference.generate_best_first(params, prep, strict_alg1)
                 else:
-                    raise InvalidInputError(f"unknown generation mode {mode!r}")
+                    pred = inference.generate_best_first(params, prep, strict_alg1)
                 zone_order = pred.zone_order
             rows.append(score_route(route, prep, zone_order, stop_indices, k))
         except RouteSeqError as exc:

@@ -39,7 +39,6 @@ class TrainConfig:
     lr: float = 0.001
     seed: int = 0
     input_order: str = "tsp"        # encoder reading order: tsp | random
-    fractions: tuple = (0.8, 0.2)
     hidden: int = 32
     asnn_hidden: tuple = (128, 128)
     att_dim: int = 32

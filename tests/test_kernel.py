@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from routeseq.kernel import (
     LstmState,
     MlpLayer,
     MlpParams,
+    Node,
     Tape,
     adam_init,
     adam_step,
+    add,
+    concat,
     cross_entropy,
     deserialize_checkpoint,
     init_lstm,
@@ -19,11 +24,21 @@ from routeseq.kernel import (
     load_checkpoint,
     lstm_cell,
     map_tensors,
+    matmul,
     mlp_forward,
+    mul,
     named_tensors,
+    nsum,
+    relu,
+    reshape,
     save_checkpoint,
     serialize_checkpoint,
+    sigmoid,
     softmax,
+    stack_rows,
+    tanh,
+    tile_rows,
+    transpose,
     zero_state,
 )
 
@@ -31,6 +46,88 @@ from routeseq.kernel import (
 def _zero_lstm(input_dim, hidden):
     p = init_lstm(input_dim, hidden, np.random.default_rng(0))
     return map_tensors(p, lambda t: np.zeros_like(t))
+
+
+# --- autodiff ops ------------------------------------------------------------
+
+def _arrays(*shapes):
+    """Input maker: entries of magnitude 0.2-1.5 with random signs, so no
+    entry sits within a finite-difference step of relu's kink."""
+    def make(rng):
+        return [np.array(rng.uniform(0.2, 1.5, size=s) * rng.choice([-1.0, 1.0], size=s))
+                for s in shapes]
+    return make
+
+
+_MASK = np.array([True, False, True, True, False])
+
+# name -> (op over the inputs, input maker, finite-difference step)
+OP_CASES = {
+    "matmul_2d_2d": (matmul, _arrays((3, 4), (4, 2)), 1e-5),
+    "matmul_2d_1d": (matmul, _arrays((3, 4), (4,)), 1e-5),
+    "matmul_1d_2d": (matmul, _arrays((4,), (4, 3)), 1e-5),
+    "matmul_1d_1d": (matmul, _arrays((4,), (4,)), 1e-5),
+    "add_broadcast_row": (add, _arrays((3, 4), (4,)), 1e-5),
+    "add_broadcast_both": (add, _arrays((3, 1), (1, 4)), 1e-5),
+    "mul_broadcast_row": (mul, _arrays((3, 4), (4,)), 1e-5),
+    "mul_broadcast_column": (mul, _arrays((3, 4), (3, 1)), 1e-5),
+    "sigmoid": (sigmoid, _arrays((2, 3)), 1e-5),
+    "tanh": (tanh, _arrays((2, 3)), 1e-5),
+    "relu": (relu, _arrays((2, 3)), 1e-5),
+    "concat_1d": (lambda *p: concat(list(p)), _arrays((2,), (3,), (1,)), 1e-5),
+    "concat_2d": (lambda *p: concat(list(p)), _arrays((3, 2), (3, 4), (3, 1)), 1e-5),
+    "stack_rows": (lambda *p: stack_rows(list(p)), _arrays((4,), (4,), (4,)), 1e-5),
+    "tile_rows": (lambda v: tile_rows(v, 3), _arrays((4,)), 1e-5),
+    "transpose": (transpose, _arrays((3, 4)), 1e-5),
+    "reshape": (lambda a: reshape(a, (2, 6)), _arrays((3, 4)), 1e-5),
+    "nsum": (lambda *p: nsum(list(p)), _arrays((), (), ()), 1e-5),
+    "softmax": (softmax, _arrays((5,)), 1e-5),
+    "softmax_masked": (lambda u: softmax(u, _MASK), _arrays((5,)), 1e-5),
+    # a step small enough that the perturbed probabilities still sum to 1
+    # within cross_entropy's 1e-6 check
+    "cross_entropy": (lambda p: cross_entropy(p, 2),
+                      lambda rng: [rng.dirichlet(np.ones(5))], 1e-7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_op_gradient_matches_central_difference(name):
+    op, make, eps = OP_CASES[name]
+    rng = np.random.default_rng(7)
+    inputs = make(rng)
+    plain = op(*inputs)
+    assert not isinstance(plain, Node)  # nothing is recorded without a Node input
+    w = np.asarray(rng.normal(size=np.shape(plain)))
+
+    def loss_fn():
+        return float(np.sum(np.asarray(op(*inputs)) * w))
+
+    tape = Tape()
+    leaves = [tape.leaf(x) for x in inputs]
+    tape.backward(matmul(reshape(op(*leaves), (-1,)), w.ravel()))
+    for k, (x, leaf) in enumerate(zip(inputs, leaves)):
+        assert leaf.grad.shape == x.shape
+        for idx in range(x.size):
+            fd = finite_difference(loss_fn, x, idx, eps)
+            an = leaf.grad.ravel()[idx]
+            assert grad_close(fd, an), f"input {k}[{idx}]: fd={fd} an={an}"
+
+
+def test_finished_tape_is_freed_without_cyclic_gc():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        tape = Tape()
+        w = tape.leaf(np.ones((3, 3)))
+        h = tanh(matmul(w, np.ones(3)))
+        tape.backward(cross_entropy(softmax(h), 0))
+        tape_ref, value_ref = weakref.ref(tape), weakref.ref(h.value)
+        del tape, w, h
+        assert tape_ref() is None
+        assert value_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --- lstm_cell ---------------------------------------------------------------
@@ -82,7 +179,6 @@ def test_lstm_gradients_every_parameter(rng):
     tape = Tape()
     wrapped = map_tensors(p, tape.leaf)
     state, e = lstm_cell(x, LstmState(h0, c0), wrapped)
-    from routeseq.kernel import matmul
     loss = matmul(e, e)
     tape.backward(loss)
     grads = {n: t.grad for n, t in named_tensors(wrapped, "p").items()}

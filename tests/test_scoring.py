@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_route
 from oracles import erp_exhaustive, sd_ref, time_norm_ref
-from routeseq import completion, datagen
+from routeseq import completion, datagen, scoring
 from routeseq.errors import InvalidInputError
 from routeseq.predictor import prepare_route
 from routeseq.scoring import (
@@ -14,6 +14,7 @@ from routeseq.scoring import (
     score_route,
     sequence_deviation,
 )
+from routeseq.training import TrainConfig, train
 
 
 def _random_matrix(rng, n):
@@ -226,6 +227,29 @@ def test_unknown_stop_id_is_a_route_failure():
     assert len(report.rows) == 1
     assert report.failures == [
         (routes[1].route_id, "InvalidInputError: unknown stop id 'NO-SUCH-STOP'")]
+
+
+def test_non_mapping_entry_is_a_route_failure():
+    routes = _dataset(n=2)
+    sequences = {
+        r.route_id: {"stop_sequence": [r.stops[i].stop_id for i in r.actual_stop_sequence]}
+        for r in routes
+    }
+    sequences[routes[0].route_id] = ["Z"]
+    report = evaluate_testset(routes, sequences=sequences)
+    assert len(report.rows) == 1
+    assert report.failures == [
+        (routes[0].route_id, "InvalidInputError: prediction entry must be a mapping, not list")]
+
+
+def test_unknown_mode_rejected_before_any_route(monkeypatch):
+    routes = _dataset(n=3)
+    params, _ = train(routes, TrainConfig(epochs=1, hidden=8, asnn_hidden=(16, 16), att_dim=8))
+    prepared = []
+    monkeypatch.setattr(scoring, "prepare_route", lambda r: prepared.append(r) or prepare_route(r))
+    with pytest.raises(InvalidInputError, match="unknown generation mode 'bogus'"):
+        evaluate_testset(routes, params=params, mode="bogus")
+    assert prepared == []
 
 
 def test_program_errors_propagate(monkeypatch):
