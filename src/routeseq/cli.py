@@ -14,7 +14,7 @@ import sys
 
 from . import datagen, inference, scoring, training
 from .completion import complete_sequence
-from .errors import RouteSeqError
+from .errors import RouteSeqError, SchemaError
 from .predictor import VARIANTS, load_model, prepare_route
 
 PREDICTIONS_VERSION = "routeseq-predictions/1"
@@ -257,11 +257,13 @@ def _cmd_predict(cfg):
 
 
 def _load_predictions(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != PREDICTIONS_VERSION:
-        raise RouteSeqError(f"predictions file must declare version {PREDICTIONS_VERSION!r}")
-    return {row["route_id"]: row for row in payload["predictions"]}
+    payload = datagen.read_json_object(path)
+    version = payload.get("version")
+    if version != PREDICTIONS_VERSION:
+        raise SchemaError("version", f"expected {PREDICTIONS_VERSION!r}, got {version!r}")
+    rows = datagen.require_field(payload, "predictions", "$", list)
+    return {datagen.require_field(row, "route_id", f"predictions[{i}]", str): row
+            for i, row in enumerate(rows)}
 
 
 def _cmd_evaluate(cfg):

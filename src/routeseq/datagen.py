@@ -226,7 +226,9 @@ def save_routes(routes, path) -> None:
         fh.write(routes_to_json(routes))
 
 
-def _require(mapping, key, path, kind=None):
+def require_field(mapping, key, path, kind=None):
+    """``mapping[key]``, which must exist (and be a ``kind``); otherwise a
+    ``SchemaError`` at ``<path>.<key>``."""
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError(f"{path}.{key}", "missing required field")
     value = mapping[key]
@@ -236,34 +238,34 @@ def _require(mapping, key, path, kind=None):
 
 
 def route_from_dict(rd: dict, path: str) -> RouteInstance:
-    route_id = _require(rd, "route_id", path, str)
-    depot_d = _require(rd, "depot", path, dict)
-    depot = StopRecord("depot", "", float(_require(depot_d, "lat", f"{path}.depot", (int, float))),
-                       float(_require(depot_d, "lng", f"{path}.depot", (int, float))))
-    stops_raw = _require(rd, "stops", path, list)
+    route_id = require_field(rd, "route_id", path, str)
+    depot_d = require_field(rd, "depot", path, dict)
+    depot = StopRecord("depot", "", float(require_field(depot_d, "lat", f"{path}.depot", (int, float))),
+                       float(require_field(depot_d, "lng", f"{path}.depot", (int, float))))
+    stops_raw = require_field(rd, "stops", path, list)
     if not stops_raw:
         raise SchemaError(f"{path}.stops", f"route {route_id!r} has no stops")
     stops = []
     for k, sd in enumerate(stops_raw):
         spath = f"{path}.stops[{k}]"
         stops.append(StopRecord(
-            stop_id=_require(sd, "id", spath, str),
-            zone_id=_require(sd, "zone_id", spath, str),
-            lat=float(_require(sd, "lat", spath, (int, float))),
-            lng=float(_require(sd, "lng", spath, (int, float))),
+            stop_id=require_field(sd, "id", spath, str),
+            zone_id=require_field(sd, "zone_id", spath, str),
+            lat=float(require_field(sd, "lat", spath, (int, float))),
+            lng=float(require_field(sd, "lng", spath, (int, float))),
             n_packages=int(sd.get("n_packages", 0)),
             service_time=float(sd.get("service_time_s", 0.0)),
             package_volume=float(sd.get("volume_cm3", 0.0)),
         ))
     n = len(stops)
-    flat = _require(rd, "travel_time_s", path, list)
+    flat = require_field(rd, "travel_time_s", path, list)
     if len(flat) != (n + 1) ** 2:
         raise SchemaError(
             f"{path}.travel_time_s",
             f"route {route_id!r}: expected {(n + 1) ** 2} entries for {n} stops, got {len(flat)}",
         )
     tt = np.array(flat, dtype=float).reshape(n + 1, n + 1)
-    seq_ids = _require(rd, "actual_sequence", path, list)
+    seq_ids = require_field(rd, "actual_sequence", path, list)
     by_id = {s.stop_id: i for i, s in enumerate(stops)}
     if sorted(seq_ids) != sorted(by_id):
         raise SchemaError(
@@ -282,7 +284,8 @@ def route_from_dict(rd: dict, path: str) -> RouteInstance:
     return route
 
 
-def load_routes(path) -> list:
+def read_json_object(path) -> dict:
+    """Parse a JSON file whose top level must be an object."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -290,10 +293,15 @@ def load_routes(path) -> list:
             raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError("$", "expected a top-level object")
+    return payload
+
+
+def load_routes(path) -> list:
+    payload = read_json_object(path)
     version = payload.get("version")
     if version != SCHEMA_VERSION:
         raise SchemaError("version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
-    routes_raw = _require(payload, "routes", "$", list)
+    routes_raw = require_field(payload, "routes", "$", list)
     return [route_from_dict(rd, f"routes[{i}]") for i, rd in enumerate(routes_raw)]
 
 

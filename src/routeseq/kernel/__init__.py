@@ -7,17 +7,17 @@ from .autodiff import (
     add,
     concat,
     cross_entropy,
+    lstm_gates,
     matmul,
-    mul,
     nsum,
     relu,
     reshape,
-    sigmoid,
     softmax,
     stack_rows,
     tanh,
     tile_rows,
     transpose,
+    unwrap,
 )
 from .checkpoint import (
     CHECKPOINT_FORMAT,
@@ -44,9 +44,9 @@ from .layers import (
 from .optim import AdamState, adam_init, adam_step, clip_gradients
 
 __all__ = [
-    "Node", "Tape", "add", "concat", "cross_entropy", "matmul", "mul", "nsum",
-    "relu", "reshape", "sigmoid", "softmax", "stack_rows", "tanh", "tile_rows",
-    "transpose",
+    "Node", "Tape", "add", "concat", "cross_entropy", "lstm_gates", "matmul",
+    "nsum", "relu", "reshape", "softmax", "stack_rows", "tanh", "tile_rows",
+    "transpose", "unwrap",
     "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint",
     "load_checkpoint", "save_checkpoint", "serialize_checkpoint",
     "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "init_lstm",

@@ -67,7 +67,8 @@ class Tape:
                 node._backward(node.grad)
 
 
-def _val(x):
+def unwrap(x):
+    """The array behind ``x``: a ``Node``'s value, anything else as is."""
     return x.value if isinstance(x, Node) else x
 
 
@@ -107,7 +108,7 @@ def _unbroadcast(g, shape):
 
 def matmul(a, b):
     """Matrix/vector product covering 2d@2d, 2d@1d, 1d@2d, and 1d@1d (dot)."""
-    av, bv = _val(a), _val(b)
+    av, bv = unwrap(a), unwrap(b)
 
     def backward(g):
         if av.ndim == 2 and bv.ndim == 2:
@@ -127,7 +128,7 @@ def matmul(a, b):
 
 
 def add(a, b):
-    av, bv = _val(a), _val(b)
+    av, bv = unwrap(a), unwrap(b)
 
     def backward(g):
         ga = _unbroadcast(g, np.shape(av))
@@ -136,17 +137,6 @@ def add(a, b):
         _acc(b, gb, own=gb is not g)
 
     return _record(av + bv, (a, b), backward)
-
-
-def mul(a, b):
-    """Elementwise product (broadcasting allowed)."""
-    av, bv = _val(a), _val(b)
-
-    def backward(g):
-        _acc(a, _unbroadcast(g * bv, np.shape(av)), own=True)
-        _acc(b, _unbroadcast(g * av, np.shape(bv)), own=True)
-
-    return _record(av * bv, (a, b), backward)
 
 
 def _sigmoid_np(x):
@@ -159,25 +149,50 @@ def _sigmoid_np(x):
     return out
 
 
-def sigmoid(a):
-    out_v = _sigmoid_np(_val(a))
-    return _record(out_v, (a,), lambda g: _acc(a, g * out_v * (1.0 - out_v), own=True))
+def lstm_gates(z, c):
+    """The LSTM state update from the stacked gate pre-activations ``z``
+    (4h: gates f, i, o and the candidate c, in that order) and the previous
+    cell state ``c`` (h): returns ``(h_new, c_new)`` with
+    ``c_new = f*c + i*tanh(z_c)`` and ``h_new = o*tanh(c_new)``, where f, i
+    and o are the logistic function of their pre-activations."""
+    zv, cv = unwrap(z), unwrap(c)
+    h = cv.shape[0]
+    s = _sigmoid_np(zv[:3 * h])
+    f, i, o = s[:h], s[h:2 * h], s[2 * h:]
+    g = np.tanh(zv[3 * h:])
+    c_new_v = f * cv + i * g
+    t = np.tanh(c_new_v)
+
+    def backward_c(gc):
+        _acc(z, np.concatenate([gc * cv * f * (1.0 - f), gc * g * i * (1.0 - i),
+                                np.zeros(h), gc * i * (1.0 - g * g)]), own=True)
+        _acc(c, gc * f, own=True)
+
+    c_new = _record(c_new_v, (z, c), backward_c)
+
+    def backward_h(gh):
+        gz = np.zeros_like(zv)
+        gz[2 * h:3 * h] = gh * t * o * (1.0 - o)
+        _acc(z, gz, own=True)
+        _acc(c_new, gh * o * (1.0 - t * t), own=True)
+
+    return _record(o * t, (z, c_new), backward_h), c_new
 
 
 def tanh(a):
-    out_v = np.tanh(_val(a))
+    out_v = np.tanh(unwrap(a))
     return _record(out_v, (a,), lambda g: _acc(a, g * (1.0 - out_v * out_v), own=True))
 
 
 def relu(a):
-    av = _val(a)
+    av = unwrap(a)
     return _record(np.maximum(av, 0.0), (a,), lambda g: _acc(a, g * (av > 0.0), own=True))
 
 
 def concat(parts):
     """Concatenate along the last axis: 1-d vectors end to end, 2-d blocks
     side by side."""
-    vals = [_val(p) for p in parts]
+    vals = [unwrap(p) for p in parts]
     sizes = [v.shape[-1] for v in vals]
 
     def backward(g):
@@ -195,20 +210,20 @@ def stack_rows(parts):
         for k, p in enumerate(parts):
             _acc(p, g[k])
 
-    return _record(np.stack([_val(p) for p in parts], axis=0), parts, backward)
+    return _record(np.stack([unwrap(p) for p in parts], axis=0), parts, backward)
 
 
 def tile_rows(v, n: int):
     """Repeat a vector as n identical rows."""
-    return _record(np.tile(_val(v), (n, 1)), (v,), lambda g: _acc(v, g.sum(axis=0), own=True))
+    return _record(np.tile(unwrap(v), (n, 1)), (v,), lambda g: _acc(v, g.sum(axis=0), own=True))
 
 
 def transpose(a):
-    return _record(_val(a).T, (a,), lambda g: _acc(a, g.T))
+    return _record(unwrap(a).T, (a,), lambda g: _acc(a, g.T))
 
 
 def reshape(a, shape):
-    av = _val(a)
+    av = unwrap(a)
     return _record(av.reshape(shape), (a,), lambda g: _acc(a, g.reshape(av.shape)))
 
 
@@ -218,7 +233,7 @@ def nsum(parts):
         for p in parts:
             _acc(p, g)
 
-    out_v = np.asarray(sum(float(_val(p)) for p in parts), dtype=np.float64)
+    out_v = np.asarray(sum(float(unwrap(p)) for p in parts), dtype=np.float64)
     return _record(out_v, parts, backward)
 
 
@@ -229,7 +244,7 @@ def softmax(u, allowed=None):
     entries it marks; every other entry gets probability exactly 0 and
     receives no gradient.
     """
-    uv = _val(u)
+    uv = unwrap(u)
     if uv.ndim != 1 or uv.shape[0] == 0:
         raise InvalidInputError("softmax expects a non-empty 1-d vector")
     if allowed is None:
@@ -250,7 +265,7 @@ def cross_entropy(probs, target: int):
     The clamp makes a vanishing probability yield -ln(1e-12) with zero
     gradient rather than an infinity.
     """
-    pv = _val(probs)
+    pv = unwrap(probs)
     if pv.ndim != 1:
         raise InvalidInputError("cross_entropy expects a 1-d probability vector")
     if not 0 <= target < pv.shape[0]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import InvalidInputError, NumericError
-from .autodiff import Node, add, matmul, mul, relu, sigmoid, tanh, transpose
+from .autodiff import Node, add, lstm_gates, matmul, relu, transpose, unwrap
 
 
 @dataclass(eq=False)
@@ -24,24 +24,16 @@ class LstmState:
 
 @dataclass(eq=False)
 class LstmCellParams:
-    """Gate weights of a single-layer, one-directional LSTM cell.
+    """Weights of a single-layer, one-directional LSTM cell, its four gates
+    stacked in the order f, i, o, c (the candidate cell value).
 
-    ``w_*`` map the input (hidden x input), ``u_*`` the previous hidden state
-    (hidden x hidden), ``b_*`` are gate biases (hidden,).
+    ``w`` maps the input (4*hidden x input), ``u`` the previous hidden state
+    (4*hidden x hidden); ``b`` holds the gate biases (4*hidden,).
     """
 
-    w_f: object
-    w_i: object
-    w_o: object
-    w_c: object
-    u_f: object
-    u_i: object
-    u_o: object
-    u_c: object
-    b_f: object
-    b_i: object
-    b_o: object
-    b_c: object
+    w: object
+    u: object
+    b: object
 
 
 @dataclass(eq=False)
@@ -66,17 +58,10 @@ def init_lstm(input_dim: int, hidden_dim: int, rng: np.random.Generator) -> Lstm
     """Weights uniform in (-1/sqrt(fan_in), +1/sqrt(fan_in)); forget-gate
     bias 1 (Jozefowicz et al., 2015), so the cell starts out keeping its
     state; the other biases 0."""
-    def w():
-        return uniform_init(rng, (hidden_dim, input_dim), input_dim)
-
-    def u():
-        return uniform_init(rng, (hidden_dim, hidden_dim), hidden_dim)
-
-    def b():
-        return np.zeros(hidden_dim)
-
-    return LstmCellParams(w(), w(), w(), w(), u(), u(), u(), u(),
-                          np.ones(hidden_dim), b(), b(), b())
+    b = np.zeros(4 * hidden_dim)
+    b[:hidden_dim] = 1.0
+    return LstmCellParams(uniform_init(rng, (4 * hidden_dim, input_dim), input_dim),
+                          uniform_init(rng, (4 * hidden_dim, hidden_dim), hidden_dim), b)
 
 
 def init_mlp(dims, rng: np.random.Generator) -> MlpParams:
@@ -96,25 +81,17 @@ def lstm_cell(x, state: LstmState, params: LstmCellParams):
     Gates f, i, o are logistic; the candidate cell value is tanh; the output
     equals the new hidden state (single layer, one direction).
     """
-    xv = x.value if isinstance(x, Node) else np.asarray(x)
-    if not np.all(np.isfinite(xv)):
+    if not np.all(np.isfinite(unwrap(x))):
         raise NumericError("lstm_cell received a non-finite input vector")
-    p = params
-    h, c = state.h, state.c
-    f = sigmoid(add(add(matmul(p.w_f, x), matmul(p.u_f, h)), p.b_f))
-    i = sigmoid(add(add(matmul(p.w_i, x), matmul(p.u_i, h)), p.b_i))
-    o = sigmoid(add(add(matmul(p.w_o, x), matmul(p.u_o, h)), p.b_o))
-    c_tilde = tanh(add(add(matmul(p.w_c, x), matmul(p.u_c, h)), p.b_c))
-    c_new = add(mul(f, c), mul(i, c_tilde))
-    h_new = mul(o, tanh(c_new))
+    z = add(add(matmul(params.w, x), matmul(params.u, state.h)), params.b)
+    h_new, c_new = lstm_gates(z, state.c)
     return LstmState(h_new, c_new), h_new
 
 
 def mlp_forward(x, params: MlpParams):
     """Apply the MLP to a vector (d,) or a batch of rows (m, d)."""
-    xv = x.value if isinstance(x, Node) else np.asarray(x)
-    first_w = params.layers[0].w
-    in_dim = (first_w.value if isinstance(first_w, Node) else first_w).shape[1]
+    xv = np.asarray(unwrap(x))
+    in_dim = unwrap(params.layers[0].w).shape[1]
     if xv.shape[-1] != in_dim:
         raise InvalidInputError(
             f"mlp_forward input width {xv.shape[-1]} does not match first layer ({in_dim})"

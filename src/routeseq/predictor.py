@@ -36,7 +36,6 @@ from .kernel import (
     LstmCellParams,
     LstmState,
     MlpParams,
-    Node,
     Tape,
     add,
     concat,
@@ -56,6 +55,7 @@ from .kernel import (
     tile_rows,
     transpose,
     uniform_init,
+    unwrap,
 )
 from .tsp import solve_tour
 
@@ -299,10 +299,6 @@ def gradients(params: ModelParams, wrapped: ModelParams) -> dict:
     return grads
 
 
-def _value(x):
-    return x.value if isinstance(x, Node) else x
-
-
 def encode(params: ModelParams, scaled: ScaledRoute) -> EncoderOutputs:
     """Run the encoder over the scaled features in reading order, from a
     zero initial state."""
@@ -334,7 +330,7 @@ def asnn_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | No
     scores."""
     n = scaled.prep.n_zones
     z_rows = _pair_rows(scaled, prev_zone, by_position=True)
-    if _value(d).shape[0] != params.config.hidden:
+    if unwrap(d).shape[0] != params.config.hidden:
         raise InvalidInputError("decoder output width does not match the model config")
     v = concat([z_rows, tile_rows(d, n), enc_matrix])
     u = reshape(mlp_forward(v, params.asnn), (n,))
@@ -435,7 +431,7 @@ def decode(params: ModelParams, scaled: ScaledRoute, pick):
                 # Decoding a route with more zones than the lstm_ed head has
                 # slots: once those are visited, no zone left has a slot.
                 probs = np.zeros(cfg.kz)
-        pv = _value(probs)
+        pv = unwrap(probs)
         if cfg.variant == "asnn":
             p_zone = pv.copy()
         else:
@@ -443,9 +439,9 @@ def decode(params: ModelParams, scaled: ScaledRoute, pick):
         chosen = pick(i, p_zone, visited)
         if cfg.variant in ("pairwise", "pointer"):
             w_prev = matmul(transpose(enc_matrix), probs)
-            w_ctx = _value(w_prev).copy()
+            w_ctx = unwrap(w_prev).copy()
         traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx,
-                                       None if d is None else _value(d).copy()))
+                                       None if d is None else unwrap(d).copy()))
         steps.append((probs, chosen if cfg.variant == "asnn" else int(scaled.pos_of_zone[chosen])))
         visited[chosen] = True
         prev = chosen
@@ -508,28 +504,12 @@ def checkpoint_tensors(params: ModelParams) -> dict:
     return out
 
 
-def _lstm_from(tensors: dict, prefix: str) -> LstmCellParams:
-    names = ("w_f", "w_i", "w_o", "w_c", "u_f", "u_i", "u_o", "u_c", "b_f", "b_i", "b_o", "b_c")
-    try:
-        return LstmCellParams(*(tensors[f"{prefix}.{g}"] for g in names))
-    except KeyError as exc:
-        raise SchemaError(f"tensors.{prefix}", f"missing gate tensor {exc}") from exc
-
-
-def _mlp_from(tensors: dict, prefix: str) -> MlpParams:
-    from .kernel import MlpLayer
-
-    layers = []
-    k = 0
-    while f"{prefix}.{k}.w" in tensors:
-        layers.append(MlpLayer(tensors[f"{prefix}.{k}.w"], tensors[f"{prefix}.{k}.b"]))
-        k += 1
-    if not layers:
-        raise SchemaError(f"tensors.{prefix}", "no layers found")
-    return MlpParams(layers)
-
-
 def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
+    """Rebuild a model from checkpoint tensors and meta.  ``init_model``
+    gives the variant's tensor names and shapes; each is filled from the
+    tensor of that name.  A checkpoint written before the LSTM gates were
+    stacked holds an LSTM's ``w``, ``u`` and ``b`` as four per-gate tensors
+    (``encoder.w_f`` ...), which are stacked in the order f, i, o, c."""
     try:
         config = ModelConfig(
             variant=meta["variant"],
@@ -544,28 +524,26 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
         )
     except KeyError as exc:
         raise SchemaError("meta", f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("meta", f"malformed field: {exc}") from exc
     if config.variant not in VARIANTS:
         raise SchemaError("meta.variant", f"unknown variant {config.variant!r}")
-    scaler = FeatureScaler(
-        tensors["scaler.x_mean"], tensors["scaler.x_std"],
-        tensors["scaler.z_mean"], tensors["scaler.z_std"],
-    )
-    params = ModelParams(config=config, scaler=scaler)
-    if config.variant in ("pairwise", "pointer", "lstm_ed"):
-        params.encoder = _lstm_from(tensors, "encoder")
-        params.decoder = _lstm_from(tensors, "decoder")
-    if config.variant in ("pairwise", "asnn"):
-        params.asnn = _mlp_from(tensors, "asnn")
-    if config.variant == "pointer":
-        try:
-            params.pointer = PointerParams(
-                tensors["pointer.w1"], tensors["pointer.w2"],
-                tensors["pointer.w3"], tensors["pointer.w4"],
-            )
-        except KeyError as exc:
-            raise SchemaError("tensors.pointer", f"missing tensor {exc}") from exc
-    if config.variant == "lstm_ed":
-        params.fc = _mlp_from(tensors, "fc")
+    try:
+        params = init_model(config, np.random.default_rng(0))
+    except ConfigError as exc:
+        raise SchemaError("meta", str(exc)) from exc
+    for name, dst in checkpoint_tensors(params).items():
+        if name in tensors or f"{name}_f" not in tensors:
+            sources = [(name, dst.shape)]
+        else:
+            sources = [(f"{name}_{g}", (dst.shape[0] // 4, *dst.shape[1:])) for g in "fioc"]
+        for src, shape in sources:
+            if src not in tensors:
+                raise SchemaError(f"tensors.{src}", "missing tensor")
+            if tensors[src].shape != shape:
+                raise SchemaError(f"tensors.{src}",
+                                  f"expected shape {shape}, got {tensors[src].shape}")
+        dst[...] = np.concatenate([tensors[src] for src, _ in sources])
     return params
 
 

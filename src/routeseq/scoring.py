@@ -259,6 +259,10 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                 if not isinstance(entry, Mapping):
                     raise InvalidInputError(
                         f"prediction entry must be a mapping, not {type(entry).__name__}")
+                for key in ("stop_sequence", "zone_sequence"):
+                    if entry.get(key) is not None and not isinstance(entry[key], list):
+                        raise InvalidInputError(
+                            f"{key} must be a list, not {type(entry[key]).__name__}")
                 if entry.get("stop_sequence") is not None:
                     by_id = {s.stop_id: i for i, s in enumerate(route.stops)}
                     try:

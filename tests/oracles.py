@@ -115,10 +115,12 @@ def lstm_ref(x, h, c, p):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    f = sig(p.w_f @ x + p.u_f @ h + p.b_f)
-    i = sig(p.w_i @ x + p.u_i @ h + p.b_i)
-    o = sig(p.w_o @ x + p.u_o @ h + p.b_o)
-    c_tilde = np.tanh(p.w_c @ x + p.u_c @ h + p.b_c)
+    def pre(k):  # gate k's rows of the stacked f, i, o, c weights
+        rows = slice(k * len(h), (k + 1) * len(h))
+        return p.w[rows] @ x + p.u[rows] @ h + p.b[rows]
+
+    f, i, o = sig(pre(0)), sig(pre(1)), sig(pre(2))
+    c_tilde = np.tanh(pre(3))
     c_new = f * c + i * c_tilde
     h_new = o * np.tanh(c_new)
     return h_new, c_new

@@ -113,6 +113,27 @@ def test_evaluate_with_checkpoint(tmp_path):
     assert report["n_routes"] == 4
 
 
+@pytest.mark.parametrize("text, json_path", [
+    ("{not json", "$"),
+    ("[]", "$"),
+    ('{"version": "routeseq-predictions/0", "predictions": []}', "version"),
+    ('{"version": "routeseq-predictions/1", "predictions": {}}', "$.predictions"),
+    ('{"version": "routeseq-predictions/1", "predictions": [7]}', "predictions[0].route_id"),
+    ('{"version": "routeseq-predictions/1", "predictions": [{"zone_sequence": []}]}',
+     "predictions[0].route_id"),
+])
+def test_malformed_predictions_file_is_a_schema_error(tmp_path, capsys, text, json_path):
+    data = _gen(tmp_path)
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(text)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(data), "--predictions", str(pred_path),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(f"{json_path}: ")
+
+
 def test_benchmark_emits_nine_rows(tmp_path):
     data = _gen(tmp_path)
     out = tmp_path / "bench.json"

@@ -23,17 +23,16 @@ from routeseq.kernel import (
     init_mlp,
     load_checkpoint,
     lstm_cell,
+    lstm_gates,
     map_tensors,
     matmul,
     mlp_forward,
-    mul,
     named_tensors,
     nsum,
     relu,
     reshape,
     save_checkpoint,
     serialize_checkpoint,
-    sigmoid,
     softmax,
     stack_rows,
     tanh,
@@ -69,9 +68,8 @@ OP_CASES = {
     "matmul_1d_1d": (matmul, _arrays((4,), (4,)), 1e-5),
     "add_broadcast_row": (add, _arrays((3, 4), (4,)), 1e-5),
     "add_broadcast_both": (add, _arrays((3, 1), (1, 4)), 1e-5),
-    "mul_broadcast_row": (mul, _arrays((3, 4), (4,)), 1e-5),
-    "mul_broadcast_column": (mul, _arrays((3, 4), (3, 1)), 1e-5),
-    "sigmoid": (sigmoid, _arrays((2, 3)), 1e-5),
+    # both outputs at once: h_new = o*tanh(c_new) reaches z and c through c_new too
+    "lstm_gates": (lambda z, c: concat(list(lstm_gates(z, c))), _arrays((12,), (3,)), 1e-5),
     "tanh": (tanh, _arrays((2, 3)), 1e-5),
     "relu": (relu, _arrays((2, 3)), 1e-5),
     "concat_1d": (lambda *p: concat(list(p)), _arrays((2,), (3,), (1,)), 1e-5),
@@ -143,14 +141,25 @@ def test_lstm_saturation_matches_reference():
     # large weights force the gates to saturate; compare against the formulas
     rng = np.random.default_rng(5)
     p = init_lstm(2, 3, rng)
-    p.w_f += 100.0
-    p.b_i -= 50.0
+    p.w[:3] += 100.0   # forget gate
+    p.b[3:6] -= 50.0   # input gate
     x = rng.normal(size=2)
     h0, c0 = rng.normal(size=3), rng.normal(size=3) + 5.0
     state, e = lstm_cell(x, LstmState(h0.copy(), c0.copy()), p)
     h_ref, c_ref = lstm_ref(x, h0, c0, p)
     assert np.allclose(e, h_ref, atol=1e-14)
     assert np.allclose(state.c, c_ref, atol=1e-14)
+
+
+def test_init_lstm_stacks_the_per_gate_draws():
+    # one draw per stacked matrix consumes the random stream that one draw
+    # per gate did: w_f, w_i, w_o, w_c, then u_f, u_i, u_o, u_c
+    p = init_lstm(3, 4, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    w = [rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), size=(4, 3)) for _ in range(4)]
+    u = [rng.uniform(-0.5, 0.5, size=(4, 4)) for _ in range(4)]
+    assert np.array_equal(p.w, np.concatenate(w))
+    assert np.array_equal(p.u, np.concatenate(u))
 
 
 def test_lstm_output_bounded(rng):

@@ -6,15 +6,25 @@ import pytest
 
 from conftest import make_route
 from oracles import finite_difference, grad_close, mlp_ref
-from routeseq.errors import ConfigError, InvalidInputError
+from routeseq.errors import ConfigError, InvalidInputError, SchemaError
 from routeseq.inference import greedy_decode
-from routeseq.kernel import MlpLayer, MlpParams, Tape, init_lstm, lstm_cell, zero_state
+from routeseq.kernel import (
+    MlpLayer,
+    MlpParams,
+    Tape,
+    deserialize_checkpoint,
+    init_lstm,
+    lstm_cell,
+    serialize_checkpoint,
+    zero_state,
+)
 from routeseq.predictor import (
     ModelConfig,
     ModelParams,
     PointerParams,
     _probs_by_zone,
     asnn_attention,
+    checkpoint_tensors,
     decode_step,
     encode,
     fit_scaler,
@@ -23,6 +33,7 @@ from routeseq.predictor import (
     identity_scaler,
     init_model,
     load_model,
+    model_meta,
     model_tensors,
     params_from_checkpoint,
     pointer_attention,
@@ -332,9 +343,8 @@ def test_training_and_decoding_share_the_masked_softmax():
             else:
                 assert tf.context is None and gd.context is None
     cell = init_lstm(3, 4, np.random.default_rng(0))
-    assert np.all(cell.b_f == 1.0)
-    for b in (cell.b_i, cell.b_o, cell.b_c):
-        assert np.all(b == 0.0)
+    assert np.all(cell.b[:4] == 1.0)  # forget gate
+    assert np.all(cell.b[4:] == 0.0)
 
 
 def test_gradient_check_all_variants_small():
@@ -389,6 +399,56 @@ def test_checkpoint_roundtrip_all_variants(tmp_path):
         sc2 = scale_route(prep, loaded.scaler)
         l2, _ = forward_logprob(loaded, sc2)
         assert float(l1) == float(l2)
+
+
+def test_per_gate_checkpoint_loads_into_stacked_gates():
+    # checkpoints written before the LSTM gates were stacked hold each of an
+    # LSTM's w, u and b as four tensors, encoder.w_f ... encoder.b_c
+    prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
+    for variant in ("pairwise", "pointer", "lstm_ed"):
+        params = _model(variant, prep, seed=21)
+        per_gate = {}
+        for name, arr in checkpoint_tensors(params).items():
+            if name.startswith(("encoder.", "decoder.")):
+                for gate, rows in zip("fioc", np.split(arr, 4)):
+                    per_gate[f"{name}_{gate}"] = rows
+            else:
+                per_gate[name] = arr
+        raw = serialize_checkpoint(per_gate, model_meta(params))
+        loaded = params_from_checkpoint(*deserialize_checkpoint(raw))
+        assert checkpoint_tensors(loaded).keys() == checkpoint_tensors(params).keys()
+        for name, arr in checkpoint_tensors(params).items():
+            assert np.array_equal(checkpoint_tensors(loaded)[name], arr), (variant, name)
+        ours, theirs = greedy_decode(params, prep), greedy_decode(loaded, prep)
+        assert ours.zone_order == theirs.zone_order
+        for a, b in zip(ours.traces, theirs.traces, strict=True):
+            assert np.array_equal(a.attention, b.attention), variant
+
+
+def test_checkpoint_loader_names_what_is_malformed():
+    prep = _prep()
+    params = _model("pairwise", prep)
+    meta = model_meta(params)
+    tensors = checkpoint_tensors(params)
+    del tensors["scaler.x_mean"]
+    with pytest.raises(SchemaError) as err:
+        params_from_checkpoint(tensors, meta)
+    assert err.value.json_path == "tensors.scaler.x_mean"
+    tensors = checkpoint_tensors(params)
+    tensors["encoder.u"] = tensors["encoder.u"][:, :-1]
+    with pytest.raises(SchemaError) as err:
+        params_from_checkpoint(tensors, meta)
+    assert err.value.json_path == "tensors.encoder.u"
+    tensors = checkpoint_tensors(params)
+    for gate, rows in zip("fioc", np.split(tensors.pop("decoder.b"), 4)):
+        tensors[f"decoder.b_{gate}"] = rows
+    tensors["decoder.b_o"] = tensors["decoder.b_o"][:-1]
+    with pytest.raises(SchemaError) as err:
+        params_from_checkpoint(tensors, meta)
+    assert err.value.json_path == "tensors.decoder.b_o"
+    for bad in ({"hidden": "abc"}, {"asnn_hidden": 5}, {"variant": "bogus"}):
+        with pytest.raises(SchemaError):
+            params_from_checkpoint(checkpoint_tensors(params), {**meta, **bad})
 
 
 def test_init_model_validation():

@@ -242,6 +242,21 @@ def test_non_mapping_entry_is_a_route_failure():
         (routes[0].route_id, "InvalidInputError: prediction entry must be a mapping, not list")]
 
 
+def test_non_list_sequence_is_a_route_failure():
+    routes = _dataset(n=3)
+    sequences = {
+        r.route_id: {"stop_sequence": [r.stops[i].stop_id for i in r.actual_stop_sequence]}
+        for r in routes
+    }
+    sequences[routes[0].route_id] = {"stop_sequence": 5}
+    sequences[routes[1].route_id] = {"zone_sequence": 7}
+    report = evaluate_testset(routes, sequences=sequences)
+    assert len(report.rows) == 1
+    assert report.failures == [
+        (routes[0].route_id, "InvalidInputError: stop_sequence must be a list, not int"),
+        (routes[1].route_id, "InvalidInputError: zone_sequence must be a list, not int")]
+
+
 def test_unknown_mode_rejected_before_any_route(monkeypatch):
     routes = _dataset(n=3)
     params, _ = train(routes, TrainConfig(epochs=1, hidden=8, asnn_hidden=(16, 16), att_dim=8))
