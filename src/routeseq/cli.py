@@ -229,10 +229,7 @@ def _predict_rows(params, routes, mode, strict_alg1, with_stops):
     rows = []
     for route in routes:
         prep = prepare_route(route)
-        if mode == inference.GREEDY:
-            pred = inference.greedy_decode(params, prep)
-        else:
-            pred = inference.generate_best_first(params, prep, strict_alg1)
+        pred = inference.predict(params, prep, mode, strict_alg1)
         row = {
             "route_id": route.route_id,
             "zone_sequence": [prep.zinst.zones[z].zone_id for z in pred.zone_order],

@@ -184,21 +184,16 @@ def build_zone_instance(route: RouteInstance) -> ZoneInstance:
             cols_j = [k + 1 for k in zj.member_stops]
             ztt[i + 1, j + 1] = float(np.mean(tt[np.ix_(rows_i, cols_j)]))
 
-    zone_of_stop = {}
-    for k, zi in enumerate(zones):
-        for s in zi.member_stops:
-            zone_of_stop[s] = k
-    seq = []
-    seen = set()
-    for s in route.actual_stop_sequence:
-        zk = zone_of_stop[s]
-        if zk not in seen:
-            seen.add(zk)
-            seq.append(zk)
-
+    seq = first_visit_zone_order(zones, route.actual_stop_sequence)
     instance = ZoneInstance(zones, ztt, seq, np.zeros(N_ZONE_FEATURES))
     instance.depot_features = _depot_features(route, instance)
     return instance
+
+
+def first_visit_zone_order(zones, stop_indices) -> list:
+    """Zone indices in the order a stop sequence first enters each zone."""
+    zone_of_stop = {s: k for k, zone in enumerate(zones) for s in zone.member_stops}
+    return list(dict.fromkeys(zone_of_stop[s] for s in stop_indices))
 
 
 def _tt_summary(outgoing: np.ndarray) -> tuple:

@@ -5,7 +5,8 @@
 re-runs greedy decoding once per forced first zone and keeps the rollout with
 the lowest operational cost; by default the plain greedy rollout is included
 as an extra candidate so the iterated result can never lose to it
-(``strict_alg1`` drops that extra candidate).
+(``strict_alg1`` drops that extra candidate).  ``predict`` dispatches on
+the generation mode.
 """
 
 from __future__ import annotations
@@ -88,3 +89,13 @@ def generate_best_first(params: ModelParams, prep: PreparedRoute,
         candidates.append(_greedy_scaled(params, scaled, z, BEST_FIRST))
     best = min(candidates, key=lambda c: (c.operational_cost, c.zone_order[0]))
     return best
+
+
+def predict(params: ModelParams, prep: PreparedRoute, mode: str,
+            strict_alg1: bool = False) -> PredictedSequence:
+    """The ``GREEDY`` or ``BEST_FIRST`` prediction for one route."""
+    if mode == GREEDY:
+        return greedy_decode(params, prep)
+    if mode == BEST_FIRST:
+        return generate_best_first(params, prep, strict_alg1)
+    raise InvalidInputError(f"unknown generation mode {mode!r}")

@@ -39,7 +39,7 @@ class LstmCellParams:
 @dataclass(eq=False)
 class MlpLayer:
     w: object  # (out, in)
-    b: object  # (out,)
+    b: object  # (out,), or None for a layer without bias
 
 
 @dataclass(eq=False)
@@ -99,10 +99,9 @@ def mlp_forward(x, params: MlpParams):
     out = x
     last = len(params.layers) - 1
     for k, layer in enumerate(params.layers):
-        if xv.ndim == 1:
-            out = add(matmul(layer.w, out), layer.b)
-        else:
-            out = add(matmul(out, transpose(layer.w)), layer.b)
+        out = matmul(layer.w, out) if xv.ndim == 1 else matmul(out, transpose(layer.w))
+        if layer.b is not None:
+            out = add(out, layer.b)
         if k != last:
             out = relu(out)
     return out
@@ -113,8 +112,7 @@ def _leaves(obj, prefix, out):
         out[prefix] = obj
     elif isinstance(obj, MlpParams):
         for k, layer in enumerate(obj.layers):
-            _leaves(layer.w, f"{prefix}.{k}.w", out)
-            _leaves(layer.b, f"{prefix}.{k}.b", out)
+            _leaves(layer, f"{prefix}.{k}", out)
     elif hasattr(obj, "__dataclass_fields__"):
         for f in fields(obj):
             _leaves(getattr(obj, f.name), f"{prefix}.{f.name}", out)
@@ -137,7 +135,7 @@ def map_tensors(obj, fn):
     if isinstance(obj, (np.ndarray, Node)):
         return fn(obj)
     if isinstance(obj, MlpParams):
-        return MlpParams([MlpLayer(fn(l.w), fn(l.b)) for l in obj.layers])
+        return MlpParams([map_tensors(layer, fn) for layer in obj.layers])
     if obj is None:
         return None
     if hasattr(obj, "__dataclass_fields__"):

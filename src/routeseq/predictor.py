@@ -11,12 +11,13 @@ log-likelihood:
 - ``lstm_ed``: plain LSTM encoder-decoder; a fully-connected head over
   input-sequence positions (width = the largest route size seen in
   training), masked to the route's unvisited positions when decoding.
-- ``asnn``: no recurrence; the pair MLP alone scores (previous zone ->
-  candidate) transitions from pair features plus both zones' features.
+- ``asnn``: no recurrence; the same pair MLP scores [pair features;
+  previous zone's features; candidate's features].
 
-Attention candidates for the recurrent variants are indexed by *input
-position* (the encoder reading order); zone index <-> position mapping
-lives in ScaledRoute.  Training and decoding share one decoder loop
+Every variant indexes its candidates by *input position* (the encoder
+reading order); zone index <-> position mapping lives in ScaledRoute, and
+per-step probabilities are mapped back to zone-index order for the traces
+and for picking.  Training and decoding share one decoder loop
 (``decode``): at every step the softmax runs over the zones not yet
 visited only, so visited zones get probability exactly 0 and the context
 fed to the next step is the same quantity in both.
@@ -248,9 +249,12 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         params.encoder = init_lstm(k, h, rng)
         dec_in = k if config.variant == "lstm_ed" else k + h
         params.decoder = init_lstm(dec_in, h, rng)
-    if config.variant == "pairwise":
-        dims = (config.pair_dim + 2 * h, *config.asnn_hidden, 1)
-        params.asnn = init_mlp(dims, rng)
+    if config.variant in ("pairwise", "asnn"):
+        key_dim = h if config.variant == "pairwise" else k
+        params.asnn = init_mlp((config.pair_dim + 2 * key_dim, *config.asnn_hidden, 1), rng)
+        # The softmax ignores a shift shared by all scores, so an output
+        # bias would get zero gradient: the pair MLP has none.
+        params.asnn.layers[-1].b = None
     elif config.variant == "pointer":
         a = config.att_dim
         params.pointer = PointerParams(
@@ -263,9 +267,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         if not config.kz or config.kz < 1:
             raise ConfigError("lstm_ed requires kz (the largest route size in training)")
         params.fc = init_mlp((h, config.kz), rng)
-    elif config.variant == "asnn":
-        dims = (config.pair_dim + 2 * k, *config.asnn_hidden, 1)
-        params.asnn = init_mlp(dims, rng)
     return params
 
 
@@ -314,27 +315,24 @@ def encode(params: ModelParams, scaled: ScaledRoute) -> EncoderOutputs:
     return EncoderOutputs(outputs, state.h, state.c)
 
 
-def _pair_rows(scaled: ScaledRoute, prev_zone: int | None, by_position: bool) -> np.ndarray:
+def _pair_rows(scaled: ScaledRoute, prev_zone: int | None) -> np.ndarray:
+    """Pair features from ``prev_zone`` (the depot when None) to every
+    candidate, by input position."""
     src = 0 if prev_zone is None else prev_zone + 1
-    rows = scaled.pair_s[src]
-    if by_position:
-        return rows[list(scaled.order)]
-    return rows
+    return scaled.pair_s[src][list(scaled.order)]
 
 
-def asnn_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | None,
-                   d, enc_matrix, allowed=None):
+def pair_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | None,
+                   query, keys, allowed=None):
     """Pair-wise attention over input positions: the shared MLP scores
-    [pair features; decoder output; encoder output] per candidate and a
-    softmax over the ``allowed`` positions (all when None) normalizes the
-    scores."""
+    [pair features; query; key] per candidate and a softmax over the
+    ``allowed`` positions (all when None) normalizes the scores.
+    ``pairwise`` queries with the decoder output and keys on the encoder
+    outputs; ``asnn`` queries with the previous zone's (or the depot's)
+    features and keys on the zone features."""
     n = scaled.prep.n_zones
-    z_rows = _pair_rows(scaled, prev_zone, by_position=True)
-    if unwrap(d).shape[0] != params.config.hidden:
-        raise InvalidInputError("decoder output width does not match the model config")
-    v = concat([z_rows, tile_rows(d, n), enc_matrix])
-    u = reshape(mlp_forward(v, params.asnn), (n,))
-    return softmax(u, allowed)
+    v = concat([_pair_rows(scaled, prev_zone), tile_rows(query, n), keys])
+    return softmax(reshape(mlp_forward(v, params.asnn), (n,)), allowed)
 
 
 def pointer_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | None,
@@ -344,7 +342,7 @@ def pointer_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int |
         raise ConfigError("pointer attention requires pointer parameters (W1..W4)")
     n = scaled.prep.n_zones
     p = params.pointer
-    z_rows = _pair_rows(scaled, prev_zone, by_position=True)
+    z_rows = _pair_rows(scaled, prev_zone)
     t = tanh(add(matmul(enc_matrix, transpose(p.w2)), matmul(p.w3, d)))
     u = add(matmul(t, p.w1), matmul(z_rows, p.w4))
     return softmax(u, allowed)
@@ -371,13 +369,10 @@ def _probs_by_zone(scaled: ScaledRoute, pvals: np.ndarray, kz: int | None) -> np
 
 
 def _candidates(params: ModelParams, scaled: ScaledRoute, visited: np.ndarray) -> np.ndarray:
-    """Which candidates the next step may pick: the unvisited zones, by zone
-    index for ``asnn`` and by input position for the recurrent variants.
-    The ``lstm_ed`` head has ``kz`` slots; slots at positions >= n are never
-    candidates."""
+    """Which input positions the next step may pick: those of the unvisited
+    zones.  The ``lstm_ed`` head has ``kz`` slots; slots at positions >= n
+    are never candidates."""
     cfg = params.config
-    if cfg.variant == "asnn":
-        return ~visited
     free = np.empty(len(visited), dtype=bool)
     free[scaled.pos_of_zone] = ~visited
     if cfg.variant != "lstm_ed":
@@ -398,51 +393,49 @@ def decode(params: ModelParams, scaled: ScaledRoute, pick):
     teacher-forced or decoded.  ``pick(i, p_zone, visited)`` names the zone
     visited at step ``i`` from the step's probabilities by zone index.
 
-    Returns ``(steps, traces)``: per step the probabilities (a tape node
-    when ``params`` are tape-wrapped) with the candidate index of the
-    picked zone, and the per-step traces.
+    Returns ``(steps, traces)``: per step the probabilities by input
+    position (a tape node when ``params`` are tape-wrapped) with the input
+    position of the picked zone, and the per-step traces.
     """
     cfg = params.config
     n = scaled.prep.n_zones
     visited = np.zeros(n, dtype=bool)
     steps: list = []
     traces: list[DecoderStepTrace] = []
-    if cfg.variant != "asnn":
+    if cfg.variant == "asnn":
+        keys = scaled.x_s[list(scaled.order)]
+    else:
         enc = encode(params, scaled)
-        enc_matrix = stack_rows(enc.outputs)
+        keys = stack_rows(enc.outputs)
         state = LstmState(enc.h_final, enc.c_final)
         w_prev = np.zeros(cfg.hidden)
     prev = None
     for i in range(n):
         allowed = _candidates(params, scaled, visited)
+        x_last = scaled.depot_s if prev is None else scaled.x_s[prev]
         d = w_ctx = None
         if cfg.variant == "asnn":
-            probs = _asnn_pair_probs(params, scaled, prev, allowed)
+            probs = pair_attention(params, scaled, prev, x_last, keys, allowed)
         else:
-            x_last = scaled.depot_s if prev is None else scaled.x_s[prev]
             state, d = decode_step(params, x_last, w_prev, state)
             if cfg.variant == "pairwise":
-                probs = asnn_attention(params, scaled, prev, d, enc_matrix, allowed)
+                probs = pair_attention(params, scaled, prev, d, keys, allowed)
             elif cfg.variant == "pointer":
-                probs = pointer_attention(params, scaled, prev, d, enc_matrix, allowed)
+                probs = pointer_attention(params, scaled, prev, d, keys, allowed)
             elif allowed.any():
                 probs = softmax(mlp_forward(d, params.fc), allowed)
             else:
                 # Decoding a route with more zones than the lstm_ed head has
                 # slots: once those are visited, no zone left has a slot.
                 probs = np.zeros(cfg.kz)
-        pv = unwrap(probs)
-        if cfg.variant == "asnn":
-            p_zone = pv.copy()
-        else:
-            p_zone = _probs_by_zone(scaled, pv, cfg.kz)
+        p_zone = _probs_by_zone(scaled, unwrap(probs), cfg.kz)
         chosen = pick(i, p_zone, visited)
         if cfg.variant in ("pairwise", "pointer"):
-            w_prev = matmul(transpose(enc_matrix), probs)
+            w_prev = matmul(probs, keys)
             w_ctx = unwrap(w_prev).copy()
         traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx,
                                        None if d is None else unwrap(d).copy()))
-        steps.append((probs, chosen if cfg.variant == "asnn" else int(scaled.pos_of_zone[chosen])))
+        steps.append((probs, int(scaled.pos_of_zone[chosen])))
         visited[chosen] = True
         prev = chosen
     return steps, traces
@@ -463,18 +456,6 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
         raise InvalidInputError("target sequence must be a permutation of the zones")
     steps, traces = decode(params, scaled, lambda i, p_zone, visited: targets[i])
     return nsum([cross_entropy(probs, c) for probs, c in steps]), traces
-
-
-def _asnn_pair_probs(params: ModelParams, scaled: ScaledRoute, prev_zone: int | None,
-                     allowed: np.ndarray):
-    """ASNN-only transition scores from ``prev_zone`` over the ``allowed``
-    zones."""
-    n = scaled.prep.n_zones
-    z_rows = _pair_rows(scaled, prev_zone, by_position=False)
-    x_prev = scaled.depot_s if prev_zone is None else scaled.x_s[prev_zone]
-    v = np.hstack([z_rows, np.tile(x_prev, (n, 1)), scaled.x_s])
-    u = reshape(mlp_forward(v, params.asnn), (n,))
-    return softmax(u, allowed)
 
 
 # --- checkpoint round trip ---------------------------------------------------
@@ -507,9 +488,11 @@ def checkpoint_tensors(params: ModelParams) -> dict:
 def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
     """Rebuild a model from checkpoint tensors and meta.  ``init_model``
     gives the variant's tensor names and shapes; each is filled from the
-    tensor of that name.  A checkpoint written before the LSTM gates were
-    stacked holds an LSTM's ``w``, ``u`` and ``b`` as four per-gate tensors
-    (``encoder.w_f`` ...), which are stacked in the order f, i, o, c."""
+    tensor of that name, and tensors the model does not name are ignored
+    (such as the pair MLP's output bias ``asnn.<last>.b`` in older files).
+    A checkpoint written before the LSTM gates were stacked holds an LSTM's
+    ``w``, ``u`` and ``b`` as four per-gate tensors (``encoder.w_f`` ...),
+    which are stacked in the order f, i, o, c."""
     try:
         config = ModelConfig(
             variant=meta["variant"],

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import completion, inference
-from .domain import RouteInstance
+from .domain import RouteInstance, first_visit_zone_order
 from .errors import InvalidInputError, RouteSeqError
 from .predictor import ModelParams, prepare_route
 
@@ -196,20 +196,6 @@ def aggregate(rows, failures, k: int = 4) -> DisparityReport:
                            float(np.median(rs)), tuple(acc), failures)
 
 
-def _zone_order_of_stops(prep, stop_indices):
-    zone_of_stop = {}
-    for zi, zone in enumerate(prep.zinst.zones):
-        for s in zone.member_stops:
-            zone_of_stop[s] = zi
-    seen, order = set(), []
-    for s in stop_indices:
-        z = zone_of_stop[s]
-        if z not in seen:
-            seen.add(z)
-            order.append(z)
-    return order
-
-
 def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None,
                 k: int = 4) -> RouteScore:
     """Score one route given a predicted zone order, a full stop order, or
@@ -219,7 +205,7 @@ def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None,
             raise InvalidInputError("need a zone order or a stop sequence to score")
         stop_indices = completion.complete_sequence(zone_order, prep.zinst, route)
     if zone_order is None:
-        zone_order = _zone_order_of_stops(prep, stop_indices)
+        zone_order = first_visit_zone_order(prep.zinst.zones, stop_indices)
     actual = [s + 1 for s in route.actual_stop_sequence]
     predicted = [s + 1 for s in stop_indices]
     sd = sequence_deviation(actual, predicted)
@@ -272,11 +258,7 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                 if entry.get("zone_sequence") is not None:
                     zone_order = [prep.zinst.zone_index(zid) for zid in entry["zone_sequence"]]
             else:
-                if mode == inference.GREEDY:
-                    pred = inference.greedy_decode(params, prep)
-                else:
-                    pred = inference.generate_best_first(params, prep, strict_alg1)
-                zone_order = pred.zone_order
+                zone_order = inference.predict(params, prep, mode, strict_alg1).zone_order
             rows.append(score_route(route, prep, zone_order, stop_indices, k))
         except RouteSeqError as exc:
             failures.append((route.route_id, f"{type(exc).__name__}: {exc}"))

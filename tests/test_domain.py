@@ -5,6 +5,7 @@ from conftest import make_route
 from routeseq.domain import (
     build_zone_instance,
     depot_pair_features,
+    first_visit_zone_order,
     pair_features,
     parse_zone_id,
     zone_features,
@@ -56,6 +57,8 @@ def test_first_visit_zone_order():
     route = make_route(["A-1.1A", "A-1.1A", "B-1.1A"], actual=[2, 0, 1])
     zi = build_zone_instance(route)
     assert [zi.zones[k].zone_id for k in zi.actual_zone_sequence] == ["B-1.1A", "A-1.1A"]
+    assert first_visit_zone_order(zi.zones, [0, 2, 1]) == [zi.zone_index("A-1.1A"),
+                                                           zi.zone_index("B-1.1A")]
 
 
 def test_empty_zone_id_rejected():

@@ -10,6 +10,7 @@ from routeseq.inference import (
     generate_best_first,
     greedy_decode,
     operational_cost,
+    predict,
 )
 from routeseq.predictor import (
     ModelConfig,
@@ -118,6 +119,19 @@ def test_best_first_never_worse_than_greedy():
         for strict in (False, True):
             best = generate_best_first(params, prep, strict_alg1=strict)
             assert best.operational_cost <= greedy.operational_cost + 1e-12
+
+
+def test_predict_dispatches_on_mode():
+    prep, params = _setup(seed=7)
+    for strict in (False, True):
+        ours = predict(params, prep, BEST_FIRST, strict)
+        assert ours.zone_order == generate_best_first(params, prep, strict).zone_order
+        assert ours.mode == BEST_FIRST
+    greedy = predict(params, prep, GREEDY)
+    assert greedy.zone_order == greedy_decode(params, prep).zone_order
+    assert greedy.mode == GREEDY
+    with pytest.raises(InvalidInputError, match="unknown generation mode"):
+        predict(params, prep, "bogus")
 
 
 def test_uniform_model_matches_reimplementation_oracle():

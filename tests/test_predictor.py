@@ -23,7 +23,6 @@ from routeseq.predictor import (
     ModelParams,
     PointerParams,
     _probs_by_zone,
-    asnn_attention,
     checkpoint_tensors,
     decode_step,
     encode,
@@ -35,6 +34,7 @@ from routeseq.predictor import (
     load_model,
     model_meta,
     model_tensors,
+    pair_attention,
     params_from_checkpoint,
     pointer_attention,
     prepare_route,
@@ -121,45 +121,80 @@ def test_encode_is_order_sensitive():
     assert not np.allclose(e1, e2)
 
 
-def test_asnn_attention_uniform_for_zero_params():
+def test_pair_attention_uniform_for_zero_params():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
     sc = scale_route(prep, params.scaler)
     d = np.zeros(8)
     enc_matrix = np.zeros((3, 8))
-    a = asnn_attention(params, sc, None, d, enc_matrix)
+    a = pair_attention(params, sc, None, d, enc_matrix)
     assert np.allclose(a, 1.0 / 3.0)
 
 
-def test_asnn_attention_single_zone():
+def test_pair_attention_single_zone():
     prep = _prep(zone_ids=("A-1.1A",))
     params = _model("pairwise", prep)
     sc = scale_route(prep, params.scaler)
-    a = asnn_attention(params, sc, None, np.zeros(8), np.zeros((1, 8)))
+    a = pair_attention(params, sc, None, np.zeros(8), np.zeros((1, 8)))
     assert np.allclose(a, [1.0])
 
 
-def test_asnn_attention_hand_built_ranks_by_travel_time():
-    # single-layer head that copies the (unscaled) travel-time input
+def test_pair_attention_hand_built_ranks_by_travel_time():
+    # single-layer head that copies the (unscaled) travel-time input, with a
+    # decoder-output query (pairwise) and with a zone-feature query (asnn)
     times = np.array([
         [0.0, 10.0, 50.0],
         [5.0, 0.0, 7.0],
         [6.0, 8.0, 0.0],
     ])
     prep = _prep(zone_ids=("A-1.1A", "B-1.1A"), times=times)
-    params = _model("pairwise", prep, scaler=identity_scaler(12, 6))
-    w = np.zeros((1, 6 + 16))
-    w[0, 0] = 1.0
-    params.asnn = MlpParams([MlpLayer(w, np.zeros(1))])
-    sc = scale_route(prep, params.scaler)
-    d = np.zeros(8)
-    enc_matrix = np.zeros((2, 8))
-    a = _probs_by_zone(sc, asnn_attention(params, sc, None, d, enc_matrix), None)
-    # depot -> zone B costs 50 vs 10 for zone A, so B gets the attention
     zb = prep.zinst.zone_index("B-1.1A")
     za = prep.zinst.zone_index("A-1.1A")
-    assert a[zb] > a[za]
-    assert a[zb] == pytest.approx(math.exp(50) / (math.exp(50) + math.exp(10)), rel=1e-12)
+    for variant, key_dim in (("pairwise", 8), ("asnn", 12)):
+        params = _model(variant, prep, scaler=identity_scaler(12, 6))
+        w = np.zeros((1, 6 + 2 * key_dim))
+        w[0, 0] = 1.0
+        params.asnn = MlpParams([MlpLayer(w, None)])
+        sc = scale_route(prep, params.scaler, mode="random", order_seed=1)
+        assert sc.order == (zb, za)  # positions differ from zone indices
+        if variant == "pairwise":
+            query, keys = np.zeros(8), np.zeros((2, 8))
+        else:
+            query, keys = sc.depot_s, sc.x_s[list(sc.order)]
+        a = _probs_by_zone(sc, pair_attention(params, sc, None, query, keys), None)
+        # depot -> zone B costs 50 vs 10 for zone A, so B gets the attention
+        assert a[zb] > a[za], variant
+        assert a[zb] == pytest.approx(math.exp(50) / (math.exp(50) + math.exp(10)), rel=1e-12)
+
+
+def test_pair_mlp_has_no_output_bias():
+    # the softmax ignores a shift shared by every score, so an output bias
+    # of the pair MLP would get zero gradient
+    prep = _prep()
+    for variant in ("pairwise", "asnn"):
+        params = _model(variant, prep)
+        last = len(params.asnn.layers) - 1
+        names = model_tensors(params)
+        assert params.asnn.layers[last].b is None
+        assert f"asnn.{last}.w" in names and f"asnn.{last}.b" not in names, variant
+        assert all(f"asnn.{k}.b" in names for k in range(last)), variant
+        assert f"asnn.{last}.b" not in checkpoint_tensors(params), variant
+
+
+def test_asnn_does_not_depend_on_input_order():
+    # asnn has no recurrence, so the reading order only relabels its
+    # candidates; a mix-up of zone indices and input positions breaks this
+    prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A"))
+    params = _model("asnn", prep, seed=8)
+    by_tsp = scale_route(prep, params.scaler)
+    by_random = scale_route(prep, params.scaler, mode="random", order_seed=99)
+    assert by_tsp.order != by_random.order
+    l_tsp, t_tsp = forward_logprob(params, by_tsp)
+    l_random, t_random = forward_logprob(params, by_random)
+    assert float(l_tsp) == pytest.approx(float(l_random), rel=0, abs=1e-12)
+    for a, b in zip(t_tsp, t_random, strict=True):
+        assert a.chosen == b.chosen
+        np.testing.assert_allclose(a.attention, b.attention, rtol=0, atol=1e-12)
 
 
 def test_pointer_attention_uniform_when_w1_w4_zero():
@@ -425,6 +460,24 @@ def test_per_gate_checkpoint_loads_into_stacked_gates():
             assert np.array_equal(a.attention, b.attention), variant
 
 
+def test_checkpoint_with_pair_mlp_output_bias_loads():
+    # checkpoints written while the pair MLP had an output bias hold
+    # asnn.<last>.b; the loader ignores it, and the shared shift it added to
+    # every score changes no probability beyond round-off
+    prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
+    for variant in ("pairwise", "asnn"):
+        params = _model(variant, prep, seed=21)
+        params.asnn.layers[-1].b = np.array([0.75])
+        old_file = checkpoint_tensors(params)
+        assert f"asnn.{len(params.asnn.layers) - 1}.b" in old_file
+        loaded = params_from_checkpoint(old_file, model_meta(params))
+        assert loaded.asnn.layers[-1].b is None
+        ours, theirs = greedy_decode(params, prep), greedy_decode(loaded, prep)
+        assert ours.zone_order == theirs.zone_order, variant
+        for a, b in zip(ours.traces, theirs.traces, strict=True):
+            np.testing.assert_allclose(a.attention, b.attention, rtol=0, atol=1e-12)
+
+
 def test_checkpoint_loader_names_what_is_malformed():
     prep = _prep()
     params = _model("pairwise", prep)
@@ -463,5 +516,11 @@ def test_mlp_reference_on_asnn_shape(rng):
     from routeseq.kernel import init_mlp, mlp_forward
 
     p = init_mlp((70, 128, 128, 1), rng)
+    for layer in p.layers:
+        layer.b = rng.normal(size=layer.b.shape)
     x = rng.normal(size=70)
     assert np.allclose(mlp_forward(x, p), mlp_ref(x, [(l.w, l.b) for l in p.layers]), atol=1e-12)
+    # the pair MLP's output layer has no bias: same as a zero one
+    ref = mlp_ref(x, [(l.w, l.b) for l in p.layers[:-1]] + [(p.layers[-1].w, np.zeros(1))])
+    p.layers[-1].b = None
+    assert np.allclose(mlp_forward(x, p), ref, atol=1e-12)
