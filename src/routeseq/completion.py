@@ -3,7 +3,7 @@
 For each zone, in order: three candidate entry stops (closest in travel time
 to the previous zone's exit), three candidate exit stops (closest on average
 to the next zone's stops; the depot plays "next zone" for the final zone),
-one small path TSP per distinct (entry, exit) pair, and the cheapest
+one small path TSP per (entry, exit) pair, and the cheapest
 within-zone path wins.  When entry and exit coincide the zone is solved as a
 tour whose closing edge is dropped.
 """
@@ -45,12 +45,8 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int,
     sub = tt[np.ix_(nodes, nodes)]
     pos = {m: k for k, m in enumerate(members)}
     best_path, best_cost = None, None
-    seen = set()
     for f in firsts:
         for l in lasts:
-            if (f, l) in seen:
-                continue
-            seen.add((f, l))
             if f == l:
                 tour = solve_tour(sub, origin=pos[f], exact_threshold=exact_threshold)
                 cost = tour.cost - float(sub[tour.order[-1], tour.order[0]])

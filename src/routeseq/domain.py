@@ -46,12 +46,11 @@ N_PAIR_FEATURES = len(PAIR_FEATURE_NAMES)
 _ZONE_ID_RE = re.compile(r"^([A-Za-z]+)-([0-9]+)\.([0-9]+)([A-Za-z])$")
 
 
-@dataclass
+@dataclass(slots=True)
 class StopRecord:
-    """One parking location with its package load.
-
-    The depot is a StopRecord with an empty zone_id and zero load.
-    """
+    """One parking location with its package load; slots keep this most
+    numerous object of a route small.  The depot is a StopRecord with an
+    empty zone_id and zero load."""
 
     stop_id: str
     zone_id: str

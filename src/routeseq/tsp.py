@@ -1,19 +1,23 @@
 """Tour and path TSP over asymmetric travel-time matrices.
 
-Small instances (n <= EXACT_THRESHOLD) are solved exactly with Held-Karp
-dynamic programming; larger ones with nearest-neighbor construction plus
-2-opt.  Because matrices may be asymmetric, 2-opt recomputes the full cost
-of the reversed segment instead of using the symmetric delta formula.
-Results are deterministic.  Held-Karp's tie rule: walking back from the end
-of the order, each tie goes to the smallest node index, so an all-equal
-matrix gives a descending interior (the tour from 0 over 4 nodes is
-[0, 3, 2, 1]).  Nearest neighbor takes the smallest index among equally
-near nodes; 2-opt keeps the first move it scans unless a later one is
-better by more than 1e-12.
+Instances of n <= EXACT_THRESHOLD nodes are solved exactly by Held-Karp,
+larger ones by nearest-neighbor construction plus 2-opt, which recomputes
+the full cost of a reversed segment because matrices may be asymmetric.
+Results are deterministic.  Held-Karp runs over bitmasks of the interior
+nodes one popcount layer at a time: each (mask, v) pair reads only the layer
+below, so numpy takes a layer's candidates ``dp[mask - v, u] + m[u, v]``
+(one float add each) in a few steps.  The parent, like the last interior
+node, is the first ``argmin`` over ascending u, which gives the tie rule:
+walking back from the end of the order, each tie goes to the smallest node
+index, so an all-equal matrix gives a descending interior (the tour from 0
+over 4 nodes is [0, 3, 2, 1]).  Nearest neighbor takes the smallest index
+among equally near nodes; 2-opt keeps the first move it scans unless a
+later one is better by more than 1e-12.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,52 +75,57 @@ def route_cost(order, costs, close_tour: bool = False) -> float:
     return _seq_cost(list(order), m, close_tour)
 
 
-def _held_karp(m: np.ndarray, start: int, end: int):
-    """Cheapest path from ``start`` through every other node to ``end``.
+_CHUNK = 1024  # pairs per numpy step: its temporaries stay under 100 KB
 
-    ``start == end`` gives the tour from ``start`` (the order then ends with
-    ``start`` again).  Every scan runs in ascending index order and keeps its
-    first strict minimum; that is what gives the module's tie rule.
-    """
+
+@functools.cache
+def _layers(k: int):
+    """Index arrays of the Held-Karp table over k interior nodes: the flat
+    index ``mask * k + v`` of each one-node mask, row offsets, and the
+    (mask, v in mask) pairs of popcounts 2..k in chunks of at most _CHUNK,
+    each as flat indices, ``v`` and ``mask - v``."""
+    nodes = np.arange(k, dtype=np.int32)
+    bits = (np.arange(1 << k, dtype=np.int32)[:, None] >> nodes) & 1
+    popcount = bits.sum(axis=1)
+    chunks = []
+    for size in range(2, k + 1):
+        mask, v = np.nonzero(bits * (popcount == size)[:, None])
+        mask, v = mask.astype(np.int32), v.astype(np.int32)
+        for c in range(0, len(v), _CHUNK):
+            mc, vc = mask[c:c + _CHUNK], v[c:c + _CHUNK]
+            chunks.append((mc * k + vc, vc, mc ^ (1 << vc)))
+    return (1 << nodes) * k + nodes, k * np.arange(_CHUNK), chunks
+
+
+def _held_karp(m: np.ndarray, start: int, end: int):
+    """Cheapest path from ``start`` through every other node to ``end``; the
+    tour from ``start`` when ``start == end`` (the order then ends with
+    ``start`` again).  ``dp`` and ``parent`` are flat ``mask * k + v`` tables."""
     n = m.shape[0]
     interior = [v for v in range(n) if v not in (start, end)]
     k = len(interior)
     if k == 0:
         return [start, end], float(m[start, end])
-    full = (1 << k) - 1
-    dp = [[_INF] * k for _ in range(full + 1)]
-    parent = [[-1] * k for _ in range(full + 1)]
-    for i in range(k):
-        dp[1 << i][i] = m[start, interior[i]]
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        for u in range(k):
-            cur = row[u]
-            if cur == _INF or not (mask >> u) & 1:
-                continue
-            base = interior[u]
-            for nxt in range(k):
-                if (mask >> nxt) & 1:
-                    continue
-                nmask = mask | (1 << nxt)
-                cand = cur + m[base, interior[nxt]]
-                if cand < dp[nmask][nxt]:
-                    dp[nmask][nxt] = cand
-                    parent[nmask][nxt] = u
-    best, best_u = _INF, -1
-    for u in range(k):
-        cand = dp[full][u] + m[interior[u], end]
-        if cand < best:
-            best, best_u = cand, u
-    mid = []
-    mask, u = full, best_u
-    while u != -1:
+    idx = np.array(interior)
+    step = m[idx][:, idx].T  # step[v, u]: the leg u -> v
+    singles, rows, chunks = _layers(k)
+    dp = np.full(k << k, _INF)
+    parent = np.zeros(k << k, dtype=np.int8)
+    dp[singles] = m[start, idx]
+    for flat, v, prev in chunks:
+        cand = dp.reshape(-1, k)[prev]
+        cand += step[v]
+        u = cand.argmin(axis=1)
+        parent[flat] = u
+        dp[flat] = cand.reshape(-1)[rows[:len(u)] + u]
+    last = dp[-k:] + m[idx, end]
+    u = int(last.argmin())
+    best = last[u]
+    mid, mask = [], (1 << k) - 1
+    for _ in range(k):
         mid.append(interior[u])
-        prev = parent[mask][u]
-        mask ^= 1 << u
-        u = prev
-    mid.reverse()
-    return [start] + mid + [end], float(best)
+        mask, u = mask ^ (1 << u), int(parent[mask * k + u])
+    return [start] + mid[::-1] + [end], float(best)
 
 
 def _nearest_neighbor(m: np.ndarray, start: int, pool: list, end: int | None):

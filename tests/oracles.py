@@ -37,6 +37,67 @@ def brute_force_path(costs: np.ndarray, first: int, last: int):
     return best_order, float(best_cost)
 
 
+def tie_rule_order(costs: np.ndarray, first: int, last: int | None):
+    """Exact order and cost under the solvers' tie rule, by enumeration.
+
+    ``last=None`` asks for the tour from ``first``; otherwise the path from
+    ``first`` to ``last``.  Legs are summed left to right, a tour's closing
+    leg last.  Among orders of exactly equal cost the one whose interior,
+    read backwards, is lexicographically smallest wins: walking back from
+    the end, each tie goes to the smallest node index.
+    """
+    n = costs.shape[0]
+    if n == 1:
+        return [first], 0.0
+    end = first if last is None else last
+    interior = [v for v in range(n) if v not in (first, end)]
+    best = None
+    for perm in permutations(interior):
+        order = [first, *perm, end]
+        cost = 0.0
+        for a, b in zip(order, order[1:]):
+            cost += costs[a][b]
+        key = (cost, perm[::-1])
+        if best is None or key < best[0]:
+            best = (key, order)
+    (cost, _), order = best
+    return (order[:-1] if last is None else order), float(cost)
+
+
+def held_karp_loop(costs: np.ndarray, first: int, last: int):
+    """Plain-loop Held-Karp over interior bitmasks (``first == last`` is the
+    tour), for sizes past enumeration.  Each target keeps its first strict
+    minimum over ascending predecessors; the order ends with ``last``."""
+    interior = [v for v in range(costs.shape[0]) if v not in (first, last)]
+    k = len(interior)
+    if k == 0:
+        return [first, last], float(costs[first][last])
+    inf = float("inf")
+    dp = [[inf] * k for _ in range(1 << k)]
+    parent = [[-1] * k for _ in range(1 << k)]
+    for i in range(k):
+        dp[1 << i][i] = costs[first][interior[i]]
+    for mask in range(1, 1 << k):
+        for v in range(k):
+            if not (mask >> v) & 1 or mask == 1 << v:
+                continue
+            prev = mask ^ (1 << v)
+            for u in range(k):
+                if (prev >> u) & 1:
+                    cand = dp[prev][u] + costs[interior[u]][interior[v]]
+                    if cand < dp[mask][v]:
+                        dp[mask][v], parent[mask][v] = cand, u
+    full = (1 << k) - 1
+    ends = [dp[full][u] + costs[interior[u]][last] for u in range(k)]
+    u = ends.index(min(ends))
+    best = ends[u]
+    mid, mask = [], full
+    while u != -1:
+        mid.append(interior[u])
+        mask, u = mask ^ (1 << u), parent[mask][u]
+    return [first, *mid[::-1], last], float(best)
+
+
 def route_cost_ref(order, costs, close):
     total = sum(costs[a][b] for a, b in zip(order, order[1:]))
     if close and len(order) > 1:

@@ -131,3 +131,21 @@ def test_last_zone_uses_depot_as_next(rng):
     entry_into_last = seq[len(first_members) - 1] + 1
     ref_path, _ = best_zone_path(route, zi.zones[1].member_stops, entry_into_last, [0])
     assert seq[len(first_members):] == ref_path
+
+
+def test_all_equal_travel_times_pin_the_tie_rules():
+    # Every within-zone path of a zone costs the same, so the sequence is
+    # decided by the tie rules alone: the smallest candidate stops, Held-Karp's
+    # descending interior, then the lexicographically smallest path.
+    ids = ["B-1.1A", "A-1.1A", "C-1.1A", "A-1.1A", "B-1.1A", "A-1.1A", "C-1.1A", "A-1.1A", "B-1.1A"]
+    n = len(ids)
+    route = make_route(ids, times=np.ones((n + 1, n + 1)) - np.eye(n + 1))
+    zi = build_zone_instance(route)
+    assert [z.member_stops for z in zi.zones] == [[0, 4, 8], [1, 3, 5, 7], [2, 6]]
+    expected = {
+        (0, 1, 2): [0, 4, 8, 1, 7, 3, 5, 2, 6],
+        (2, 0, 1): [2, 6, 0, 4, 8, 1, 7, 3, 5],
+        (1, 2, 0): [1, 7, 3, 5, 2, 6, 0, 4, 8],
+    }
+    for zone_order, seq in expected.items():
+        assert complete_sequence(list(zone_order), zi, route) == seq, zone_order

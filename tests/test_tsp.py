@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_cost_matrix
-from oracles import brute_force_path, brute_force_tour, route_cost_ref
+from oracles import (
+    brute_force_path,
+    brute_force_tour,
+    held_karp_loop,
+    route_cost_ref,
+    tie_rule_order,
+)
 from routeseq.errors import InvalidInputError
 from routeseq.tsp import (
     CostMatrix,
@@ -96,6 +105,60 @@ def test_held_karp_tie_rule_on_all_equal_matrix():
     for (n, first, last), order in TIE_RULE_PATHS.items():
         sol = solve_path(np.ones((n, n)) - np.eye(n), first, last)
         assert (sol.order, sol.cost, sol.method) == (order, float(n - 1), "exact"), (n, first, last)
+
+
+def _square_matrices(draw_matrix):
+    """Square cost matrices of 1..7 nodes with a zero diagonal."""
+    def zero_diagonal(m):
+        np.fill_diagonal(m, 0.0)
+        return m
+
+    return st.integers(1, 7).flatmap(draw_matrix).map(zero_diagonal)
+
+
+def _assert_tie_rule_exact(m):
+    n = m.shape[0]
+    for origin in range(n):
+        sol = solve_tour(m, origin=origin)
+        assert (sol.order, sol.cost) == tie_rule_order(m, origin, None), ("tour", origin)
+    for first in range(n):
+        for last in range(n):
+            if first != last:
+                sol = solve_path(m, first, last)
+                assert (sol.order, sol.cost) == tie_rule_order(m, first, last), (first, last)
+
+
+# Every tour and every path of small matrices, against exhaustive enumeration
+# under the same tie rule and summation order: order and cost must be equal.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_square_matrices(lambda n: arrays(np.float64, (n, n), elements=st.integers(1, 3))))
+def test_tie_rule_matches_oracle_on_integer_matrices(m):
+    _assert_tie_rule_exact(m)
+
+
+# Real matrices are uniform draws: distinct entries with full mantissas.  The
+# DP only ever extends a cheapest prefix, so it can part from enumeration
+# where two prefixes of unequal cost round to a tie once a leg is added.
+# Hand-picked floats (repeated values with long mantissas) can build that
+# case; continuous draws make it vanishingly rare.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_square_matrices(lambda n: st.integers(0, 2**32 - 1).map(
+    lambda seed: np.random.default_rng(seed).uniform(0.5, 50.0, size=(n, n)))))
+def test_tie_rule_matches_oracle_on_real_matrices(m):
+    _assert_tie_rule_exact(m)
+
+
+def test_matches_plain_loop_held_karp_up_to_threshold(rng):
+    # Past enumeration and up to the exact threshold, tours and paths agree
+    # bit for bit with the loop DP.
+    for n in (8, 11, 13):
+        for m in (random_cost_matrix(rng, n), _tie_heavy_matrix(rng, n)):
+            origin, first, last = (int(v) for v in rng.choice(n, size=3, replace=False))
+            sol = solve_tour(m, origin=origin)
+            order, cost = held_karp_loop(m, origin, origin)
+            assert (sol.order, sol.cost, sol.method) == (order[:-1], cost, "exact"), n
+            sol = solve_path(m, first, last)
+            assert (sol.order, sol.cost) == held_karp_loop(m, first, last), n
 
 
 def test_invalid_matrices_rejected():
