@@ -1,5 +1,5 @@
-"""Minimal differentiable numerical kernel: autodiff tape, LSTM cell, MLP,
-softmax/cross-entropy, Adam, and bit-exact checkpoints."""
+"""Minimal differentiable numerical kernel: autodiff tape, fused LSTM-cell
+and MLP ops, softmax/cross-entropy, Adam, and bit-exact checkpoints."""
 
 from .autodiff import (
     Node,
@@ -7,10 +7,8 @@ from .autodiff import (
     add,
     concat,
     cross_entropy,
-    lstm_gates,
     matmul,
     nsum,
-    relu,
     reshape,
     softmax,
     stack_rows,
@@ -44,8 +42,8 @@ from .layers import (
 from .optim import AdamState, adam_init, adam_step, clip_gradients
 
 __all__ = [
-    "Node", "Tape", "add", "concat", "cross_entropy", "lstm_gates", "matmul",
-    "nsum", "relu", "reshape", "softmax", "stack_rows", "tanh", "tile_rows",
+    "Node", "Tape", "add", "concat", "cross_entropy", "matmul",
+    "nsum", "reshape", "softmax", "stack_rows", "tanh", "tile_rows",
     "transpose", "unwrap",
     "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint",
     "load_checkpoint", "save_checkpoint", "serialize_checkpoint",

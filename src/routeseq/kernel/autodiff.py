@@ -11,6 +11,10 @@ The graph is acyclic: a node holds its parents (through its backward
 closure) and a weak proxy of its tape, never itself or its tape, so a
 finished step's graph is freed by reference counting alone.
 
+The ops here are elementary; ``layers`` adds two fused ops, ``lstm_cell``
+and ``mlp_forward``, which record through ``_record`` with hand-written
+backward passes.
+
 Shapes are deliberately modest: vectors, matrices, and 0-d scalars, which is
 all the sequence models need.  Everything is float64.
 """
@@ -139,54 +143,9 @@ def add(a, b):
     return _record(av + bv, (a, b), backward)
 
 
-def _sigmoid_np(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def lstm_gates(z, c):
-    """The LSTM state update from the stacked gate pre-activations ``z``
-    (4h: gates f, i, o and the candidate c, in that order) and the previous
-    cell state ``c`` (h): returns ``(h_new, c_new)`` with
-    ``c_new = f*c + i*tanh(z_c)`` and ``h_new = o*tanh(c_new)``, where f, i
-    and o are the logistic function of their pre-activations."""
-    zv, cv = unwrap(z), unwrap(c)
-    h = cv.shape[0]
-    s = _sigmoid_np(zv[:3 * h])
-    f, i, o = s[:h], s[h:2 * h], s[2 * h:]
-    g = np.tanh(zv[3 * h:])
-    c_new_v = f * cv + i * g
-    t = np.tanh(c_new_v)
-
-    def backward_c(gc):
-        _acc(z, np.concatenate([gc * cv * f * (1.0 - f), gc * g * i * (1.0 - i),
-                                np.zeros(h), gc * i * (1.0 - g * g)]), own=True)
-        _acc(c, gc * f, own=True)
-
-    c_new = _record(c_new_v, (z, c), backward_c)
-
-    def backward_h(gh):
-        gz = np.zeros_like(zv)
-        gz[2 * h:3 * h] = gh * t * o * (1.0 - o)
-        _acc(z, gz, own=True)
-        _acc(c_new, gh * o * (1.0 - t * t), own=True)
-
-    return _record(o * t, (z, c_new), backward_h), c_new
-
-
 def tanh(a):
     out_v = np.tanh(unwrap(a))
     return _record(out_v, (a,), lambda g: _acc(a, g * (1.0 - out_v * out_v), own=True))
-
-
-def relu(a):
-    av = unwrap(a)
-    return _record(np.maximum(av, 0.0), (a,), lambda g: _acc(a, g * (av > 0.0), own=True))
 
 
 def concat(parts):

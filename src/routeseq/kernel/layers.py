@@ -2,6 +2,10 @@
 
 Everything here works on either plain ndarrays or autodiff ``Node`` inputs,
 so the same forward code serves inference and gradient-based training.
+``lstm_cell`` and ``mlp_forward`` are fused autodiff ops: each records two
+nodes (the cell) or one (the whole MLP) whose hand-written backward repeats
+the float expressions of the elementary ops it replaces, in their order, so
+gradients are bit-identical to recording those ops one by one.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import InvalidInputError, NumericError
-from .autodiff import Node, add, lstm_gates, matmul, relu, transpose, unwrap
+from .autodiff import Node, _acc, _record, unwrap
 
 
 @dataclass(eq=False)
@@ -75,36 +79,104 @@ def zero_state(hidden_dim: int) -> LstmState:
     return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
 
 
+def _sigmoid_np(x):
+    """The logistic function, branch-free: 1/(1+e^-x) for x >= 0 and
+    e^x/(1+e^x) below, both from e = exp(-|x|), so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def lstm_cell(x, state: LstmState, params: LstmCellParams):
     """One LSTM step: returns (new state, output vector).
 
-    Gates f, i, o are logistic; the candidate cell value is tanh; the output
+    Computes ``z = W x + U h + b`` and the gates from it: f, i and o are
+    logistic, the candidate cell value tanh(z_c),
+    ``c_new = f*c + i*tanh(z_c)`` and ``h_new = o*tanh(c_new)``; the output
     equals the new hidden state (single layer, one direction).
+
+    One fused op: it records ``c_new`` and then ``h_new``.  ``h_new``'s
+    backward hands its share of dz (zero outside the o slice) to
+    ``c_new``'s, which adds its own and runs the affine backward once.
     """
-    if not np.all(np.isfinite(unwrap(x))):
+    xv, hv, cv = unwrap(x), unwrap(state.h), unwrap(state.c)
+    if not np.all(np.isfinite(xv)):
         raise NumericError("lstm_cell received a non-finite input vector")
-    z = add(add(matmul(params.w, x), matmul(params.u, state.h)), params.b)
-    h_new, c_new = lstm_gates(z, state.c)
+    w, u = unwrap(params.w), unwrap(params.u)
+    z = w @ xv + u @ hv + unwrap(params.b)
+    n = cv.shape[0]
+    s = _sigmoid_np(z[:3 * n])
+    f, i, o = s[:n], s[n:2 * n], s[2 * n:]
+    g = np.tanh(z[3 * n:])
+    c_new_v = f * cv + i * g
+    t = np.tanh(c_new_v)
+    handed = []  # h_new's share of dz, once its backward has run
+
+    def backward_c(gc):
+        gz = np.concatenate([gc * cv * f * (1.0 - f), gc * g * i * (1.0 - i),
+                             np.zeros(n), gc * i * (1.0 - g * g)])
+        if handed:
+            gz += handed.pop()
+        _acc(params.b, gz)
+        _acc(params.u, np.outer(gz, hv), own=True)
+        _acc(state.h, u.T @ gz, own=True)
+        _acc(params.w, np.outer(gz, xv), own=True)
+        _acc(x, w.T @ gz, own=True)
+        _acc(state.c, gc * f, own=True)
+
+    c_new = _record(c_new_v, (x, state.h, state.c, params.w, params.u, params.b), backward_c)
+
+    def backward_h(gh):
+        gz = np.zeros(4 * n)
+        gz[2 * n:3 * n] = gh * t * o * (1.0 - o)
+        handed.append(gz)
+        _acc(c_new, gh * o * (1.0 - t * t), own=True)
+
+    h_new = _record(o * t, (c_new,), backward_h)
     return LstmState(h_new, c_new), h_new
 
 
 def mlp_forward(x, params: MlpParams):
-    """Apply the MLP to a vector (d,) or a batch of rows (m, d)."""
+    """Apply the MLP to a vector (d,) or to rows (m, d), as one recorded op.
+
+    Each layer is ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but
+    the last.  The backward pass walks the layers in reverse and takes the
+    products that matmul, add and relu took per layer: for rows
+    ``W.grad += (aᵀ g)ᵀ`` and ``g @ W``, for a vector ``outer(g, a)``, ``Wᵀ g``.
+    """
     xv = np.asarray(unwrap(x))
-    in_dim = unwrap(params.layers[0].w).shape[1]
+    layers = params.layers
+    in_dim = unwrap(layers[0].w).shape[1]
     if xv.shape[-1] != in_dim:
         raise InvalidInputError(
             f"mlp_forward input width {xv.shape[-1]} does not match first layer ({in_dim})"
         )
-    out = x
-    last = len(params.layers) - 1
-    for k, layer in enumerate(params.layers):
-        out = matmul(layer.w, out) if xv.ndim == 1 else matmul(out, transpose(layer.w))
+    rows = xv.ndim == 2
+    last = len(layers) - 1
+    ins, pres = [], []  # each layer's input; each hidden layer's pre-activation
+    a = xv
+    for k, layer in enumerate(layers):
+        ins.append(a)
+        w = unwrap(layer.w)
+        a = a @ w.T if rows else w @ a
         if layer.b is not None:
-            out = add(out, layer.b)
+            a = a + unwrap(layer.b)
         if k != last:
-            out = relu(out)
-    return out
+            pres.append(a)
+            a = np.maximum(a, 0.0)
+
+    def backward(g):
+        for k in range(last, -1, -1):
+            layer, w = layers[k], unwrap(layers[k].w)
+            if k != last:
+                g = g * (pres[k] > 0.0)
+            if layer.b is not None:
+                _acc(layer.b, g.sum(axis=0) if rows else g)
+            _acc(layer.w, (ins[k].T @ g).T if rows else np.outer(g, ins[k]), own=True)
+            g = g @ w if rows else w.T @ g
+        _acc(x, g, own=True)
+
+    parents = (x, *(layer.w for layer in layers), *(layer.b for layer in layers))
+    return _record(a, parents, backward)
 
 
 def _leaves(obj, prefix, out):

@@ -363,8 +363,7 @@ def _probs_by_zone(scaled: ScaledRoute, pvals: np.ndarray, kz: int | None) -> np
     n = scaled.prep.n_zones
     out = np.zeros(n)
     limit = n if kz is None else min(n, kz)
-    for k in range(limit):
-        out[scaled.order[k]] = pvals[k]
+    out[list(scaled.order[:limit])] = pvals[:limit]
     return out
 
 

@@ -2,6 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_route
 from routeseq.completion import N_CANDIDATES, best_zone_path, complete_sequence
@@ -108,6 +110,35 @@ def test_output_is_partition_into_contiguous_zones(rng):
             if not walked or walked[-1] != z:
                 walked.append(z)
         assert walked == [int(z) for z in zone_order]
+
+
+@st.composite
+def _routes_with_zone_orders(draw):
+    """A route of 1..9 stops in up to four zones, its travel times integer
+    1..3 (tie-heavy) or uniform reals, and an order of its zones."""
+    ids = draw(st.lists(st.sampled_from(["A-1.1A", "A-2.1B", "B-1.1A", "C-3.2C"]),
+                        min_size=1, max_size=9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(ids)
+    if draw(st.booleans()):
+        times = rng.integers(1, 4, size=(n + 1, n + 1)).astype(float)
+    else:
+        times = rng.uniform(1.0, 60.0, size=(n + 1, n + 1))
+    np.fill_diagonal(times, 0.0)
+    route = make_route(ids, times=times)
+    zi = build_zone_instance(route)
+    return route, zi, draw(st.permutations(range(zi.n_zones)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_routes_with_zone_orders())
+def test_completion_is_a_permutation_with_contiguous_zones(case):
+    route, zi, zone_order = case
+    seq = complete_sequence(list(zone_order), zi, route)
+    assert sorted(seq) == list(range(len(route.stops)))
+    zone_of = {s: k for k, zone in enumerate(zi.zones) for s in zone.member_stops}
+    runs = [zone_of[s] for k, s in enumerate(seq) if k == 0 or zone_of[s] != zone_of[seq[k - 1]]]
+    assert runs == list(zone_order)
 
 
 def test_rejects_non_permutation():

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from oracles import finite_difference, grad_close, lstm_ref, mlp_ref
 from routeseq.errors import InvalidInputError, NumericError, SchemaError
 from routeseq.kernel import (
+    LstmCellParams,
     LstmState,
     MlpLayer,
     MlpParams,
@@ -23,13 +25,11 @@ from routeseq.kernel import (
     init_mlp,
     load_checkpoint,
     lstm_cell,
-    lstm_gates,
     map_tensors,
     matmul,
     mlp_forward,
     named_tensors,
     nsum,
-    relu,
     reshape,
     save_checkpoint,
     serialize_checkpoint,
@@ -51,7 +51,7 @@ def _zero_lstm(input_dim, hidden):
 
 def _arrays(*shapes):
     """Input maker: entries of magnitude 0.2-1.5 with random signs, so no
-    entry sits within a finite-difference step of relu's kink."""
+    entry sits within a finite-difference step of 0."""
     def make(rng):
         return [np.array(rng.uniform(0.2, 1.5, size=s) * rng.choice([-1.0, 1.0], size=s))
                 for s in shapes]
@@ -59,6 +59,18 @@ def _arrays(*shapes):
 
 
 _MASK = np.array([True, False, True, True, False])
+
+
+def _lstm_both(x, h, c, w, u, b):
+    state, _ = lstm_cell(x, LstmState(h, c), LstmCellParams(w, u, b))
+    return concat([state.h, state.c])
+
+
+def _mlp(x, *wb):
+    """mlp_forward over layers (w0, b0, w1, b1, ...); an odd count leaves
+    the output layer without bias."""
+    return mlp_forward(x, MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
+
 
 # name -> (op over the inputs, input maker, finite-difference step)
 OP_CASES = {
@@ -68,10 +80,14 @@ OP_CASES = {
     "matmul_1d_1d": (matmul, _arrays((4,), (4,)), 1e-5),
     "add_broadcast_row": (add, _arrays((3, 4), (4,)), 1e-5),
     "add_broadcast_both": (add, _arrays((3, 1), (1, 4)), 1e-5),
-    # both outputs at once: h_new = o*tanh(c_new) reaches z and c through c_new too
-    "lstm_gates": (lambda z, c: concat(list(lstm_gates(z, c))), _arrays((12,), (3,)), 1e-5),
+    # both outputs at once: h_new = o*tanh(c_new) reaches every input through c_new too
+    "lstm_cell": (_lstm_both, _arrays((2,), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
+    # at this seed every hidden pre-activation of the MLP cases is >= 0.005 from the kink
+    "mlp_vector": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4), (2,)), 1e-5),
+    "mlp_vector_no_out_bias": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4)), 1e-5),
+    "mlp_rows": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4), (1,)), 1e-5),
+    "mlp_rows_no_out_bias": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4)), 1e-5),
     "tanh": (tanh, _arrays((2, 3)), 1e-5),
-    "relu": (relu, _arrays((2, 3)), 1e-5),
     "concat_1d": (lambda *p: concat(list(p)), _arrays((2,), (3,), (1,)), 1e-5),
     "concat_2d": (lambda *p: concat(list(p)), _arrays((3, 2), (3, 4), (3, 1)), 1e-5),
     "stack_rows": (lambda *p: stack_rows(list(p)), _arrays((4,), (4,), (4,)), 1e-5),

@@ -316,6 +316,21 @@ def test_forward_logprob_deterministic():
         assert float(l1) == float(l2)
 
 
+def test_taped_forward_node_counts():
+    # Tape nodes of one taped forward on a 15-zone route, as measured; the
+    # encoder records 2 per zone, stack_rows and nsum 1 each, and pairwise
+    # at most 10 per decoder step (the first step's context is no node).
+    n = 15
+    prep = _prep(zone_ids=[f"{a}-{k}.1A" for a in "AB" for k in range(1, 9)][:n])
+    expected = {"pairwise": 181, "pointer": 241, "lstm_ed": 107, "asnn": 61}
+    assert expected["pairwise"] <= 2 * n + 2 + 10 * n
+    for variant, count in expected.items():
+        params = _model(variant, prep)
+        tape = Tape()
+        forward_logprob(wrap_params(params, tape), scale_route(prep, params.scaler))
+        assert len(tape._nodes) == count, variant
+
+
 def test_forward_logprob_attention_sums_to_one():
     prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
     for variant in ("pairwise", "pointer", "asnn"):

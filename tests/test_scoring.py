@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_route
 from oracles import erp_exhaustive, sd_ref, time_norm_ref
@@ -99,6 +101,32 @@ def test_erp_matches_exhaustive_oracle(rng):
         ref_norm, ref_edits = erp_exhaustive(actual, predicted, m)
         assert norm == pytest.approx(ref_norm, abs=1e-12)
         assert edits == ref_edits
+
+
+@st.composite
+def _two_orders(draw):
+    """Two orders of the stops 1..n (n <= 8) and a travel-time matrix with
+    the depot at 0: uniform reals, or integers 0..3 (ties, zero rows)."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = rng.integers(0, 4, size=(n + 1, n + 1)).astype(float)
+        np.fill_diagonal(m, 0.0)
+    else:
+        m = _random_matrix(rng, n)
+    stops = range(1, n + 1)
+    return list(draw(st.permutations(stops))), list(draw(st.permutations(stops))), m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_two_orders())
+def test_erp_and_disparity_identities(case):
+    a, b, m = case
+    assert erp(a, a, m) == (0.0, 0)
+    assert disparity(a, a, m) == 0.0
+    norm, edits = erp(a, b, m)
+    assert norm >= 0.0
+    assert 0 <= edits <= len(a) + len(b)
 
 
 # --- disparity ---------------------------------------------------------------------
