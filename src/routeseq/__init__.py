@@ -14,10 +14,9 @@ from .domain import (
     Zone,
     ZoneInstance,
     build_zone_instance,
-    depot_pair_features,
-    pair_features,
+    node_features,
+    pair_tensor,
     parse_zone_id,
-    zone_features,
 )
 from .errors import (
     ConfigError,

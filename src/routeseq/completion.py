@@ -14,7 +14,7 @@ import numpy as np
 
 from .domain import RouteInstance, ZoneInstance
 from .errors import InvalidInputError
-from .tsp import EXACT_THRESHOLD, solve_path, solve_tour
+from .tsp import solve_path, solve_tour
 
 N_CANDIDATES = 3
 
@@ -24,8 +24,7 @@ def _closest(indices, scores, count):
     return [idx for _, idx in ranked[:count]]
 
 
-def best_zone_path(route: RouteInstance, members: list, entry_from: int,
-                   next_nodes: list, exact_threshold: int = EXACT_THRESHOLD):
+def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_nodes: list):
     """Cheapest within-zone path given the matrix node we arrive from and the
     matrix nodes of the next zone.  Returns (stop indices, travel time).
 
@@ -48,11 +47,11 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int,
     for f in firsts:
         for l in lasts:
             if f == l:
-                tour = solve_tour(sub, origin=pos[f], exact_threshold=exact_threshold)
+                tour = solve_tour(sub, origin=pos[f])
                 cost = tour.cost - float(sub[tour.order[-1], tour.order[0]])
                 order = tour.order
             else:
-                sol = solve_path(sub, pos[f], pos[l], exact_threshold=exact_threshold)
+                sol = solve_path(sub, pos[f], pos[l])
                 cost, order = sol.cost, sol.order
             path = [members[k] for k in order]
             if (best_cost is None or cost < best_cost
@@ -61,8 +60,7 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int,
     return best_path, float(best_cost)
 
 
-def complete_sequence(zone_order, instance: ZoneInstance, route: RouteInstance,
-                      exact_threshold: int = EXACT_THRESHOLD) -> list:
+def complete_sequence(zone_order, instance: ZoneInstance, route: RouteInstance) -> list:
     """Full stop sequence for a predicted zone order.
 
     Returns 0-based stop indices covering every stop exactly once, zones
@@ -80,7 +78,7 @@ def complete_sequence(zone_order, instance: ZoneInstance, route: RouteInstance,
             next_nodes = [m + 1 for m in instance.zones[zone_order[idx + 1]].member_stops]
         else:
             next_nodes = [0]  # the tour returns to the depot after the last zone
-        path, _ = best_zone_path(route, members, prev_node, next_nodes, exact_threshold)
+        path, _ = best_zone_path(route, members, prev_node, next_nodes)
         result.extend(path)
         prev_node = path[-1] + 1
     return result

@@ -2,9 +2,12 @@
 
 A route is a depot plus an ordered list of stops with an asymmetric travel
 time matrix (depot at matrix index 0, stop ``k`` at index ``k+1``).  Zones
-group stops by their zone id; the zone-level travel time between two zones
-is the mean travel time over all member stop pairs, and the depot row and
-column average over the member stops of the zone involved.
+group stops by their zone id.  The zone level keeps the same convention:
+the depot is node 0 and zone ``k`` is node ``k+1`` of the zone travel-time
+matrix, of the feature rows (``node_features``) and of the pair-feature
+sources (``pair_tensor``), so one code path serves the depot and the zones.
+The time between two nodes is the mean travel time over all pairs of their
+member stops, the depot being its own single member.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ PAIR_FEATURE_NAMES = (
     "letter_distance",
 )
 
-N_ZONE_FEATURES = len(ZONE_FEATURE_NAMES)
 N_PAIR_FEATURES = len(PAIR_FEATURE_NAMES)
 
 _ZONE_ID_RE = re.compile(r"^([A-Za-z]+)-([0-9]+)\.([0-9]+)([A-Za-z])$")
@@ -100,7 +102,6 @@ class ZoneInstance:
     zones: list
     zone_travel_time: np.ndarray
     actual_zone_sequence: list
-    depot_features: np.ndarray
 
     @property
     def n_zones(self) -> int:
@@ -134,8 +135,8 @@ def validate_route(route: RouteInstance) -> None:
 def parse_zone_id(zone_id: str):
     """Parse ``<area>-<major>.<minor><letter>``; None when it does not apply.
 
-    The parser is total: unparseable ids simply yield None and downstream
-    pair features fall back to zeros.
+    The parser is total: unparseable ids simply yield None and the
+    relationship fields of their pair features fall back to zeros.
     """
     m = _ZONE_ID_RE.match(zone_id or "")
     if m is None:
@@ -147,8 +148,8 @@ def parse_zone_id(zone_id: str):
 def build_zone_instance(route: RouteInstance) -> ZoneInstance:
     """Group stops into zones and average the stop-level travel times.
 
-    Zone-to-zone time is the mean over all member stop pairs; the depot row
-    and column average over the target/source zone's member stops.  Raises
+    Node ``a`` to node ``b`` is the mean over the (depot or member stop)
+    pairs of the two nodes, one ``np.mean`` per block.  Raises
     MalformedRouteError when a stop has no zone id.
     """
     zone_order: list[str] = []
@@ -170,23 +171,14 @@ def build_zone_instance(route: RouteInstance) -> ZoneInstance:
         lng = float(np.mean([route.stops[k].lng for k in idxs]))
         zones.append(Zone(zid, list(idxs), (lat, lng)))
 
-    z = len(zones)
-    tt = route.travel_time
-    ztt = np.zeros((z + 1, z + 1))
-    for i, zi in enumerate(zones):
-        rows_i = [k + 1 for k in zi.member_stops]
-        ztt[0, i + 1] = float(np.mean(tt[0, rows_i]))
-        ztt[i + 1, 0] = float(np.mean(tt[rows_i, 0]))
-        for j, zj in enumerate(zones):
-            if i == j:
-                continue
-            cols_j = [k + 1 for k in zj.member_stops]
-            ztt[i + 1, j + 1] = float(np.mean(tt[np.ix_(rows_i, cols_j)]))
+    groups = [[0]] + [[k + 1 for k in zone.member_stops] for zone in zones]
+    ztt = np.zeros((len(groups), len(groups)))
+    for a, rows in enumerate(groups):
+        for b, cols in enumerate(groups):
+            if a != b:
+                ztt[a, b] = np.mean(route.travel_time[np.ix_(rows, cols)])
 
-    seq = first_visit_zone_order(zones, route.actual_stop_sequence)
-    instance = ZoneInstance(zones, ztt, seq, np.zeros(N_ZONE_FEATURES))
-    instance.depot_features = _depot_features(route, instance)
-    return instance
+    return ZoneInstance(zones, ztt, first_visit_zone_order(zones, route.actual_stop_sequence))
 
 
 def first_visit_zone_order(zones, stop_indices) -> list:
@@ -195,88 +187,58 @@ def first_visit_zone_order(zones, stop_indices) -> list:
     return list(dict.fromkeys(zone_of_stop[s] for s in stop_indices))
 
 
-def _tt_summary(outgoing: np.ndarray) -> tuple:
-    """(min, mean, max, population std); all zeros when there is nothing
-    to summarize (single-zone route convention)."""
-    if outgoing.size == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    return (
-        float(outgoing.min()),
-        float(outgoing.mean()),
-        float(outgoing.max()),
-        float(outgoing.std()),
-    )
+def node_features(route: RouteInstance, instance: ZoneInstance) -> np.ndarray:
+    """(z+1, K) feature rows, the depot in row 0; see ZONE_FEATURE_NAMES.
 
-
-def _depot_features(route: RouteInstance, instance: ZoneInstance) -> np.ndarray:
-    # Depot vector: its coordinates, zero package/service load, and the
-    # summary of depot-to-zone travel times.
-    out = instance.zone_travel_time[0, 1:]
-    mn, mean, mx, sd = _tt_summary(out)
-    return np.array([
-        route.depot.lat, route.depot.lng,
-        0.0, 0.0, 0.0, 0.0, 0.0,
-        mn, mean, mx, sd,
-        0.0,
-    ])
-
-
-def zone_features(zone: Zone, instance: ZoneInstance, route: RouteInstance) -> np.ndarray:
-    """Fixed-width feature vector of one zone; see ZONE_FEATURE_NAMES.
-
-    The travel-time summary covers outgoing times to the *other* zones
-    (diagonal and depot excluded); a single-zone route yields all-zero
-    summary entries by convention.
+    The depot has its own coordinates and no stops or load.  A node's
+    travel-time summary (min, mean, max, population std) covers its times to
+    the zones other than itself; with nothing to summarize (the zone of a
+    single-zone route) it is all zeros.
     """
-    try:
-        zi = instance.zone_index(zone.zone_id)
-    except InvalidInputError:
-        raise InvalidInputError(f"zone {zone.zone_id!r} does not belong to this instance")
-    stops = [route.stops[k] for k in zone.member_stops]
-    row = instance.zone_travel_time[zi + 1, 1:]
-    outgoing = np.delete(row, zi)
-    mn, mean, mx, sd = _tt_summary(outgoing)
-    return np.array([
-        zone.centroid[0], zone.centroid[1],
-        float(len(stops)),
-        0.0,  # n_intersections: unknown without map data
-        float(sum(s.n_packages for s in stops)),
-        float(sum(s.service_time for s in stops)),
-        float(sum(s.package_volume for s in stops)),
-        mn, mean, mx, sd,
-        float(instance.zone_travel_time[zi + 1, 0]),
-    ])
+    ztt = instance.zone_travel_time
+    nodes = [((route.depot.lat, route.depot.lng), [])]
+    nodes += [(zone.centroid, [route.stops[k] for k in zone.member_stops])
+              for zone in instance.zones]
+    rows = []
+    for a, (centroid, stops) in enumerate(nodes):
+        out = np.delete(ztt[a], [0, a])
+        summary = (out.min(), out.mean(), out.max(), out.std()) if out.size else (0.0,) * 4
+        rows.append([
+            *centroid,
+            float(len(stops)),
+            0.0,  # n_intersections: unknown without map data
+            float(sum(s.n_packages for s in stops)),
+            float(sum(s.service_time for s in stops)),
+            float(sum(s.package_volume for s in stops)),
+            *summary,
+            ztt[a, 0],
+        ])
+    return np.array(rows)
 
 
-def _relationship(id_a: str, id_b: str) -> tuple:
-    pa, pb = parse_zone_id(id_a), parse_zone_id(id_b)
-    if pa is None or pb is None:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    area_a, major_a, minor_a, letter_a = pa
-    area_b, major_b, minor_b, letter_b = pb
-    same_area = area_a == area_b
-    same_major = same_area and major_a == major_b
-    same_minor = same_major and minor_a == minor_b
-    return (
-        1.0 if same_area else 0.0,
-        1.0 if same_major else 0.0,
-        1.0 if same_minor else 0.0,
-        float(abs(minor_a - minor_b)),
-        float(abs(ord(letter_a) - ord(letter_b))),
-    )
+def pair_tensor(instance: ZoneInstance) -> np.ndarray:
+    """(z+1, z, P) directed pair features from every node (source 0 = the
+    depot) to every zone; see PAIR_FEATURE_NAMES.
 
-
-def pair_features(i: int, j: int, instance: ZoneInstance) -> np.ndarray:
-    """Directed pair vector zone i -> zone j; see PAIR_FEATURE_NAMES."""
-    if i == j:
-        raise InvalidInputError("pair_features requires i != j")
-    tt = float(instance.zone_travel_time[i + 1, j + 1])
-    return np.array([tt, *_relationship(instance.zones[i].zone_id, instance.zones[j].zone_id)])
-
-
-def depot_pair_features(j: int, instance: ZoneInstance) -> np.ndarray:
-    """Directed pair vector depot -> zone j (relationship features are zero
-    because the depot carries no zone id)."""
-    tt = float(instance.zone_travel_time[0, j + 1])
-    return np.array([tt, 0.0, 0.0, 0.0, 0.0, 0.0])
-
+    The relationship fields compare the parsed zone ids and are zero when
+    either id does not parse (the depot's empty id never does).  A zone's
+    pair with itself is zero time with every flag set.
+    """
+    z = instance.n_zones
+    parsed = [parse_zone_id(zid) for zid in ["", *(zone.zone_id for zone in instance.zones)]]
+    valid = np.array([p is not None for p in parsed])
+    fields = [(p[0], p[1], p[2], ord(p[3])) if p else ("", 0, 0, 0) for p in parsed]
+    area, major, minor, letter = np.array(fields, dtype=object).T
+    same_area = area[:, None] == area[None, 1:]
+    same_major = same_area & (major[:, None] == major[None, 1:])
+    same_minor = same_major & (minor[:, None] == minor[None, 1:])
+    relationship = np.stack([
+        same_area, same_major, same_minor,
+        abs(minor[:, None] - minor[None, 1:]),
+        abs(letter[:, None] - letter[None, 1:]),
+    ], axis=-1).astype(float)
+    pair = np.zeros((z + 1, z, N_PAIR_FEATURES))
+    pair[..., 0] = instance.zone_travel_time[:, 1:]
+    pair[..., 1:] = np.where((valid[:, None] & valid[None, 1:])[..., None], relationship, 0.0)
+    pair[np.arange(1, z + 1), np.arange(z)] = (0.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+    return pair

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import domain
-from .domain import N_PAIR_FEATURES, ZoneInstance, build_zone_instance, zone_features
+from .domain import N_PAIR_FEATURES, ZoneInstance, build_zone_instance, node_features, pair_tensor
 from .errors import ConfigError, InvalidInputError, SchemaError
 from .kernel import (
     LstmCellParams,
@@ -57,6 +57,7 @@ from .kernel import (
     transpose,
     uniform_init,
     unwrap,
+    zero_state,
 )
 from .tsp import solve_tour
 
@@ -127,7 +128,6 @@ class DecoderStepTrace:
     attention: np.ndarray   # probability per zone (zone-index order)
     chosen: int             # zone index
     context: np.ndarray | None
-    decoder_output: np.ndarray | None
 
 
 @dataclass(eq=False)
@@ -160,21 +160,10 @@ class ScaledRoute:
 
 def prepare_route(route) -> PreparedRoute:
     zinst = build_zone_instance(route)
-    n = zinst.n_zones
-    x = np.stack([zone_features(z, zinst, route) for z in zinst.zones])
-    pair = np.zeros((n + 1, n, N_PAIR_FEATURES))
-    for j in range(n):
-        pair[0, j] = domain.depot_pair_features(j, zinst)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                # A zone's relationship with itself: zero time, all flags set.
-                pair[i + 1, j] = (0.0, 1.0, 1.0, 1.0, 0.0, 0.0)
-            else:
-                pair[i + 1, j] = domain.pair_features(i, j, zinst)
+    features = node_features(route, zinst)
     tour = solve_tour(zinst.zone_travel_time, origin=0)
     tsp_order = tuple(v - 1 for v in tour.order[1:])
-    return PreparedRoute(route, zinst, x, zinst.depot_features, pair,
+    return PreparedRoute(route, zinst, features[1:], features[0], pair_tensor(zinst),
                          tsp_order, tuple(zinst.actual_zone_sequence))
 
 
@@ -186,17 +175,10 @@ def identity_scaler(n_features: int, pair_dim: int) -> FeatureScaler:
 def fit_scaler(prepared: list) -> FeatureScaler:
     """Means/stds over all zone (and depot) feature rows and all directed
     pair rows of the given routes.  Constant dimensions get unit scale."""
-    x_rows = [p.depot_x for p in prepared] + [p.x[k] for p in prepared for k in range(p.n_zones)]
-    z_rows = []
-    for p in prepared:
-        n = p.n_zones
-        for src in range(n + 1):
-            for j in range(n):
-                if src == j + 1:
-                    continue  # synthetic self-pair rows stay out of the stats
-                z_rows.append(p.pair[src, j])
-    xs = np.stack(x_rows)
-    zs = np.stack(z_rows)
+    xs = np.concatenate([[p.depot_x for p in prepared], *(p.x for p in prepared)])
+    # The synthetic self-pair rows (source 1+k, zone k) stay out of the stats.
+    zs = np.concatenate([p.pair[~np.eye(p.n_zones + 1, p.n_zones, -1, dtype=bool)]
+                         for p in prepared])
 
     def _std(a):
         s = a.std(axis=0)
@@ -306,8 +288,7 @@ def encode(params: ModelParams, scaled: ScaledRoute) -> EncoderOutputs:
     n = scaled.prep.n_zones
     if n == 0:
         raise InvalidInputError("cannot encode an empty zone set")
-    h = params.config.hidden
-    state = LstmState(np.zeros(h), np.zeros(h))
+    state = zero_state(params.config.hidden)
     outputs = []
     for z in scaled.order:
         state, e = lstm_cell(scaled.x_s[z], state, params.encoder)
@@ -412,7 +393,7 @@ def decode(params: ModelParams, scaled: ScaledRoute, pick):
     for i in range(n):
         allowed = _candidates(params, scaled, visited)
         x_last = scaled.depot_s if prev is None else scaled.x_s[prev]
-        d = w_ctx = None
+        w_ctx = None
         if cfg.variant == "asnn":
             probs = pair_attention(params, scaled, prev, x_last, keys, allowed)
         else:
@@ -432,8 +413,7 @@ def decode(params: ModelParams, scaled: ScaledRoute, pick):
         if cfg.variant in ("pairwise", "pointer"):
             w_prev = matmul(probs, keys)
             w_ctx = unwrap(w_prev).copy()
-        traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx,
-                                       None if d is None else unwrap(d).copy()))
+        traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx))
         steps.append((probs, int(scaled.pos_of_zone[chosen])))
         visited[chosen] = True
         prev = chosen

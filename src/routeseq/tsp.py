@@ -28,14 +28,6 @@ EXACT_THRESHOLD = 13
 _INF = float("inf")
 
 
-@dataclass(eq=False)
-class CostMatrix:
-    """Square non-negative cost matrix with optional node labels."""
-
-    matrix: np.ndarray
-    labels: list | None = None
-
-
 @dataclass
 class TspSolution:
     order: list          # node indices; tours start at the origin, paths at `first`
@@ -45,8 +37,7 @@ class TspSolution:
 
 
 def _as_matrix(costs) -> np.ndarray:
-    m = costs.matrix if isinstance(costs, CostMatrix) else costs
-    m = np.asarray(m, dtype=np.float64)
+    m = np.asarray(costs, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"cost matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -4,6 +4,7 @@ Everything here is deliberately written from first principles (exhaustive
 enumeration, direct formula evaluation) and never calls the code under test.
 """
 
+import re
 from itertools import permutations
 
 import numpy as np
@@ -213,3 +214,80 @@ def grad_close(fd, an, rel_tol=1e-4, floor=1e-4):
     """Relative agreement with a floor guarding vanishing gradients (where
     central differences are dominated by float noise)."""
     return abs(fd - an) <= rel_tol * max(abs(fd), abs(an), floor)
+
+
+def zone_travel_time_ref(route, zones):
+    """Zone-level matrix by separate formulas: the depot row and column
+    average over the zone's member stops, zone pairs over all member pairs."""
+    tt = route.travel_time
+    ztt = np.zeros((len(zones) + 1, len(zones) + 1))
+    for i, zi in enumerate(zones):
+        rows = [k + 1 for k in zi.member_stops]
+        ztt[0, i + 1] = float(np.mean(tt[0, rows]))
+        ztt[i + 1, 0] = float(np.mean(tt[rows, 0]))
+        for j, zj in enumerate(zones):
+            if i != j:
+                cols = [k + 1 for k in zj.member_stops]
+                ztt[i + 1, j + 1] = float(np.mean(tt[np.ix_(rows, cols)]))
+    return ztt
+
+
+def _summary_ref(outgoing):
+    if outgoing.size == 0:
+        return [0.0, 0.0, 0.0, 0.0]
+    return [float(outgoing.min()), float(outgoing.mean()),
+            float(outgoing.max()), float(outgoing.std())]
+
+
+def node_features_ref(route, zinst):
+    """Feature rows by the per-node formulas: the depot's row (coordinates,
+    no load, summary of its times to the zones, zero time to itself), then
+    one row per zone (centroid, member counts and load sums, summary of its
+    times to the other zones, time back to the depot)."""
+    ztt = zinst.zone_travel_time
+    rows = [[route.depot.lat, route.depot.lng, 0.0, 0.0, 0.0, 0.0, 0.0,
+             *_summary_ref(ztt[0, 1:]), 0.0]]
+    for k, zone in enumerate(zinst.zones):
+        stops = [route.stops[s] for s in zone.member_stops]
+        rows.append([
+            zone.centroid[0], zone.centroid[1], float(len(stops)), 0.0,
+            float(sum(s.n_packages for s in stops)),
+            float(sum(s.service_time for s in stops)),
+            float(sum(s.package_volume for s in stops)),
+            *_summary_ref(np.delete(ztt[k + 1, 1:], k)),
+            float(ztt[k + 1, 0]),
+        ])
+    return np.array(rows)
+
+
+def _relationship_ref(id_a, id_b):
+    pattern = r"^([A-Za-z]+)-([0-9]+)\.([0-9]+)([A-Za-z])$"
+    ma, mb = re.match(pattern, id_a), re.match(pattern, id_b)
+    if ma is None or mb is None:
+        return [0.0] * 5
+    area_a, major_a, minor_a, letter_a = ma.groups()
+    area_b, major_b, minor_b, letter_b = mb.groups()
+    same_area = area_a.upper() == area_b.upper()
+    same_major = same_area and int(major_a) == int(major_b)
+    same_minor = same_major and int(minor_a) == int(minor_b)
+    return [float(same_area), float(same_major), float(same_minor),
+            float(abs(int(minor_a) - int(minor_b))),
+            float(abs(ord(letter_a.upper()) - ord(letter_b.upper())))]
+
+
+def pair_tensor_ref(zinst):
+    """Pair features pair by pair: the depot (source 0) to zone j is its
+    time with zero relationship fields; zone i to zone j is the time plus
+    the parsed-id relationship; a zone to itself is (0, 1, 1, 1, 0, 0)."""
+    ztt = zinst.zone_travel_time
+    ids = [zone.zone_id for zone in zinst.zones]
+    n = len(ids)
+    pair = np.zeros((n + 1, n, 6))
+    for j in range(n):
+        pair[0, j] = [float(ztt[0, j + 1]), 0.0, 0.0, 0.0, 0.0, 0.0]
+        for i in range(n):
+            if i == j:
+                pair[i + 1, j] = [0.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+            else:
+                pair[i + 1, j] = [float(ztt[i + 1, j + 1]), *_relationship_ref(ids[i], ids[j])]
+    return pair

@@ -4,13 +4,12 @@ import pytest
 from conftest import make_route
 from routeseq.domain import (
     build_zone_instance,
-    depot_pair_features,
     first_visit_zone_order,
-    pair_features,
+    node_features,
+    pair_tensor,
     parse_zone_id,
-    zone_features,
 )
-from routeseq.errors import InvalidInputError, MalformedRouteError
+from routeseq.errors import MalformedRouteError
 
 
 def test_singleton_zones_travel_time():
@@ -107,7 +106,7 @@ def test_zone_features_package_sum_and_summary():
     zi = build_zone_instance(route)
     a = zi.zone_index("A-1.1A")
     zi.zone_travel_time[a + 1, 1:] = [0.0, 10.0, 20.0, 30.0]
-    x = zone_features(zi.zones[a], zi, route)
+    x = node_features(route, zi)[a + 1]
     assert x[4] == 5.0
     assert x[7] == 10.0
     assert x[8] == 20.0
@@ -115,10 +114,22 @@ def test_zone_features_package_sum_and_summary():
     assert x[10] == pytest.approx(np.sqrt(200.0 / 3.0), abs=1e-12)  # 8.165 by hand
 
 
+def test_depot_row_of_node_features():
+    # depot -> zone times 30/50 (member means); the depot carries no load
+    times = np.zeros((4, 4))
+    times[0, 1], times[0, 2], times[0, 3] = 20.0, 40.0, 50.0
+    route = make_route(["A-1.1A", "A-1.1A", "B-1.1A"], times=times, depot_latlng=(47.5, -122.5))
+    zi = build_zone_instance(route)
+    x = node_features(route, zi)[0]
+    assert list(x[:7]) == [47.5, -122.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert list(x[7:11]) == [30.0, 40.0, 50.0, 10.0]
+    assert x[11] == 0.0
+
+
 def test_single_zone_summary_is_zero():
     route = make_route(["A-1.1A", "A-1.1A"])
     zi = build_zone_instance(route)
-    x = zone_features(zi.zones[0], zi, route)
+    x = node_features(route, zi)[1]
     assert list(x[7:11]) == [0.0, 0.0, 0.0, 0.0]
 
 
@@ -127,12 +138,8 @@ def test_zone_feature_width_constant():
     r2 = make_route(["A-1.1A"] * 4)
     z1 = build_zone_instance(r1)
     z2 = build_zone_instance(r2)
-    widths = {
-        zone_features(z1.zones[0], z1, r1).shape[0],
-        zone_features(z2.zones[0], z2, r2).shape[0],
-        z1.depot_features.shape[0],
-    }
-    assert len(widths) == 1
+    assert node_features(r1, z1).shape == (3, 12)
+    assert node_features(r2, z2).shape == (2, 12)
 
 
 def test_parse_zone_id():
@@ -147,7 +154,7 @@ def test_pair_features_paper_example():
     zi = build_zone_instance(route)
     i = zi.zone_index("B-6.2C")
     j = zi.zone_index("B-6.3A")
-    z = pair_features(i, j, zi)
+    z = pair_tensor(zi)[i + 1, j]
     assert z[0] == zi.zone_travel_time[i + 1, j + 1]
     assert list(z[1:]) == [1.0, 1.0, 0.0, 1.0, 2.0]
 
@@ -158,7 +165,7 @@ def test_pair_features_identity_fields():
     zi = build_zone_instance(route)
     i = zi.zone_index("B-6.2C")
     j = zi.zone_index("b-6.2c")
-    z = pair_features(i, j, zi)
+    z = pair_tensor(zi)[i + 1, j]
     assert list(z[1:]) == [1.0, 1.0, 1.0, 0.0, 0.0]
 
 
@@ -167,21 +174,15 @@ def test_pair_features_unparseable_fallback():
     zi = build_zone_instance(route)
     i = zi.zone_index("B-6.2C")
     j = zi.zone_index("X9")
-    z = pair_features(i, j, zi)
-    assert z[0] == zi.zone_travel_time[i + 1, j + 1]
-    assert list(z[1:]) == [0.0, 0.0, 0.0, 0.0, 0.0]
-
-
-def test_pair_features_rejects_self():
-    route = make_route(["B-6.2C", "X9"])
-    zi = build_zone_instance(route)
-    with pytest.raises(InvalidInputError):
-        pair_features(0, 0, zi)
+    pair = pair_tensor(zi)
+    for z in (pair[i + 1, j], pair[j + 1, i]):
+        assert list(z[1:]) == [0.0, 0.0, 0.0, 0.0, 0.0]
+    assert pair[i + 1, j, 0] == zi.zone_travel_time[i + 1, j + 1]
 
 
 def test_depot_pair_features():
     route = make_route(["B-6.2C", "X9"])
     zi = build_zone_instance(route)
-    z = depot_pair_features(1, zi)
+    z = pair_tensor(zi)[0, 1]
     assert z[0] == zi.zone_travel_time[0, 2]
     assert list(z[1:]) == [0.0] * 5

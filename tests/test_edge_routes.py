@@ -1,0 +1,71 @@
+"""Degenerate routes through the whole pipeline: one zone, one stop per
+zone, and zone ids that do not parse."""
+
+from itertools import permutations
+
+import numpy as np
+
+from conftest import make_route
+from oracles import route_cost_ref
+from routeseq.completion import complete_sequence
+from routeseq.inference import BEST_FIRST, predict
+from routeseq.predictor import prepare_route
+from routeseq.scoring import evaluate_testset, score_route
+from routeseq.training import TrainConfig, train
+
+SMALL = TrainConfig(epochs=1, hidden=8, asnn_hidden=(16, 16), att_dim=8)
+
+
+def test_single_zone_route_end_to_end():
+    route = make_route(["A-1.1A"] * 3)
+    # The driver takes the cheapest path through the zone's three stops,
+    # which completion finds among its 3 x 3 entry/exit candidates.
+    route.actual_stop_sequence = list(min(
+        permutations(range(3)),
+        key=lambda p: route_cost_ref([s + 1 for s in p], route.travel_time, close=False),
+    ))
+    prep = prepare_route(route)
+    assert prep.x.shape == (1, 12)
+    assert prep.pair.shape == (2, 1, 6)
+    assert prep.tsp_order == (0,) and prep.targets == (0,)
+    params, report = train([route], SMALL)
+    assert len(report.epoch_losses) == 1 and report.epoch_losses[0] == 0.0
+    zone_order = predict(params, prep, BEST_FIRST).zone_order
+    assert zone_order == [0]
+    assert complete_sequence(zone_order, prep.zinst, route) == route.actual_stop_sequence
+    score = score_route(route, prep, zone_order)
+    assert score.r == 0.0
+    assert score.first_k == (1,)
+
+
+def test_every_zone_has_one_stop():
+    route = make_route(["A-1.1A", "B-2.1A", "C-1.2B", "A-1.3C"], actual=[2, 0, 3, 1])
+    prep = prepare_route(route)
+    assert list(prep.x[:, 2]) == [1.0] * 4
+    assert [z.member_stops for z in prep.zinst.zones] == [[0], [1], [2], [3]]
+    params, _ = train([route], SMALL)
+    zone_order = predict(params, prep, BEST_FIRST).zone_order
+    assert complete_sequence(zone_order, prep.zinst, route) == zone_order
+    score = score_route(route, prep, list(prep.targets))
+    assert score.r == 0.0
+    assert score.first_k == (1, 1, 1, 1)
+    report = evaluate_testset([route], params=params)
+    assert report.failures == [] and len(report.rows) == 1
+
+
+def test_unparseable_zone_ids_evaluate_without_failures():
+    routes = [
+        make_route(["X9", "zz", "X9", "Q-1", "zz"], route_id="U0", actual=[4, 1, 0, 2, 3]),
+        make_route(["B-6.2C", "X9", "B-6.2C", "A-1.1"], route_id="U1", actual=[1, 3, 0, 2]),
+        make_route(["??", "-1.1A"], route_id="U2", actual=[1, 0]),
+    ]
+    for route in routes:
+        prep = prepare_route(route)
+        n = prep.n_zones
+        relationship = prep.pair[:, :, 1:].copy()
+        relationship[np.arange(1, n + 1), np.arange(n)] = 0.0  # the self-pairs
+        assert not relationship.any()
+    params, _ = train(routes, SMALL)
+    report = evaluate_testset(routes, params=params)
+    assert report.failures == []
+    assert [row.route_id for row in report.rows] == ["U0", "U1", "U2"]

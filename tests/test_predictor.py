@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import make_route
-from oracles import finite_difference, grad_close, mlp_ref
+from oracles import (
+    finite_difference,
+    grad_close,
+    mlp_ref,
+    node_features_ref,
+    pair_tensor_ref,
+    zone_travel_time_ref,
+)
+from routeseq.datagen import SynthConfig, generate
 from routeseq.errors import ConfigError, InvalidInputError, SchemaError
 from routeseq.inference import greedy_decode
 from routeseq.kernel import (
@@ -77,6 +85,43 @@ def test_prepare_route_shapes():
     assert sorted(prep.targets) == list(range(n))
     # a zone's pair row with itself: zero time, all relationship flags set
     assert list(prep.pair[1, 0]) == [0.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+
+
+def _scaler_ref(preps):
+    """Means/stds over every depot and zone row and over every directed pair
+    row but the self-pairs, gathered row by row."""
+    xs = np.stack([p.depot_x for p in preps] + [row for p in preps for row in p.x])
+    zs = np.stack([p.pair[src, j] for p in preps for src in range(p.n_zones + 1)
+                   for j in range(p.n_zones) if src != j + 1])
+    stds = [np.where(a.std(axis=0) < 1e-9, 1.0, a.std(axis=0)) for a in (xs, zs)]
+    return xs.mean(axis=0), stds[0], zs.mean(axis=0), stds[1]
+
+
+_EDGE_ZONE_IDS = {
+    "single_zone": ["A-1.1A", "A-1.1A", "A-1.1A"],
+    "single_stop": ["A-1.1A", "B-2.1C", "A-1.2B", "C-1.1A"],
+    "single_zone_single_stop": ["B-6.2C"],
+    "unparseable": ["X9", "B-6.2C", "zz", "B-6.2C", "A-1.1", "X9"],
+    "lower_case": ["a-1.1a", "A-1.1A", "b-6.2c", "B-6.3A", "a-1.1a"],
+}
+
+
+@pytest.mark.parametrize("routes", [
+    *[generate(SynthConfig(n_routes=6, zones_per_route=(1, 8), stops_per_zone=(1, 3),
+                           behavior=b, seed=3)) for b in ("cluster_biased", "nearest_zone", "tsp")],
+    [make_route(ids, route_id=name) for name, ids in _EDGE_ZONE_IDS.items()],
+], ids=["cluster_biased", "nearest_zone", "tsp", "edge"])
+def test_prepared_tensors_match_per_node_and_per_pair_references(routes):
+    preps = [prepare_route(r) for r in routes]
+    for p in preps:
+        assert np.array_equal(p.zinst.zone_travel_time, zone_travel_time_ref(p.route, p.zinst.zones))
+        ref = node_features_ref(p.route, p.zinst)
+        assert np.array_equal(p.depot_x, ref[0])
+        assert np.array_equal(p.x, ref[1:])
+        assert np.array_equal(p.pair, pair_tensor_ref(p.zinst))
+    sc = fit_scaler(preps)
+    for got, want in zip((sc.x_mean, sc.x_std, sc.z_mean, sc.z_std), _scaler_ref(preps)):
+        assert np.array_equal(got, want)
 
 
 def test_random_input_order_stable():

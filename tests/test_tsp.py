@@ -14,7 +14,6 @@ from oracles import (
 )
 from routeseq.errors import InvalidInputError
 from routeseq.tsp import (
-    CostMatrix,
     _nearest_neighbor,
     _two_opt,
     route_cost,
@@ -224,12 +223,6 @@ def test_tour_cost_invariant_to_relabeling(rng):
     cost1 = solve_tour(m, origin=perm[0]).cost
     cost2 = solve_tour(m2, origin=0).cost
     assert cost1 == pytest.approx(cost2, rel=1e-12)
-
-
-def test_cost_matrix_wrapper():
-    m = CostMatrix(np.zeros((2, 2)), labels=["a", "b"])
-    sol = solve_tour(m, origin=0)
-    assert sol.cost == 0.0
 
 
 def test_heuristic_path_respects_endpoints(rng):
