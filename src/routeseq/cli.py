@@ -75,7 +75,6 @@ def build_parser():
     _opt(p, "--data", required=True)
     _opt(p, "--out", required=True)
     _opt(p, "--mode", choices=("greedy", "best-first"))
-    _opt(p, "--strict-alg1", action="store_true")
     _opt(p, "--stops", action="store_true")
     _opt(p, "--split", choices=("all", "train", "test"))
     _opt(p, "--train-fraction", type=float)
@@ -87,7 +86,6 @@ def build_parser():
     _opt(p, "--checkpoint")
     _opt(p, "--predictions")
     _opt(p, "--mode", choices=("greedy", "best-first"))
-    _opt(p, "--strict-alg1", action="store_true")
     _opt(p, "--out")
     _opt(p, "--csv")
     _opt(p, "--split", choices=("all", "train", "test"))
@@ -103,7 +101,6 @@ def build_parser():
     _opt(p, "--seed", type=int)
     _opt(p, "--input-order", choices=("tsp", "random"))
     _opt(p, "--train-fraction", type=float)
-    _opt(p, "--strict-alg1", action="store_true")
     _opt(p, "--config")
     return parser
 
@@ -121,17 +118,17 @@ _DEFAULTS = {
         "report": None,
     },
     "predict": {
-        "mode": "best-first", "strict_alg1": False, "stops": False,
+        "mode": "best-first", "stops": False,
         "split": "all", "train_fraction": 0.8, "seed": 0,
     },
     "evaluate": {
         "checkpoint": None, "predictions": None, "mode": "best-first",
-        "strict_alg1": False, "out": None, "csv": None,
+        "out": None, "csv": None,
         "split": "all", "train_fraction": 0.8, "seed": 0,
     },
     "benchmark": {
         "epochs": 30, "lr": 0.001, "seed": 0, "input_order": "tsp",
-        "train_fraction": 0.8, "strict_alg1": False,
+        "train_fraction": 0.8,
     },
 }
 
@@ -183,22 +180,27 @@ def _cmd_generate(cfg):
     print(json.dumps({"written": cfg["out"], "n_routes": len(routes)}))
 
 
+def _prediction_row(route, prep, zone_order, cost, mode, with_stops) -> dict:
+    """One row of a predictions file; ``with_stops`` adds the completed
+    stop sequence."""
+    row = {
+        "route_id": route.route_id,
+        "zone_sequence": [prep.zinst.zones[z].zone_id for z in zone_order],
+        "operational_cost": cost,
+        "mode": mode,
+    }
+    if with_stops:
+        stop_idx = complete_sequence(zone_order, prep.zinst, route)
+        row["stop_sequence"] = [route.stops[i].stop_id for i in stop_idx]
+    return row
+
+
 def _cmd_solve_tsp(cfg):
-    routes = datagen.load_routes(cfg["data"])
     rows = []
-    for route in routes:
+    for route in datagen.load_routes(cfg["data"]):
         prep = prepare_route(route)
-        zone_order = prep.tsp_order
-        row = {
-            "route_id": route.route_id,
-            "zone_sequence": [prep.zinst.zones[z].zone_id for z in zone_order],
-            "operational_cost": inference.operational_cost(zone_order, prep.zinst),
-            "mode": "tsp",
-        }
-        if cfg["stops"]:
-            stop_idx = complete_sequence(zone_order, prep.zinst, route)
-            row["stop_sequence"] = [route.stops[i].stop_id for i in stop_idx]
-        rows.append(row)
+        cost = inference.operational_cost(prep.tsp_order, prep.zinst)
+        rows.append(_prediction_row(route, prep, prep.tsp_order, cost, "tsp", cfg["stops"]))
     _write_json(cfg["out"], {"version": PREDICTIONS_VERSION, "mode": "tsp", "predictions": rows})
     print(json.dumps({"written": cfg["out"], "n_routes": len(rows)}))
 
@@ -225,30 +227,17 @@ def _cmd_train(cfg):
                       "final_loss": report.epoch_losses[-1]}))
 
 
-def _predict_rows(params, routes, mode, strict_alg1, with_stops):
-    rows = []
-    for route in routes:
-        prep = prepare_route(route)
-        pred = inference.predict(params, prep, mode, strict_alg1)
-        row = {
-            "route_id": route.route_id,
-            "zone_sequence": [prep.zinst.zones[z].zone_id for z in pred.zone_order],
-            "operational_cost": pred.operational_cost,
-            "mode": pred.mode,
-        }
-        if with_stops:
-            stop_idx = complete_sequence(pred.zone_order, prep.zinst, route)
-            row["stop_sequence"] = [route.stops[i].stop_id for i in stop_idx]
-        rows.append(row)
-    return rows
-
-
 def _cmd_predict(cfg):
     params = load_model(cfg["checkpoint"])
     routes = _split_routes(datagen.load_routes(cfg["data"]), cfg["split"],
                            cfg["train_fraction"], cfg["seed"])
     mode = _mode_arg(cfg["mode"])
-    rows = _predict_rows(params, routes, mode, cfg["strict_alg1"], cfg["stops"])
+    rows = []
+    for route in routes:
+        prep = prepare_route(route)
+        pred = inference.predict(params, prep, mode)
+        rows.append(_prediction_row(route, prep, pred.zone_order, pred.operational_cost,
+                                    pred.mode, cfg["stops"]))
     _write_json(cfg["out"], {"version": PREDICTIONS_VERSION, "mode": mode, "predictions": rows})
     print(json.dumps({"written": cfg["out"], "n_routes": len(rows)}))
 
@@ -270,8 +259,7 @@ def _cmd_evaluate(cfg):
         report = scoring.evaluate_testset(routes, sequences=_load_predictions(cfg["predictions"]))
     elif cfg["checkpoint"]:
         params = load_model(cfg["checkpoint"])
-        report = scoring.evaluate_testset(routes, params=params, mode=_mode_arg(cfg["mode"]),
-                                          strict_alg1=cfg["strict_alg1"])
+        report = scoring.evaluate_testset(routes, params=params, mode=_mode_arg(cfg["mode"]))
     else:
         raise RouteSeqError("evaluate needs --checkpoint or --predictions")
     _write_json(cfg["out"], report.to_dict())
@@ -309,8 +297,7 @@ def _cmd_benchmark(cfg):
         trained[variant], _ = training.train(train_routes, tc)
     for gen_mode in (inference.GREEDY, inference.BEST_FIRST):
         for variant in ("asnn", "lstm_ed", "pointer", "pairwise"):
-            report = scoring.evaluate_testset(test_routes, params=trained[variant],
-                                              mode=gen_mode, strict_alg1=cfg["strict_alg1"])
+            report = scoring.evaluate_testset(test_routes, params=trained[variant], mode=gen_mode)
             rows.append(_bench_row(gen_mode, variant, report))
     _write_json(cfg["out"], {"rows": rows})
     header = f"{'generation':<12} {'model':<10} {'mean R':>9} {'std R':>9} " \

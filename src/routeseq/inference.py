@@ -2,11 +2,11 @@
 
 ``greedy_decode`` picks the most probable unvisited zone at every step
 (probability ties resolve to the smallest zone index).  ``generate_best_first``
-re-runs greedy decoding once per forced first zone and keeps the rollout with
-the lowest operational cost; by default the plain greedy rollout is included
-as an extra candidate so the iterated result can never lose to it
-(``strict_alg1`` drops that extra candidate).  ``predict`` dispatches on
-the generation mode.
+is the paper's first-stop iteration: it encodes the route once, runs one
+greedy rollout from each forced first zone over that encoding and keeps the
+rollout with the lowest operational cost.  The plain greedy rollout is the
+forced rollout of its own first pick, so it is among those candidates.
+``predict`` dispatches on the generation mode.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .predictor import (
     PreparedRoute,
     ScaledRoute,
     decode,
+    encode,
     scale_route,
 )
 from .tsp import route_cost
@@ -48,8 +49,13 @@ def _masked_argmax(scores, visited) -> int:
     return int(np.argmax(np.where(visited, -np.inf, scores)))
 
 
-def _greedy_scaled(params: ModelParams, scaled: ScaledRoute,
-                   forced_first: int | None, mode: str) -> PredictedSequence:
+def _scaled(params: ModelParams, prep: PreparedRoute) -> ScaledRoute:
+    return scale_route(prep, params.scaler, params.config.input_order_mode,
+                       params.config.order_seed)
+
+
+def _rollout(params: ModelParams, scaled: ScaledRoute, encoded,
+             forced_first: int | None, mode: str) -> PredictedSequence:
     prep = scaled.prep
     if forced_first is not None and not 0 <= forced_first < prep.n_zones:
         raise InvalidInputError(f"forced first zone {forced_first} not in this route")
@@ -59,7 +65,7 @@ def _greedy_scaled(params: ModelParams, scaled: ScaledRoute,
             return forced_first
         return _masked_argmax(p_zone, visited)
 
-    _, traces = decode(params, scaled, pick)
+    _, traces = decode(params, scaled, encoded, pick)
     order = [t.chosen for t in traces]
     return PredictedSequence(order, traces, operational_cost(order, prep.zinst), mode)
 
@@ -68,34 +74,23 @@ def greedy_decode(params: ModelParams, prep: PreparedRoute,
                   forced_first: int | None = None) -> PredictedSequence:
     """Greedy rollout; ``forced_first`` overrides the first pick and decoding
     resumes from it."""
-    scaled = scale_route(prep, params.scaler, params.config.input_order_mode,
-                         params.config.order_seed)
-    return _greedy_scaled(params, scaled, forced_first, GREEDY)
+    scaled = _scaled(params, prep)
+    return _rollout(params, scaled, encode(params, scaled), forced_first, GREEDY)
 
 
-def generate_best_first(params: ModelParams, prep: PreparedRoute,
-                        strict_alg1: bool = False) -> PredictedSequence:
-    """Iterate greedy rollouts over every first zone and keep the cheapest.
-
-    Cost ties resolve to the smallest first-zone index.  Unless
-    ``strict_alg1`` is set, the unforced greedy rollout competes too.
-    """
-    scaled = scale_route(prep, params.scaler, params.config.input_order_mode,
-                         params.config.order_seed)
-    candidates: list[PredictedSequence] = []
-    if not strict_alg1:
-        candidates.append(_greedy_scaled(params, scaled, None, BEST_FIRST))
-    for z in range(prep.n_zones):
-        candidates.append(_greedy_scaled(params, scaled, z, BEST_FIRST))
-    best = min(candidates, key=lambda c: (c.operational_cost, c.zone_order[0]))
-    return best
+def generate_best_first(params: ModelParams, prep: PreparedRoute) -> PredictedSequence:
+    """Greedy rollouts from every first zone over one encoding of the route;
+    the cheapest wins, cost ties going to the smallest first-zone index."""
+    scaled = _scaled(params, prep)
+    encoded = encode(params, scaled)
+    return min((_rollout(params, scaled, encoded, z, BEST_FIRST) for z in range(prep.n_zones)),
+               key=lambda c: (c.operational_cost, c.zone_order[0]))
 
 
-def predict(params: ModelParams, prep: PreparedRoute, mode: str,
-            strict_alg1: bool = False) -> PredictedSequence:
+def predict(params: ModelParams, prep: PreparedRoute, mode: str) -> PredictedSequence:
     """The ``GREEDY`` or ``BEST_FIRST`` prediction for one route."""
     if mode == GREEDY:
         return greedy_decode(params, prep)
     if mode == BEST_FIRST:
-        return generate_best_first(params, prep, strict_alg1)
+        return generate_best_first(params, prep)
     raise InvalidInputError(f"unknown generation mode {mode!r}")

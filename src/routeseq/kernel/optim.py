@@ -8,23 +8,24 @@ import numpy as np
 
 from ..errors import NumericError
 
+# Moment decay rates and the denominator's epsilon (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """First/second-moment accumulators mirroring the parameter shapes."""
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_init(params: dict, lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params: dict, lr: float = 0.001) -> AdamState:
+    state = AdamState(lr=lr)
     for name, p in params.items():
         state.m[name] = np.zeros_like(p)
         state.v[name] = np.zeros_like(p)
@@ -43,17 +44,17 @@ def adam_step(params: dict, grads: dict, state: AdamState):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params, state
 
 

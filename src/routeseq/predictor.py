@@ -116,13 +116,6 @@ class ModelParams:
 
 
 @dataclass(eq=False)
-class EncoderOutputs:
-    outputs: list      # encoder output vector per input position
-    h_final: object
-    c_final: object
-
-
-@dataclass(eq=False)
 class DecoderStepTrace:
     step: int
     attention: np.ndarray   # probability per zone (zone-index order)
@@ -282,18 +275,22 @@ def gradients(params: ModelParams, wrapped: ModelParams) -> dict:
     return grads
 
 
-def encode(params: ModelParams, scaled: ScaledRoute) -> EncoderOutputs:
-    """Run the encoder over the scaled features in reading order, from a
-    zero initial state."""
-    n = scaled.prep.n_zones
-    if n == 0:
+def encode(params: ModelParams, scaled: ScaledRoute):
+    """The route's attention keys by input position and the decoder's
+    initial state, as ``(keys, state)``.  The recurrent variants run the
+    encoder over the scaled features in reading order, from a zero initial
+    state: the keys are its stacked outputs and the state its final LSTM
+    state.  ``asnn`` keys on the scaled zone features and has no state."""
+    if params.config.variant == "asnn":
+        return scaled.x_s[list(scaled.order)], None
+    if scaled.prep.n_zones == 0:
         raise InvalidInputError("cannot encode an empty zone set")
     state = zero_state(params.config.hidden)
     outputs = []
     for z in scaled.order:
         state, e = lstm_cell(scaled.x_s[z], state, params.encoder)
         outputs.append(e)
-    return EncoderOutputs(outputs, state.h, state.c)
+    return stack_rows(outputs), state
 
 
 def _pair_rows(scaled: ScaledRoute, prev_zone: int | None) -> np.ndarray:
@@ -363,8 +360,9 @@ def _candidates(params: ModelParams, scaled: ScaledRoute, visited: np.ndarray) -
     return out
 
 
-def decode(params: ModelParams, scaled: ScaledRoute, pick):
-    """The decoder loop that training and inference share.
+def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
+    """The decoder loop that training and inference share, over the route's
+    ``encode`` result ``encoded``.
 
     Every step's softmax runs over the unvisited zones only (see
     ``_candidates``), so visited zones get probability exactly 0, a step
@@ -382,13 +380,8 @@ def decode(params: ModelParams, scaled: ScaledRoute, pick):
     visited = np.zeros(n, dtype=bool)
     steps: list = []
     traces: list[DecoderStepTrace] = []
-    if cfg.variant == "asnn":
-        keys = scaled.x_s[list(scaled.order)]
-    else:
-        enc = encode(params, scaled)
-        keys = stack_rows(enc.outputs)
-        state = LstmState(enc.h_final, enc.c_final)
-        w_prev = np.zeros(cfg.hidden)
+    keys, state = encoded
+    w_prev = np.zeros(cfg.hidden)
     prev = None
     for i in range(n):
         allowed = _candidates(params, scaled, visited)
@@ -433,7 +426,8 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
     targets = scaled.prep.targets
     if sorted(targets) != list(range(n)):
         raise InvalidInputError("target sequence must be a permutation of the zones")
-    steps, traces = decode(params, scaled, lambda i, p_zone, visited: targets[i])
+    steps, traces = decode(params, scaled, encode(params, scaled),
+                           lambda i, p_zone, visited: targets[i])
     return nsum([cross_entropy(probs, c) for probs, c in steps]), traces
 
 

@@ -218,8 +218,7 @@ def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None,
 
 
 def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict | None = None,
-                     mode: str = inference.BEST_FIRST, strict_alg1: bool = False,
-                     k: int = 4) -> DisparityReport:
+                     mode: str = inference.BEST_FIRST, k: int = 4) -> DisparityReport:
     """Predict (or take given sequences), expand to stops, score, aggregate.
 
     ``sequences`` maps route_id to {"zone_sequence": [zone ids]} and/or
@@ -258,7 +257,7 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                 if entry.get("zone_sequence") is not None:
                     zone_order = [prep.zinst.zone_index(zid) for zid in entry["zone_sequence"]]
             else:
-                zone_order = inference.predict(params, prep, mode, strict_alg1).zone_order
+                zone_order = inference.predict(params, prep, mode).zone_order
             rows.append(score_route(route, prep, zone_order, stop_indices, k))
         except RouteSeqError as exc:
             failures.append((route.route_id, f"{type(exc).__name__}: {exc}"))

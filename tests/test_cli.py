@@ -25,9 +25,15 @@ def test_generate_same_seed_identical_files(tmp_path, capsys):
 
 
 def test_unknown_flag_rejected(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["generate", "--out", str(tmp_path / "x.json"), "--bogus", "1"])
-    assert err.value.code == 1
+    ckpt, data, out = (str(tmp_path / name) for name in ("m.ckpt", "d.json", "p.json"))
+    for argv in (
+        ["generate", "--out", str(tmp_path / "x.json"), "--bogus", "1"],
+        # the flag of the removed unforced best-first candidate
+        ["predict", "--checkpoint", ckpt, "--data", data, "--out", out, "--strict-alg1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1, argv
 
 
 def test_runtime_error_exits_2(tmp_path, capsys):

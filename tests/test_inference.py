@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import routeseq.inference
 from conftest import make_route
 from oracles import route_cost_ref
 from routeseq.errors import InvalidInputError
@@ -13,6 +14,8 @@ from routeseq.inference import (
     predict,
 )
 from routeseq.predictor import (
+    INPUT_ORDER_MODES,
+    VARIANTS,
     ModelConfig,
     fit_scaler,
     init_model,
@@ -24,12 +27,13 @@ K_SMALL = dict(hidden=8, asnn_hidden=(16, 16), att_dim=8)
 
 
 def _setup(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"), variant="pairwise",
-           seed=0, zero=False, times=None):
+           seed=0, zero=False, times=None, input_order="tsp", kz=None):
     route = make_route(list(zone_ids), times=times)
     prep = prepare_route(route)
     cfg = ModelConfig(variant=variant, n_features=prep.x.shape[1],
                       pair_dim=prep.pair.shape[2],
-                      kz=(prep.n_zones if variant == "lstm_ed" else None), **K_SMALL)
+                      kz=((kz or prep.n_zones) if variant == "lstm_ed" else None),
+                      input_order_mode=input_order, order_seed=seed, **K_SMALL)
     params = init_model(cfg, np.random.default_rng(seed))
     params.scaler = fit_scaler([prep])
     if zero:
@@ -107,6 +111,49 @@ def test_best_first_returns_minimum_candidate():
     assert best.operational_cost == pytest.approx(min(ocs), rel=1e-12)
 
 
+def _rollout_bits(pred):
+    return (pred.zone_order, repr(pred.operational_cost),
+            [t.attention.tobytes() for t in pred.traces],
+            [None if t.context is None else t.context.tobytes() for t in pred.traces])
+
+
+@pytest.mark.parametrize("input_order", INPUT_ORDER_MODES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_greedy_rollout_is_the_forced_rollout_of_its_first_zone(variant, input_order):
+    # best-first takes its candidates from the forced rollouts only; the
+    # plain greedy rollout must be one of them, bit for bit
+    five = ("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A")
+    cases = [(("A-1.1A",), None), (five, None)]
+    if variant == "lstm_ed":
+        cases.append((five, 2))  # a head narrower than the route
+    for zone_ids, kz in cases:
+        for seed in (0, 1):
+            prep, params = _setup(zone_ids=zone_ids, variant=variant, seed=seed,
+                                  input_order=input_order, kz=kz)
+            greedy = greedy_decode(params, prep)
+            forced = greedy_decode(params, prep, forced_first=greedy.zone_order[0])
+            assert _rollout_bits(greedy) == _rollout_bits(forced), (zone_ids, kz, seed)
+
+
+def test_best_first_encodes_once_per_route(monkeypatch):
+    calls = []
+    encode = routeseq.inference.encode
+
+    def counting_encode(params, scaled):
+        calls.append(scaled.prep.route.route_id)
+        return encode(params, scaled)
+
+    monkeypatch.setattr(routeseq.inference, "encode", counting_encode)
+    for variant in VARIANTS:
+        prep, params = _setup(variant=variant, seed=1)
+        calls.clear()
+        generate_best_first(params, prep)
+        assert len(calls) == 1, variant
+        calls.clear()
+        predict(params, prep, BEST_FIRST)
+        assert len(calls) == 1, variant
+
+
 def test_best_first_single_zone_equals_greedy():
     prep, params = _setup(zone_ids=("A-1.1A",), seed=7)
     assert generate_best_first(params, prep).zone_order == greedy_decode(params, prep).zone_order
@@ -116,17 +163,15 @@ def test_best_first_never_worse_than_greedy():
     for seed in range(5):
         prep, params = _setup(seed=seed)
         greedy = greedy_decode(params, prep)
-        for strict in (False, True):
-            best = generate_best_first(params, prep, strict_alg1=strict)
-            assert best.operational_cost <= greedy.operational_cost + 1e-12
+        best = generate_best_first(params, prep)
+        assert best.operational_cost <= greedy.operational_cost + 1e-12
 
 
 def test_predict_dispatches_on_mode():
     prep, params = _setup(seed=7)
-    for strict in (False, True):
-        ours = predict(params, prep, BEST_FIRST, strict)
-        assert ours.zone_order == generate_best_first(params, prep, strict).zone_order
-        assert ours.mode == BEST_FIRST
+    ours = predict(params, prep, BEST_FIRST)
+    assert ours.zone_order == generate_best_first(params, prep).zone_order
+    assert ours.mode == BEST_FIRST
     greedy = predict(params, prep, GREEDY)
     assert greedy.zone_order == greedy_decode(params, prep).zone_order
     assert greedy.mode == GREEDY

@@ -141,18 +141,18 @@ def test_encode_single_zone():
     prep = _prep(zone_ids=("A-1.1A",))
     params = _model("pairwise", prep)
     sc = scale_route(prep, params.scaler)
-    enc = encode(params, sc)
-    assert len(enc.outputs) == 1
-    assert np.asarray(enc.h_final).shape == (8,)
+    keys, state = encode(params, sc)
+    assert np.asarray(keys).shape == (1, 8)
+    assert np.asarray(state.h).shape == (8,)
 
 
 def test_encode_zero_params_gives_zero_outputs():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
     sc = scale_route(prep, params.scaler)
-    enc = encode(params, sc)
-    for e in enc.outputs:
-        assert np.all(np.asarray(e) == 0.0)
+    keys, _ = encode(params, sc)
+    for e in np.asarray(keys):
+        assert np.all(e == 0.0)
 
 
 def test_encode_is_order_sensitive():
@@ -161,9 +161,18 @@ def test_encode_is_order_sensitive():
     sc1 = scale_route(prep, params.scaler)
     sc2 = scale_route(prep, params.scaler, mode="random", order_seed=99)
     assert tuple(sc1.order) != tuple(sc2.order)
-    e1 = np.stack([np.asarray(v) for v in encode(params, sc1).outputs])
-    e2 = np.stack([np.asarray(v) for v in encode(params, sc2).outputs])
+    e1 = np.asarray(encode(params, sc1)[0])
+    e2 = np.asarray(encode(params, sc2)[0])
     assert not np.allclose(e1, e2)
+
+
+def test_encode_asnn_keys_are_scaled_features():
+    prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
+    params = _model("asnn", prep, seed=5)
+    sc = scale_route(prep, params.scaler, mode="random", order_seed=99)
+    keys, state = encode(params, sc)
+    assert state is None
+    assert np.array_equal(keys, sc.x_s[list(sc.order)])
 
 
 def test_pair_attention_uniform_for_zero_params():
@@ -248,9 +257,8 @@ def test_pointer_attention_uniform_when_w1_w4_zero():
     params.pointer.w1[...] = 0.0
     params.pointer.w4[...] = 0.0
     sc = scale_route(prep, params.scaler)
-    enc = encode(params, sc)
-    from routeseq.kernel import stack_rows
-    a = pointer_attention(params, sc, None, enc.h_final, stack_rows(enc.outputs))
+    keys, state = encode(params, sc)
+    a = pointer_attention(params, sc, None, state.h, keys)
     assert np.allclose(a, 1.0 / 3.0)
 
 
@@ -281,9 +289,8 @@ def test_pointer_attention_saturation_stays_finite():
     params.pointer.w2 *= 1e6
     params.pointer.w3 *= 1e6
     sc = scale_route(prep, params.scaler)
-    enc = encode(params, sc)
-    from routeseq.kernel import stack_rows
-    a = pointer_attention(params, sc, None, enc.h_final, stack_rows(enc.outputs))
+    keys, state = encode(params, sc)
+    a = pointer_attention(params, sc, None, state.h, keys)
     assert np.all(np.isfinite(np.asarray(a)))
 
 
