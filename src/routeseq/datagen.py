@@ -226,9 +226,11 @@ def save_routes(routes, path) -> None:
         fh.write(routes_to_json(routes))
 
 
-def require_field(mapping, key, path, kind=None):
-    """``mapping[key]``, which must exist (and be a ``kind``); otherwise a
-    ``SchemaError`` at ``<path>.<key>``."""
+def require_field(mapping, key, path, kind=None, default=None):
+    """``mapping[key]``, which must exist unless a ``default`` stands in
+    (and be a ``kind``); otherwise a ``SchemaError`` at ``<path>.<key>``."""
+    if default is not None and isinstance(mapping, dict) and key not in mapping:
+        return default
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError(f"{path}.{key}", "missing required field")
     value = mapping[key]
@@ -253,9 +255,9 @@ def route_from_dict(rd: dict, path: str) -> RouteInstance:
             zone_id=require_field(sd, "zone_id", spath, str),
             lat=float(require_field(sd, "lat", spath, (int, float))),
             lng=float(require_field(sd, "lng", spath, (int, float))),
-            n_packages=int(sd.get("n_packages", 0)),
-            service_time=float(sd.get("service_time_s", 0.0)),
-            package_volume=float(sd.get("volume_cm3", 0.0)),
+            n_packages=require_field(sd, "n_packages", spath, int, 0),
+            service_time=float(require_field(sd, "service_time_s", spath, (int, float), 0.0)),
+            package_volume=float(require_field(sd, "volume_cm3", spath, (int, float), 0.0)),
         ))
     n = len(stops)
     flat = require_field(rd, "travel_time_s", path, list)
@@ -264,8 +266,12 @@ def route_from_dict(rd: dict, path: str) -> RouteInstance:
             f"{path}.travel_time_s",
             f"route {route_id!r}: expected {(n + 1) ** 2} entries for {n} stops, got {len(flat)}",
         )
+    if not set(map(type, flat)) <= {int, float}:
+        raise SchemaError(f"{path}.travel_time_s", f"route {route_id!r}: entries must be numbers")
     tt = np.array(flat, dtype=float).reshape(n + 1, n + 1)
     seq_ids = require_field(rd, "actual_sequence", path, list)
+    if not all(isinstance(sid, str) for sid in seq_ids):
+        raise SchemaError(f"{path}.actual_sequence", f"route {route_id!r}: stop ids must be strings")
     by_id = {s.stop_id: i for i, s in enumerate(stops)}
     if sorted(seq_ids) != sorted(by_id):
         raise SchemaError(

@@ -150,8 +150,11 @@ def build_zone_instance(route: RouteInstance) -> ZoneInstance:
 
     Node ``a`` to node ``b`` is the mean over the (depot or member stop)
     pairs of the two nodes, one ``np.mean`` per block.  Raises
-    MalformedRouteError when a stop has no zone id.
+    MalformedRouteError when the route has no stops or a stop has no zone
+    id.
     """
+    if not route.stops:
+        raise MalformedRouteError(f"route {route.route_id}: has no stops")
     zone_order: list[str] = []
     members: dict[str, list[int]] = {}
     for idx, stop in enumerate(route.stops):

@@ -11,9 +11,11 @@ The graph is acyclic: a node holds its parents (through its backward
 closure) and a weak proxy of its tape, never itself or its tape, so a
 finished step's graph is freed by reference counting alone.
 
-The ops here are elementary; ``layers`` adds two fused ops, ``lstm_cell``
-and ``mlp_forward``, which record through ``_record`` with hand-written
-backward passes.
+The ops here are the ones the models run between their layers: ``matmul``
+(the attention context), ``stack_rows`` (the encoder outputs), ``softmax``
+and ``nll`` (the teacher-forced loss).  ``layers`` adds the fused ops
+``lstm_cell``, ``mlp_forward`` and ``pointer_scores``, which record through
+``_record`` with hand-written backward passes.
 
 Shapes are deliberately modest: vectors, matrices, and 0-d scalars, which is
 all the sequence models need.  Everything is float64.
@@ -27,7 +29,7 @@ import numpy as np
 
 from ..errors import InvalidInputError
 
-CROSS_ENTROPY_CLAMP = 1e-12
+NLL_CLAMP = 1e-12
 
 
 class Node:
@@ -101,15 +103,6 @@ def _acc(x, g, own: bool = False):
         x.grad += g
 
 
-def _unbroadcast(g, shape):
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 def matmul(a, b):
     """Matrix/vector product covering 2d@2d, 2d@1d, 1d@2d, and 1d@1d (dot)."""
     av, bv = unwrap(a), unwrap(b)
@@ -131,38 +124,6 @@ def matmul(a, b):
     return _record(av @ bv, (a, b), backward)
 
 
-def add(a, b):
-    av, bv = unwrap(a), unwrap(b)
-
-    def backward(g):
-        ga = _unbroadcast(g, np.shape(av))
-        _acc(a, ga, own=ga is not g)
-        gb = _unbroadcast(g, np.shape(bv))
-        _acc(b, gb, own=gb is not g)
-
-    return _record(av + bv, (a, b), backward)
-
-
-def tanh(a):
-    out_v = np.tanh(unwrap(a))
-    return _record(out_v, (a,), lambda g: _acc(a, g * (1.0 - out_v * out_v), own=True))
-
-
-def concat(parts):
-    """Concatenate along the last axis: 1-d vectors end to end, 2-d blocks
-    side by side."""
-    vals = [unwrap(p) for p in parts]
-    sizes = [v.shape[-1] for v in vals]
-
-    def backward(g):
-        off = 0
-        for p, s in zip(parts, sizes):
-            _acc(p, g[..., off:off + s])
-            off += s
-
-    return _record(np.concatenate(vals, axis=-1), parts, backward)
-
-
 def stack_rows(parts):
     """Stack 1-d vectors into a matrix, one per row."""
     def backward(g):
@@ -170,30 +131,6 @@ def stack_rows(parts):
             _acc(p, g[k])
 
     return _record(np.stack([unwrap(p) for p in parts], axis=0), parts, backward)
-
-
-def tile_rows(v, n: int):
-    """Repeat a vector as n identical rows."""
-    return _record(np.tile(unwrap(v), (n, 1)), (v,), lambda g: _acc(v, g.sum(axis=0), own=True))
-
-
-def transpose(a):
-    return _record(unwrap(a).T, (a,), lambda g: _acc(a, g.T))
-
-
-def reshape(a, shape):
-    av = unwrap(a)
-    return _record(av.reshape(shape), (a,), lambda g: _acc(a, g.reshape(av.shape)))
-
-
-def nsum(parts):
-    """Sum of scalar terms."""
-    def backward(g):
-        for p in parts:
-            _acc(p, g)
-
-    out_v = np.asarray(sum(float(unwrap(p)) for p in parts), dtype=np.float64)
-    return _record(out_v, parts, backward)
 
 
 def softmax(u, allowed=None):
@@ -218,26 +155,31 @@ def softmax(u, allowed=None):
     return _record(out_v, (u,), lambda g: _acc(u, out_v * (g - g @ out_v), own=True))
 
 
-def cross_entropy(probs, target: int):
-    """Negative log probability of ``target``, clamped at 1e-12.
+def nll(steps):
+    """Total negative log probability of a sequence of picks: ``steps``
+    holds (probability vector, target index) pairs, and each term is clamped
+    at 1e-12.
 
     The clamp makes a vanishing probability yield -ln(1e-12) with zero
     gradient rather than an infinity.
     """
-    pv = unwrap(probs)
-    if pv.ndim != 1:
-        raise InvalidInputError("cross_entropy expects a 1-d probability vector")
-    if not 0 <= target < pv.shape[0]:
-        raise InvalidInputError(f"target index {target} out of range for {pv.shape[0]} classes")
-    if abs(float(pv.sum()) - 1.0) > 1e-6:
-        raise InvalidInputError("probabilities must sum to 1 within 1e-6")
-    pt = float(pv[target])
+    pts = []
+    for probs, target in steps:
+        pv = unwrap(probs)
+        if pv.ndim != 1:
+            raise InvalidInputError("nll expects 1-d probability vectors")
+        if not 0 <= target < pv.shape[0]:
+            raise InvalidInputError(f"target index {target} out of range for {pv.shape[0]} classes")
+        if abs(float(pv.sum()) - 1.0) > 1e-6:
+            raise InvalidInputError("probabilities must sum to 1 within 1e-6")
+        pts.append(float(pv[target]))
 
     def backward(g):
-        if pt > CROSS_ENTROPY_CLAMP:
-            gp = np.zeros_like(pv)
-            gp[target] = -float(g) / pt
-            _acc(probs, gp, own=True)
+        for (probs, target), pt in zip(steps, pts):
+            if pt > NLL_CLAMP:
+                gp = np.zeros_like(unwrap(probs))
+                gp[target] = -float(g) / pt
+                _acc(probs, gp, own=True)
 
-    return _record(np.asarray(-np.log(max(pt, CROSS_ENTROPY_CLAMP)), dtype=np.float64),
-                   (probs,), backward)
+    out_v = np.asarray(sum(float(-np.log(max(pt, NLL_CLAMP))) for pt in pts), dtype=np.float64)
+    return _record(out_v, [probs for probs, _ in steps], backward)

@@ -48,12 +48,20 @@ def deserialize_checkpoint(raw: bytes):
         raise SchemaError("$", f"not a JSON checkpoint: {exc}") from exc
     if not isinstance(blob, dict) or blob.get("format") != CHECKPOINT_FORMAT:
         raise SchemaError("format", f"expected {CHECKPOINT_FORMAT!r}")
+    entries, meta = blob.get("tensors", {}), blob.get("meta", {})
+    if not isinstance(entries, dict):
+        raise SchemaError("tensors", "expected an object")
+    if not isinstance(meta, dict):
+        raise SchemaError("meta", "expected an object")
     tensors = {}
-    for name, entry in blob.get("tensors", {}).items():
+    for name, entry in entries.items():
         path = f"tensors.{name}"
         if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
             raise SchemaError(path, "missing shape/data")
-        shape = tuple(entry["shape"])
+        shape = entry["shape"]
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise SchemaError(path, f"shape must be a list of non-negative integers, got {shape!r}")
+        shape = tuple(shape)
         try:
             flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
         except (ValueError, TypeError) as exc:
@@ -62,7 +70,7 @@ def deserialize_checkpoint(raw: bytes):
         if flat.size != expected:
             raise SchemaError(path, f"expected {expected} values for shape {shape}, got {flat.size}")
         tensors[name] = flat.reshape(shape).astype(np.float64).copy()
-    return tensors, blob.get("meta", {})
+    return tensors, meta
 
 
 def save_checkpoint(path, tensors: dict, meta: dict) -> str:

@@ -2,10 +2,13 @@
 
 Everything here works on either plain ndarrays or autodiff ``Node`` inputs,
 so the same forward code serves inference and gradient-based training.
-``lstm_cell`` and ``mlp_forward`` are fused autodiff ops: each records two
-nodes (the cell) or one (the whole MLP) whose hand-written backward repeats
-the float expressions of the elementary ops it replaces, in their order, so
-gradients are bit-identical to recording those ops one by one.
+``lstm_cell``, ``mlp_forward`` and ``pointer_scores`` are fused autodiff
+ops: each records two nodes (the cell) or one (the MLP, the pointer scores)
+whose hand-written backward repeats the float expressions of the elementary
+ops it replaces, in their order, so gradients are bit-identical to
+recording those ops one by one.  ``lstm_cell`` and ``mlp_forward`` take
+their input as a list of blocks laid side by side, so callers need no
+concatenation op.
 """
 
 from __future__ import annotations
@@ -86,8 +89,33 @@ def _sigmoid_np(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def lstm_cell(x, state: LstmState, params: LstmCellParams):
-    """One LSTM step: returns (new state, output vector).
+def _join(blocks) -> np.ndarray:
+    """The input blocks side by side: 1-d blocks end to end, or, when a
+    block has rows, every 1-d block repeated on each of its rows."""
+    vals = [unwrap(b) for b in blocks]
+    m = next((v.shape[0] for v in vals if v.ndim == 2), None)
+    if m is None:
+        return np.concatenate(vals)
+    return np.concatenate([v if v.ndim == 2 else np.tile(v, (m, 1)) for v in vals], axis=1)
+
+
+def _acc_blocks(blocks, g) -> None:
+    """Hand each input block its columns of the joined input's gradient
+    ``g``; a repeated 1-d block gets their sum over the rows."""
+    off = 0
+    for b in blocks:
+        v = unwrap(b)
+        gb = g[..., off:off + v.shape[-1]]
+        if v.ndim < g.ndim:
+            _acc(b, gb.sum(axis=0), own=True)
+        else:
+            _acc(b, gb)
+        off += v.shape[-1]
+
+
+def lstm_cell(xs, state: LstmState, params: LstmCellParams):
+    """One LSTM step on the input blocks ``xs`` (1-d, end to end): returns
+    (new state, output vector).
 
     Computes ``z = W x + U h + b`` and the gates from it: f, i and o are
     logistic, the candidate cell value tanh(z_c),
@@ -98,7 +126,7 @@ def lstm_cell(x, state: LstmState, params: LstmCellParams):
     backward hands its share of dz (zero outside the o slice) to
     ``c_new``'s, which adds its own and runs the affine backward once.
     """
-    xv, hv, cv = unwrap(x), unwrap(state.h), unwrap(state.c)
+    xv, hv, cv = _join(xs), unwrap(state.h), unwrap(state.c)
     if not np.all(np.isfinite(xv)):
         raise NumericError("lstm_cell received a non-finite input vector")
     w, u = unwrap(params.w), unwrap(params.u)
@@ -120,10 +148,10 @@ def lstm_cell(x, state: LstmState, params: LstmCellParams):
         _acc(params.u, np.outer(gz, hv), own=True)
         _acc(state.h, u.T @ gz, own=True)
         _acc(params.w, np.outer(gz, xv), own=True)
-        _acc(x, w.T @ gz, own=True)
+        _acc_blocks(xs, w.T @ gz)
         _acc(state.c, gc * f, own=True)
 
-    c_new = _record(c_new_v, (x, state.h, state.c, params.w, params.u, params.b), backward_c)
+    c_new = _record(c_new_v, (*xs, state.h, state.c, params.w, params.u, params.b), backward_c)
 
     def backward_h(gh):
         gz = np.zeros(4 * n)
@@ -135,15 +163,18 @@ def lstm_cell(x, state: LstmState, params: LstmCellParams):
     return LstmState(h_new, c_new), h_new
 
 
-def mlp_forward(x, params: MlpParams):
-    """Apply the MLP to a vector (d,) or to rows (m, d), as one recorded op.
+def mlp_forward(xs, params: MlpParams):
+    """Apply the MLP to the input blocks ``xs``, as one recorded op: to a
+    vector (d,), or to rows (m, d) when a block has rows (1-d blocks are
+    repeated on every row).  Over rows, a one-unit output layer gives one
+    score per row, (m,).
 
     Each layer is ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but
     the last.  The backward pass walks the layers in reverse and takes the
     products that matmul, add and relu took per layer: for rows
     ``W.grad += (aᵀ g)ᵀ`` and ``g @ W``, for a vector ``outer(g, a)``, ``Wᵀ g``.
     """
-    xv = np.asarray(unwrap(x))
+    xv = _join(xs)
     layers = params.layers
     in_dim = unwrap(layers[0].w).shape[1]
     if xv.shape[-1] != in_dim:
@@ -163,8 +194,11 @@ def mlp_forward(x, params: MlpParams):
         if k != last:
             pres.append(a)
             a = np.maximum(a, 0.0)
+    scores = rows and a.shape[1] == 1
 
     def backward(g):
+        if scores:
+            g = g.reshape(-1, 1)
         for k in range(last, -1, -1):
             layer, w = layers[k], unwrap(layers[k].w)
             if k != last:
@@ -173,10 +207,32 @@ def mlp_forward(x, params: MlpParams):
                 _acc(layer.b, g.sum(axis=0) if rows else g)
             _acc(layer.w, (ins[k].T @ g).T if rows else np.outer(g, ins[k]), own=True)
             g = g @ w if rows else w.T @ g
-        _acc(x, g, own=True)
+        _acc_blocks(xs, g)
 
-    parents = (x, *(layer.w for layer in layers), *(layer.b for layer in layers))
-    return _record(a, parents, backward)
+    parents = (*xs, *(layer.w for layer in layers), *(layer.b for layer in layers))
+    return _record(a.reshape(-1) if scores else a, parents, backward)
+
+
+def pointer_scores(keys, d, pair_rows, w1, w2, w3, w4):
+    """Additive pointer scores with a linear local term, one per row of
+    ``keys``: ``tanh(K W2ᵀ + W3 d)·w1 + Z·w4`` for keys K (n, h), query
+    ``d`` (h,) and pair rows Z (n, p), as one recorded op."""
+    kv, dv, zv = unwrap(keys), unwrap(d), unwrap(pair_rows)
+    w1v, w2v, w3v, w4v = unwrap(w1), unwrap(w2), unwrap(w3), unwrap(w4)
+    t = np.tanh(kv @ w2v.T + w3v @ dv)
+
+    def backward(g):
+        _acc(pair_rows, np.outer(g, w4v), own=True)
+        _acc(w4, zv.T @ g, own=True)
+        _acc(w1, t.T @ g, own=True)
+        gs = np.outer(g, w1v) * (1.0 - t * t)
+        gq = gs.sum(axis=0)
+        _acc(w3, np.outer(gq, dv), own=True)
+        _acc(d, w3v.T @ gq, own=True)
+        _acc(keys, gs @ w2v, own=True)
+        _acc(w2, (kv.T @ gs).T, own=True)
+
+    return _record(t @ w1v + zv @ w4v, (keys, d, pair_rows, w1, w2, w3, w4), backward)
 
 
 def _leaves(obj, prefix, out):

@@ -38,23 +38,19 @@ from .kernel import (
     LstmState,
     MlpParams,
     Tape,
-    add,
-    concat,
-    cross_entropy,
     init_lstm,
     init_mlp,
+    load_checkpoint,
     lstm_cell,
     map_tensors,
     matmul,
     mlp_forward,
     named_tensors,
-    nsum,
-    reshape,
+    nll,
+    pointer_scores,
+    save_checkpoint,
     softmax,
     stack_rows,
-    tanh,
-    tile_rows,
-    transpose,
     uniform_init,
     unwrap,
     zero_state,
@@ -283,12 +279,10 @@ def encode(params: ModelParams, scaled: ScaledRoute):
     state.  ``asnn`` keys on the scaled zone features and has no state."""
     if params.config.variant == "asnn":
         return scaled.x_s[list(scaled.order)], None
-    if scaled.prep.n_zones == 0:
-        raise InvalidInputError("cannot encode an empty zone set")
     state = zero_state(params.config.hidden)
     outputs = []
     for z in scaled.order:
-        state, e = lstm_cell(scaled.x_s[z], state, params.encoder)
+        state, e = lstm_cell([scaled.x_s[z]], state, params.encoder)
         outputs.append(e)
     return stack_rows(outputs), state
 
@@ -308,9 +302,7 @@ def pair_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | No
     ``pairwise`` queries with the decoder output and keys on the encoder
     outputs; ``asnn`` queries with the previous zone's (or the depot's)
     features and keys on the zone features."""
-    n = scaled.prep.n_zones
-    v = concat([_pair_rows(scaled, prev_zone), tile_rows(query, n), keys])
-    return softmax(reshape(mlp_forward(v, params.asnn), (n,)), allowed)
+    return softmax(mlp_forward([_pair_rows(scaled, prev_zone), query, keys], params.asnn), allowed)
 
 
 def pointer_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | None,
@@ -318,22 +310,16 @@ def pointer_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int |
     """Additive pointer attention plus the linear local term."""
     if params.pointer is None:
         raise ConfigError("pointer attention requires pointer parameters (W1..W4)")
-    n = scaled.prep.n_zones
     p = params.pointer
-    z_rows = _pair_rows(scaled, prev_zone)
-    t = tanh(add(matmul(enc_matrix, transpose(p.w2)), matmul(p.w3, d)))
-    u = add(matmul(t, p.w1), matmul(z_rows, p.w4))
-    return softmax(u, allowed)
+    return softmax(pointer_scores(enc_matrix, d, _pair_rows(scaled, prev_zone),
+                                  p.w1, p.w2, p.w3, p.w4), allowed)
 
 
 def decode_step(params: ModelParams, x_last, w_prev, state: LstmState):
     """One decoder LSTM step on [features of the last stop; context]
     (the lstm_ed variant feeds the features alone)."""
-    if params.config.variant == "lstm_ed":
-        inp = x_last
-    else:
-        inp = concat([x_last, w_prev])
-    return lstm_cell(inp, state, params.decoder)
+    blocks = [x_last] if params.config.variant == "lstm_ed" else [x_last, w_prev]
+    return lstm_cell(blocks, state, params.decoder)
 
 
 def _probs_by_zone(scaled: ScaledRoute, pvals: np.ndarray, kz: int | None) -> np.ndarray:
@@ -396,7 +382,7 @@ def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
             elif cfg.variant == "pointer":
                 probs = pointer_attention(params, scaled, prev, d, keys, allowed)
             elif allowed.any():
-                probs = softmax(mlp_forward(d, params.fc), allowed)
+                probs = softmax(mlp_forward([d], params.fc), allowed)
             else:
                 # Decoding a route with more zones than the lstm_ed head has
                 # slots: once those are visited, no zone left has a slot.
@@ -428,7 +414,7 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
         raise InvalidInputError("target sequence must be a permutation of the zones")
     steps, traces = decode(params, scaled, encode(params, scaled),
                            lambda i, p_zone, visited: targets[i])
-    return nsum([cross_entropy(probs, c) for probs, c in steps]), traces
+    return nll(steps), traces
 
 
 # --- checkpoint round trip ---------------------------------------------------
@@ -458,6 +444,13 @@ def checkpoint_tensors(params: ModelParams) -> dict:
     return out
 
 
+def _width(value) -> int:
+    """A layer width read from checkpoint meta: a positive integer."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"expected a positive integer width, got {value!r}")
+    return value
+
+
 def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
     """Rebuild a model from checkpoint tensors and meta.  ``init_model``
     gives the variant's tensor names and shapes; each is filled from the
@@ -469,12 +462,12 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
     try:
         config = ModelConfig(
             variant=meta["variant"],
-            n_features=int(meta["n_features"]),
-            pair_dim=int(meta["pair_dim"]),
-            hidden=int(meta["hidden"]),
-            asnn_hidden=tuple(meta["asnn_hidden"]),
-            att_dim=int(meta["att_dim"]),
-            kz=None if meta.get("kz") is None else int(meta["kz"]),
+            n_features=_width(meta["n_features"]),
+            pair_dim=_width(meta["pair_dim"]),
+            hidden=_width(meta["hidden"]),
+            asnn_hidden=tuple(_width(v) for v in meta["asnn_hidden"]),
+            att_dim=_width(meta["att_dim"]),
+            kz=None if meta.get("kz") is None else _width(meta["kz"]),
             input_order_mode=meta.get("input_order_mode", "tsp"),
             order_seed=int(meta.get("order_seed", 0)),
         )
@@ -504,13 +497,9 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
 
 
 def save_model(params: ModelParams, path) -> str:
-    from .kernel import save_checkpoint
-
     return save_checkpoint(path, checkpoint_tensors(params), model_meta(params))
 
 
 def load_model(path) -> ModelParams:
-    from .kernel import load_checkpoint
-
     tensors, meta = load_checkpoint(path)
     return params_from_checkpoint(tensors, meta)

@@ -248,6 +248,8 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                     if entry.get(key) is not None and not isinstance(entry[key], list):
                         raise InvalidInputError(
                             f"{key} must be a list, not {type(entry[key]).__name__}")
+                    if not all(isinstance(v, str) for v in entry.get(key) or ()):
+                        raise InvalidInputError(f"{key} must hold string ids")
                 if entry.get("stop_sequence") is not None:
                     by_id = {s.stop_id: i for i, s in enumerate(route.stops)}
                     try:

@@ -1,6 +1,7 @@
-"""Degenerate routes through the whole pipeline: one zone, one stop per
-zone, and zone ids that do not parse."""
+"""Degenerate routes through the whole pipeline: no stops, one zone, one
+stop per zone, and zone ids that do not parse."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -8,8 +9,8 @@ import numpy as np
 from conftest import make_route
 from oracles import route_cost_ref
 from routeseq.completion import complete_sequence
-from routeseq.inference import BEST_FIRST, predict
-from routeseq.predictor import prepare_route
+from routeseq.inference import BEST_FIRST, GREEDY, predict
+from routeseq.predictor import VARIANTS, prepare_route
 from routeseq.scoring import evaluate_testset, score_route
 from routeseq.training import TrainConfig, train
 
@@ -69,3 +70,16 @@ def test_unparseable_zone_ids_evaluate_without_failures():
     report = evaluate_testset(routes, params=params)
     assert report.failures == []
     assert [row.route_id for row in report.rows] == ["U0", "U1", "U2"]
+
+
+def test_route_without_stops_is_one_typed_failure_in_every_variant_and_mode():
+    # The JSON loader rejects such a route; built in code, it must fail at
+    # the boundary the same way whatever the model and decoder.
+    empty = make_route([], times=np.zeros((1, 1)), route_id="E0")
+    good = make_route(["A-1.1A", "B-1.1A"], route_id="G0")
+    for variant in VARIANTS:
+        params, _ = train([good], replace(SMALL, variant=variant))
+        for mode in (GREEDY, BEST_FIRST):
+            report = evaluate_testset([empty, good], params=params, mode=mode)
+            assert report.failures == [("E0", "MalformedRouteError: route E0: has no stops")]
+            assert [row.route_id for row in report.rows] == ["G0"]

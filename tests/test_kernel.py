@@ -17,9 +17,6 @@ from routeseq.kernel import (
     Tape,
     adam_init,
     adam_step,
-    add,
-    concat,
-    cross_entropy,
     deserialize_checkpoint,
     init_lstm,
     init_mlp,
@@ -29,15 +26,12 @@ from routeseq.kernel import (
     matmul,
     mlp_forward,
     named_tensors,
-    nsum,
-    reshape,
+    nll,
+    pointer_scores,
     save_checkpoint,
     serialize_checkpoint,
     softmax,
     stack_rows,
-    tanh,
-    tile_rows,
-    transpose,
     zero_state,
 )
 
@@ -61,15 +55,23 @@ def _arrays(*shapes):
 _MASK = np.array([True, False, True, True, False])
 
 
-def _lstm_both(x, h, c, w, u, b):
-    state, _ = lstm_cell(x, LstmState(h, c), LstmCellParams(w, u, b))
-    return concat([state.h, state.c])
+def _lstm_both(*args):
+    """lstm_cell over the input blocks ``args[:-5]``, both outputs as rows:
+    h_new = o*tanh(c_new) reaches every input through c_new too."""
+    *xs, h, c, w, u, b = args
+    state, _ = lstm_cell(xs, LstmState(h, c), LstmCellParams(w, u, b))
+    return stack_rows([state.h, state.c])
 
 
 def _mlp(x, *wb):
     """mlp_forward over layers (w0, b0, w1, b1, ...); an odd count leaves
     the output layer without bias."""
-    return mlp_forward(x, MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
+    return mlp_forward([x], MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
+
+
+def _probs(*sizes):
+    """Input maker: one probability vector per size."""
+    return lambda rng: [rng.dirichlet(np.ones(s)) for s in sizes]
 
 
 # name -> (op over the inputs, input maker, finite-difference step)
@@ -78,30 +80,45 @@ OP_CASES = {
     "matmul_2d_1d": (matmul, _arrays((3, 4), (4,)), 1e-5),
     "matmul_1d_2d": (matmul, _arrays((4,), (4, 3)), 1e-5),
     "matmul_1d_1d": (matmul, _arrays((4,), (4,)), 1e-5),
-    "add_broadcast_row": (add, _arrays((3, 4), (4,)), 1e-5),
-    "add_broadcast_both": (add, _arrays((3, 1), (1, 4)), 1e-5),
-    # both outputs at once: h_new = o*tanh(c_new) reaches every input through c_new too
     "lstm_cell": (_lstm_both, _arrays((2,), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
+    # the decoder's [last stop's features; context] input
+    "lstm_cell_two_blocks": (_lstm_both, _arrays((2,), (1,), (3,), (3,), (12, 3), (12, 3), (12,)),
+                             1e-5),
     # at this seed every hidden pre-activation of the MLP cases is >= 0.005 from the kink
     "mlp_vector": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4), (2,)), 1e-5),
     "mlp_vector_no_out_bias": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4)), 1e-5),
     "mlp_rows": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4), (1,)), 1e-5),
     "mlp_rows_no_out_bias": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4)), 1e-5),
-    "tanh": (tanh, _arrays((2, 3)), 1e-5),
-    "concat_1d": (lambda *p: concat(list(p)), _arrays((2,), (3,), (1,)), 1e-5),
-    "concat_2d": (lambda *p: concat(list(p)), _arrays((3, 2), (3, 4), (3, 1)), 1e-5),
+    "mlp_rows_wide_out": (_mlp, _arrays((5, 3), (4, 3), (4,), (2, 4), (2,)), 1e-5),
+    # the pair scorer's [pair rows; query repeated on every row; keys]
+    "mlp_rows_repeated_vector": (
+        lambda z, q, k, w0, b0, w1: mlp_forward([z, q, k], MlpParams([MlpLayer(w0, b0),
+                                                                      MlpLayer(w1, None)])),
+        _arrays((4, 2), (3,), (4, 2), (5, 7), (5,), (1, 5)), 1e-5),
+    "pointer_scores": (pointer_scores,
+                       _arrays((4, 3), (3,), (4, 2), (5,), (5, 3), (5, 3), (2,)), 1e-5),
     "stack_rows": (lambda *p: stack_rows(list(p)), _arrays((4,), (4,), (4,)), 1e-5),
-    "tile_rows": (lambda v: tile_rows(v, 3), _arrays((4,)), 1e-5),
-    "transpose": (transpose, _arrays((3, 4)), 1e-5),
-    "reshape": (lambda a: reshape(a, (2, 6)), _arrays((3, 4)), 1e-5),
-    "nsum": (lambda *p: nsum(list(p)), _arrays((), (), ()), 1e-5),
     "softmax": (softmax, _arrays((5,)), 1e-5),
     "softmax_masked": (lambda u: softmax(u, _MASK), _arrays((5,)), 1e-5),
     # a step small enough that the perturbed probabilities still sum to 1
-    # within cross_entropy's 1e-6 check
-    "cross_entropy": (lambda p: cross_entropy(p, 2),
-                      lambda rng: [rng.dirichlet(np.ones(5))], 1e-7),
+    # within nll's 1e-6 check
+    "nll": (lambda p0, p1, p2: nll([(p0, 2), (p1, 0), (p2, 1)]), _probs(5, 4, 2), 1e-7),
 }
+
+
+def _weights(rng, shape):
+    """Random weights that reduce an output of ``shape`` to a scalar with
+    ``_reduce``: a row and a column vector for a matrix, one vector for a
+    vector, none for a scalar."""
+    return [rng.normal(size=s) for s in shape]
+
+
+def _reduce(out, weights):
+    """``out`` as a scalar through matmul only: ``a·(out b)`` for a matrix,
+    ``out·w`` for a vector, a scalar as it is."""
+    if len(weights) == 2:
+        return matmul(weights[0], matmul(out, weights[1]))
+    return matmul(out, weights[0]) if weights else out
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -111,14 +128,14 @@ def test_op_gradient_matches_central_difference(name):
     inputs = make(rng)
     plain = op(*inputs)
     assert not isinstance(plain, Node)  # nothing is recorded without a Node input
-    w = np.asarray(rng.normal(size=np.shape(plain)))
+    w = _weights(rng, np.shape(plain))
 
     def loss_fn():
-        return float(np.sum(np.asarray(op(*inputs)) * w))
+        return float(_reduce(op(*inputs), w))
 
     tape = Tape()
     leaves = [tape.leaf(x) for x in inputs]
-    tape.backward(matmul(reshape(op(*leaves), (-1,)), w.ravel()))
+    tape.backward(_reduce(op(*leaves), w))
     for k, (x, leaf) in enumerate(zip(inputs, leaves)):
         assert leaf.grad.shape == x.shape
         for idx in range(x.size):
@@ -133,8 +150,8 @@ def test_finished_tape_is_freed_without_cyclic_gc():
     try:
         tape = Tape()
         w = tape.leaf(np.ones((3, 3)))
-        h = tanh(matmul(w, np.ones(3)))
-        tape.backward(cross_entropy(softmax(h), 0))
+        h = matmul(w, np.ones(3))
+        tape.backward(nll([(softmax(h), 0)]))
         tape_ref, value_ref = weakref.ref(tape), weakref.ref(h.value)
         del tape, w, h
         assert tape_ref() is None
@@ -148,7 +165,7 @@ def test_finished_tape_is_freed_without_cyclic_gc():
 
 def test_lstm_zero_everything():
     p = _zero_lstm(3, 4)
-    state, e = lstm_cell(np.zeros(3), zero_state(4), p)
+    state, e = lstm_cell([np.zeros(3)], zero_state(4), p)
     assert np.all(e == 0.0)
     assert np.all(state.c == 0.0)
 
@@ -161,7 +178,7 @@ def test_lstm_saturation_matches_reference():
     p.b[3:6] -= 50.0   # input gate
     x = rng.normal(size=2)
     h0, c0 = rng.normal(size=3), rng.normal(size=3) + 5.0
-    state, e = lstm_cell(x, LstmState(h0.copy(), c0.copy()), p)
+    state, e = lstm_cell([x], LstmState(h0.copy(), c0.copy()), p)
     h_ref, c_ref = lstm_ref(x, h0, c0, p)
     assert np.allclose(e, h_ref, atol=1e-14)
     assert np.allclose(state.c, c_ref, atol=1e-14)
@@ -181,14 +198,14 @@ def test_init_lstm_stacks_the_per_gate_draws():
 def test_lstm_output_bounded(rng):
     p = init_lstm(4, 6, rng)
     state = LstmState(rng.normal(size=6), rng.normal(size=6) * 10)
-    _, e = lstm_cell(rng.normal(size=4), state, p)
+    _, e = lstm_cell([rng.normal(size=4)], state, p)
     assert np.all(np.abs(e) <= 1.0)
 
 
 def test_lstm_rejects_non_finite():
     p = _zero_lstm(2, 2)
     with pytest.raises(NumericError):
-        lstm_cell(np.array([np.nan, 0.0]), zero_state(2), p)
+        lstm_cell([np.array([np.nan, 0.0])], zero_state(2), p)
 
 
 def test_lstm_gradients_every_parameter(rng):
@@ -198,12 +215,12 @@ def test_lstm_gradients_every_parameter(rng):
     h0, c0 = rng.normal(size=4), rng.normal(size=4)
 
     def loss_fn():
-        state, e = lstm_cell(x, LstmState(h0, c0), p)
+        state, e = lstm_cell([x], LstmState(h0, c0), p)
         return float(np.sum(np.asarray(e) ** 2))
 
     tape = Tape()
     wrapped = map_tensors(p, tape.leaf)
-    state, e = lstm_cell(x, LstmState(h0, c0), wrapped)
+    state, e = lstm_cell([x], LstmState(h0, c0), wrapped)
     loss = matmul(e, e)
     tape.backward(loss)
     grads = {n: t.grad for n, t in named_tensors(wrapped, "p").items()}
@@ -218,19 +235,19 @@ def test_lstm_gradients_every_parameter(rng):
 
 def test_mlp_zero_weights_returns_bias():
     p = MlpParams([MlpLayer(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]))])
-    assert np.allclose(mlp_forward(np.array([5.0, 6.0]), p), [1.0, 2.0, 3.0])
+    assert np.allclose(mlp_forward([np.array([5.0, 6.0])], p), [1.0, 2.0, 3.0])
 
 
 def test_mlp_identity_layer():
     p = MlpParams([MlpLayer(np.eye(4), np.zeros(4))])
     x = np.array([1.0, -2.0, 3.0, -4.0])
-    assert np.allclose(mlp_forward(x, p), x)
+    assert np.allclose(mlp_forward([x], p), x)
 
 
 def test_mlp_matches_reference(rng):
     p = init_mlp((2, 128, 128, 1), rng)
     x = rng.normal(size=2)
-    got = mlp_forward(x, p)
+    got = mlp_forward([x], p)
     ref = mlp_ref(x, [(l.w, l.b) for l in p.layers])
     assert np.allclose(got, ref, atol=1e-12)
 
@@ -238,18 +255,26 @@ def test_mlp_matches_reference(rng):
 def test_mlp_batched_matches_vector(rng):
     p = init_mlp((5, 7, 1), rng)
     xs = rng.normal(size=(4, 5))
-    batched = mlp_forward(xs, p)
-    rows = np.stack([mlp_forward(x, p) for x in xs])
+    batched = mlp_forward([xs], p)
+    rows = np.concatenate([mlp_forward([x], p) for x in xs])
+    assert batched.shape == (4,)  # a one-unit output layer gives one score per row
     assert np.allclose(batched, rows, atol=1e-14)
+
+
+def test_mlp_repeats_a_vector_block_on_every_row(rng):
+    p = init_mlp((6, 5, 1), rng)
+    z, q = rng.normal(size=(3, 2)), rng.normal(size=4)
+    tiled = mlp_forward([np.hstack([z, np.tile(q, (3, 1))])], p)
+    assert np.array_equal(mlp_forward([z, q], p), tiled)
 
 
 def test_mlp_width_mismatch():
     p = init_mlp((3, 2), np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
-        mlp_forward(np.zeros(4), p)
+        mlp_forward([np.zeros(4)], p)
 
 
-# --- softmax / cross entropy ---------------------------------------------------
+# --- softmax / cross-entropy (nll) ------------------------------------------------
 
 def test_softmax_symmetric_pair():
     assert np.allclose(softmax(np.zeros(2)), [0.5, 0.5])
@@ -290,11 +315,11 @@ def test_masked_softmax(rng):
         softmax(u, np.zeros(5, dtype=bool))
 
     def loss_fn():
-        return float(cross_entropy(softmax(u, allowed), 3))
+        return float(nll([(softmax(u, allowed), 3)]))
 
     tape = Tape()
     un = tape.leaf(u)
-    tape.backward(cross_entropy(softmax(un, allowed), 3))
+    tape.backward(nll([(softmax(un, allowed), 3)]))
     assert np.all(un.grad[~allowed] == 0.0)
     for idx in range(5):
         assert grad_close(finite_difference(loss_fn, u, idx), un.grad[idx])
@@ -302,36 +327,47 @@ def test_masked_softmax(rng):
 
 def test_cross_entropy_uniform():
     p = np.full(5, 0.2)
-    assert cross_entropy(p, 3) == pytest.approx(math.log(5), abs=1e-12)
+    assert nll([(p, 3)]) == pytest.approx(math.log(5), abs=1e-12)
+    assert nll([(p, 3), (np.full(2, 0.5), 0)]) == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_cross_entropy_certain():
     p = np.zeros(4)
     p[1] = 1.0
-    assert cross_entropy(p, 1) == 0.0
+    assert nll([(p, 1)]) == 0.0
+    assert nll([]) == 0.0
 
 
 def test_cross_entropy_clamp():
     p = np.array([1.0 - 1e-15, 1e-15])
-    assert cross_entropy(p, 1) == pytest.approx(-math.log(1e-12), rel=1e-12)
+    assert nll([(p, 1)]) == pytest.approx(-math.log(1e-12), rel=1e-12)
+    tape = Tape()
+    clamped, free = tape.leaf(p), tape.leaf(np.array([0.25, 0.75]))
+    tape.backward(nll([(clamped, 1), (free, 0)]))
+    assert clamped.grad is None  # the clamped term passes no gradient
+    assert np.array_equal(free.grad, [-4.0, 0.0])
 
 
 def test_cross_entropy_validation():
     with pytest.raises(InvalidInputError):
-        cross_entropy(np.array([0.9, 0.2]), 0)  # does not sum to 1
+        nll([(np.array([0.9, 0.2]), 0)])  # does not sum to 1
     with pytest.raises(InvalidInputError):
-        cross_entropy(np.array([0.5, 0.5]), 2)  # target out of range
+        nll([(np.array([0.5, 0.5]), 2)])  # target out of range
+    with pytest.raises(InvalidInputError):
+        nll([(np.full((2, 2), 0.25), 0)])  # not a vector
+    with pytest.raises(InvalidInputError):
+        nll([(np.array([0.5, 0.5]), 0), (np.array([0.5, 0.6]), 1)])  # a later step
 
 
 def test_softmax_cross_entropy_gradient(rng):
     u = rng.normal(size=6)
 
     def loss_fn():
-        return float(cross_entropy(softmax(u), 2))
+        return float(nll([(softmax(u), 2)]))
 
     tape = Tape()
     un = tape.leaf(u)
-    loss = cross_entropy(softmax(un), 2)
+    loss = nll([(softmax(un), 2)])
     tape.backward(loss)
     for idx in range(6):
         fd = finite_difference(loss_fn, u, idx)
