@@ -267,9 +267,10 @@ def _cmd_evaluate(cfg):
         with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["route_id", "disparity", "sd", "erp_norm", "erp_e",
-                             "hit_1", "hit_2", "hit_3", "hit_4", "n_zones", "n_stops"])
+                             *(f"hit_{i}" for i in range(1, scoring.FIRST_K + 1)),
+                             "n_zones", "n_stops"])
             for row in report.rows:
-                hits = list(row.first_k) + [""] * (4 - len(row.first_k))
+                hits = list(row.first_k) + [""] * (scoring.FIRST_K - len(row.first_k))
                 writer.writerow([row.route_id, row.r, row.sd, row.erp_norm, row.erp_e,
                                  *hits, row.n_zones, row.n_stops])
     print(json.dumps({"mean_disparity": report.mean_r,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,14 +229,18 @@ def save_routes(routes, path) -> None:
 
 def require_field(mapping, key, path, kind=None, default=None):
     """``mapping[key]``, which must exist unless a ``default`` stands in
-    (and be a ``kind``); otherwise a ``SchemaError`` at ``<path>.<key>``."""
+    (and be a ``kind``, a JSON boolean never counting as a number and a
+    number only when a finite float holds it); otherwise a ``SchemaError``
+    at ``<path>.<key>``."""
     if default is not None and isinstance(mapping, dict) and key not in mapping:
         return default
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError(f"{path}.{key}", "missing required field")
     value = mapping[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"{path}.{key}", "expected a finite number within float range")
     return value
 
 
@@ -268,7 +273,11 @@ def route_from_dict(rd: dict, path: str) -> RouteInstance:
         )
     if not set(map(type, flat)) <= {int, float}:
         raise SchemaError(f"{path}.travel_time_s", f"route {route_id!r}: entries must be numbers")
-    tt = np.array(flat, dtype=float).reshape(n + 1, n + 1)
+    try:
+        tt = np.array(flat, dtype=float).reshape(n + 1, n + 1)
+    except OverflowError:
+        raise SchemaError(f"{path}.travel_time_s",
+                          f"route {route_id!r}: an entry exceeds the float range") from None
     seq_ids = require_field(rd, "actual_sequence", path, list)
     if not all(isinstance(sid, str) for sid in seq_ids):
         raise SchemaError(f"{path}.actual_sequence", f"route {route_id!r}: stop ids must be strings")

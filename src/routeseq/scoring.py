@@ -5,10 +5,12 @@ Stop sequences are compared with the combined score
     R = SD * ERP_norm / ERP_e        (0 when ERP_e = 0, i.e. exact match)
 
 where SD is the adjacency-based sequence deviation, ERP_norm the Edited
-Distance with Real Penalty under row-normalized travel times, and ERP_e the
-number of costly edit operations along one optimal alignment.  The depot is
-the ERP gap element.  Stop sequences are travel-time matrix indices
-(1..n, depot = 0).  Zone-level first-k accuracy is positional.
+Distance with Real Penalty under row-normalized travel times (Chen & Ng,
+VLDB 2004), and ERP_e the number of costly edit operations along the optimal
+alignment the ERP dynamic program chooses, ties resolved match > delete >
+insert.  The depot is the ERP gap element.  Stop sequences are travel-time
+matrix indices (1..n, depot = 0).  Zone-level first-k accuracy is
+positional over the first FIRST_K zones.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .domain import RouteInstance, first_visit_zone_order
 from .errors import InvalidInputError, RouteSeqError
 from .predictor import ModelParams, prepare_route
 
-_MATCH, _DELETE, _INSERT = 0, 1, 2  # ERP tie-break preference order
+FIRST_K = 4  # leading zone positions scored by first-k accuracy
 
 
 def _check_permutation_pair(actual, predicted):
@@ -49,19 +51,13 @@ def sequence_deviation(actual, predicted) -> float:
     return (2 * total) / (n * (n - 1))
 
 
-def _time_norm(travel_time: np.ndarray, stops) -> "callable":
-    cols = list(stops)
-    sums = {}
-
-    def tn(a: int, b: int) -> float:
-        if a not in sums:
-            sums[a] = float(np.sum(travel_time[a, cols]))
-        denom = sums[a]
-        if denom <= 0.0:
-            return 0.0  # all-zero row: guard the division
-        return float(travel_time[a, b]) / denom
-
-    return tn
+def _time_norm_row(tt: np.ndarray, x: int, cols: list) -> list:
+    """Time_norm(x, .): row x of the travel times over its sum across the
+    route's stops, or all zeros when that sum is not positive."""
+    denom = float(np.sum(tt[x, cols]))
+    if denom <= 0.0:
+        return [0.0] * len(tt)
+    return (tt[x] / denom).tolist()
 
 
 def erp(actual, predicted, travel_time) -> tuple:
@@ -71,55 +67,42 @@ def erp(actual, predicted, travel_time) -> tuple:
     (matrix index 0) as the gap element; substitution costs Time_norm(a, b),
     a deleted actual stop costs Time_norm(a, depot), an inserted predicted
     stop costs Time_norm(depot, b).  Row normalization is over the route's
-    stop set.  ERP_e counts the operations with nonzero cost along one
-    optimal alignment, ties resolved match > delete > insert.
+    stop set.  One sweep from the ends of both sequences fills cell (i, j)
+    with the cheapest alignment of ``actual[i:]`` and ``predicted[j:]``,
+    ties resolved match > delete > insert, and with the number of
+    nonzero-cost operations along that chosen alignment: ERP_e is the count
+    at (0, 0).  Only two rows of the table are held.
     """
     a = list(actual)
     b = list(predicted)
     tt = np.asarray(travel_time, dtype=float)
-    tn = _time_norm(tt, sorted(set(a) | set(b)))
-    la, lb = len(a), len(b)
-    del_cost = [tn(a[i], 0) for i in range(la)]
-    ins_cost = [tn(0, b[j]) for j in range(lb)]
-    cost = np.zeros((la + 1, lb + 1))
-    op = np.full((la + 1, lb + 1), -1, dtype=int)
-    for i in range(la - 1, -1, -1):
-        cost[i, lb] = cost[i + 1, lb] + del_cost[i]
-        op[i, lb] = _DELETE
+    cols = sorted(set(a) | set(b))
+    depot = _time_norm_row(tt, 0, cols)
+    ins = [depot[y] for y in b]
+    lb = len(b)
+    cost = [0.0] * (lb + 1)  # row i + 1 of the table, then row i
+    edits = [0] * (lb + 1)
     for j in range(lb - 1, -1, -1):
-        cost[la, j] = cost[la, j + 1] + ins_cost[j]
-        op[la, j] = _INSERT
-    for i in range(la - 1, -1, -1):
+        cost[j] = cost[j + 1] + ins[j]
+        edits[j] = edits[j + 1] + (ins[j] > 0.0)
+    for x in reversed(a):
+        row = _time_norm_row(tt, x, cols)
+        dele = row[0]
+        below, below_e = cost, edits
+        cost = [0.0] * lb + [below[lb] + dele]
+        edits = [0] * lb + [below_e[lb] + (dele > 0.0)]
         for j in range(lb - 1, -1, -1):
-            options = (
-                (cost[i + 1, j + 1] + tn(a[i], b[j]), _MATCH),
-                (cost[i + 1, j] + del_cost[i], _DELETE),
-                (cost[i, j + 1] + ins_cost[j], _INSERT),
-            )
-            best, which = options[0]
-            for c, o in options[1:]:
-                if c < best:
-                    best, which = c, o
-            cost[i, j] = best
-            op[i, j] = which
-    edits = 0
-    i = j = 0
-    while i < la or j < lb:
-        which = op[i, j]
-        if which == _MATCH:
-            if tn(a[i], b[j]) > 0.0:
-                edits += 1
-            i += 1
-            j += 1
-        elif which == _DELETE:
-            if del_cost[i] > 0.0:
-                edits += 1
-            i += 1
-        else:
-            if ins_cost[j] > 0.0:
-                edits += 1
-            j += 1
-    return float(cost[0, 0]), edits
+            match = row[b[j]]
+            best, e = below[j + 1] + match, below_e[j + 1] + (match > 0.0)
+            c = below[j] + dele
+            if c < best:
+                best, e = c, below_e[j] + (dele > 0.0)
+            c = cost[j + 1] + ins[j]
+            if c < best:
+                best, e = c, edits[j + 1] + (ins[j] > 0.0)
+            cost[j] = best
+            edits[j] = e
+    return cost[0], edits[0]
 
 
 def disparity(actual, predicted, travel_time) -> float:
@@ -131,11 +114,10 @@ def disparity(actual, predicted, travel_time) -> float:
     return sd * erp_norm / erp_e
 
 
-def first_k_accuracy(actual, predicted, k: int = 4) -> tuple:
-    """Positional hit flags for the first k elements."""
-    if k > len(actual) or k > len(predicted):
-        raise InvalidInputError(f"k={k} exceeds the sequence length")
-    return tuple(1 if actual[i] == predicted[i] else 0 for i in range(k))
+def first_k_accuracy(actual, predicted) -> tuple:
+    """Positional hit flags for the first FIRST_K elements, fewer when a
+    sequence is shorter."""
+    return tuple(1 if x == y else 0 for x, y in zip(actual[:FIRST_K], predicted))
 
 
 @dataclass
@@ -168,7 +150,7 @@ class DisparityReport:
     mean_r: float
     std_r: float
     median_r: float
-    accuracy: tuple      # mean positional accuracy for k = 1..4
+    accuracy: tuple      # mean positional accuracy for k = 1..FIRST_K
     failures: list       # (route_id, error message), excluded from aggregates
 
     def to_dict(self):
@@ -184,20 +166,19 @@ class DisparityReport:
         }
 
 
-def aggregate(rows, failures, k: int = 4) -> DisparityReport:
+def aggregate(rows, failures) -> DisparityReport:
     if not rows:
         raise InvalidInputError("no routes were scored")
     rs = np.array([row.r for row in rows])
     acc = []
-    for i in range(k):
+    for i in range(FIRST_K):
         hits = [row.first_k[i] for row in rows if len(row.first_k) > i]
         acc.append(float(np.mean(hits)) if hits else 0.0)
     return DisparityReport(rows, float(rs.mean()), float(rs.std()),
                            float(np.median(rs)), tuple(acc), failures)
 
 
-def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None,
-                k: int = 4) -> RouteScore:
+def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None) -> RouteScore:
     """Score one route given a predicted zone order, a full stop order, or
     both.  Zone orders are expanded to stops before stop-level scoring."""
     if stop_indices is None:
@@ -211,14 +192,13 @@ def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None,
     sd = sequence_deviation(actual, predicted)
     erp_norm, erp_e = erp(actual, predicted, route.travel_time)
     r = 0.0 if erp_e == 0 else sd * erp_norm / erp_e
-    k_eff = min(k, len(prep.targets), len(zone_order))
-    hits = first_k_accuracy(list(prep.targets), list(zone_order), k_eff)
+    hits = first_k_accuracy(prep.targets, zone_order)
     return RouteScore(route.route_id, r, sd, erp_norm, erp_e, hits,
                       prep.n_zones, route.n_stops)
 
 
 def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict | None = None,
-                     mode: str = inference.BEST_FIRST, k: int = 4) -> DisparityReport:
+                     mode: str = inference.BEST_FIRST) -> DisparityReport:
     """Predict (or take given sequences), expand to stops, score, aggregate.
 
     ``sequences`` maps route_id to {"zone_sequence": [zone ids]} and/or
@@ -260,7 +240,7 @@ def evaluate_testset(routes, params: ModelParams | None = None, sequences: dict 
                     zone_order = [prep.zinst.zone_index(zid) for zid in entry["zone_sequence"]]
             else:
                 zone_order = inference.predict(params, prep, mode).zone_order
-            rows.append(score_route(route, prep, zone_order, stop_indices, k))
+            rows.append(score_route(route, prep, zone_order, stop_indices))
         except RouteSeqError as exc:
             failures.append((route.route_id, f"{type(exc).__name__}: {exc}"))
-    return aggregate(rows, failures, k)
+    return aggregate(rows, failures)

@@ -119,6 +119,73 @@ def time_norm_ref(travel_time, stops):
     return tn
 
 
+def erp_traceback_ref(actual, predicted, travel_time):
+    """(ERP_norm, ERP_e) from a full cost table, an op table and a traceback.
+
+    The table fill is cell by cell, each cell's three float adds compared
+    with strict ``<`` in the order match, delete, insert.  ERP_e counts the
+    nonzero-cost operations met walking the op table from (0, 0).  Costs and
+    counts must match ``scoring.erp`` bit for bit at any length.
+    """
+    match_op, delete_op, insert_op = 0, 1, 2
+    a = list(actual)
+    b = list(predicted)
+    tt = np.asarray(travel_time, dtype=float)
+    cols = sorted(set(a) | set(b))
+    sums = {}
+
+    def tn(x, y):
+        if x not in sums:
+            sums[x] = float(np.sum(tt[x, cols]))
+        denom = sums[x]
+        if denom <= 0.0:
+            return 0.0
+        return float(tt[x, y]) / denom
+
+    la, lb = len(a), len(b)
+    del_cost = [tn(a[i], 0) for i in range(la)]
+    ins_cost = [tn(0, b[j]) for j in range(lb)]
+    cost = np.zeros((la + 1, lb + 1))
+    op = np.full((la + 1, lb + 1), -1, dtype=int)
+    for i in range(la - 1, -1, -1):
+        cost[i, lb] = cost[i + 1, lb] + del_cost[i]
+        op[i, lb] = delete_op
+    for j in range(lb - 1, -1, -1):
+        cost[la, j] = cost[la, j + 1] + ins_cost[j]
+        op[la, j] = insert_op
+    for i in range(la - 1, -1, -1):
+        for j in range(lb - 1, -1, -1):
+            options = (
+                (cost[i + 1, j + 1] + tn(a[i], b[j]), match_op),
+                (cost[i + 1, j] + del_cost[i], delete_op),
+                (cost[i, j + 1] + ins_cost[j], insert_op),
+            )
+            best, which = options[0]
+            for c, o in options[1:]:
+                if c < best:
+                    best, which = c, o
+            cost[i, j] = best
+            op[i, j] = which
+    edits = 0
+    i = j = 0
+    while i < la or j < lb:
+        which = op[i, j]
+        if which == match_op:
+            if tn(a[i], b[j]) > 0.0:
+                edits += 1
+            i += 1
+            j += 1
+        elif which == delete_op:
+            if del_cost[i] > 0.0:
+                edits += 1
+            i += 1
+        else:
+            if ins_cost[j] > 0.0:
+                edits += 1
+            j += 1
+    return float(cost[0, 0]), edits
+
+
 def erp_exhaustive(actual, predicted, travel_time):
     """(min alignment cost, edit count of the canonical optimal script).
 

@@ -70,10 +70,26 @@ def _at(doc, path):
     (("routes", 1, "stops", 1, "volume_cm3"), [], "routes[1].stops[1].volume_cm3"),
     (("routes", 0, "travel_time_s", 3), "x", "routes[0].travel_time_s"),
     (("routes", 0, "actual_sequence", 0), 7, "routes[0].actual_sequence"),
+    (("routes", 0, "stops", 0, "lat"), True, "routes[0].stops[0].lat"),
+    (("routes", 0, "stops", 1, "n_packages"), True, "routes[0].stops[1].n_packages"),
+    (("routes", 1, "stops", 0, "service_time_s"), float("nan"), "routes[1].stops[0].service_time_s"),
+    (("routes", 1, "stops", 1, "volume_cm3"), float("inf"), "routes[1].stops[1].volume_cm3"),
+    (("routes", 0, "depot", "lng"), float("-inf"), "routes[0].depot.lng"),
 ])
 def test_dataset_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, json_path):
     with pytest.raises(SchemaError) as err:
         load_routes(_write(tmp_path, _with(DATASET, path, value)))
+    assert err.value.json_path == json_path
+
+
+@pytest.mark.parametrize("path, json_path", [
+    (("routes", 1, "stops", 0, "lng"), "routes[1].stops[0].lng"),
+    (("routes", 0, "stops", 1, "n_packages"), "routes[0].stops[1].n_packages"),
+    (("routes", 0, "travel_time_s", 2), "routes[0].travel_time_s"),
+])
+def test_dataset_integer_beyond_float_range_is_a_schema_error(tmp_path, path, json_path):
+    with pytest.raises(SchemaError) as err:
+        load_routes(_write(tmp_path, _with(DATASET, path, 10 ** 400)))
     assert err.value.json_path == json_path
 
 

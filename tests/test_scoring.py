@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_route
-from oracles import erp_exhaustive, sd_ref, time_norm_ref
+from oracles import erp_exhaustive, erp_traceback_ref, sd_ref, time_norm_ref
 from routeseq import completion, datagen, scoring
 from routeseq.errors import InvalidInputError
 from routeseq.predictor import prepare_route
@@ -129,6 +129,41 @@ def test_erp_and_disparity_identities(case):
     assert 0 <= edits <= len(a) + len(b)
 
 
+@st.composite
+def _route_scale_pair(draw):
+    """An order of the stops 1..n (n <= 80), a shuffle or a few neighbour
+    swaps of it, and a matrix with the depot at 0: uniform reals, integers
+    0..3 (heavy on ties), or uniform reals with one row zeroed."""
+    n = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(("real", "integer", "zeroed_row")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integer":
+        m = rng.integers(0, 4, size=(n + 1, n + 1)).astype(float)
+    else:
+        m = _random_matrix(rng, n)
+    if kind == "zeroed_row":
+        m[draw(st.integers(0, n))] = 0.0
+    actual = list(rng.permutation(n) + 1)
+    if draw(st.booleans()):
+        predicted = list(rng.permutation(actual))
+    else:
+        predicted = list(actual)
+        for i in rng.integers(0, n, size=3):
+            if i + 1 < n:
+                predicted[i], predicted[i + 1] = predicted[i + 1], predicted[i]
+    return actual, predicted, m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_route_scale_pair())
+def test_erp_is_bit_identical_to_the_traceback_reference(case):
+    actual, predicted, m = case
+    norm, edits = erp(actual, predicted, m)
+    ref_norm, ref_edits = erp_traceback_ref(actual, predicted, m)
+    assert norm.hex() == ref_norm.hex()
+    assert edits == ref_edits
+
+
 # --- disparity ---------------------------------------------------------------------
 
 def test_disparity_identity_zero(rng):
@@ -186,9 +221,10 @@ def test_first_k_swap():
     assert first_k_accuracy([1, 2, 3, 4], [2, 1, 3, 4]) == (0, 0, 1, 1)
 
 
-def test_first_k_range_check():
-    with pytest.raises(InvalidInputError):
-        first_k_accuracy([1, 2], [1, 2], k=4)
+def test_first_k_short_sequences():
+    assert first_k_accuracy([1, 2], [1, 2]) == (1, 1)
+    assert first_k_accuracy([3, 1, 2], [1, 3]) == (0, 0)
+    assert first_k_accuracy([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 6, 5]) == (1, 1, 1, 1)
 
 
 # --- evaluate_testset ---------------------------------------------------------------------
