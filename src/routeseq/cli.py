@@ -15,7 +15,7 @@ import sys
 from . import datagen, inference, scoring, training
 from .completion import complete_sequence
 from .errors import RouteSeqError, SchemaError
-from .predictor import VARIANTS, load_model, prepare_route
+from .predictor import VARIANTS, load_model, prepare_route, save_model
 
 PREDICTIONS_VERSION = "routeseq-predictions/1"
 
@@ -138,8 +138,7 @@ def _resolve(args) -> dict:
     given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = datagen.read_json_object(config_path)
         unknown = set(overrides) - set(cfg) - set(given)
         if unknown:
             raise RouteSeqError(f"unknown config keys: {sorted(unknown)}")
@@ -219,9 +218,9 @@ def _cmd_train(cfg):
         seed=cfg["seed"],
         input_order=cfg["input_order"],
         grad_clip=cfg["clip_norm"],
-        checkpoint_path=cfg["checkpoint"],
     )
-    _, report = training.train(train_routes, tc)
+    params, report = training.train(train_routes, tc)
+    save_model(params, cfg["checkpoint"])
     _write_json(cfg["report"], report.to_dict())
     print(json.dumps({"checkpoint": cfg["checkpoint"], "checkpoint_id": report.checkpoint_id,
                       "final_loss": report.epoch_losses[-1]}))
@@ -248,8 +247,10 @@ def _load_predictions(path) -> dict:
     if version != PREDICTIONS_VERSION:
         raise SchemaError("version", f"expected {PREDICTIONS_VERSION!r}, got {version!r}")
     rows = datagen.require_field(payload, "predictions", "$", list)
-    return {datagen.require_field(row, "route_id", f"predictions[{i}]", str): row
-            for i, row in enumerate(rows)}
+    ids = [datagen.require_field(row, "route_id", f"predictions[{i}]", str)
+           for i, row in enumerate(rows)]
+    datagen.require_unique_route_ids(ids, "predictions")
+    return dict(zip(ids, rows))
 
 
 def _cmd_evaluate(cfg):

@@ -317,7 +317,19 @@ def load_routes(path) -> list:
     if version != SCHEMA_VERSION:
         raise SchemaError("version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
     routes_raw = require_field(payload, "routes", "$", list)
-    return [route_from_dict(rd, f"routes[{i}]") for i, rd in enumerate(routes_raw)]
+    routes = [route_from_dict(rd, f"routes[{i}]") for i, rd in enumerate(routes_raw)]
+    require_unique_route_ids([r.route_id for r in routes], "routes")
+    return routes
+
+
+def require_unique_route_ids(ids, path) -> None:
+    """A ``SchemaError`` at ``<path>[i].route_id`` for the first id that an
+    earlier element already has."""
+    seen = set()
+    for i, route_id in enumerate(ids):
+        if route_id in seen:
+            raise SchemaError(f"{path}[{i}].route_id", f"duplicate route id {route_id!r}")
+        seen.add(route_id)
 
 
 def routes_equal(a: RouteInstance, b: RouteInstance) -> bool:

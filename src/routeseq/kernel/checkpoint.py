@@ -1,4 +1,4 @@
-"""Checkpoint files: named float64 tensors plus JSON metadata.
+"""The checkpoint byte codec: named float64 tensors plus JSON metadata.
 
 Layout (JSON, sorted keys, compact separators, hence byte-deterministic):
 
@@ -10,7 +10,9 @@ Layout (JSON, sorted keys, compact separators, hence byte-deterministic):
       }
     }
 
-The base64 round trip is bit-exact for 64-bit values.
+The base64 round trip is bit-exact for 64-bit values.  The codec reads and
+writes bytes only; ``predictor.save_model`` and ``load_model`` are the file
+path.
 """
 
 from __future__ import annotations
@@ -73,19 +75,6 @@ def deserialize_checkpoint(raw: bytes):
     return tensors, meta
 
 
-def save_checkpoint(path, tensors: dict, meta: dict) -> str:
-    """Write the checkpoint; returns its content hash (checkpoint id)."""
-    raw = serialize_checkpoint(tensors, meta)
-    with open(path, "wb") as fh:
-        fh.write(raw)
-    return checkpoint_id(raw)
-
-
-def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return deserialize_checkpoint(raw)
-
-
 def checkpoint_id(raw: bytes) -> str:
+    """The checkpoint's content hash: the sha-256 of its bytes."""
     return hashlib.sha256(raw).hexdigest()

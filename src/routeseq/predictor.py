@@ -26,7 +26,8 @@ fed to the next step is the same quantity in both.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -38,9 +39,10 @@ from .kernel import (
     LstmState,
     MlpParams,
     Tape,
+    checkpoint_id,
+    deserialize_checkpoint,
     init_lstm,
     init_mlp,
-    load_checkpoint,
     lstm_cell,
     map_tensors,
     matmul,
@@ -48,7 +50,7 @@ from .kernel import (
     named_tensors,
     nll,
     pointer_scores,
-    save_checkpoint,
+    serialize_checkpoint,
     softmax,
     stack_rows,
     uniform_init,
@@ -139,12 +141,14 @@ class PreparedRoute:
 
 @dataclass(eq=False)
 class ScaledRoute:
+    """A prepared route's scaled features in reading order: node 0 is the
+    depot and node k+1 the zone at input position k."""
+
     prep: PreparedRoute
     order: tuple              # encoder reading order (zone indices)
     pos_of_zone: np.ndarray   # inverse of ``order``
-    x_s: np.ndarray
-    depot_s: np.ndarray
-    pair_s: np.ndarray
+    nodes: np.ndarray         # (n+1, K)
+    pair: np.ndarray          # (n+1, n, pair_dim); node -> input position
 
 
 def prepare_route(route) -> PreparedRoute:
@@ -194,16 +198,13 @@ def resolve_input_order(prep: PreparedRoute, mode: str, seed: int) -> tuple:
 def scale_route(prep: PreparedRoute, scaler: FeatureScaler,
                 mode: str = "tsp", order_seed: int = 0) -> ScaledRoute:
     order = resolve_input_order(prep, mode, order_seed)
-    pos = np.empty(prep.n_zones, dtype=int)
-    for k, z in enumerate(order):
-        pos[z] = k
+    idx = list(order)
     return ScaledRoute(
         prep=prep,
         order=order,
-        pos_of_zone=pos,
-        x_s=scaler.transform_x(prep.x),
-        depot_s=scaler.transform_x(prep.depot_x),
-        pair_s=scaler.transform_z(prep.pair),
+        pos_of_zone=np.argsort(order),
+        nodes=scaler.transform_x(np.vstack([prep.depot_x, prep.x[idx]])),
+        pair=scaler.transform_z(prep.pair[[0, *(z + 1 for z in idx)]][:, idx]),
     )
 
 
@@ -278,40 +279,34 @@ def encode(params: ModelParams, scaled: ScaledRoute):
     state: the keys are its stacked outputs and the state its final LSTM
     state.  ``asnn`` keys on the scaled zone features and has no state."""
     if params.config.variant == "asnn":
-        return scaled.x_s[list(scaled.order)], None
+        return scaled.nodes[1:], None
     state = zero_state(params.config.hidden)
     outputs = []
-    for z in scaled.order:
-        state, e = lstm_cell([scaled.x_s[z]], state, params.encoder)
+    for x in scaled.nodes[1:]:
+        state, e = lstm_cell([x], state, params.encoder)
         outputs.append(e)
     return stack_rows(outputs), state
 
 
-def _pair_rows(scaled: ScaledRoute, prev_zone: int | None) -> np.ndarray:
-    """Pair features from ``prev_zone`` (the depot when None) to every
-    candidate, by input position."""
-    src = 0 if prev_zone is None else prev_zone + 1
-    return scaled.pair_s[src][list(scaled.order)]
-
-
-def pair_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | None,
+def pair_attention(params: ModelParams, scaled: ScaledRoute, src: int,
                    query, keys, allowed=None):
     """Pair-wise attention over input positions: the shared MLP scores
-    [pair features; query; key] per candidate and a softmax over the
-    ``allowed`` positions (all when None) normalizes the scores.
-    ``pairwise`` queries with the decoder output and keys on the encoder
-    outputs; ``asnn`` queries with the previous zone's (or the depot's)
-    features and keys on the zone features."""
-    return softmax(mlp_forward([_pair_rows(scaled, prev_zone), query, keys], params.asnn), allowed)
+    [pair features from node ``src``; query; key] per candidate and a
+    softmax over the ``allowed`` positions (all when None) normalizes the
+    scores.  ``pairwise`` queries with the decoder output and keys on the
+    encoder outputs; ``asnn`` queries with node ``src``'s features and keys
+    on the zone features."""
+    return softmax(mlp_forward([scaled.pair[src], query, keys], params.asnn), allowed)
 
 
-def pointer_attention(params: ModelParams, scaled: ScaledRoute, prev_zone: int | None,
+def pointer_attention(params: ModelParams, scaled: ScaledRoute, src: int,
                       d, enc_matrix, allowed=None):
-    """Additive pointer attention plus the linear local term."""
+    """Additive pointer attention plus the linear local term on the pair
+    features from node ``src``."""
     if params.pointer is None:
         raise ConfigError("pointer attention requires pointer parameters (W1..W4)")
     p = params.pointer
-    return softmax(pointer_scores(enc_matrix, d, _pair_rows(scaled, prev_zone),
+    return softmax(pointer_scores(enc_matrix, d, scaled.pair[src],
                                   p.w1, p.w2, p.w3, p.w4), allowed)
 
 
@@ -368,19 +363,19 @@ def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
     traces: list[DecoderStepTrace] = []
     keys, state = encoded
     w_prev = np.zeros(cfg.hidden)
-    prev = None
+    src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
         allowed = _candidates(params, scaled, visited)
-        x_last = scaled.depot_s if prev is None else scaled.x_s[prev]
+        x_last = scaled.nodes[src]
         w_ctx = None
         if cfg.variant == "asnn":
-            probs = pair_attention(params, scaled, prev, x_last, keys, allowed)
+            probs = pair_attention(params, scaled, src, x_last, keys, allowed)
         else:
             state, d = decode_step(params, x_last, w_prev, state)
             if cfg.variant == "pairwise":
-                probs = pair_attention(params, scaled, prev, d, keys, allowed)
+                probs = pair_attention(params, scaled, src, d, keys, allowed)
             elif cfg.variant == "pointer":
-                probs = pointer_attention(params, scaled, prev, d, keys, allowed)
+                probs = pointer_attention(params, scaled, src, d, keys, allowed)
             elif allowed.any():
                 probs = softmax(mlp_forward([d], params.fc), allowed)
             else:
@@ -393,9 +388,10 @@ def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
             w_prev = matmul(probs, keys)
             w_ctx = unwrap(w_prev).copy()
         traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx))
-        steps.append((probs, int(scaled.pos_of_zone[chosen])))
+        pos = int(scaled.pos_of_zone[chosen])
+        steps.append((probs, pos))
         visited[chosen] = True
-        prev = chosen
+        src = pos + 1
     return steps, traces
 
 
@@ -420,19 +416,7 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
 # --- checkpoint round trip ---------------------------------------------------
 
 def model_meta(params: ModelParams) -> dict:
-    cfg = params.config
-    return {
-        "variant": cfg.variant,
-        "n_features": cfg.n_features,
-        "pair_dim": cfg.pair_dim,
-        "hidden": cfg.hidden,
-        "asnn_hidden": list(cfg.asnn_hidden),
-        "att_dim": cfg.att_dim,
-        "kz": cfg.kz,
-        "input_order_mode": cfg.input_order_mode,
-        "order_seed": cfg.order_seed,
-        "zone_feature_names": list(domain.ZONE_FEATURE_NAMES),
-    }
+    return {**asdict(params.config), "zone_feature_names": list(domain.ZONE_FEATURE_NAMES)}
 
 
 def checkpoint_tensors(params: ModelParams) -> dict:
@@ -444,10 +428,13 @@ def checkpoint_tensors(params: ModelParams) -> dict:
     return out
 
 
-def _width(value) -> int:
-    """A layer width read from checkpoint meta: a positive integer."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"expected a positive integer width, got {value!r}")
+def _integer(value, least=1) -> int:
+    """An integer read from checkpoint meta (a JSON boolean is not one), at
+    least ``least`` unless that is None."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"expected an integer of at least {least}, got {value!r}")
     return value
 
 
@@ -462,14 +449,14 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
     try:
         config = ModelConfig(
             variant=meta["variant"],
-            n_features=_width(meta["n_features"]),
-            pair_dim=_width(meta["pair_dim"]),
-            hidden=_width(meta["hidden"]),
-            asnn_hidden=tuple(_width(v) for v in meta["asnn_hidden"]),
-            att_dim=_width(meta["att_dim"]),
-            kz=None if meta.get("kz") is None else _width(meta["kz"]),
+            n_features=_integer(meta["n_features"]),
+            pair_dim=_integer(meta["pair_dim"]),
+            hidden=_integer(meta["hidden"]),
+            asnn_hidden=tuple(_integer(v) for v in meta["asnn_hidden"]),
+            att_dim=_integer(meta["att_dim"]),
+            kz=None if meta.get("kz") is None else _integer(meta["kz"]),
             input_order_mode=meta.get("input_order_mode", "tsp"),
-            order_seed=int(meta.get("order_seed", 0)),
+            order_seed=_integer(meta.get("order_seed", 0), least=None),
         )
     except KeyError as exc:
         raise SchemaError("meta", f"missing field {exc}") from exc
@@ -497,9 +484,11 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
 
 
 def save_model(params: ModelParams, path) -> str:
-    return save_checkpoint(path, checkpoint_tensors(params), model_meta(params))
+    """Write the model's checkpoint file; returns the checkpoint id."""
+    raw = serialize_checkpoint(checkpoint_tensors(params), model_meta(params))
+    Path(path).write_bytes(raw)
+    return checkpoint_id(raw)
 
 
 def load_model(path) -> ModelParams:
-    tensors, meta = load_checkpoint(path)
-    return params_from_checkpoint(tensors, meta)
+    return params_from_checkpoint(*deserialize_checkpoint(Path(path).read_bytes()))

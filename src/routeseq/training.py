@@ -1,9 +1,13 @@
-"""Dataset splitting and the per-route stochastic training loop."""
+"""Dataset splitting and the per-route stochastic training loop.
+
+``train`` returns the trained model and its report and writes no file;
+``predictor.save_model`` writes the checkpoint.
+"""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -43,7 +47,6 @@ class TrainConfig:
     asnn_hidden: tuple = (128, 128)
     att_dim: int = 32
     grad_clip: float | None = None  # joint L2 norm cap; None disables
-    checkpoint_path: str | None = None
 
 
 @dataclass
@@ -55,13 +58,7 @@ class TrainReport:
     variant: str = ""
 
     def to_dict(self):
-        return {
-            "epoch_losses": self.epoch_losses,
-            "wall_time_s": self.wall_time_s,
-            "checkpoint_id": self.checkpoint_id,
-            "n_routes": self.n_routes,
-            "variant": self.variant,
-        }
+        return asdict(self)
 
 
 def split_dataset(routes, fractions=(0.8, 0.2), seed: int = 0):
@@ -85,7 +82,7 @@ def train(routes, config: TrainConfig):
 
     One Adam step per route, routes reshuffled every epoch, all randomness
     drawn from the config seed, so identical configs produce bit-identical
-    checkpoints.
+    checkpoints; ``report.checkpoint_id`` names the checkpoint bytes.
     """
     if config.epochs < 1:
         raise InvalidInputError("epochs must be >= 1")
@@ -133,15 +130,11 @@ def train(routes, config: TrainConfig):
             total += value
         epoch_losses.append(total / len(scaled))
 
-    raw = serialize_checkpoint(checkpoint_tensors(params), model_meta(params))
-    cid = checkpoint_id(raw)
-    if config.checkpoint_path:
-        with open(config.checkpoint_path, "wb") as fh:
-            fh.write(raw)
     report = TrainReport(
         epoch_losses=epoch_losses,
         wall_time_s=time.perf_counter() - t0,
-        checkpoint_id=cid,
+        checkpoint_id=checkpoint_id(serialize_checkpoint(checkpoint_tensors(params),
+                                                         model_meta(params))),
         n_routes=len(routes),
         variant=config.variant,
     )

@@ -175,6 +175,16 @@ def test_config_file_unknown_key(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["{not json", "5", "[1, 2]"])
+def test_config_file_not_a_json_object_is_a_schema_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(text)
+    assert main(["generate", "--out", str(tmp_path / "d.json"), "--config", str(cfg_path)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith("$: ")
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys

@@ -20,7 +20,6 @@ from routeseq.kernel import (
     deserialize_checkpoint,
     init_lstm,
     init_mlp,
-    load_checkpoint,
     lstm_cell,
     map_tensors,
     matmul,
@@ -28,7 +27,6 @@ from routeseq.kernel import (
     named_tensors,
     nll,
     pointer_scores,
-    save_checkpoint,
     serialize_checkpoint,
     softmax,
     stack_rows,
@@ -415,16 +413,14 @@ def test_adam_rejects_nan_without_touching():
 
 # --- checkpoints -----------------------------------------------------------------
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
+def test_checkpoint_roundtrip_bit_exact(rng):
     tensors = {
         "a.w": rng.normal(size=(3, 4)),
         "a.b": rng.normal(size=4) * 1e-300,  # denormal-scale values survive too
         "c": np.array(math.pi),
     }
     meta = {"variant": "pairwise", "note": 7}
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, tensors, meta)
-    loaded, meta2 = load_checkpoint(path)
+    loaded, meta2 = deserialize_checkpoint(serialize_checkpoint(tensors, meta))
     assert meta2 == meta
     for name, arr in tensors.items():
         assert loaded[name].shape == np.asarray(arr).shape

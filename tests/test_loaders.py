@@ -102,11 +102,29 @@ def test_dataset_integer_beyond_float_range_is_a_schema_error(tmp_path, path, js
     (("meta", "hidden"), 0, "meta"),
     (("meta", "asnn_hidden"), [8, "x"], "meta"),
     (("meta", "att_dim"), 4.0, "meta"),
+    (("meta", "order_seed"), 1.7, "meta"),
+    (("meta", "order_seed"), True, "meta"),
+    (("meta", "order_seed"), "5", "meta"),
 ])
 def test_checkpoint_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, json_path):
     with pytest.raises(SchemaError) as err:
         load_model(_write(tmp_path, _with(CHECKPOINT, path, value), "m.ckpt"))
     assert err.value.json_path == json_path
+
+
+def test_dataset_duplicate_route_id_is_a_schema_error(tmp_path):
+    doc = _with(DATASET, ("routes", 1, "route_id"), ROUTES[0].route_id)
+    with pytest.raises(SchemaError) as err:
+        load_routes(_write(tmp_path, doc))
+    assert err.value.json_path == "routes[1].route_id"
+
+
+def test_predictions_duplicate_route_id_is_a_schema_error(tmp_path):
+    # a dict keyed by route id would keep the last row and drop the other
+    doc = _with(PREDICTIONS, ("predictions", 1, "route_id"), ROUTES[0].route_id)
+    with pytest.raises(SchemaError) as err:
+        _load_predictions(_write(tmp_path, doc))
+    assert err.value.json_path == "predictions[1].route_id"
 
 
 @pytest.mark.parametrize("value", [["S0"], {"id": "S0"}, 3])

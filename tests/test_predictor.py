@@ -172,7 +172,7 @@ def test_encode_asnn_keys_are_scaled_features():
     sc = scale_route(prep, params.scaler, mode="random", order_seed=99)
     keys, state = encode(params, sc)
     assert state is None
-    assert np.array_equal(keys, sc.x_s[list(sc.order)])
+    assert np.array_equal(keys, params.scaler.transform_x(prep.x[list(sc.order)]))
 
 
 def test_pair_attention_uniform_for_zero_params():
@@ -181,7 +181,7 @@ def test_pair_attention_uniform_for_zero_params():
     sc = scale_route(prep, params.scaler)
     d = np.zeros(8)
     enc_matrix = np.zeros((3, 8))
-    a = pair_attention(params, sc, None, d, enc_matrix)
+    a = pair_attention(params, sc, 0, d, enc_matrix)
     assert np.allclose(a, 1.0 / 3.0)
 
 
@@ -189,7 +189,7 @@ def test_pair_attention_single_zone():
     prep = _prep(zone_ids=("A-1.1A",))
     params = _model("pairwise", prep)
     sc = scale_route(prep, params.scaler)
-    a = pair_attention(params, sc, None, np.zeros(8), np.zeros((1, 8)))
+    a = pair_attention(params, sc, 0, np.zeros(8), np.zeros((1, 8)))
     assert np.allclose(a, [1.0])
 
 
@@ -214,8 +214,8 @@ def test_pair_attention_hand_built_ranks_by_travel_time():
         if variant == "pairwise":
             query, keys = np.zeros(8), np.zeros((2, 8))
         else:
-            query, keys = sc.depot_s, sc.x_s[list(sc.order)]
-        a = _probs_by_zone(sc, pair_attention(params, sc, None, query, keys), None)
+            query, keys = sc.nodes[0], sc.nodes[1:]
+        a = _probs_by_zone(sc, pair_attention(params, sc, 0, query, keys), None)
         # depot -> zone B costs 50 vs 10 for zone A, so B gets the attention
         assert a[zb] > a[za], variant
         assert a[zb] == pytest.approx(math.exp(50) / (math.exp(50) + math.exp(10)), rel=1e-12)
@@ -258,7 +258,7 @@ def test_pointer_attention_uniform_when_w1_w4_zero():
     params.pointer.w4[...] = 0.0
     sc = scale_route(prep, params.scaler)
     keys, state = encode(params, sc)
-    a = pointer_attention(params, sc, None, state.h, keys)
+    a = pointer_attention(params, sc, 0, state.h, keys)
     assert np.allclose(a, 1.0 / 3.0)
 
 
@@ -274,12 +274,12 @@ def test_pointer_attention_w4_sign_controls_ranking():
     params.pointer.w4[...] = 0.0
     params.pointer.w4[0] = 1.0
     sc = scale_route(prep, params.scaler)
-    a = _probs_by_zone(sc, pointer_attention(params, sc, None, np.zeros(8), np.zeros((2, 8))), None)
+    a = _probs_by_zone(sc, pointer_attention(params, sc, 0, np.zeros(8), np.zeros((2, 8))), None)
     zb = prep.zinst.zone_index("B-1.1A")
     za = prep.zinst.zone_index("A-1.1A")
     assert a[zb] > a[za]
     params.pointer.w4[0] = -1.0
-    a = _probs_by_zone(sc, pointer_attention(params, sc, None, np.zeros(8), np.zeros((2, 8))), None)
+    a = _probs_by_zone(sc, pointer_attention(params, sc, 0, np.zeros(8), np.zeros((2, 8))), None)
     assert a[za] > a[zb]
 
 
@@ -290,7 +290,7 @@ def test_pointer_attention_saturation_stays_finite():
     params.pointer.w3 *= 1e6
     sc = scale_route(prep, params.scaler)
     keys, state = encode(params, sc)
-    a = pointer_attention(params, sc, None, state.h, keys)
+    a = pointer_attention(params, sc, 0, state.h, keys)
     assert np.all(np.isfinite(np.asarray(a)))
 
 
@@ -299,14 +299,14 @@ def test_pointer_attention_requires_pointer_params():
     params = _model("pairwise", prep)
     sc = scale_route(prep, params.scaler)
     with pytest.raises(ConfigError):
-        pointer_attention(params, sc, None, np.zeros(8), np.zeros((3, 8)))
+        pointer_attention(params, sc, 0, np.zeros(8), np.zeros((3, 8)))
 
 
 def test_decode_step_zero_params():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
     sc = scale_route(prep, params.scaler)
-    state, d = decode_step(params, sc.depot_s, np.zeros(8), zero_state(8))
+    state, d = decode_step(params, sc.nodes[0], np.zeros(8), zero_state(8))
     assert np.all(np.asarray(d) == 0.0)
 
 
@@ -317,8 +317,8 @@ def test_decode_step_state_matters():
     from routeseq.kernel import LstmState
     s0 = zero_state(8)
     s1 = LstmState(np.ones(8), np.ones(8))
-    _, d0 = decode_step(params, sc.depot_s, np.zeros(8), s0)
-    _, d1 = decode_step(params, sc.depot_s, np.zeros(8), s1)
+    _, d0 = decode_step(params, sc.nodes[0], np.zeros(8), s0)
+    _, d1 = decode_step(params, sc.nodes[0], np.zeros(8), s1)
     assert not np.allclose(d0, d1)
 
 

@@ -4,8 +4,8 @@ import pytest
 from conftest import make_route
 from routeseq import datagen, training
 from routeseq.errors import InvalidInputError, TrainingDivergedError
-from routeseq.kernel import Tape, deserialize_checkpoint
-from routeseq.predictor import forward_logprob, params_from_checkpoint, scale_route
+from routeseq.kernel import Tape, checkpoint_id
+from routeseq.predictor import forward_logprob, load_model, save_model, scale_route
 from routeseq.training import TrainConfig, split_dataset, train
 
 
@@ -104,11 +104,11 @@ def test_nan_loss_aborts_with_route_and_epoch(monkeypatch):
 def test_checkpoint_file_written_and_loadable(tmp_path):
     routes = _routes(n=4, seed=9)
     path = tmp_path / "model.ckpt"
-    config = TrainConfig(variant="lstm_ed", epochs=1, seed=3, hidden=8,
-                         checkpoint_path=str(path))
+    config = TrainConfig(variant="lstm_ed", epochs=1, seed=3, hidden=8)
     params, report = train(routes, config)
-    tensors, meta = deserialize_checkpoint(path.read_bytes())
-    loaded = params_from_checkpoint(tensors, meta)
+    assert save_model(params, path) == report.checkpoint_id
+    assert checkpoint_id(path.read_bytes()) == report.checkpoint_id
+    loaded = load_model(path)
     assert loaded.config.variant == "lstm_ed"
     assert loaded.config.kz == params.config.kz
     from routeseq.predictor import prepare_route

@@ -23,7 +23,13 @@ the ``src/`` next to this script.  Each line is ``<what> <digest>``:
 - ``erp``: ``scoring.erp``'s cost (float hex) and edit count of each route
   of 27-56 stops against itself, its reverse, a shuffle and three swaps of
   neighbours, on the route's real matrix and on an integer-valued matrix
-  (ties, zeroed depot row).
+  (ties, zeroed depot row);
+- ``cli``: the files that ``routeseq.cli.main`` writes, run with relative
+  paths in a temporary directory (``generate``, ``solve-tsp --stops``, and
+  per variant ``train``'s checkpoint and report without ``wall_time_s``,
+  ``predict`` greedy and best-first with ``--stops``, ``evaluate
+  --checkpoint`` JSON and CSV, and ``evaluate --predictions`` JSON), and the
+  stdout of every command.
 
 The training routes have 3-6 zones, so ``lstm_ed``'s head is narrower than
 most of the 1-15-zone test routes.
@@ -31,9 +37,13 @@ most of the 1-15-zone test routes.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
@@ -41,6 +51,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from routeseq import inference, scoring  # noqa: E402
+from routeseq.cli import main as cli_main  # noqa: E402
 from routeseq.datagen import BEHAVIORS, SynthConfig, generate, routes_to_json  # noqa: E402
 from routeseq.kernel import Tape  # noqa: E402
 from routeseq.predictor import (  # noqa: E402
@@ -94,12 +105,54 @@ def _erp_digests() -> None:
             print(f"erp {route.route_id} {kind}", _sha(parts))
 
 
+def _cli_runs():
+    yield ["generate", "--out", "data.json", "--n-routes", "12", "--zones", "2", "8",
+           "--stops-per-zone", "1", "3", "--seed", "23"]
+    yield ["solve-tsp", "--data", "data.json", "--out", "tsp.json", "--stops"]
+    for v in VARIANTS:
+        yield ["train", "--data", "data.json", "--checkpoint", f"{v}.ckpt", "--variant", v,
+               "--epochs", "2", "--seed", "3", "--train-fraction", "0.75",
+               "--report", f"{v}-train.json"]
+        yield ["predict", "--checkpoint", f"{v}.ckpt", "--data", "data.json",
+               "--out", f"{v}-greedy.json", "--mode", "greedy"]
+        yield ["predict", "--checkpoint", f"{v}.ckpt", "--data", "data.json",
+               "--out", f"{v}-best-first.json", "--stops"]
+        yield ["evaluate", "--data", "data.json", "--checkpoint", f"{v}.ckpt",
+               "--out", f"{v}-evaluate.json", "--csv", f"{v}-evaluate.csv"]
+        yield ["evaluate", "--data", "data.json", "--predictions", f"{v}-best-first.json",
+               "--out", f"{v}-evaluate-predictions.json"]
+
+
+def _cli_digests() -> None:
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for k, argv in enumerate(_cli_runs()):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli_main(argv)
+                if code != 0:
+                    raise SystemExit(f"routeseq {' '.join(argv)} exited with {code}")
+                print(f"cli stdout {k:02d} {argv[0]}", _sha(out.getvalue().splitlines()))
+            for name in sorted(os.listdir(".")):
+                raw = Path(name).read_bytes()
+                if name.endswith("-train.json"):
+                    report = json.loads(raw)
+                    del report["wall_time_s"]
+                    raw = json.dumps(report, sort_keys=True)
+                print(f"cli {name}", _sha([raw]))
+        finally:
+            os.chdir(cwd)
+
+
 def main() -> None:
     for behavior in BEHAVIORS:
         dataset = generate(SynthConfig(n_routes=5, zones_per_route=(2, 8),
                                        stops_per_zone=(1, 4), behavior=behavior, seed=19))
         print(f"dataset {behavior}", _sha([routes_to_json(dataset)]))
     _erp_digests()
+    _cli_digests()
     train_routes = generate(SynthConfig(n_routes=6, zones_per_route=(3, 6),
                                         stops_per_zone=(1, 3), seed=11))
     test_routes = generate(SynthConfig(n_routes=12, zones_per_route=(1, 15),
