@@ -1,8 +1,11 @@
 """Command-line entry point wiring the modules into reproducible workflows.
 
 Every run prints its resolved configuration (defaults < config file < flags)
-and the seed before doing work.  Exit codes: 0 success, 1 usage error,
-2 runtime failure (with a machine-readable error JSON on stderr).
+and the seed before doing work.  ``build_parser`` declares each option and
+its default once; a ``--config`` file is checked against those declarations
+and becomes the command's defaults, so flags still win.  Exit codes:
+0 success, 1 usage error, 2 runtime failure (with a machine-readable error
+JSON on stderr).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 
 from . import datagen, inference, scoring, training
 from .completion import complete_sequence
-from .errors import RouteSeqError, SchemaError
+from .errors import ConfigError, SchemaError
 from .predictor import VARIANTS, load_model, prepare_route, save_model
 
 PREDICTIONS_VERSION = "routeseq-predictions/1"
@@ -26,11 +29,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _opt(parser, *flags, **kwargs):
-    kwargs.setdefault("default", argparse.SUPPRESS)
-    parser.add_argument(*flags, **kwargs)
-
-
 def _mode_arg(value: str) -> str:
     return {"greedy": inference.GREEDY, "best-first": inference.BEST_FIRST}[value]
 
@@ -40,111 +38,102 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate", help="create a synthetic dataset")
-    _opt(p, "--out", required=True)
-    _opt(p, "--n-routes", type=int)
-    _opt(p, "--zones", type=int, nargs=2, metavar=("MIN", "MAX"))
-    _opt(p, "--stops-per-zone", type=int, nargs=2, metavar=("MIN", "MAX"))
-    _opt(p, "--extent-km", type=float)
-    _opt(p, "--speed-kmph", type=float)
-    _opt(p, "--noise-sigma", type=float)
-    _opt(p, "--behavior", choices=datagen.BEHAVIORS)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--config")
+    p.add_argument("--out", required=True)
+    p.add_argument("--n-routes", type=int, default=50)
+    p.add_argument("--zones", type=int, nargs=2, metavar=("MIN", "MAX"), default=[5, 15])
+    p.add_argument("--stops-per-zone", type=int, nargs=2, metavar=("MIN", "MAX"), default=[3, 10])
+    p.add_argument("--extent-km", type=float, default=6.0)
+    p.add_argument("--speed-kmph", type=float, default=30.0)
+    p.add_argument("--noise-sigma", type=float, default=0.1)
+    p.add_argument("--behavior", choices=datagen.BEHAVIORS, default="cluster_biased")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve-tsp", help="planned (minimum travel time) sequences")
-    _opt(p, "--data", required=True)
-    _opt(p, "--out", required=True)
-    _opt(p, "--stops", action="store_true")
-    _opt(p, "--config")
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--stops", action="store_true")
 
     p = sub.add_parser("train", help="train one model variant")
-    _opt(p, "--data", required=True)
-    _opt(p, "--checkpoint", required=True)
-    _opt(p, "--variant", choices=VARIANTS)
-    _opt(p, "--epochs", type=int)
-    _opt(p, "--lr", type=float)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--input-order", choices=("tsp", "random"))
-    _opt(p, "--train-fraction", type=float)
-    _opt(p, "--clip-norm", type=float)
-    _opt(p, "--report")
-    _opt(p, "--config")
+    p.add_argument("--data", required=True)
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--variant", choices=VARIANTS, default="pairwise")
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--input-order", choices=("tsp", "random"), default="tsp")
+    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--clip-norm", type=float)
+    p.add_argument("--report")
 
     p = sub.add_parser("predict", help="generate sequences from a checkpoint")
-    _opt(p, "--checkpoint", required=True)
-    _opt(p, "--data", required=True)
-    _opt(p, "--out", required=True)
-    _opt(p, "--mode", choices=("greedy", "best-first"))
-    _opt(p, "--stops", action="store_true")
-    _opt(p, "--split", choices=("all", "train", "test"))
-    _opt(p, "--train-fraction", type=float)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--config")
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--mode", choices=("greedy", "best-first"), default="best-first")
+    p.add_argument("--stops", action="store_true")
+    p.add_argument("--split", choices=("all", "train", "test"), default="all")
+    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evaluate", help="score predictions against executed routes")
-    _opt(p, "--data", required=True)
-    _opt(p, "--checkpoint")
-    _opt(p, "--predictions")
-    _opt(p, "--mode", choices=("greedy", "best-first"))
-    _opt(p, "--out")
-    _opt(p, "--csv")
-    _opt(p, "--split", choices=("all", "train", "test"))
-    _opt(p, "--train-fraction", type=float)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--config")
+    p.add_argument("--data", required=True)
+    p.add_argument("--checkpoint")
+    p.add_argument("--predictions")
+    p.add_argument("--mode", choices=("greedy", "best-first"), default="best-first")
+    p.add_argument("--out")
+    p.add_argument("--csv")
+    p.add_argument("--split", choices=("all", "train", "test"), default="all")
+    p.add_argument("--train-fraction", type=float, default=0.8)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("benchmark", help="TSP baseline + all variants x {greedy, first-stop iteration}")
-    _opt(p, "--data", required=True)
-    _opt(p, "--out", required=True)
-    _opt(p, "--epochs", type=int)
-    _opt(p, "--lr", type=float)
-    _opt(p, "--seed", type=int)
-    _opt(p, "--input-order", choices=("tsp", "random"))
-    _opt(p, "--train-fraction", type=float)
-    _opt(p, "--config")
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--input-order", choices=("tsp", "random"), default="tsp")
+    p.add_argument("--train-fraction", type=float, default=0.8)
+
+    for p in sub.choices.values():
+        p.add_argument("--config")
+    parser.commands = sub.choices
     return parser
 
 
-_DEFAULTS = {
-    "generate": {
-        "n_routes": 50, "zones": [5, 15], "stops_per_zone": [3, 10],
-        "extent_km": 6.0, "speed_kmph": 30.0, "noise_sigma": 0.1,
-        "behavior": "cluster_biased", "seed": 0,
-    },
-    "solve-tsp": {"stops": False},
-    "train": {
-        "variant": "pairwise", "epochs": 30, "lr": 0.001, "seed": 0,
-        "input_order": "tsp", "train_fraction": 0.8, "clip_norm": None,
-        "report": None,
-    },
-    "predict": {
-        "mode": "best-first", "stops": False,
-        "split": "all", "train_fraction": 0.8, "seed": 0,
-    },
-    "evaluate": {
-        "checkpoint": None, "predictions": None, "mode": "best-first",
-        "out": None, "csv": None,
-        "split": "all", "train_fraction": 0.8, "seed": 0,
-    },
-    "benchmark": {
-        "epochs": 30, "lr": 0.001, "seed": 0, "input_order": "tsp",
-        "train_fraction": 0.8,
-    },
-}
+_JSON_KINDS = {int: int, float: (int, float), None: str}  # by an option's ``type``
 
 
-def _resolve(args) -> dict:
-    cfg = dict(_DEFAULTS[args.command])
-    given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        overrides = datagen.read_json_object(config_path)
-        unknown = set(overrides) - set(cfg) - set(given)
-        if unknown:
-            raise RouteSeqError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(overrides)
-    cfg.update(given)
-    return cfg
+def _takes(action, value) -> bool:
+    """Whether ``value`` is one that ``action``'s flag gives for one of its
+    arguments; a JSON boolean is never a number."""
+    return (isinstance(value, _JSON_KINDS[action.type]) and not isinstance(value, bool)
+            and (action.choices is None or value in action.choices))
+
+
+def _checked_config(command, doc: dict) -> dict:
+    """``doc``, a ``--config`` object for ``command``'s parser, once every
+    key is one of its options and every value one that the option's flag
+    could give (as JSON); ``null`` stands only where the default is null.
+    Anything else is a ``SchemaError`` at ``$.<key>``."""
+    options = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    for key, value in doc.items():
+        action = options.get(key)
+        if action is None:
+            raise SchemaError(f"$.{key}", f"not an option of {command.prog}")
+        if value is None and action.default is None:
+            continue
+        if action.nargs == 0:
+            valid = isinstance(value, bool)
+        elif action.nargs == 2:
+            valid = isinstance(value, list) and len(value) == 2 \
+                and all(_takes(action, v) for v in value)
+        else:
+            valid = _takes(action, value)
+        if not valid:
+            raise SchemaError(f"$.{key}", f"{action.option_strings[0]} does not take "
+                                          f"{json.dumps(value)}")
+    return doc
 
 
 def _split_routes(routes, which: str, fraction: float, seed: int):
@@ -205,12 +194,9 @@ def _cmd_solve_tsp(cfg):
 
 
 def _cmd_train(cfg):
-    routes = datagen.load_routes(cfg["data"])
-    if cfg["train_fraction"] < 1.0:
-        train_routes, _ = training.split_dataset(
-            routes, (cfg["train_fraction"], 1.0 - cfg["train_fraction"]), cfg["seed"])
-    else:
-        train_routes = routes
+    train_routes = _split_routes(datagen.load_routes(cfg["data"]),
+                                 "train" if cfg["train_fraction"] < 1.0 else "all",
+                                 cfg["train_fraction"], cfg["seed"])
     tc = training.TrainConfig(
         variant=cfg["variant"],
         epochs=cfg["epochs"],
@@ -254,15 +240,15 @@ def _load_predictions(path) -> dict:
 
 
 def _cmd_evaluate(cfg):
+    if bool(cfg["checkpoint"]) == bool(cfg["predictions"]):
+        raise ConfigError("evaluate needs exactly one of --checkpoint and --predictions")
     routes = _split_routes(datagen.load_routes(cfg["data"]), cfg["split"],
                            cfg["train_fraction"], cfg["seed"])
     if cfg["predictions"]:
         report = scoring.evaluate_testset(routes, sequences=_load_predictions(cfg["predictions"]))
-    elif cfg["checkpoint"]:
+    else:
         params = load_model(cfg["checkpoint"])
         report = scoring.evaluate_testset(routes, params=params, mode=_mode_arg(cfg["mode"]))
-    else:
-        raise RouteSeqError("evaluate needs --checkpoint or --predictions")
     _write_json(cfg["out"], report.to_dict())
     if cfg["csv"]:
         with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
@@ -334,9 +320,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
+        if args.config:
+            command = parser.commands[args.command]
+            command.set_defaults(**_checked_config(command, datagen.read_json_object(args.config)))
+            args = parser.parse_args(argv)
+        cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         print(json.dumps({"command": args.command, "config": cfg}, sort_keys=True))
         _HANDLERS[args.command](cfg)
     except Exception as exc:  # noqa: BLE001 - uniform runtime error surface

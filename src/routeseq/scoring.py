@@ -185,8 +185,10 @@ def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None) 
         if zone_order is None:
             raise InvalidInputError("need a zone order or a stop sequence to score")
         stop_indices = completion.complete_sequence(zone_order, prep.zinst, route)
-    if zone_order is None:
+    elif zone_order is None:
         zone_order = first_visit_zone_order(prep.zinst.zones, stop_indices)
+    elif sorted(zone_order) != list(range(prep.n_zones)):
+        raise InvalidInputError("zone_order must be a permutation of the zones")
     actual = [s + 1 for s in route.actual_stop_sequence]
     predicted = [s + 1 for s in stop_indices]
     sd = sequence_deviation(actual, predicted)

@@ -136,6 +136,20 @@ def test_prediction_stop_id_of_wrong_type_is_a_route_failure(tmp_path, value):
     assert len(report.rows) == 1
 
 
+_ZONES = PREDICTIONS["predictions"][0]["zone_sequence"]
+
+
+@pytest.mark.parametrize("zone_sequence", [[_ZONES[0]] * len(_ZONES), [], _ZONES[:-1]])
+def test_prediction_zone_sequence_not_a_permutation_is_a_route_failure(tmp_path, zone_sequence):
+    # beside a valid stop sequence, [z0, z0, ...] used to earn acc1 = 1.0 and
+    # [] dropped the route out of every first-k mean
+    doc = _with(PREDICTIONS, ("predictions", 0, "zone_sequence"), zone_sequence)
+    report = evaluate_testset(ROUTES, sequences=_load_predictions(_write(tmp_path, doc)))
+    assert report.failures == [
+        (ROUTES[0].route_id, "InvalidInputError: zone_order must be a permutation of the zones")]
+    assert len(report.rows) == 1
+
+
 # --- any field replaced by a value of another JSON type ------------------------
 
 def _json_type(value) -> str:

@@ -28,8 +28,10 @@ the ``src/`` next to this script.  Each line is ``<what> <digest>``:
   paths in a temporary directory (``generate``, ``solve-tsp --stops``, and
   per variant ``train``'s checkpoint and report without ``wall_time_s``,
   ``predict`` greedy and best-first with ``--stops``, ``evaluate
-  --checkpoint`` JSON and CSV, and ``evaluate --predictions`` JSON), and the
-  stdout of every command.
+  --checkpoint`` JSON and CSV, and ``evaluate --predictions`` JSON; then
+  ``generate``, ``train`` and ``predict`` with every key from a ``--config``
+  file and ``--seed`` also given as a flag, and ``benchmark --epochs 2``),
+  the config files, and the stdout of every command.
 
 The training routes have 3-6 zones, so ``lstm_ed``'s head is narrower than
 most of the 1-15-zone test routes.
@@ -105,6 +107,22 @@ def _erp_digests() -> None:
             print(f"erp {route.route_id} {kind}", _sha(parts))
 
 
+# The --config files of the config runs at the end of _cli_runs, which give
+# each required key again as its flag.
+_CLI_CONFIGS = {
+    "generate-config.json": {"out": "config-data.json", "n_routes": 10, "zones": [2, 6],
+                             "stops_per_zone": [1, 3], "extent_km": 4.0, "speed_kmph": 25.0,
+                             "noise_sigma": 0.2, "behavior": "nearest_zone", "seed": 29},
+    "train-config.json": {"data": "config-data.json", "checkpoint": "config.ckpt",
+                          "variant": "pointer", "epochs": 2, "lr": 0.01, "seed": 4,
+                          "input_order": "random", "train_fraction": 0.7, "clip_norm": 1.0,
+                          "report": "config-train.json"},
+    "predict-config.json": {"checkpoint": "config.ckpt", "data": "config-data.json",
+                            "out": "config-predict.json", "mode": "greedy", "stops": True,
+                            "split": "test", "train_fraction": 0.7, "seed": 4},
+}
+
+
 def _cli_runs():
     yield ["generate", "--out", "data.json", "--n-routes", "12", "--zones", "2", "8",
            "--stops-per-zone", "1", "3", "--seed", "23"]
@@ -121,6 +139,13 @@ def _cli_runs():
                "--out", f"{v}-evaluate.json", "--csv", f"{v}-evaluate.csv"]
         yield ["evaluate", "--data", "data.json", "--predictions", f"{v}-best-first.json",
                "--out", f"{v}-evaluate-predictions.json"]
+    yield ["generate", "--out", "config-data.json", "--config", "generate-config.json",
+           "--seed", "31"]
+    yield ["train", "--data", "config-data.json", "--checkpoint", "config.ckpt",
+           "--config", "train-config.json"]
+    yield ["predict", "--checkpoint", "config.ckpt", "--data", "config-data.json",
+           "--out", "config-predict.json", "--config", "predict-config.json"]
+    yield ["benchmark", "--data", "data.json", "--out", "benchmark.json", "--epochs", "2"]
 
 
 def _cli_digests() -> None:
@@ -128,6 +153,8 @@ def _cli_digests() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            for name, doc in _CLI_CONFIGS.items():
+                Path(name).write_text(json.dumps(doc, sort_keys=True))
             for k, argv in enumerate(_cli_runs()):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
