@@ -195,7 +195,7 @@ def _cmd_solve_tsp(cfg):
 
 def _cmd_train(cfg):
     train_routes = _split_routes(datagen.load_routes(cfg["data"]),
-                                 "train" if cfg["train_fraction"] < 1.0 else "all",
+                                 "all" if cfg["train_fraction"] == 1.0 else "train",
                                  cfg["train_fraction"], cfg["seed"])
     tc = training.TrainConfig(
         variant=cfg["variant"],

@@ -3,9 +3,11 @@
 For each zone, in order: three candidate entry stops (closest in travel time
 to the previous zone's exit), three candidate exit stops (closest on average
 to the next zone's stops; the depot plays "next zone" for the final zone),
-one small path TSP per (entry, exit) pair, and the cheapest
-within-zone path wins.  When entry and exit coincide the zone is solved as a
-tour whose closing edge is dropped.
+and the cheapest within-zone path of each (entry, exit) pair; the cheapest
+path wins, ties to the smallest.  A zone of at most ``EXACT_THRESHOLD`` stops
+builds one Held-Karp table per entry and reads every exit from it, larger
+ones solve each pair heuristically; an entry that is also the exit takes
+its tour without the closing edge.
 """
 
 from __future__ import annotations
@@ -14,14 +16,39 @@ import numpy as np
 
 from .domain import RouteInstance, ZoneInstance
 from .errors import InvalidInputError
-from .tsp import solve_path, solve_tour
+from .tsp import EXACT_THRESHOLD, _as_matrix, _held_karp, solve_path, solve_tour
 
 N_CANDIDATES = 3
 
 
-def _closest(indices, scores, count):
-    ranked = sorted(zip(scores, indices))
-    return [idx for _, idx in ranked[:count]]
+def _closest(members, scores):
+    """Positions of the N_CANDIDATES members of lowest score, ties to the
+    smaller stop index."""
+    ranked = sorted(zip(scores, members, range(len(members))))
+    return [k for _, _, k in ranked[:N_CANDIDATES]]
+
+
+def _pair_paths(sub, firsts, lasts):
+    """(order, cost) of the within-zone path of each (entry, exit) pair, as
+    positions in ``sub``; an entry that is also the exit gives its tour
+    minus the closing leg."""
+    if len(sub) > EXACT_THRESHOLD:
+        for f in firsts:
+            for l in lasts:
+                sol = solve_tour(sub, origin=f) if f == l else solve_path(sub, f, l)
+                yield sol.order, sol.cost - (float(sub[sol.order[-1], f]) if f == l else 0.0)
+        return
+    m = _as_matrix(sub)
+    for f in firsts:
+        interior, ends, path = _held_karp(m, f)
+        for l in lasts:
+            if f == l:
+                tours = ends + m[interior, f]
+                u = int(tours.argmin())
+                yield path(u), float(tours[u]) - float(m[interior[u], f])
+            else:
+                u = interior.index(l)
+                yield path(u), float(ends[u])
 
 
 def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_nodes: list):
@@ -31,32 +58,18 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_no
     ``members`` are stop indices; ``entry_from``/``next_nodes`` are matrix
     indices (0 = depot).
     """
-    tt = route.travel_time
-    nodes = [m + 1 for m in members]
     if len(members) == 1:
         return [members[0]], 0.0
-    firsts = _closest(members, [tt[entry_from, m + 1] for m in members], N_CANDIDATES)
-    lasts = _closest(
-        members,
-        [float(np.mean([tt[m + 1, t] for t in next_nodes])) for m in members],
-        N_CANDIDATES,
-    )
-    sub = tt[np.ix_(nodes, nodes)]
-    pos = {m: k for k, m in enumerate(members)}
+    tt = route.travel_time
+    nodes = [m + 1 for m in members]
+    firsts = _closest(members, tt[entry_from, nodes].tolist())
+    lasts = _closest(members, tt[np.ix_(nodes, next_nodes)].mean(axis=1).tolist())
     best_path, best_cost = None, None
-    for f in firsts:
-        for l in lasts:
-            if f == l:
-                tour = solve_tour(sub, origin=pos[f])
-                cost = tour.cost - float(sub[tour.order[-1], tour.order[0]])
-                order = tour.order
-            else:
-                sol = solve_path(sub, pos[f], pos[l])
-                cost, order = sol.cost, sol.order
-            path = [members[k] for k in order]
-            if (best_cost is None or cost < best_cost
-                    or (cost == best_cost and tuple(path) < tuple(best_path))):
-                best_path, best_cost = path, cost
+    for order, cost in _pair_paths(tt[np.ix_(nodes, nodes)], firsts, lasts):
+        path = [members[k] for k in order]
+        if (best_cost is None or cost < best_cost
+                or (cost == best_cost and tuple(path) < tuple(best_path))):
+            best_path, best_cost = path, cost
     return best_path, float(best_cost)
 
 

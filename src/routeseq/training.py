@@ -66,8 +66,8 @@ def split_dataset(routes, fractions=(0.8, 0.2), seed: int = 0):
     n = len(routes)
     if n < 2:
         raise InvalidInputError("need at least 2 routes to split")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidInputError("split fractions must sum to 1")
+    if not np.isfinite(fractions).all() or abs(sum(fractions) - 1.0) > 1e-9:
+        raise InvalidInputError(f"split fractions must be finite and sum to 1, got {fractions}")
     n_train = int(round(fractions[0] * n))
     if n_train <= 0 or n_train >= n:
         raise InvalidInputError(f"fractions {fractions} produce an empty split for {n} routes")

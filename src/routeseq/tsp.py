@@ -3,16 +3,18 @@
 Instances of n <= EXACT_THRESHOLD nodes are solved exactly by Held-Karp,
 larger ones by nearest-neighbor construction plus 2-opt, which recomputes
 the full cost of a reversed segment because matrices may be asymmetric.
-Results are deterministic.  Held-Karp runs over bitmasks of the interior
-nodes one popcount layer at a time: each (mask, v) pair reads only the layer
-below, so numpy takes a layer's candidates ``dp[mask - v, u] + m[u, v]``
-(one float add each) in a few steps.  The parent, like the last interior
-node, is the first ``argmin`` over ascending u, which gives the tie rule:
-walking back from the end of the order, each tie goes to the smallest node
-index, so an all-equal matrix gives a descending interior (the tour from 0
-over 4 nodes is [0, 3, 2, 1]).  Nearest neighbor takes the smallest index
-among equally near nodes; 2-opt keeps the first move it scans unless a
-later one is better by more than 1e-12.
+Results are deterministic.  Held-Karp runs from ``start`` over bitmasks of
+the other nodes one popcount layer at a time: numpy takes a layer's
+candidates ``dp[mask - v, u] + m[u, v]`` (one float add each) in a few
+steps.  One table serves the tour and the path to every end; a u outside
+the mask is ``inf``, so the masks without an end hold the bits of a DP that
+leaves the end out.  The parent, like the tour's last node, is the first
+``argmin`` over ascending u, which gives the tie rule: walking back from
+the end of the order, each tie goes to the smallest node index, so an
+all-equal matrix gives a descending interior (the tour from 0 over 4 nodes
+is [0, 3, 2, 1]).  Nearest neighbor takes the smallest index among equally
+near nodes; 2-opt keeps the first move it scans unless a later one is
+better by more than 1e-12.
 """
 
 from __future__ import annotations
@@ -88,15 +90,13 @@ def _layers(k: int):
     return (1 << nodes) * k + nodes, k * np.arange(_CHUNK), chunks
 
 
-def _held_karp(m: np.ndarray, start: int, end: int):
-    """Cheapest path from ``start`` through every other node to ``end``; the
-    tour from ``start`` when ``start == end`` (the order then ends with
-    ``start`` again).  ``dp`` and ``parent`` are flat ``mask * k + v`` tables."""
-    n = m.shape[0]
-    interior = [v for v in range(n) if v not in (start, end)]
+def _held_karp(m: np.ndarray, start: int):
+    """Held-Karp table from ``start`` over every other node: returns the
+    other nodes ``interior``, ``ends[u]``, the cost of the cheapest path
+    through all of them that ends at ``interior[u]``, and ``path(u)``, that
+    path walked back through the flat ``mask * k + v`` parent table."""
+    interior = [v for v in range(m.shape[0]) if v != start]
     k = len(interior)
-    if k == 0:
-        return [start, end], float(m[start, end])
     idx = np.array(interior)
     step = m[idx][:, idx].T  # step[v, u]: the leg u -> v
     singles, rows, chunks = _layers(k)
@@ -109,14 +109,15 @@ def _held_karp(m: np.ndarray, start: int, end: int):
         u = cand.argmin(axis=1)
         parent[flat] = u
         dp[flat] = cand.reshape(-1)[rows[:len(u)] + u]
-    last = dp[-k:] + m[idx, end]
-    u = int(last.argmin())
-    best = last[u]
-    mid, mask = [], (1 << k) - 1
-    for _ in range(k):
-        mid.append(interior[u])
-        mask, u = mask ^ (1 << u), int(parent[mask * k + u])
-    return [start] + mid[::-1] + [end], float(best)
+
+    def path(u: int) -> list:
+        mid, mask = [], (1 << k) - 1
+        for _ in range(k):
+            mid.append(interior[u])
+            mask, u = mask ^ (1 << u), int(parent[mask * k + u])
+        return [start] + mid[::-1]
+
+    return interior, dp[-k:], path
 
 
 def _nearest_neighbor(m: np.ndarray, start: int, pool: list, end: int | None):
@@ -178,8 +179,10 @@ def solve_tour(costs, origin: int = 0, exact_threshold: int = EXACT_THRESHOLD) -
     if n == 1:
         return TspSolution([origin], 0.0, "tour", "exact")
     if n <= exact_threshold:
-        order, cost = _held_karp(m, origin, origin)
-        return TspSolution(order[:-1], cost, "tour", "exact")
+        interior, ends, path = _held_karp(m, origin)
+        tours = ends + m[interior, origin]
+        u = int(tours.argmin())
+        return TspSolution(path(u), float(tours[u]), "tour", "exact")
     order = _nearest_neighbor(m, origin, [v for v in range(n) if v != origin], None)
     order, cost = _two_opt(order, m, close=True, fixed_last=False)
     return TspSolution(order, cost, "tour", "heuristic")
@@ -201,8 +204,9 @@ def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESH
             return TspSolution([first], 0.0, "path", "exact")
         raise InvalidInputError("first == last is only valid for a single-node path")
     if n <= exact_threshold:
-        order, cost = _held_karp(m, first, last)
-        return TspSolution(order, cost, "path", "exact")
+        interior, ends, path = _held_karp(m, first)
+        u = interior.index(last)
+        return TspSolution(path(u), float(ends[u]), "path", "exact")
     pool = [v for v in range(n) if v not in (first, last)]
     order = _nearest_neighbor(m, first, pool, last)
     order, cost = _two_opt(order, m, close=False, fixed_last=True)

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written from first principles (exhaustive
-enumeration, direct formula evaluation) and never calls the code under test.
+enumeration, direct formula evaluation) and never calls the code under test,
+except ``zone_path_per_pair_ref``, which calls the per-pair ``tsp`` solvers
+that ``test_tsp`` checks against ``held_karp_loop``.
 """
 
 import re
@@ -358,3 +360,42 @@ def pair_tensor_ref(zinst):
             else:
                 pair[i + 1, j] = [float(ztt[i + 1, j + 1]), *_relationship_ref(ids[i], ids[j])]
     return pair
+
+
+def zone_path_per_pair_ref(route, members, entry_from, next_nodes):
+    """Zone completion with one TSP solve per (entry, exit) candidate pair,
+    up to 3 x 3 per zone: the former ``completion.best_zone_path``, verbatim
+    but for its name, a nested ``_closest`` and 3 for ``N_CANDIDATES``."""
+    from routeseq.tsp import solve_path, solve_tour
+
+    def _closest(indices, scores, count):
+        ranked = sorted(zip(scores, indices))
+        return [idx for _, idx in ranked[:count]]
+
+    tt = route.travel_time
+    nodes = [m + 1 for m in members]
+    if len(members) == 1:
+        return [members[0]], 0.0
+    firsts = _closest(members, [tt[entry_from, m + 1] for m in members], 3)
+    lasts = _closest(
+        members,
+        [float(np.mean([tt[m + 1, t] for t in next_nodes])) for m in members],
+        3,
+    )
+    sub = tt[np.ix_(nodes, nodes)]
+    pos = {m: k for k, m in enumerate(members)}
+    best_path, best_cost = None, None
+    for f in firsts:
+        for l in lasts:
+            if f == l:
+                tour = solve_tour(sub, origin=pos[f])
+                cost = tour.cost - float(sub[tour.order[-1], tour.order[0]])
+                order = tour.order
+            else:
+                sol = solve_path(sub, pos[f], pos[l])
+                cost, order = sol.cost, sol.order
+            path = [members[k] for k in order]
+            if (best_cost is None or cost < best_cost
+                    or (cost == best_cost and tuple(path) < tuple(best_path))):
+                best_path, best_cost = path, cost
+    return best_path, float(best_cost)

@@ -160,6 +160,27 @@ def test_evaluate_needs_exactly_one_source(tmp_path, capsys):
                          "evaluate needs exactly one of --checkpoint and --predictions"}
 
 
+@pytest.mark.parametrize("command, fraction", [
+    ("train", "1.5"), ("train", "nan"), ("train", "-inf"), ("evaluate", "nan"), ("evaluate", "1.5"),
+])
+def test_train_fraction_outside_the_split_range_is_a_typed_error(tmp_path, capsys, command, fraction):
+    # Only exactly 1.0 means "train on every route"; any other fraction must
+    # split the routes, and a non-finite one cannot.
+    data = _gen(tmp_path)
+    preds, out = tmp_path / "tsp.json", tmp_path / "out.json"
+    assert main(["solve-tsp", "--data", str(data), "--out", str(preds)]) == 0
+    argv = {
+        "train": ["train", "--data", str(data), "--checkpoint", str(out), "--epochs", "1"],
+        "evaluate": ["evaluate", "--data", str(data), "--predictions", str(preds),
+                     "--out", str(out), "--split", "test"],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, f"--train-fraction={fraction}"]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "InvalidInputError"
+    assert not out.exists()
+
+
 def test_benchmark_emits_nine_rows(tmp_path):
     data = _gen(tmp_path)
     out = tmp_path / "bench.json"

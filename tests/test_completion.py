@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_route
+from oracles import zone_path_per_pair_ref
+from routeseq import completion, tsp
 from routeseq.completion import N_CANDIDATES, best_zone_path, complete_sequence
 from routeseq.domain import build_zone_instance
 from routeseq.errors import InvalidInputError
@@ -91,6 +93,58 @@ def test_zone_path_matches_brute_force(rng):
         ref_path, ref_cost = _brute_force_zone(route, members, 0, next_nodes)
         assert cost == pytest.approx(ref_cost, rel=1e-12)
         assert sorted(path) == members
+
+
+def _zone_case(rng, n, kind, entry):
+    """A zone of stops 0..n-1 (in shuffled order) beside a next zone of
+    1..30 stops; travel times lognormal reals or integers 0..2 (ties); the
+    entry from the depot or from a stop of a third zone."""
+    total = n + int(rng.integers(1, 31)) + 1
+    if kind == "lognormal":
+        times = rng.lognormal(4.0, 1.0, size=(total + 1, total + 1))
+    else:
+        times = rng.integers(0, 3, size=(total + 1, total + 1)).astype(float)
+    np.fill_diagonal(times, 0.0)
+    route = make_route(["Z-1.1A"] * n + ["N-1.1A"] * (total - n - 1) + ["E-1.1A"], times=times)
+    members = [int(m) for m in rng.permutation(n)]
+    next_nodes = list(range(n + 1, total))
+    return route, members, 0 if entry == "depot" else total, next_nodes
+
+
+@pytest.mark.parametrize("entry", ["depot", "stop"])
+@pytest.mark.parametrize("kind", ["lognormal", "integer"])
+@pytest.mark.parametrize("n", range(1, 16))
+def test_best_zone_path_is_bit_identical_to_the_per_pair_reference(n, kind, entry):
+    # Zones of up to 13 stops read their pairs from per-entry tables, larger
+    # ones still solve each pair heuristically.
+    rng = np.random.default_rng([n, len(kind), len(entry)])
+    for _ in range(4):
+        route, members, entry_from, next_nodes = _zone_case(rng, n, kind, entry)
+        for nxt in (next_nodes, [0]):
+            path, cost = best_zone_path(route, members, entry_from, nxt)
+            ref_path, ref_cost = zone_path_per_pair_ref(route, members, entry_from, nxt)
+            assert (path, cost.hex()) == (ref_path, ref_cost.hex())
+
+
+def test_best_zone_path_builds_one_table_per_candidate_entry(monkeypatch):
+    # Every exit candidate's path comes from its entry's Held-Karp table, so
+    # a zone builds at most N_CANDIDATES tables, one per entry.
+    calls = []
+
+    def counted(m, start):
+        calls.append(start)
+        return held_karp(m, start)
+
+    held_karp = tsp._held_karp
+    monkeypatch.setattr(tsp, "_held_karp", counted)
+    monkeypatch.setattr(completion, "_held_karp", counted)
+    rng = np.random.default_rng(7)
+    for n in range(1, 14):
+        for kind in ("lognormal", "integer"):
+            route, members, entry_from, next_nodes = _zone_case(rng, n, kind, "stop")
+            calls.clear()
+            best_zone_path(route, members, entry_from, next_nodes)
+            assert len(calls) == len(set(calls)) <= N_CANDIDATES, (n, kind, calls)
 
 
 def test_output_is_partition_into_contiguous_zones(rng):

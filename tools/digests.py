@@ -24,6 +24,9 @@ the ``src/`` next to this script.  Each line is ``<what> <digest>``:
   of 27-56 stops against itself, its reverse, a shuffle and three swaps of
   neighbours, on the route's real matrix and on an integer-valued matrix
   (ties, zeroed depot row);
+- ``zone``: ``completion.best_zone_path``'s path and cost (float hex) for
+  every zone of the test routes and of the ``erp`` routes, walked in zone
+  index order, on the real matrix and on an integer-valued copy (ties);
 - ``cli``: the files that ``routeseq.cli.main`` writes, run with relative
   paths in a temporary directory (``generate``, ``solve-tsp --stops``, and
   per variant ``train``'s checkpoint and report without ``wall_time_s``,
@@ -46,6 +49,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
@@ -54,7 +58,9 @@ import numpy as np  # noqa: E402
 
 from routeseq import inference, scoring  # noqa: E402
 from routeseq.cli import main as cli_main  # noqa: E402
+from routeseq.completion import best_zone_path  # noqa: E402
 from routeseq.datagen import BEHAVIORS, SynthConfig, generate, routes_to_json  # noqa: E402
+from routeseq.domain import build_zone_instance  # noqa: E402
 from routeseq.kernel import Tape  # noqa: E402
 from routeseq.predictor import (  # noqa: E402
     VARIANTS,
@@ -86,9 +92,7 @@ def _trace_parts(pred):
         yield b"-" if t.context is None else t.context.tobytes()
 
 
-def _erp_digests() -> None:
-    routes = generate(SynthConfig(n_routes=4, zones_per_route=(5, 10),
-                                  stops_per_zone=(4, 8), seed=17))
+def _erp_digests(routes) -> None:
     rng = np.random.default_rng(17)
     for route in routes:
         n = route.n_stops
@@ -105,6 +109,24 @@ def _erp_digests() -> None:
                 cost, edits = scoring.erp(actual, predicted, m)
                 parts += [cost.hex(), edits]
             print(f"erp {route.route_id} {kind}", _sha(parts))
+
+
+def _zone_digests(tag, routes) -> None:
+    """``best_zone_path`` along each route's zones in index order, as
+    ``complete_sequence`` walks them, on the real matrix and on an
+    integer-valued copy (ties)."""
+    for route in routes:
+        zones = [zone.member_stops for zone in build_zone_instance(route).zones]
+        for kind, m in (("real", route.travel_time),
+                        ("integer", np.floor(route.travel_time / 200.0))):
+            copy = replace(route, travel_time=m)
+            parts, prev = [], 0
+            for z, members in enumerate(zones):
+                nxt = [s + 1 for s in zones[z + 1]] if z + 1 < len(zones) else [0]
+                path, cost = best_zone_path(copy, members, prev, nxt)
+                parts += [*path, cost.hex()]
+                prev = path[-1] + 1
+            print(f"zone {tag} {route.route_id} {kind}", _sha(parts))
 
 
 # The --config files of the config runs at the end of _cli_runs, which give
@@ -178,12 +200,16 @@ def main() -> None:
         dataset = generate(SynthConfig(n_routes=5, zones_per_route=(2, 8),
                                        stops_per_zone=(1, 4), behavior=behavior, seed=19))
         print(f"dataset {behavior}", _sha([routes_to_json(dataset)]))
-    _erp_digests()
+    erp_routes = generate(SynthConfig(n_routes=4, zones_per_route=(5, 10),
+                                      stops_per_zone=(4, 8), seed=17))
+    _erp_digests(erp_routes)
     _cli_digests()
     train_routes = generate(SynthConfig(n_routes=6, zones_per_route=(3, 6),
                                         stops_per_zone=(1, 3), seed=11))
     test_routes = generate(SynthConfig(n_routes=12, zones_per_route=(1, 15),
                                        stops_per_zone=(1, 3), seed=13))
+    _zone_digests("erp", erp_routes)
+    _zone_digests("test", test_routes)
     test_preps = [prepare_route(r) for r in test_routes]
     for prep in test_preps:
         print(f"prep {prep.route.route_id}", _sha([
