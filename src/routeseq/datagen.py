@@ -63,10 +63,12 @@ def _validate_config(config: SynthConfig):
                            ("stops_per_zone", config.stops_per_zone)):
         if lo < 1 or hi < lo:
             raise InvalidInputError(f"{name} range {lo}..{hi} is impossible")
-    if config.extent_km <= 0 or config.speed_kmph <= 0:
-        raise InvalidInputError("extent_km and speed_kmph must be positive")
-    if config.noise_sigma < 0:
-        raise InvalidInputError("noise_sigma must be >= 0")
+    for name in ("extent_km", "speed_kmph"):
+        value = getattr(config, name)
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+    if not (math.isfinite(config.noise_sigma) and config.noise_sigma >= 0):
+        raise InvalidInputError(f"noise_sigma must be finite and >= 0, got {config.noise_sigma}")
     if config.behavior not in BEHAVIORS:
         raise InvalidInputError(f"behavior must be one of {BEHAVIORS}")
 
@@ -78,34 +80,17 @@ def _to_latlng(xy: np.ndarray) -> tuple:
 
 
 def _cluster_rollout(ztt: np.ndarray, majors: list, first: int) -> list:
-    n = ztt.shape[0] - 1
-    order, visited = [first], {first}
-    cur, cur_major = first, majors[first]
-    while len(order) < n:
-        pool = [z for z in range(n) if z not in visited and majors[z] == cur_major]
-        if not pool:
-            pool = [z for z in range(n) if z not in visited]
-        best, best_z = None, -1
-        for z in pool:
-            c = ztt[cur + 1, z + 1]
-            if best is None or c < best:
-                best, best_z = c, z
-        order.append(best_z)
-        visited.add(best_z)
-        cur = best_z
-        cur_major = majors[best_z]
+    """The cluster rule's zone order from zone ``first``: the nearest
+    unvisited zone of the current major cluster, else the nearest unvisited
+    zone; a tie goes to the smallest zone index."""
+    order = [first]
+    left = [z for z in range(ztt.shape[0] - 1) if z != first]
+    while left:
+        pool = [z for z in left if majors[z] == majors[order[-1]]] or left
+        nearest = min(pool, key=lambda z: ztt[order[-1] + 1, z + 1])
+        order.append(nearest)
+        left.remove(nearest)
     return order
-
-
-def _cluster_biased_order(ztt: np.ndarray, majors: list) -> list:
-    n = ztt.shape[0] - 1
-    best_order, best_cost = None, None
-    for first in range(n):
-        order = _cluster_rollout(ztt, majors, first)
-        cost = route_cost([0] + [z + 1 for z in order], ztt, close_tour=True)
-        if best_cost is None or cost < best_cost:
-            best_order, best_cost = order, cost
-    return best_order
 
 
 def _gen_route(rng: np.random.Generator, config: SynthConfig, route_id: str) -> RouteInstance:
@@ -169,7 +154,11 @@ def _gen_route(rng: np.random.Generator, config: SynthConfig, route_id: str) -> 
         zone_order = [v - 1 for v in _nearest_neighbor(ztt, 0, list(range(1, len(ztt))), None)[1:]]
     else:
         majors = [parse_zone_id(z.zone_id)[1] for z in zinst.zones]
-        zone_order = _cluster_biased_order(ztt, majors)
+        # The start whose rollout is cheapest as a tour; a tie goes to the
+        # smallest first zone.
+        zone_order = min((_cluster_rollout(ztt, majors, first) for first in range(len(majors))),
+                         key=lambda order: route_cost([0] + [z + 1 for z in order], ztt,
+                                                      close_tour=True))
     route.actual_stop_sequence = complete_sequence(zone_order, zinst, route)
 
     hour = int(rng.integers(6, 11))

@@ -13,7 +13,7 @@ concatenation op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,37 +235,26 @@ def pointer_scores(keys, d, pair_rows, w1, w2, w3, w4):
     return _record(t @ w1v + zv @ w4v, (keys, d, pair_rows, w1, w2, w3, w4), backward)
 
 
-def _leaves(obj, prefix, out):
+def map_tensors(obj, fn, prefix: str = ""):
+    """Rebuild a parameter container with each leaf tensor replaced by
+    ``fn(name, tensor)``; ``name`` is the leaf's dotted path below
+    ``prefix`` (``encoder.w``, ``asnn.0.b``), and a None field stays None.
+    A dataclass container is walked in the order of its fields, which is
+    the order its ``__init__`` sets its attributes in."""
     if isinstance(obj, (np.ndarray, Node)):
-        out[prefix] = obj
-    elif isinstance(obj, MlpParams):
-        for k, layer in enumerate(obj.layers):
-            _leaves(layer, f"{prefix}.{k}", out)
-    elif hasattr(obj, "__dataclass_fields__"):
-        for f in fields(obj):
-            _leaves(getattr(obj, f.name), f"{prefix}.{f.name}", out)
-    elif obj is None:
-        pass
-    else:  # pragma: no cover - guards against silent omissions
-        raise TypeError(f"cannot collect tensors from {type(obj)} at {prefix}")
+        return fn(prefix, obj)
+    if obj is None:
+        return None
+    if isinstance(obj, MlpParams):
+        return MlpParams([map_tensors(layer, fn, f"{prefix}.{k}")
+                          for k, layer in enumerate(obj.layers)])
+    return type(obj)(**{name: map_tensors(value, fn, f"{prefix}.{name}")
+                        for name, value in vars(obj).items()})
 
 
 def named_tensors(obj, prefix: str) -> dict:
-    """Flatten a parameter container into {name: tensor} for the optimizer,
-    checkpointing, and finite-difference checks."""
+    """Flatten a parameter container into {name: tensor}, in the order of
+    ``map_tensors``."""
     out: dict = {}
-    _leaves(obj, prefix, out)
+    map_tensors(obj, out.__setitem__, prefix)
     return out
-
-
-def map_tensors(obj, fn):
-    """Rebuild a parameter container with ``fn`` applied to each leaf tensor."""
-    if isinstance(obj, (np.ndarray, Node)):
-        return fn(obj)
-    if isinstance(obj, MlpParams):
-        return MlpParams([map_tensors(layer, fn) for layer in obj.layers])
-    if obj is None:
-        return None
-    if hasattr(obj, "__dataclass_fields__"):
-        return type(obj)(*(map_tensors(getattr(obj, f.name), fn) for f in fields(obj)))
-    raise TypeError(f"cannot map over {type(obj)}")

@@ -14,13 +14,15 @@ log-likelihood:
 - ``asnn``: no recurrence; the same pair MLP scores [pair features;
   previous zone's features; candidate's features].
 
-Every variant indexes its candidates by *input position* (the encoder
-reading order); zone index <-> position mapping lives in ScaledRoute, and
-per-step probabilities are mapped back to zone-index order for the traces
-and for picking.  Training and decoding share one decoder loop
-(``decode``): at every step the softmax runs over the zones not yet
-visited only, so visited zones get probability exactly 0 and the context
-fed to the next step is the same quantity in both.
+The variants differ only in how one decoder step scores its candidates
+(``_scores``); everything else is one decoder loop (``decode``) that
+training and decoding share.  Every variant indexes its candidates by
+*input position* (the encoder reading order); zone index <-> position
+mapping lives in ScaledRoute, and per-step probabilities are mapped back to
+zone-index order for the traces and for picking.  At every step one masked
+softmax turns the scores into probabilities over the zones not yet visited
+only, so visited zones get probability exactly 0 and the context fed to the
+next step is the same quantity in training and decoding.
 """
 
 from __future__ import annotations
@@ -215,6 +217,8 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         raise ConfigError(f"unknown variant {config.variant!r}")
     if config.input_order_mode not in INPUT_ORDER_MODES:
         raise ConfigError(f"unknown input order mode {config.input_order_mode!r}")
+    if config.kz is not None and config.variant != "lstm_ed":
+        raise ConfigError(f"kz is the lstm_ed head width; {config.variant} has no such head")
     k, h = config.n_features, config.hidden
     params = ModelParams(config=config, scaler=identity_scaler(k, config.pair_dim))
     if config.variant in ("pairwise", "pointer", "lstm_ed"):
@@ -242,24 +246,23 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     return params
 
 
+# The learnable components of ``ModelParams``, in the order of their tensor names.
+_COMPONENTS = ("encoder", "decoder", "asnn", "pointer", "fc")
+
+
 def model_tensors(params: ModelParams) -> dict:
     """Flat {name: tensor} view of every learnable tensor."""
     out: dict = {}
-    for name in ("encoder", "decoder", "asnn", "pointer", "fc"):
-        component = getattr(params, name)
-        if component is not None:
-            out.update(named_tensors(component, name))
+    for name in _COMPONENTS:
+        map_tensors(getattr(params, name), out.__setitem__, name)
     return out
 
 
 def wrap_params(params: ModelParams, tape: Tape) -> ModelParams:
     """Same structure with every tensor wrapped as a tape leaf."""
-    wrapped = replace(params)
-    for name in ("encoder", "decoder", "asnn", "pointer", "fc"):
-        component = getattr(params, name)
-        if component is not None:
-            setattr(wrapped, name, map_tensors(component, tape.leaf))
-    return wrapped
+    return replace(params, **{name: map_tensors(getattr(params, name),
+                                                lambda _, t: tape.leaf(t), name)
+                              for name in _COMPONENTS})
 
 
 def gradients(params: ModelParams, wrapped: ModelParams) -> dict:
@@ -288,26 +291,20 @@ def encode(params: ModelParams, scaled: ScaledRoute):
     return stack_rows(outputs), state
 
 
-def pair_attention(params: ModelParams, scaled: ScaledRoute, src: int,
-                   query, keys, allowed=None):
-    """Pair-wise attention over input positions: the shared MLP scores
-    [pair features from node ``src``; query; key] per candidate and a
-    softmax over the ``allowed`` positions (all when None) normalizes the
-    scores.  ``pairwise`` queries with the decoder output and keys on the
-    encoder outputs; ``asnn`` queries with node ``src``'s features and keys
-    on the zone features."""
-    return softmax(mlp_forward([scaled.pair[src], query, keys], params.asnn), allowed)
-
-
-def pointer_attention(params: ModelParams, scaled: ScaledRoute, src: int,
-                      d, enc_matrix, allowed=None):
-    """Additive pointer attention plus the linear local term on the pair
-    features from node ``src``."""
-    if params.pointer is None:
-        raise ConfigError("pointer attention requires pointer parameters (W1..W4)")
-    p = params.pointer
-    return softmax(pointer_scores(enc_matrix, d, scaled.pair[src],
-                                  p.w1, p.w2, p.w3, p.w4), allowed)
+def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys):
+    """One decoder step's scores by input position (by head slot for
+    ``lstm_ed``), from the last stop's node ``src``, the query ``d`` and the
+    ``encode`` keys.  ``pointer`` adds its linear local term on the pair
+    features from ``src`` to the additive attention; ``lstm_ed`` scores with
+    its fully-connected head; ``pairwise`` and ``asnn`` score [pair features
+    from ``src``; query; key] per candidate with the shared pair MLP."""
+    variant = params.config.variant
+    if variant == "pointer":
+        p = params.pointer
+        return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4)
+    if variant == "lstm_ed":
+        return mlp_forward([d], params.fc)
+    return mlp_forward([scaled.pair[src], d, keys], params.asnn)
 
 
 def decode_step(params: ModelParams, x_last, w_prev, state: LstmState):
@@ -330,13 +327,13 @@ def _candidates(params: ModelParams, scaled: ScaledRoute, visited: np.ndarray) -
     """Which input positions the next step may pick: those of the unvisited
     zones.  The ``lstm_ed`` head has ``kz`` slots; slots at positions >= n
     are never candidates."""
-    cfg = params.config
+    kz = params.config.kz
     free = np.empty(len(visited), dtype=bool)
     free[scaled.pos_of_zone] = ~visited
-    if cfg.variant != "lstm_ed":
+    if kz is None:
         return free
-    out = np.zeros(cfg.kz, dtype=bool)
-    m = min(len(free), cfg.kz)
+    out = np.zeros(kz, dtype=bool)
+    m = min(len(free), kz)
     out[:m] = free[:m]
     return out
 
@@ -366,24 +363,20 @@ def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
         allowed = _candidates(params, scaled, visited)
-        x_last = scaled.nodes[src]
-        w_ctx = None
-        if cfg.variant == "asnn":
-            probs = pair_attention(params, scaled, src, x_last, keys, allowed)
+        # The query: node src's features, through the decoder LSTM for the
+        # recurrent variants (``asnn`` has no state and queries with them).
+        d = scaled.nodes[src]
+        if state is not None:
+            state, d = decode_step(params, d, w_prev, state)
+        if allowed.any():
+            probs = softmax(_scores(params, scaled, src, d, keys), allowed)
         else:
-            state, d = decode_step(params, x_last, w_prev, state)
-            if cfg.variant == "pairwise":
-                probs = pair_attention(params, scaled, src, d, keys, allowed)
-            elif cfg.variant == "pointer":
-                probs = pointer_attention(params, scaled, src, d, keys, allowed)
-            elif allowed.any():
-                probs = softmax(mlp_forward([d], params.fc), allowed)
-            else:
-                # Decoding a route with more zones than the lstm_ed head has
-                # slots: once those are visited, no zone left has a slot.
-                probs = np.zeros(cfg.kz)
+            # Decoding a route with more zones than the lstm_ed head has
+            # slots: once those are visited, no zone left has a slot.
+            probs = np.zeros(cfg.kz)
         p_zone = _probs_by_zone(scaled, unwrap(probs), cfg.kz)
         chosen = pick(i, p_zone, visited)
+        w_ctx = None
         if cfg.variant in ("pairwise", "pointer"):
             w_prev = matmul(probs, keys)
             w_ctx = unwrap(w_prev).copy()
@@ -420,12 +413,7 @@ def model_meta(params: ModelParams) -> dict:
 
 
 def checkpoint_tensors(params: ModelParams) -> dict:
-    out = model_tensors(params)
-    out["scaler.x_mean"] = params.scaler.x_mean
-    out["scaler.x_std"] = params.scaler.x_std
-    out["scaler.z_mean"] = params.scaler.z_mean
-    out["scaler.z_std"] = params.scaler.z_std
-    return out
+    return {**model_tensors(params), **named_tensors(params.scaler, "scaler")}
 
 
 def _integer(value, least=1) -> int:

@@ -88,6 +88,9 @@ def train(routes, config: TrainConfig):
         raise InvalidInputError("epochs must be >= 1")
     if not routes:
         raise InvalidInputError("training set is empty")
+    for name, value in (("lr", config.lr), ("grad_clip", config.grad_clip)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
     t0 = time.perf_counter()
     preps = [prepare_route(r) for r in routes]
     model_cfg = ModelConfig(

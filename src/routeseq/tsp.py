@@ -34,7 +34,6 @@ _INF = float("inf")
 class TspSolution:
     order: list          # node indices; tours start at the origin, paths at `first`
     cost: float          # summed legs (tours include the closing leg)
-    kind: str            # "tour" | "path"
     method: str          # "exact" | "heuristic"
 
 
@@ -177,15 +176,15 @@ def solve_tour(costs, origin: int = 0, exact_threshold: int = EXACT_THRESHOLD) -
     if not 0 <= origin < n:
         raise InvalidInputError(f"origin {origin} out of range for {n} nodes")
     if n == 1:
-        return TspSolution([origin], 0.0, "tour", "exact")
+        return TspSolution([origin], 0.0, "exact")
     if n <= exact_threshold:
         interior, ends, path = _held_karp(m, origin)
         tours = ends + m[interior, origin]
         u = int(tours.argmin())
-        return TspSolution(path(u), float(tours[u]), "tour", "exact")
+        return TspSolution(path(u), float(tours[u]), "exact")
     order = _nearest_neighbor(m, origin, [v for v in range(n) if v != origin], None)
     order, cost = _two_opt(order, m, close=True, fixed_last=False)
-    return TspSolution(order, cost, "tour", "heuristic")
+    return TspSolution(order, cost, "heuristic")
 
 
 def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESHOLD) -> TspSolution:
@@ -201,13 +200,13 @@ def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESH
             raise InvalidInputError(f"{name} node {v} out of range for {n} nodes")
     if first == last:
         if n == 1:
-            return TspSolution([first], 0.0, "path", "exact")
+            return TspSolution([first], 0.0, "exact")
         raise InvalidInputError("first == last is only valid for a single-node path")
     if n <= exact_threshold:
         interior, ends, path = _held_karp(m, first)
         u = interior.index(last)
-        return TspSolution(path(u), float(ends[u]), "path", "exact")
+        return TspSolution(path(u), float(ends[u]), "exact")
     pool = [v for v in range(n) if v not in (first, last)]
     order = _nearest_neighbor(m, first, pool, last)
     order, cost = _two_opt(order, m, close=False, fixed_last=True)
-    return TspSolution(order, cost, "path", "heuristic")
+    return TspSolution(order, cost, "heuristic")

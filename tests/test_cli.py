@@ -181,6 +181,25 @@ def test_train_fraction_outside_the_split_range_is_a_typed_error(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--lr", "0"), ("train", "--lr", "-0.01"), ("train", "--lr", "nan"),
+    ("train", "--clip-norm", "-1"), ("train", "--clip-norm", "0"), ("train", "--clip-norm", "nan"),
+    ("generate", "--extent-km", "nan"), ("generate", "--speed-kmph", "inf"),
+    ("generate", "--noise-sigma", "inf"),
+])
+def test_a_number_outside_its_range_is_a_typed_error(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--data", str(_gen(tmp_path)), "--checkpoint", str(out), "--epochs", "1"],
+        "generate": ["generate", "--out", str(out), *GEN_ARGS],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, f"{flag}={value}"]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "InvalidInputError"
+    assert not out.exists()
+
+
 def test_benchmark_emits_nine_rows(tmp_path):
     data = _gen(tmp_path)
     out = tmp_path / "bench.json"

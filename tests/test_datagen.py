@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,8 +88,11 @@ def test_impossible_ranges_rejected():
         datagen.generate(_cfg(zones_per_route=(5, 3)))
     with pytest.raises(InvalidInputError):
         datagen.generate(_cfg(stops_per_zone=(0, 3)))
-    with pytest.raises(InvalidInputError):
-        datagen.generate(_cfg(speed_kmph=0.0))
+    for bad in ({"speed_kmph": 0.0}, {"speed_kmph": math.inf}, {"speed_kmph": math.nan},
+                {"extent_km": math.nan}, {"extent_km": -1.0}, {"noise_sigma": -0.1},
+                {"noise_sigma": math.nan}, {"noise_sigma": math.inf}):
+        with pytest.raises(InvalidInputError):
+            datagen.generate(_cfg(**bad))
     with pytest.raises(InvalidInputError):
         datagen.generate(_cfg(behavior="zigzag"))
 

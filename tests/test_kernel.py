@@ -36,7 +36,7 @@ from routeseq.kernel import (
 
 def _zero_lstm(input_dim, hidden):
     p = init_lstm(input_dim, hidden, np.random.default_rng(0))
-    return map_tensors(p, lambda t: np.zeros_like(t))
+    return map_tensors(p, lambda _, t: np.zeros_like(t))
 
 
 # --- autodiff ops ------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_lstm_gradients_every_parameter(rng):
         return float(np.sum(np.asarray(e) ** 2))
 
     tape = Tape()
-    wrapped = map_tensors(p, tape.leaf)
+    wrapped = map_tensors(p, lambda _, t: tape.leaf(t))
     state, e = lstm_cell([x], LstmState(h0, c0), wrapped)
     loss = matmul(e, e)
     tape.backward(loss)

@@ -24,6 +24,7 @@ from routeseq.kernel import (
     init_lstm,
     lstm_cell,
     serialize_checkpoint,
+    softmax,
     zero_state,
 )
 from routeseq.predictor import (
@@ -31,6 +32,7 @@ from routeseq.predictor import (
     ModelParams,
     PointerParams,
     _probs_by_zone,
+    _scores,
     checkpoint_tensors,
     decode_step,
     encode,
@@ -42,9 +44,7 @@ from routeseq.predictor import (
     load_model,
     model_meta,
     model_tensors,
-    pair_attention,
     params_from_checkpoint,
-    pointer_attention,
     prepare_route,
     random_input_order,
     resolve_input_order,
@@ -181,7 +181,7 @@ def test_pair_attention_uniform_for_zero_params():
     sc = scale_route(prep, params.scaler)
     d = np.zeros(8)
     enc_matrix = np.zeros((3, 8))
-    a = pair_attention(params, sc, 0, d, enc_matrix)
+    a = softmax(_scores(params, sc, 0, d, enc_matrix))
     assert np.allclose(a, 1.0 / 3.0)
 
 
@@ -189,7 +189,7 @@ def test_pair_attention_single_zone():
     prep = _prep(zone_ids=("A-1.1A",))
     params = _model("pairwise", prep)
     sc = scale_route(prep, params.scaler)
-    a = pair_attention(params, sc, 0, np.zeros(8), np.zeros((1, 8)))
+    a = softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((1, 8))))
     assert np.allclose(a, [1.0])
 
 
@@ -215,7 +215,7 @@ def test_pair_attention_hand_built_ranks_by_travel_time():
             query, keys = np.zeros(8), np.zeros((2, 8))
         else:
             query, keys = sc.nodes[0], sc.nodes[1:]
-        a = _probs_by_zone(sc, pair_attention(params, sc, 0, query, keys), None)
+        a = _probs_by_zone(sc, softmax(_scores(params, sc, 0, query, keys)), None)
         # depot -> zone B costs 50 vs 10 for zone A, so B gets the attention
         assert a[zb] > a[za], variant
         assert a[zb] == pytest.approx(math.exp(50) / (math.exp(50) + math.exp(10)), rel=1e-12)
@@ -258,7 +258,7 @@ def test_pointer_attention_uniform_when_w1_w4_zero():
     params.pointer.w4[...] = 0.0
     sc = scale_route(prep, params.scaler)
     keys, state = encode(params, sc)
-    a = pointer_attention(params, sc, 0, state.h, keys)
+    a = softmax(_scores(params, sc, 0, state.h, keys))
     assert np.allclose(a, 1.0 / 3.0)
 
 
@@ -274,12 +274,12 @@ def test_pointer_attention_w4_sign_controls_ranking():
     params.pointer.w4[...] = 0.0
     params.pointer.w4[0] = 1.0
     sc = scale_route(prep, params.scaler)
-    a = _probs_by_zone(sc, pointer_attention(params, sc, 0, np.zeros(8), np.zeros((2, 8))), None)
+    a = _probs_by_zone(sc, softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8)))), None)
     zb = prep.zinst.zone_index("B-1.1A")
     za = prep.zinst.zone_index("A-1.1A")
     assert a[zb] > a[za]
     params.pointer.w4[0] = -1.0
-    a = _probs_by_zone(sc, pointer_attention(params, sc, 0, np.zeros(8), np.zeros((2, 8))), None)
+    a = _probs_by_zone(sc, softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8)))), None)
     assert a[za] > a[zb]
 
 
@@ -290,16 +290,8 @@ def test_pointer_attention_saturation_stays_finite():
     params.pointer.w3 *= 1e6
     sc = scale_route(prep, params.scaler)
     keys, state = encode(params, sc)
-    a = pointer_attention(params, sc, 0, state.h, keys)
+    a = softmax(_scores(params, sc, 0, state.h, keys))
     assert np.all(np.isfinite(np.asarray(a)))
-
-
-def test_pointer_attention_requires_pointer_params():
-    prep = _prep()
-    params = _model("pairwise", prep)
-    sc = scale_route(prep, params.scaler)
-    with pytest.raises(ConfigError):
-        pointer_attention(params, sc, 0, np.zeros(8), np.zeros((3, 8)))
 
 
 def test_decode_step_zero_params():
@@ -570,6 +562,10 @@ def test_checkpoint_loader_names_what_is_malformed():
     for bad in ({"hidden": "abc"}, {"asnn_hidden": 5}, {"variant": "bogus"}):
         with pytest.raises(SchemaError):
             params_from_checkpoint(checkpoint_tensors(params), {**meta, **bad})
+    # a head width on a variant without the lstm_ed head
+    with pytest.raises(SchemaError) as err:
+        params_from_checkpoint(checkpoint_tensors(params), {**meta, "kz": 3})
+    assert err.value.json_path == "meta"
 
 
 def test_init_model_validation():
@@ -577,6 +573,9 @@ def test_init_model_validation():
         init_model(ModelConfig("bogus", 12), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         init_model(ModelConfig("lstm_ed", 12), np.random.default_rng(0))  # kz missing
+    for variant in ("pairwise", "pointer", "asnn"):  # kz is the lstm_ed head width
+        with pytest.raises(ConfigError):
+            init_model(ModelConfig(variant, 12, kz=3), np.random.default_rng(0))
 
 
 def test_mlp_reference_on_asnn_shape(rng):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ def test_split_validation():
 def test_epochs_must_be_positive():
     with pytest.raises(InvalidInputError):
         train(_routes(2), TrainConfig(epochs=0))
+
+
+@pytest.mark.parametrize("bad", [
+    {"lr": 0.0}, {"lr": -0.01}, {"lr": math.nan}, {"lr": math.inf},
+    {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"grad_clip": math.nan}, {"grad_clip": math.inf},
+])
+def test_learning_rate_and_clip_norm_must_be_finite_and_positive(bad):
+    # a negative step climbs the loss, a zero one or a zero clip norm never
+    # moves it, and a NaN clip norm would silently disable clipping
+    with pytest.raises(InvalidInputError):
+        train(_routes(2), TrainConfig(epochs=1, **bad))
 
 
 def test_empty_training_set_rejected():
