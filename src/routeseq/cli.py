@@ -137,7 +137,8 @@ def _checked_config(command, doc: dict) -> dict:
 
 
 def _split_routes(routes, which: str, fraction: float, seed: int):
-    if which == "all":
+    """The routes of split ``which``; the train split at fraction 1.0 is every route."""
+    if which == "all" or (which == "train" and fraction == 1.0):
         return routes
     train, test = training.split_dataset(routes, (fraction, 1.0 - fraction), seed)
     return train if which == "train" else test
@@ -194,8 +195,7 @@ def _cmd_solve_tsp(cfg):
 
 
 def _cmd_train(cfg):
-    train_routes = _split_routes(datagen.load_routes(cfg["data"]),
-                                 "all" if cfg["train_fraction"] == 1.0 else "train",
+    train_routes = _split_routes(datagen.load_routes(cfg["data"]), "train",
                                  cfg["train_fraction"], cfg["seed"])
     tc = training.TrainConfig(
         variant=cfg["variant"],

@@ -253,6 +253,8 @@ def route_from_dict(rd: dict, path: str) -> RouteInstance:
             service_time=float(require_field(sd, "service_time_s", spath, (int, float), 0.0)),
             package_volume=float(require_field(sd, "volume_cm3", spath, (int, float), 0.0)),
         ))
+        if not stops[-1].zone_id:
+            raise SchemaError(f"{spath}.zone_id", "expected a non-empty zone id")
     n = len(stops)
     flat = require_field(rd, "travel_time_s", path, list)
     if len(flat) != (n + 1) ** 2:

@@ -49,21 +49,18 @@ def _masked_argmax(scores, visited) -> int:
     return int(np.argmax(np.where(visited, -np.inf, scores)))
 
 
-def _scaled(params: ModelParams, prep: PreparedRoute) -> ScaledRoute:
-    return scale_route(prep, params.scaler, params.config.input_order_mode,
-                       params.config.order_seed)
-
-
 def _rollout(params: ModelParams, scaled: ScaledRoute, encoded,
              forced_first: int | None, mode: str) -> PredictedSequence:
     prep = scaled.prep
     if forced_first is not None and not 0 <= forced_first < prep.n_zones:
         raise InvalidInputError(f"forced first zone {forced_first} not in this route")
+    visited = np.zeros(prep.n_zones, dtype=bool)
 
-    def pick(i, p_zone, visited):
-        if i == 0 and forced_first is not None:
-            return forced_first
-        return _masked_argmax(p_zone, visited)
+    def pick(i, p_zone):
+        forced = i == 0 and forced_first is not None
+        z = forced_first if forced else _masked_argmax(p_zone, visited)
+        visited[z] = True
+        return z
 
     _, traces = decode(params, scaled, encoded, pick)
     order = [t.chosen for t in traces]
@@ -74,14 +71,14 @@ def greedy_decode(params: ModelParams, prep: PreparedRoute,
                   forced_first: int | None = None) -> PredictedSequence:
     """Greedy rollout; ``forced_first`` overrides the first pick and decoding
     resumes from it."""
-    scaled = _scaled(params, prep)
+    scaled = scale_route(prep, params)
     return _rollout(params, scaled, encode(params, scaled), forced_first, GREEDY)
 
 
 def generate_best_first(params: ModelParams, prep: PreparedRoute) -> PredictedSequence:
     """Greedy rollouts from every first zone over one encoding of the route;
     the cheapest wins, cost ties going to the smallest first-zone index."""
-    scaled = _scaled(params, prep)
+    scaled = scale_route(prep, params)
     encoded = encode(params, scaled)
     return min((_rollout(params, scaled, encoded, z, BEST_FIRST) for z in range(prep.n_zones)),
                key=lambda c: (c.operational_cost, c.zone_order[0]))

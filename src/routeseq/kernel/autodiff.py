@@ -43,13 +43,6 @@ class Node:
         self.tape = tape
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Node(shape={self.value.shape})"
-
 
 class Tape:
     """Execution-ordered record of ops for one forward pass.  Nodes hold the

@@ -17,9 +17,10 @@ log-likelihood:
 The variants differ only in how one decoder step scores its candidates
 (``_scores``); everything else is one decoder loop (``decode``) that
 training and decoding share.  Every variant indexes its candidates by
-*input position* (the encoder reading order); zone index <-> position
-mapping lives in ScaledRoute, and per-step probabilities are mapped back to
-zone-index order for the traces and for picking.  At every step one masked
+*input position* (the encoder reading order): ``scale_route(prep, params)``
+reads a route in the model's own reading order and scaling, and per-step
+probabilities are mapped back to zone-index order for the traces and for
+picking.  ``decode`` keeps one candidate mask: at every step one masked
 softmax turns the scores into probabilities over the zones not yet visited
 only, so visited zones get probability exactly 0 and the context fed to the
 next step is the same quantity in training and decoding.
@@ -130,8 +131,7 @@ class PreparedRoute:
 
     route: object
     zinst: ZoneInstance
-    x: np.ndarray         # (n, K) raw zone features, zone-index order
-    depot_x: np.ndarray   # (K,)
+    nodes: np.ndarray     # (n+1, K) raw node features; row 0 = depot, 1+k = zone k
     pair: np.ndarray      # (n+1, n, pair_dim); source 0 = depot, 1+k = zone k
     tsp_order: tuple
     targets: tuple        # actual zone sequence (zone indices)
@@ -155,10 +155,9 @@ class ScaledRoute:
 
 def prepare_route(route) -> PreparedRoute:
     zinst = build_zone_instance(route)
-    features = node_features(route, zinst)
     tour = solve_tour(zinst.zone_travel_time, origin=0)
     tsp_order = tuple(v - 1 for v in tour.order[1:])
-    return PreparedRoute(route, zinst, features[1:], features[0], pair_tensor(zinst),
+    return PreparedRoute(route, zinst, node_features(route, zinst), pair_tensor(zinst),
                          tsp_order, tuple(zinst.actual_zone_sequence))
 
 
@@ -170,7 +169,7 @@ def identity_scaler(n_features: int, pair_dim: int) -> FeatureScaler:
 def fit_scaler(prepared: list) -> FeatureScaler:
     """Means/stds over all zone (and depot) feature rows and all directed
     pair rows of the given routes.  Constant dimensions get unit scale."""
-    xs = np.concatenate([[p.depot_x for p in prepared], *(p.x for p in prepared)])
+    xs = np.concatenate([[p.nodes[0] for p in prepared], *(p.nodes[1:] for p in prepared)])
     # The synthetic self-pair rows (source 1+k, zone k) stay out of the stats.
     zs = np.concatenate([p.pair[~np.eye(p.n_zones + 1, p.n_zones, -1, dtype=bool)]
                          for p in prepared])
@@ -197,16 +196,16 @@ def resolve_input_order(prep: PreparedRoute, mode: str, seed: int) -> tuple:
     raise ConfigError(f"unknown input order mode {mode!r}")
 
 
-def scale_route(prep: PreparedRoute, scaler: FeatureScaler,
-                mode: str = "tsp", order_seed: int = 0) -> ScaledRoute:
-    order = resolve_input_order(prep, mode, order_seed)
-    idx = list(order)
+def scale_route(prep: PreparedRoute, params: ModelParams) -> ScaledRoute:
+    """The route as ``params`` reads it: in its config's order, scaled by its scaler."""
+    order = resolve_input_order(prep, params.config.input_order_mode, params.config.order_seed)
+    rows = [0, *(z + 1 for z in order)]
     return ScaledRoute(
         prep=prep,
         order=order,
         pos_of_zone=np.argsort(order),
-        nodes=scaler.transform_x(np.vstack([prep.depot_x, prep.x[idx]])),
-        pair=scaler.transform_z(prep.pair[[0, *(z + 1 for z in idx)]][:, idx]),
+        nodes=params.scaler.transform_x(prep.nodes[rows]),
+        pair=params.scaler.transform_z(prep.pair[rows][:, list(order)]),
     )
 
 
@@ -314,40 +313,16 @@ def decode_step(params: ModelParams, x_last, w_prev, state: LstmState):
     return lstm_cell(blocks, state, params.decoder)
 
 
-def _probs_by_zone(scaled: ScaledRoute, pvals: np.ndarray, kz: int | None) -> np.ndarray:
-    """Re-index position-space probabilities to zone-index order."""
-    n = scaled.prep.n_zones
-    out = np.zeros(n)
-    limit = n if kz is None else min(n, kz)
-    out[list(scaled.order[:limit])] = pvals[:limit]
-    return out
-
-
-def _candidates(params: ModelParams, scaled: ScaledRoute, visited: np.ndarray) -> np.ndarray:
-    """Which input positions the next step may pick: those of the unvisited
-    zones.  The ``lstm_ed`` head has ``kz`` slots; slots at positions >= n
-    are never candidates."""
-    kz = params.config.kz
-    free = np.empty(len(visited), dtype=bool)
-    free[scaled.pos_of_zone] = ~visited
-    if kz is None:
-        return free
-    out = np.zeros(kz, dtype=bool)
-    m = min(len(free), kz)
-    out[:m] = free[:m]
-    return out
-
-
 def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
     """The decoder loop that training and inference share, over the route's
     ``encode`` result ``encoded``.
 
-    Every step's softmax runs over the unvisited zones only (see
-    ``_candidates``), so visited zones get probability exactly 0, a step
-    with one zone left gives it probability 1, and the context fed to the
-    next step is the same masked weighting whether the step was
-    teacher-forced or decoded.  ``pick(i, p_zone, visited)`` names the zone
-    visited at step ``i`` from the step's probabilities by zone index.
+    Every step's softmax runs over one candidate mask by input position (by
+    head slot for ``lstm_ed``): the unvisited zones', so visited zones get
+    probability exactly 0, a step with one zone left gives it probability 1,
+    and the context fed to the next step is the same masked weighting whether
+    the step was teacher-forced or decoded.  ``pick(i, p_zone)`` names the
+    zone visited at step ``i`` from the step's probabilities by zone index.
 
     Returns ``(steps, traces)``: per step the probabilities by input
     position (a tape node when ``params`` are tape-wrapped) with the input
@@ -355,27 +330,29 @@ def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
     """
     cfg = params.config
     n = scaled.prep.n_zones
-    visited = np.zeros(n, dtype=bool)
+    width = n if cfg.kz is None else cfg.kz
+    allowed = np.arange(width) < n
     steps: list = []
     traces: list[DecoderStepTrace] = []
     keys, state = encoded
     w_prev = np.zeros(cfg.hidden)
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
-        allowed = _candidates(params, scaled, visited)
         # The query: node src's features, through the decoder LSTM for the
         # recurrent variants (``asnn`` has no state and queries with them).
         d = scaled.nodes[src]
         if state is not None:
             state, d = decode_step(params, d, w_prev, state)
         if allowed.any():
+            # softmax keeps no reference to the mask, so it is cleared in place below.
             probs = softmax(_scores(params, scaled, src, d, keys), allowed)
         else:
             # Decoding a route with more zones than the lstm_ed head has
             # slots: once those are visited, no zone left has a slot.
-            probs = np.zeros(cfg.kz)
-        p_zone = _probs_by_zone(scaled, unwrap(probs), cfg.kz)
-        chosen = pick(i, p_zone, visited)
+            probs = np.zeros(width)
+        p_zone = np.zeros(n)
+        p_zone[list(scaled.order[:width])] = unwrap(probs)[:n]
+        chosen = pick(i, p_zone)
         w_ctx = None
         if cfg.variant in ("pairwise", "pointer"):
             w_prev = matmul(probs, keys)
@@ -383,7 +360,8 @@ def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
         traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx))
         pos = int(scaled.pos_of_zone[chosen])
         steps.append((probs, pos))
-        visited[chosen] = True
+        if pos < width:
+            allowed[pos] = False
         src = pos + 1
     return steps, traces
 
@@ -402,7 +380,7 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
     if sorted(targets) != list(range(n)):
         raise InvalidInputError("target sequence must be a permutation of the zones")
     steps, traces = decode(params, scaled, encode(params, scaled),
-                           lambda i, p_zone, visited: targets[i])
+                           lambda i, p_zone: targets[i])
     return nll(steps), traces
 
 

@@ -95,7 +95,7 @@ def train(routes, config: TrainConfig):
     preps = [prepare_route(r) for r in routes]
     model_cfg = ModelConfig(
         variant=config.variant,
-        n_features=preps[0].x.shape[1],
+        n_features=preps[0].nodes.shape[1],
         pair_dim=preps[0].pair.shape[2],
         hidden=config.hidden,
         asnn_hidden=tuple(config.asnn_hidden),
@@ -107,7 +107,7 @@ def train(routes, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     params = init_model(model_cfg, rng)
     params.scaler = fit_scaler(preps)
-    scaled = [scale_route(p, params.scaler, config.input_order, config.seed) for p in preps]
+    scaled = [scale_route(p, params) for p in preps]
 
     named = model_tensors(params)
     opt = adam_init(named, lr=config.lr)

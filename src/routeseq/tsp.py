@@ -120,23 +120,13 @@ def _held_karp(m: np.ndarray, start: int):
 
 
 def _nearest_neighbor(m: np.ndarray, start: int, pool: list, end: int | None):
-    """Greedy construction from ``start`` through ``pool`` (ties: lowest index),
-    optionally finishing at ``end``."""
-    order = [start]
-    remaining = sorted(pool)
-    cur = start
+    """Greedy construction from ``start`` through ``pool`` (ties: lowest index,
+    as ``min`` keeps the first of equal keys), optionally finishing at ``end``."""
+    order, remaining = [start], sorted(pool)
     while remaining:
-        best, best_v = _INF, -1
-        for v in remaining:
-            c = m[cur, v]
-            if c < best:
-                best, best_v = c, v
-        order.append(best_v)
-        remaining.remove(best_v)
-        cur = best_v
-    if end is not None:
-        order.append(end)
-    return order
+        order.append(min(remaining, key=lambda v: m[order[-1], v]))
+        remaining.remove(order[-1])
+    return order if end is None else [*order, end]
 
 
 def _two_opt(order: list, m: np.ndarray, close: bool, fixed_last: bool):

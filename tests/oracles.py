@@ -67,6 +67,21 @@ def tie_rule_order(costs: np.ndarray, first: int, last: int | None):
     return (order[:-1] if last is None else order), float(cost)
 
 
+def nearest_neighbor_ref(costs: np.ndarray, start: int, pool, end: int | None):
+    """Nearest neighbour by plain loops: from the last node, the first node
+    in ascending index order of strictly smallest cost among those left;
+    ``end`` is appended when given."""
+    order, left = [start], set(pool)
+    while left:
+        best = None
+        for v in range(costs.shape[0]):
+            if v in left and (best is None or costs[order[-1]][v] < costs[order[-1]][best]):
+                best = v
+        order.append(best)
+        left.remove(best)
+    return order if end is None else [*order, end]
+
+
 def held_karp_loop(costs: np.ndarray, first: int, last: int):
     """Plain-loop Held-Karp over interior bitmasks (``first == last`` is the
     tour), for sizes past enumeration.  Each target keeps its first strict

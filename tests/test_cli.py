@@ -125,6 +125,30 @@ def test_evaluate_with_checkpoint(tmp_path):
     assert report["n_routes"] == 4
 
 
+def test_train_split_at_fraction_one_is_every_route(tmp_path, capsys):
+    # train --train-fraction 1.0 trains on every route, so predict and
+    # evaluate with --split train select all of them; the test split is empty
+    data, ckpt = tmp_path / "data.json", tmp_path / "model.ckpt"
+    assert main(["generate", "--out", str(data), "--n-routes", "10", "--zones", "3", "5",
+                 "--seed", "1"]) == 0
+    route_ids = {r.route_id for r in datagen.load_routes(data)}
+    assert main(["train", "--data", str(data), "--checkpoint", str(ckpt), "--epochs", "1",
+                 "--train-fraction", "1.0"]) == 0
+    pred, report = tmp_path / "pred.json", tmp_path / "report.json"
+    source = ["--data", str(data), "--checkpoint", str(ckpt), "--mode", "greedy",
+              "--train-fraction", "1.0"]
+    assert main(["predict", *source, "--out", str(pred), "--split", "train"]) == 0
+    assert {row["route_id"] for row in json.loads(pred.read_text())["predictions"]} == route_ids
+    assert main(["evaluate", *source, "--out", str(report), "--split", "train"]) == 0
+    assert json.loads(report.read_text())["n_routes"] == len(route_ids) == 10
+    for command in ("predict", "evaluate"):
+        capsys.readouterr()
+        assert main([command, *source, "--out", str(tmp_path / "test.json"),
+                     "--split", "test"]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        assert error["type"] == "InvalidInputError"
+
+
 @pytest.mark.parametrize("text, json_path", [
     ("{not json", "$"),
     ("[]", "$"),

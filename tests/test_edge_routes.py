@@ -26,7 +26,7 @@ def test_single_zone_route_end_to_end():
         key=lambda p: route_cost_ref([s + 1 for s in p], route.travel_time, close=False),
     ))
     prep = prepare_route(route)
-    assert prep.x.shape == (1, 12)
+    assert prep.nodes[1:].shape == (1, 12)
     assert prep.pair.shape == (2, 1, 6)
     assert prep.tsp_order == (0,) and prep.targets == (0,)
     params, report = train([route], SMALL)
@@ -42,7 +42,7 @@ def test_single_zone_route_end_to_end():
 def test_every_zone_has_one_stop():
     route = make_route(["A-1.1A", "B-2.1A", "C-1.2B", "A-1.3C"], actual=[2, 0, 3, 1])
     prep = prepare_route(route)
-    assert list(prep.x[:, 2]) == [1.0] * 4
+    assert list(prep.nodes[1:, 2]) == [1.0] * 4
     assert [z.member_stops for z in prep.zinst.zones] == [[0], [1], [2], [3]]
     params, _ = train([route], SMALL)
     zone_order = predict(params, prep, BEST_FIRST).zone_order

@@ -75,6 +75,7 @@ def _at(doc, path):
     (("routes", 1, "stops", 0, "service_time_s"), float("nan"), "routes[1].stops[0].service_time_s"),
     (("routes", 1, "stops", 1, "volume_cm3"), float("inf"), "routes[1].stops[1].volume_cm3"),
     (("routes", 0, "depot", "lng"), float("-inf"), "routes[0].depot.lng"),
+    (("routes", 0, "stops", 0, "zone_id"), "", "routes[0].stops[0].zone_id"),
 ])
 def test_dataset_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, json_path):
     with pytest.raises(SchemaError) as err:

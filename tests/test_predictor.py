@@ -31,7 +31,6 @@ from routeseq.predictor import (
     ModelConfig,
     ModelParams,
     PointerParams,
-    _probs_by_zone,
     _scores,
     checkpoint_tensors,
     decode_step,
@@ -63,11 +62,17 @@ def _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A"), times=None, actual=None):
 
 def _model(variant, prep, seed=0, scaler=None, **overrides):
     kwargs = {"kz": prep.n_zones if variant == "lstm_ed" else None, **K_SMALL, **overrides}
-    cfg = ModelConfig(variant=variant, n_features=prep.x.shape[1],
+    cfg = ModelConfig(variant=variant, n_features=prep.nodes.shape[1],
                       pair_dim=prep.pair.shape[2], **kwargs)
     params = init_model(cfg, np.random.default_rng(seed))
     params.scaler = scaler or fit_scaler([prep])
     return params
+
+
+def _reading_at_random(params, seed):
+    """``params`` with a config that reads routes in the random order of ``seed``."""
+    return replace(params, config=replace(params.config, input_order_mode="random",
+                                          order_seed=seed))
 
 
 def _zeroed(params):
@@ -79,7 +84,7 @@ def _zeroed(params):
 def test_prepare_route_shapes():
     prep = _prep()
     n = prep.n_zones
-    assert prep.x.shape == (n, 12)
+    assert prep.nodes[1:].shape == (n, 12)
     assert prep.pair.shape == (n + 1, n, 6)
     assert sorted(prep.tsp_order) == list(range(n))
     assert sorted(prep.targets) == list(range(n))
@@ -90,7 +95,7 @@ def test_prepare_route_shapes():
 def _scaler_ref(preps):
     """Means/stds over every depot and zone row and over every directed pair
     row but the self-pairs, gathered row by row."""
-    xs = np.stack([p.depot_x for p in preps] + [row for p in preps for row in p.x])
+    xs = np.stack([p.nodes[0] for p in preps] + [row for p in preps for row in p.nodes[1:]])
     zs = np.stack([p.pair[src, j] for p in preps for src in range(p.n_zones + 1)
                    for j in range(p.n_zones) if src != j + 1])
     stds = [np.where(a.std(axis=0) < 1e-9, 1.0, a.std(axis=0)) for a in (xs, zs)]
@@ -116,8 +121,8 @@ def test_prepared_tensors_match_per_node_and_per_pair_references(routes):
     for p in preps:
         assert np.array_equal(p.zinst.zone_travel_time, zone_travel_time_ref(p.route, p.zinst.zones))
         ref = node_features_ref(p.route, p.zinst)
-        assert np.array_equal(p.depot_x, ref[0])
-        assert np.array_equal(p.x, ref[1:])
+        assert np.array_equal(p.nodes[0], ref[0])
+        assert np.array_equal(p.nodes[1:], ref[1:])
         assert np.array_equal(p.pair, pair_tensor_ref(p.zinst))
     sc = fit_scaler(preps)
     for got, want in zip((sc.x_mean, sc.x_std, sc.z_mean, sc.z_std), _scaler_ref(preps)):
@@ -140,7 +145,7 @@ def test_resolve_input_order_modes():
 def test_encode_single_zone():
     prep = _prep(zone_ids=("A-1.1A",))
     params = _model("pairwise", prep)
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     keys, state = encode(params, sc)
     assert np.asarray(keys).shape == (1, 8)
     assert np.asarray(state.h).shape == (8,)
@@ -149,7 +154,7 @@ def test_encode_single_zone():
 def test_encode_zero_params_gives_zero_outputs():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     keys, _ = encode(params, sc)
     for e in np.asarray(keys):
         assert np.all(e == 0.0)
@@ -158,8 +163,8 @@ def test_encode_zero_params_gives_zero_outputs():
 def test_encode_is_order_sensitive():
     prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
     params = _model("pairwise", prep, seed=5)
-    sc1 = scale_route(prep, params.scaler)
-    sc2 = scale_route(prep, params.scaler, mode="random", order_seed=99)
+    sc1 = scale_route(prep, params)
+    sc2 = scale_route(prep, _reading_at_random(params, 99))
     assert tuple(sc1.order) != tuple(sc2.order)
     e1 = np.asarray(encode(params, sc1)[0])
     e2 = np.asarray(encode(params, sc2)[0])
@@ -169,16 +174,16 @@ def test_encode_is_order_sensitive():
 def test_encode_asnn_keys_are_scaled_features():
     prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
     params = _model("asnn", prep, seed=5)
-    sc = scale_route(prep, params.scaler, mode="random", order_seed=99)
+    sc = scale_route(prep, _reading_at_random(params, 99))
     keys, state = encode(params, sc)
     assert state is None
-    assert np.array_equal(keys, params.scaler.transform_x(prep.x[list(sc.order)]))
+    assert np.array_equal(keys, params.scaler.transform_x(prep.nodes[1:][list(sc.order)]))
 
 
 def test_pair_attention_uniform_for_zero_params():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     d = np.zeros(8)
     enc_matrix = np.zeros((3, 8))
     a = softmax(_scores(params, sc, 0, d, enc_matrix))
@@ -188,7 +193,7 @@ def test_pair_attention_uniform_for_zero_params():
 def test_pair_attention_single_zone():
     prep = _prep(zone_ids=("A-1.1A",))
     params = _model("pairwise", prep)
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     a = softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((1, 8))))
     assert np.allclose(a, [1.0])
 
@@ -209,13 +214,13 @@ def test_pair_attention_hand_built_ranks_by_travel_time():
         w = np.zeros((1, 6 + 2 * key_dim))
         w[0, 0] = 1.0
         params.asnn = MlpParams([MlpLayer(w, None)])
-        sc = scale_route(prep, params.scaler, mode="random", order_seed=1)
+        sc = scale_route(prep, _reading_at_random(params, 1))
         assert sc.order == (zb, za)  # positions differ from zone indices
         if variant == "pairwise":
             query, keys = np.zeros(8), np.zeros((2, 8))
         else:
             query, keys = sc.nodes[0], sc.nodes[1:]
-        a = _probs_by_zone(sc, softmax(_scores(params, sc, 0, query, keys)), None)
+        a = softmax(_scores(params, sc, 0, query, keys))[sc.pos_of_zone]
         # depot -> zone B costs 50 vs 10 for zone A, so B gets the attention
         assert a[zb] > a[za], variant
         assert a[zb] == pytest.approx(math.exp(50) / (math.exp(50) + math.exp(10)), rel=1e-12)
@@ -240,8 +245,8 @@ def test_asnn_does_not_depend_on_input_order():
     # candidates; a mix-up of zone indices and input positions breaks this
     prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A"))
     params = _model("asnn", prep, seed=8)
-    by_tsp = scale_route(prep, params.scaler)
-    by_random = scale_route(prep, params.scaler, mode="random", order_seed=99)
+    by_tsp = scale_route(prep, params)
+    by_random = scale_route(prep, _reading_at_random(params, 99))
     assert by_tsp.order != by_random.order
     l_tsp, t_tsp = forward_logprob(params, by_tsp)
     l_random, t_random = forward_logprob(params, by_random)
@@ -256,7 +261,7 @@ def test_pointer_attention_uniform_when_w1_w4_zero():
     params = _model("pointer", prep, seed=3)
     params.pointer.w1[...] = 0.0
     params.pointer.w4[...] = 0.0
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     keys, state = encode(params, sc)
     a = softmax(_scores(params, sc, 0, state.h, keys))
     assert np.allclose(a, 1.0 / 3.0)
@@ -273,13 +278,13 @@ def test_pointer_attention_w4_sign_controls_ranking():
     params.pointer.w1[...] = 0.0
     params.pointer.w4[...] = 0.0
     params.pointer.w4[0] = 1.0
-    sc = scale_route(prep, params.scaler)
-    a = _probs_by_zone(sc, softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8)))), None)
+    sc = scale_route(prep, params)
+    a = softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8))))[sc.pos_of_zone]
     zb = prep.zinst.zone_index("B-1.1A")
     za = prep.zinst.zone_index("A-1.1A")
     assert a[zb] > a[za]
     params.pointer.w4[0] = -1.0
-    a = _probs_by_zone(sc, softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8)))), None)
+    a = softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8))))[sc.pos_of_zone]
     assert a[za] > a[zb]
 
 
@@ -288,7 +293,7 @@ def test_pointer_attention_saturation_stays_finite():
     params = _model("pointer", prep, seed=3)
     params.pointer.w2 *= 1e6
     params.pointer.w3 *= 1e6
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     keys, state = encode(params, sc)
     a = softmax(_scores(params, sc, 0, state.h, keys))
     assert np.all(np.isfinite(np.asarray(a)))
@@ -297,7 +302,7 @@ def test_pointer_attention_saturation_stays_finite():
 def test_decode_step_zero_params():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     state, d = decode_step(params, sc.nodes[0], np.zeros(8), zero_state(8))
     assert np.all(np.asarray(d) == 0.0)
 
@@ -305,7 +310,7 @@ def test_decode_step_zero_params():
 def test_decode_step_state_matters():
     prep = _prep()
     params = _model("pairwise", prep, seed=9)
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     from routeseq.kernel import LstmState
     s0 = zero_state(8)
     s1 = LstmState(np.ones(8), np.ones(8))
@@ -318,7 +323,7 @@ def test_forward_logprob_single_zone_zero_loss():
     prep = _prep(zone_ids=("A-1.1A",))
     for variant in ("pairwise", "pointer", "asnn"):
         params = _model(variant, prep, seed=2)
-        sc = scale_route(prep, params.scaler)
+        sc = scale_route(prep, params)
         loss, traces = forward_logprob(params, sc)
         assert float(loss) == pytest.approx(0.0, abs=1e-12)
         assert len(traces) == 1
@@ -332,7 +337,7 @@ def test_forward_logprob_uniform_loss_is_n_ln_n():
     # softmax over all four zones at every step would give).
     expected = math.log(24)
     pairwise = _zeroed(_model("pairwise", prep))
-    sc = scale_route(prep, pairwise.scaler)
+    sc = scale_route(prep, pairwise)
     loss, traces = forward_logprob(pairwise, sc)
     assert float(loss) == pytest.approx(expected, rel=1e-12)
     visited = set()
@@ -346,7 +351,7 @@ def test_forward_logprob_uniform_loss_is_n_ln_n():
     pointer = _model("pointer", prep, seed=1)
     pointer.pointer.w1[...] = 0.0
     pointer.pointer.w4[...] = 0.0
-    loss, _ = forward_logprob(pointer, scale_route(prep, pointer.scaler))
+    loss, _ = forward_logprob(pointer, scale_route(prep, pointer))
     assert float(loss) == pytest.approx(expected, rel=1e-12)
 
 
@@ -354,7 +359,7 @@ def test_forward_logprob_deterministic():
     prep = _prep()
     for variant in ("pairwise", "pointer", "lstm_ed", "asnn"):
         params = _model(variant, prep, seed=4)
-        sc = scale_route(prep, params.scaler)
+        sc = scale_route(prep, params)
         l1, _ = forward_logprob(params, sc)
         l2, _ = forward_logprob(params, sc)
         assert float(l1) == float(l2)
@@ -372,7 +377,7 @@ def test_taped_forward_node_counts():
     for variant, count in expected.items():
         params = _model(variant, prep)
         tape = Tape()
-        forward_logprob(wrap_params(params, tape), scale_route(prep, params.scaler))
+        forward_logprob(wrap_params(params, tape), scale_route(prep, params))
         assert len(tape._nodes) == count, variant
 
 
@@ -380,7 +385,7 @@ def test_forward_logprob_attention_sums_to_one():
     prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
     for variant in ("pairwise", "pointer", "asnn"):
         params = _model(variant, prep, seed=8)
-        sc = scale_route(prep, params.scaler)
+        sc = scale_route(prep, params)
         _, traces = forward_logprob(params, sc)
         for t in traces:
             assert abs(t.attention.sum() - 1.0) < 1e-9
@@ -392,7 +397,7 @@ def test_forward_logprob_training_sanity_loss_decreases():
 
     prep = _prep()
     params = _model("pairwise", prep, seed=6)
-    sc = scale_route(prep, params.scaler)
+    sc = scale_route(prep, params)
     named = model_tensors(params)
     opt = adam_init(named, lr=0.01)
     first = last = None
@@ -419,7 +424,7 @@ def test_training_and_decoding_share_the_masked_softmax():
         greedy = greedy_decode(params, prep)
         # a route whose driven order is this model's own greedy rollout
         forced = replace(prep, targets=tuple(greedy.zone_order))
-        loss, traces = forward_logprob(params, scale_route(forced, params.scaler))
+        loss, traces = forward_logprob(params, scale_route(forced, params))
         for steps in (traces, greedy.traces):
             visited = set()
             for t in steps:
@@ -447,7 +452,7 @@ def test_gradient_check_all_variants_small():
     prep = _prep()
     for variant in cfgs:
         params = _model(variant, prep, seed=13)
-        sc = scale_route(prep, params.scaler)
+        sc = scale_route(prep, params)
         tape = Tape()
         wrapped = wrap_params(params, tape)
         loss, _ = forward_logprob(wrapped, sc)
@@ -469,9 +474,8 @@ def test_gradient_check_all_variants_small():
 def test_lstm_ed_head_masks_positions_beyond_kz():
     prep = _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"))
     params = _model("lstm_ed", prep, kz=2)
-    sc = scale_route(prep, params.scaler)
-    probs = np.array([0.6, 0.4])
-    by_zone = _probs_by_zone(sc, probs, 2)
+    sc = scale_route(prep, params)
+    by_zone = greedy_decode(params, prep).traces[0].attention
     assert by_zone.shape == (4,)
     assert by_zone.sum() == pytest.approx(1.0)
     beyond = [sc.order[k] for k in range(2, 4)]
@@ -489,9 +493,9 @@ def test_checkpoint_roundtrip_all_variants(tmp_path):
         assert loaded.config == params.config
         for name, arr in model_tensors(params).items():
             assert np.array_equal(model_tensors(loaded)[name], arr), name
-        sc = scale_route(prep, params.scaler)
+        sc = scale_route(prep, params)
         l1, _ = forward_logprob(params, sc)
-        sc2 = scale_route(prep, loaded.scaler)
+        sc2 = scale_route(prep, loaded)
         l2, _ = forward_logprob(loaded, sc2)
         assert float(l1) == float(l2)
 

@@ -126,9 +126,9 @@ def test_checkpoint_file_written_and_loadable(tmp_path):
     assert loaded.config.kz == params.config.kz
     from routeseq.predictor import prepare_route
     prep = prepare_route(routes[0])
-    sc = scale_route(prep, loaded.scaler)
+    sc = scale_route(prep, loaded)
     l1, _ = forward_logprob(loaded, sc)
-    l2, _ = forward_logprob(params, scale_route(prep, params.scaler))
+    l2, _ = forward_logprob(params, scale_route(prep, params))
     assert float(l1) == float(l2)
 
 

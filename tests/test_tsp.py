@@ -9,6 +9,7 @@ from oracles import (
     brute_force_path,
     brute_force_tour,
     held_karp_loop,
+    nearest_neighbor_ref,
     route_cost_ref,
     tie_rule_order,
 )
@@ -214,6 +215,29 @@ def test_two_opt_improves_nearest_neighbor(rng):
         nn_cost = route_cost_ref(nn_order, m, close=True)
         _, improved = _two_opt(list(nn_order), m, close=True, fixed_last=False)
         assert improved <= nn_cost + 1e-9
+
+
+@st.composite
+def _nearest_neighbor_cases(draw):
+    """Integer matrices with entries 0..2 (so nearest nodes tie) of 1..9
+    nodes, a start, an end other than the start (None for one node), and
+    every node in a drawn order."""
+    n = draw(st.integers(1, 9))
+    m = draw(arrays(np.float64, (n, n), elements=st.integers(0, 2)))
+    start = draw(st.integers(0, n - 1))
+    end = draw(st.sampled_from([v for v in range(n) if v != start] or [None]))
+    return m, start, end, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_nearest_neighbor_cases())
+def test_nearest_neighbor_matches_plain_loop_oracle(case):
+    # Ties go to the smallest index whatever the order of the pool, with
+    # and without a fixed end.
+    m, start, fixed_end, nodes = case
+    for end in (None, fixed_end):
+        pool = [v for v in nodes if v not in (start, end)]
+        assert _nearest_neighbor(m, start, pool, end) == nearest_neighbor_ref(m, start, pool, end)
 
 
 def test_tour_cost_invariant_to_relabeling(rng):

@@ -18,8 +18,8 @@ the ``src/`` next to this script.  Each line is ``<what> <digest>``:
   one taped forward and backward pass per training route;
 - ``dataset``: the ``routes_to_json`` bytes of a generated dataset of each
   planted behaviour;
-- ``prep``: each test route's prepared ``x``, ``depot_x``, ``pair``,
-  ``tsp_order`` and ``zone_travel_time`` bytes;
+- ``prep``: each test route's prepared zone rows ``nodes[1:]``, depot row
+  ``nodes[0]``, ``pair``, ``tsp_order`` and ``zone_travel_time`` bytes;
 - ``erp``: ``scoring.erp``'s cost (float hex) and edit count of each route
   of 27-56 stops against itself, its reverse, a shuffle and three swaps of
   neighbours, on the route's real matrix and on an integer-valued matrix
@@ -213,7 +213,7 @@ def main() -> None:
     test_preps = [prepare_route(r) for r in test_routes]
     for prep in test_preps:
         print(f"prep {prep.route.route_id}", _sha([
-            prep.x.tobytes(), prep.depot_x.tobytes(), prep.pair.tobytes(),
+            prep.nodes[1:].tobytes(), prep.nodes[0].tobytes(), prep.pair.tobytes(),
             *prep.tsp_order, prep.zinst.zone_travel_time.tobytes()]))
     for variant in VARIANTS:
         for order in INPUT_ORDERS:
@@ -237,7 +237,7 @@ def main() -> None:
                 for route in train_routes:
                     tape = Tape()
                     wrapped = wrap_params(params, tape)
-                    scaled = scale_route(prepare_route(route), params.scaler, order, cfg.seed)
+                    scaled = scale_route(prepare_route(route), params)
                     loss, _ = forward_logprob(wrapped, scaled)
                     tape.backward(loss)
                     parts.append(float(loss.value).hex())
