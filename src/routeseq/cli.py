@@ -18,7 +18,7 @@ import sys
 from . import datagen, inference, scoring, training
 from .completion import complete_sequence
 from .errors import ConfigError, SchemaError
-from .predictor import VARIANTS, load_model, prepare_route, save_model
+from .predictor import INPUT_ORDER_MODES, VARIANTS, load_model, prepare_route, save_model
 
 PREDICTIONS_VERSION = "routeseq-predictions/1"
 
@@ -29,13 +29,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _mode_arg(value: str) -> str:
-    return {"greedy": inference.GREEDY, "best-first": inference.BEST_FIRST}[value]
+_MODES = {"greedy": inference.GREEDY, "best-first": inference.BEST_FIRST}
 
 
 def build_parser():
     parser = _Parser(prog="routeseq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # Options shared by several commands.  Each child shares its parents' Action
+    # objects, whose defaults ``--config`` sets, so every parser has fresh parents.
+    data, split, fit, pick = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    data.add_argument("--data", required=True)
+    split.add_argument("--train-fraction", type=float, default=0.8)
+    split.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--epochs", type=int, default=30)
+    fit.add_argument("--lr", type=float, default=0.001)
+    fit.add_argument("--input-order", choices=INPUT_ORDER_MODES, default="tsp")
+    pick.add_argument("--mode", choices=_MODES, default="best-first")
+    pick.add_argument("--split", choices=("all", "train", "test"), default="all")
 
     p = sub.add_parser("generate", help="create a synthetic dataset")
     p.add_argument("--out", required=True)
@@ -46,54 +56,34 @@ def build_parser():
     p.add_argument("--speed-kmph", type=float, default=30.0)
     p.add_argument("--noise-sigma", type=float, default=0.1)
     p.add_argument("--behavior", choices=datagen.BEHAVIORS, default="cluster_biased")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)  # seeds the data, not a split
 
-    p = sub.add_parser("solve-tsp", help="planned (minimum travel time) sequences")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("solve-tsp", parents=[data], help="planned (minimum travel time) sequences")
     p.add_argument("--out", required=True)
     p.add_argument("--stops", action="store_true")
 
-    p = sub.add_parser("train", help="train one model variant")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("train", parents=[data, split, fit], help="train one model variant")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--variant", choices=VARIANTS, default="pairwise")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input-order", choices=("tsp", "random"), default="tsp")
-    p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--clip-norm", type=float)
     p.add_argument("--report")
 
-    p = sub.add_parser("predict", help="generate sequences from a checkpoint")
+    p = sub.add_parser("predict", parents=[data, split, pick],
+                       help="generate sequences from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("greedy", "best-first"), default="best-first")
     p.add_argument("--stops", action="store_true")
-    p.add_argument("--split", choices=("all", "train", "test"), default="all")
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("evaluate", help="score predictions against executed routes")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("evaluate", parents=[data, split, pick],
+                       help="score predictions against executed routes")
     p.add_argument("--checkpoint")
     p.add_argument("--predictions")
-    p.add_argument("--mode", choices=("greedy", "best-first"), default="best-first")
     p.add_argument("--out")
     p.add_argument("--csv")
-    p.add_argument("--split", choices=("all", "train", "test"), default="all")
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("benchmark", help="TSP baseline + all variants x {greedy, first-stop iteration}")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("benchmark", parents=[data, split, fit],
+                       help="TSP baseline + all variants x {greedy, first-stop iteration}")
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input-order", choices=("tsp", "random"), default="tsp")
-    p.add_argument("--train-fraction", type=float, default=0.8)
 
     for p in sub.choices.values():
         p.add_argument("--config")
@@ -136,11 +126,13 @@ def _checked_config(command, doc: dict) -> dict:
     return doc
 
 
-def _split_routes(routes, which: str, fraction: float, seed: int):
-    """The routes of split ``which``; the train split at fraction 1.0 is every route."""
+def _split_routes(cfg, which: str):
+    """The routes of ``cfg``'s ``--data`` in split ``which``, split by its
+    ``--train-fraction`` and ``--seed``; the train split at fraction 1.0 is every route."""
+    routes, fraction = datagen.load_routes(cfg["data"]), cfg["train_fraction"]
     if which == "all" or (which == "train" and fraction == 1.0):
         return routes
-    train, test = training.split_dataset(routes, (fraction, 1.0 - fraction), seed)
+    train, test = training.split_dataset(routes, (fraction, 1.0 - fraction), cfg["seed"])
     return train if which == "train" else test
 
 
@@ -194,18 +186,16 @@ def _cmd_solve_tsp(cfg):
     print(json.dumps({"written": cfg["out"], "n_routes": len(rows)}))
 
 
+def _train_config(cfg, variant, grad_clip=None) -> training.TrainConfig:
+    """The ``TrainConfig`` of ``variant`` from a command's shared training options."""
+    return training.TrainConfig(variant=variant, epochs=cfg["epochs"], lr=cfg["lr"],
+                                seed=cfg["seed"], input_order=cfg["input_order"],
+                                grad_clip=grad_clip)
+
+
 def _cmd_train(cfg):
-    train_routes = _split_routes(datagen.load_routes(cfg["data"]), "train",
-                                 cfg["train_fraction"], cfg["seed"])
-    tc = training.TrainConfig(
-        variant=cfg["variant"],
-        epochs=cfg["epochs"],
-        lr=cfg["lr"],
-        seed=cfg["seed"],
-        input_order=cfg["input_order"],
-        grad_clip=cfg["clip_norm"],
-    )
-    params, report = training.train(train_routes, tc)
+    tc = _train_config(cfg, cfg["variant"], grad_clip=cfg["clip_norm"])
+    params, report = training.train(_split_routes(cfg, "train"), tc)
     save_model(params, cfg["checkpoint"])
     _write_json(cfg["report"], report.to_dict())
     print(json.dumps({"checkpoint": cfg["checkpoint"], "checkpoint_id": report.checkpoint_id,
@@ -214,9 +204,8 @@ def _cmd_train(cfg):
 
 def _cmd_predict(cfg):
     params = load_model(cfg["checkpoint"])
-    routes = _split_routes(datagen.load_routes(cfg["data"]), cfg["split"],
-                           cfg["train_fraction"], cfg["seed"])
-    mode = _mode_arg(cfg["mode"])
+    routes = _split_routes(cfg, cfg["split"])
+    mode = _MODES[cfg["mode"]]
     rows = []
     for route in routes:
         prep = prepare_route(route)
@@ -242,13 +231,12 @@ def _load_predictions(path) -> dict:
 def _cmd_evaluate(cfg):
     if bool(cfg["checkpoint"]) == bool(cfg["predictions"]):
         raise ConfigError("evaluate needs exactly one of --checkpoint and --predictions")
-    routes = _split_routes(datagen.load_routes(cfg["data"]), cfg["split"],
-                           cfg["train_fraction"], cfg["seed"])
+    routes = _split_routes(cfg, cfg["split"])
     if cfg["predictions"]:
         report = scoring.evaluate_testset(routes, sequences=_load_predictions(cfg["predictions"]))
     else:
         params = load_model(cfg["checkpoint"])
-        report = scoring.evaluate_testset(routes, params=params, mode=_mode_arg(cfg["mode"]))
+        report = scoring.evaluate_testset(routes, params=params, mode=_MODES[cfg["mode"]])
     _write_json(cfg["out"], report.to_dict())
     if cfg["csv"]:
         with open(cfg["csv"], "w", newline="", encoding="utf-8") as fh:
@@ -280,9 +268,7 @@ def _cmd_benchmark(cfg):
     rows.append(_bench_row("-", "tsp", tsp_report))
     trained = {}
     for variant in VARIANTS:
-        tc = training.TrainConfig(variant=variant, epochs=cfg["epochs"], lr=cfg["lr"],
-                                  seed=cfg["seed"], input_order=cfg["input_order"])
-        trained[variant], _ = training.train(train_routes, tc)
+        trained[variant], _ = training.train(train_routes, _train_config(cfg, variant))
     for gen_mode in (inference.GREEDY, inference.BEST_FIRST):
         for variant in ("asnn", "lstm_ed", "pointer", "pairwise"):
             report = scoring.evaluate_testset(test_routes, params=trained[variant], mode=gen_mode)

@@ -57,8 +57,9 @@ class SynthConfig:
 
 
 def _validate_config(config: SynthConfig):
-    if config.n_routes < 1:
-        raise InvalidInputError("n_routes must be >= 1")
+    for name, least in (("n_routes", 1), ("seed", 0)):
+        if getattr(config, name) < least:
+            raise InvalidInputError(f"{name} must be >= {least}")
     for name, (lo, hi) in (("zones_per_route", config.zones_per_route),
                            ("stops_per_zone", config.stops_per_zone)):
         if lo < 1 or hi < lo:

@@ -64,13 +64,12 @@ from .tsp import solve_tour
 
 VARIANTS = ("pairwise", "pointer", "lstm_ed", "asnn")
 INPUT_ORDER_MODES = ("tsp", "random")
+N_FEATURES = len(domain.ZONE_FEATURE_NAMES)  # every model reads these and N_PAIR_FEATURES
 
 
 @dataclass
 class ModelConfig:
     variant: str
-    n_features: int
-    pair_dim: int = N_PAIR_FEATURES
     hidden: int = 32
     asnn_hidden: tuple = (128, 128)
     att_dim: int = 32
@@ -161,9 +160,9 @@ def prepare_route(route) -> PreparedRoute:
                          tsp_order, tuple(zinst.actual_zone_sequence))
 
 
-def identity_scaler(n_features: int, pair_dim: int) -> FeatureScaler:
-    return FeatureScaler(np.zeros(n_features), np.ones(n_features),
-                         np.zeros(pair_dim), np.ones(pair_dim))
+def identity_scaler() -> FeatureScaler:
+    return FeatureScaler(np.zeros(N_FEATURES), np.ones(N_FEATURES),
+                         np.zeros(N_PAIR_FEATURES), np.ones(N_PAIR_FEATURES))
 
 
 def fit_scaler(prepared: list) -> FeatureScaler:
@@ -188,17 +187,11 @@ def random_input_order(route_id: str, n: int, seed: int) -> tuple:
     return tuple(int(v) for v in rng.permutation(n))
 
 
-def resolve_input_order(prep: PreparedRoute, mode: str, seed: int) -> tuple:
-    if mode == "tsp":
-        return prep.tsp_order
-    if mode == "random":
-        return random_input_order(prep.route.route_id, prep.n_zones, seed)
-    raise ConfigError(f"unknown input order mode {mode!r}")
-
-
 def scale_route(prep: PreparedRoute, params: ModelParams) -> ScaledRoute:
     """The route as ``params`` reads it: in its config's order, scaled by its scaler."""
-    order = resolve_input_order(prep, params.config.input_order_mode, params.config.order_seed)
+    cfg = params.config
+    order = prep.tsp_order if cfg.input_order_mode == "tsp" else \
+        random_input_order(prep.route.route_id, prep.n_zones, cfg.order_seed)
     rows = [0, *(z + 1 for z in order)]
     return ScaledRoute(
         prep=prep,
@@ -218,15 +211,15 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         raise ConfigError(f"unknown input order mode {config.input_order_mode!r}")
     if config.kz is not None and config.variant != "lstm_ed":
         raise ConfigError(f"kz is the lstm_ed head width; {config.variant} has no such head")
-    k, h = config.n_features, config.hidden
-    params = ModelParams(config=config, scaler=identity_scaler(k, config.pair_dim))
+    k, h = N_FEATURES, config.hidden
+    params = ModelParams(config=config, scaler=identity_scaler())
     if config.variant in ("pairwise", "pointer", "lstm_ed"):
         params.encoder = init_lstm(k, h, rng)
         dec_in = k if config.variant == "lstm_ed" else k + h
         params.decoder = init_lstm(dec_in, h, rng)
     if config.variant in ("pairwise", "asnn"):
         key_dim = h if config.variant == "pairwise" else k
-        params.asnn = init_mlp((config.pair_dim + 2 * key_dim, *config.asnn_hidden, 1), rng)
+        params.asnn = init_mlp((N_PAIR_FEATURES + 2 * key_dim, *config.asnn_hidden, 1), rng)
         # The softmax ignores a shift shared by all scores, so an output
         # bias would get zero gradient: the pair MLP has none.
         params.asnn.layers[-1].b = None
@@ -236,7 +229,7 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
             w1=uniform_init(rng, (a,), a),
             w2=uniform_init(rng, (a, h), h),
             w3=uniform_init(rng, (a, h), h),
-            w4=uniform_init(rng, (config.pair_dim,), config.pair_dim),
+            w4=uniform_init(rng, (N_PAIR_FEATURES,), N_PAIR_FEATURES),
         )
     elif config.variant == "lstm_ed":
         if not config.kz or config.kz < 1:
@@ -387,7 +380,8 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
 # --- checkpoint round trip ---------------------------------------------------
 
 def model_meta(params: ModelParams) -> dict:
-    return {**asdict(params.config), "zone_feature_names": list(domain.ZONE_FEATURE_NAMES)}
+    return {**asdict(params.config), "n_features": N_FEATURES, "pair_dim": N_PAIR_FEATURES,
+            "zone_feature_names": list(domain.ZONE_FEATURE_NAMES)}
 
 
 def checkpoint_tensors(params: ModelParams) -> dict:
@@ -405,7 +399,9 @@ def _integer(value, least=1) -> int:
 
 
 def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
-    """Rebuild a model from checkpoint tensors and meta.  ``init_model``
+    """Rebuild a model from checkpoint tensors and meta.  The meta's
+    ``n_features``, ``pair_dim`` and ``zone_feature_names`` must equal the
+    code's, else a ``SchemaError`` names the key (``meta.<key>``).  ``init_model``
     gives the variant's tensor names and shapes; each is filled from the
     tensor of that name, and tensors the model does not name are ignored
     (such as the pair MLP's output bias ``asnn.<last>.b`` in older files).
@@ -415,8 +411,6 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
     try:
         config = ModelConfig(
             variant=meta["variant"],
-            n_features=_integer(meta["n_features"]),
-            pair_dim=_integer(meta["pair_dim"]),
             hidden=_integer(meta["hidden"]),
             asnn_hidden=tuple(_integer(v) for v in meta["asnn_hidden"]),
             att_dim=_integer(meta["att_dim"]),
@@ -434,6 +428,10 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
         params = init_model(config, np.random.default_rng(0))
     except ConfigError as exc:
         raise SchemaError("meta", str(exc)) from exc
+    expected = model_meta(params)
+    for key in ("n_features", "pair_dim", "zone_feature_names"):
+        if type(meta.get(key)) is not type(expected[key]) or meta.get(key) != expected[key]:
+            raise SchemaError(f"meta.{key}", f"expected {expected[key]!r}, got {meta.get(key)!r}")
     for name, dst in checkpoint_tensors(params).items():
         if name in tensors or f"{name}_f" not in tensors:
             sources = [(name, dst.shape)]

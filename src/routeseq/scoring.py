@@ -105,13 +105,16 @@ def erp(actual, predicted, travel_time) -> tuple:
     return cost[0], edits[0]
 
 
-def disparity(actual, predicted, travel_time) -> float:
-    """R = SD * ERP_norm / ERP_e; zero when no costly edit exists."""
+def _disparity_terms(actual, predicted, travel_time) -> tuple:
+    """``(R, SD, ERP_norm, ERP_e)``; see ``disparity``."""
     sd = sequence_deviation(actual, predicted)
     erp_norm, erp_e = erp(actual, predicted, travel_time)
-    if erp_e == 0:
-        return 0.0
-    return sd * erp_norm / erp_e
+    return (0.0 if erp_e == 0 else sd * erp_norm / erp_e), sd, erp_norm, erp_e
+
+
+def disparity(actual, predicted, travel_time) -> float:
+    """R = SD * ERP_norm / ERP_e; zero when no costly edit exists."""
+    return _disparity_terms(actual, predicted, travel_time)[0]
 
 
 def first_k_accuracy(actual, predicted) -> tuple:
@@ -191,9 +194,7 @@ def score_route(route: RouteInstance, prep, zone_order=None, stop_indices=None) 
         raise InvalidInputError("zone_order must be a permutation of the zones")
     actual = [s + 1 for s in route.actual_stop_sequence]
     predicted = [s + 1 for s in stop_indices]
-    sd = sequence_deviation(actual, predicted)
-    erp_norm, erp_e = erp(actual, predicted, route.travel_time)
-    r = 0.0 if erp_e == 0 else sd * erp_norm / erp_e
+    r, sd, erp_norm, erp_e = _disparity_terms(actual, predicted, route.travel_time)
     hits = first_k_accuracy(prep.targets, zone_order)
     return RouteScore(route.route_id, r, sd, erp_norm, erp_e, hits,
                       prep.n_zones, route.n_stops)

@@ -43,9 +43,9 @@ class TrainConfig:
     lr: float = 0.001
     seed: int = 0
     input_order: str = "tsp"        # encoder reading order: tsp | random
-    hidden: int = 32
-    asnn_hidden: tuple = (128, 128)
-    att_dim: int = 32
+    hidden: int = ModelConfig.hidden
+    asnn_hidden: tuple = ModelConfig.asnn_hidden
+    att_dim: int = ModelConfig.att_dim
     grad_clip: float | None = None  # joint L2 norm cap; None disables
 
 
@@ -64,6 +64,8 @@ class TrainReport:
 def split_dataset(routes, fractions=(0.8, 0.2), seed: int = 0):
     """Seed-deterministic disjoint exhaustive shuffle split."""
     n = len(routes)
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     if n < 2:
         raise InvalidInputError("need at least 2 routes to split")
     if not np.isfinite(fractions).all() or abs(sum(fractions) - 1.0) > 1e-9:
@@ -84,8 +86,9 @@ def train(routes, config: TrainConfig):
     drawn from the config seed, so identical configs produce bit-identical
     checkpoints; ``report.checkpoint_id`` names the checkpoint bytes.
     """
-    if config.epochs < 1:
-        raise InvalidInputError("epochs must be >= 1")
+    for name, least in (("epochs", 1), ("seed", 0)):
+        if getattr(config, name) < least:
+            raise InvalidInputError(f"{name} must be >= {least}")
     if not routes:
         raise InvalidInputError("training set is empty")
     for name, value in (("lr", config.lr), ("grad_clip", config.grad_clip)):
@@ -95,8 +98,6 @@ def train(routes, config: TrainConfig):
     preps = [prepare_route(r) for r in routes]
     model_cfg = ModelConfig(
         variant=config.variant,
-        n_features=preps[0].nodes.shape[1],
-        pair_dim=preps[0].pair.shape[2],
         hidden=config.hidden,
         asnn_hidden=tuple(config.asnn_hidden),
         att_dim=config.att_dim,

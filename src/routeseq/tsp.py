@@ -155,6 +155,24 @@ def _two_opt(order: list, m: np.ndarray, close: bool, fixed_last: bool):
     return order, cur_cost
 
 
+def _solve(m: np.ndarray, start: int, end: int | None, exact_threshold: int) -> TspSolution:
+    """``solve_path`` from ``start`` to ``end``, or ``solve_tour`` when ``end`` is None."""
+    n = m.shape[0]
+    if n == 1:
+        return TspSolution([start], 0.0, "exact")
+    if n <= exact_threshold:
+        interior, ends, path = _held_karp(m, start)
+        if end is None:
+            ends = ends + m[interior, start]
+            u = int(ends.argmin())
+        else:
+            u = interior.index(end)
+        return TspSolution(path(u), float(ends[u]), "exact")
+    order = _nearest_neighbor(m, start, [v for v in range(n) if v not in (start, end)], end)
+    order, cost = _two_opt(order, m, close=end is None, fixed_last=end is not None)
+    return TspSolution(order, cost, "heuristic")
+
+
 def solve_tour(costs, origin: int = 0, exact_threshold: int = EXACT_THRESHOLD) -> TspSolution:
     """Minimum-cost tour starting and ending at ``origin``.
 
@@ -165,16 +183,7 @@ def solve_tour(costs, origin: int = 0, exact_threshold: int = EXACT_THRESHOLD) -
     n = m.shape[0]
     if not 0 <= origin < n:
         raise InvalidInputError(f"origin {origin} out of range for {n} nodes")
-    if n == 1:
-        return TspSolution([origin], 0.0, "exact")
-    if n <= exact_threshold:
-        interior, ends, path = _held_karp(m, origin)
-        tours = ends + m[interior, origin]
-        u = int(tours.argmin())
-        return TspSolution(path(u), float(tours[u]), "exact")
-    order = _nearest_neighbor(m, origin, [v for v in range(n) if v != origin], None)
-    order, cost = _two_opt(order, m, close=True, fixed_last=False)
-    return TspSolution(order, cost, "heuristic")
+    return _solve(m, origin, None, exact_threshold)
 
 
 def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESHOLD) -> TspSolution:
@@ -188,15 +197,6 @@ def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESH
     for v, name in ((first, "first"), (last, "last")):
         if not 0 <= v < n:
             raise InvalidInputError(f"{name} node {v} out of range for {n} nodes")
-    if first == last:
-        if n == 1:
-            return TspSolution([first], 0.0, "exact")
+    if first == last and n > 1:
         raise InvalidInputError("first == last is only valid for a single-node path")
-    if n <= exact_threshold:
-        interior, ends, path = _held_karp(m, first)
-        u = interior.index(last)
-        return TspSolution(path(u), float(ends[u]), "exact")
-    pool = [v for v in range(n) if v not in (first, last)]
-    order = _nearest_neighbor(m, first, pool, last)
-    order, cost = _two_opt(order, m, close=False, fixed_last=True)
-    return TspSolution(order, cost, "heuristic")
+    return _solve(m, first, last, exact_threshold)

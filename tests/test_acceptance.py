@@ -70,8 +70,7 @@ def test_criterion_2_gradient_fidelity():
     checked = 0
     for variant in ("pairwise", "pointer", "lstm_ed", "asnn"):
         for seed in range(10):
-            cfg = ModelConfig(variant=variant, n_features=prep.nodes.shape[1],
-                              pair_dim=prep.pair.shape[2],
+            cfg = ModelConfig(variant=variant,
                               kz=prep.n_zones if variant == "lstm_ed" else None)
             params = init_model(cfg, np.random.default_rng(seed))
             params.scaler = fit_scaler([prep])
@@ -135,8 +134,7 @@ def test_criterion_4_first_stop_iteration_contract():
     for variant, seed in cfgs:
         for route in routes:
             prep = prepare_route(route)
-            cfg = ModelConfig(variant=variant, n_features=prep.nodes.shape[1],
-                              pair_dim=prep.pair.shape[2], hidden=8, asnn_hidden=(16, 16))
+            cfg = ModelConfig(variant=variant, hidden=8, asnn_hidden=(16, 16))
             params = init_model(cfg, np.random.default_rng(seed))
             params.scaler = fit_scaler([prep])
             best = inference.generate_best_first(params, prep)

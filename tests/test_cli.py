@@ -210,6 +210,7 @@ def test_train_fraction_outside_the_split_range_is_a_typed_error(tmp_path, capsy
     ("train", "--clip-norm", "-1"), ("train", "--clip-norm", "0"), ("train", "--clip-norm", "nan"),
     ("generate", "--extent-km", "nan"), ("generate", "--speed-kmph", "inf"),
     ("generate", "--noise-sigma", "inf"),
+    ("generate", "--seed", "-1"), ("train", "--seed", "-1"),
 ])
 def test_a_number_outside_its_range_is_a_typed_error(tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"

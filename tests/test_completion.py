@@ -11,7 +11,6 @@ from routeseq import completion, tsp
 from routeseq.completion import N_CANDIDATES, best_zone_path, complete_sequence
 from routeseq.domain import build_zone_instance
 from routeseq.errors import InvalidInputError
-from routeseq.predictor import prepare_route
 
 
 def _candidate_pairs(route, members, entry_from, next_nodes):

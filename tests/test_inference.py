@@ -30,8 +30,7 @@ def _setup(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"), variant="pairwise"
            seed=0, zero=False, times=None, input_order="tsp", kz=None):
     route = make_route(list(zone_ids), times=times)
     prep = prepare_route(route)
-    cfg = ModelConfig(variant=variant, n_features=prep.nodes.shape[1],
-                      pair_dim=prep.pair.shape[2],
+    cfg = ModelConfig(variant=variant,
                       kz=((kz or prep.n_zones) if variant == "lstm_ed" else None),
                       input_order_mode=input_order, order_seed=seed, **K_SMALL)
     params = init_model(cfg, np.random.default_rng(seed))
@@ -65,7 +64,7 @@ def test_hand_built_model_picks_far_zone_first():
     prep, params = _setup(zone_ids=("A-1.1A", "B-1.1A"), times=times)
     from routeseq.kernel import MlpLayer, MlpParams
     from routeseq.predictor import identity_scaler
-    params.scaler = identity_scaler(12, 6)
+    params.scaler = identity_scaler()
     for arr in model_tensors(params).values():
         arr[...] = 0.0
     w = np.zeros((1, 6 + 16))
@@ -228,8 +227,7 @@ def test_lstm_ed_decodes_routes_wider_than_its_head():
     # no zone left has a probability and the smallest unvisited index wins
     route = make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"])
     prep = prepare_route(route)
-    cfg = ModelConfig(variant="lstm_ed", n_features=prep.nodes.shape[1],
-                      pair_dim=prep.pair.shape[2], kz=2, **K_SMALL)
+    cfg = ModelConfig(variant="lstm_ed", kz=2, **K_SMALL)
     params = init_model(cfg, np.random.default_rng(0))
     params.scaler = fit_scaler([prep])
     pred = greedy_decode(params, prep)

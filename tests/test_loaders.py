@@ -26,7 +26,7 @@ from routeseq.predictor import (
 from routeseq.scoring import evaluate_testset
 
 ROUTES = generate(SynthConfig(n_routes=2, zones_per_route=(2, 3), stops_per_zone=(1, 2), seed=4))
-MODEL = init_model(ModelConfig("pairwise", 12, hidden=4, asnn_hidden=(8,), att_dim=4),
+MODEL = init_model(ModelConfig("pairwise", hidden=4, asnn_hidden=(8,), att_dim=4),
                    np.random.default_rng(0))
 DATASET = json.loads(routes_to_json(ROUTES))
 CHECKPOINT = json.loads(serialize_checkpoint(checkpoint_tensors(MODEL), model_meta(MODEL)))
@@ -106,6 +106,10 @@ def test_dataset_integer_beyond_float_range_is_a_schema_error(tmp_path, path, js
     (("meta", "order_seed"), 1.7, "meta"),
     (("meta", "order_seed"), True, "meta"),
     (("meta", "order_seed"), "5", "meta"),
+    (("meta", "n_features"), 11, "meta.n_features"),
+    (("meta", "pair_dim"), 7, "meta.pair_dim"),
+    (("meta", "zone_feature_names"), CHECKPOINT["meta"]["zone_feature_names"][::-1],
+     "meta.zone_feature_names"),
 ])
 def test_checkpoint_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, json_path):
     with pytest.raises(SchemaError) as err:

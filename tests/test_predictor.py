@@ -14,7 +14,7 @@ from oracles import (
     zone_travel_time_ref,
 )
 from routeseq.datagen import SynthConfig, generate
-from routeseq.errors import ConfigError, InvalidInputError, SchemaError
+from routeseq.errors import ConfigError, SchemaError
 from routeseq.inference import greedy_decode
 from routeseq.kernel import (
     MlpLayer,
@@ -29,8 +29,6 @@ from routeseq.kernel import (
 )
 from routeseq.predictor import (
     ModelConfig,
-    ModelParams,
-    PointerParams,
     _scores,
     checkpoint_tensors,
     decode_step,
@@ -46,7 +44,6 @@ from routeseq.predictor import (
     params_from_checkpoint,
     prepare_route,
     random_input_order,
-    resolve_input_order,
     save_model,
     scale_route,
     wrap_params,
@@ -62,8 +59,7 @@ def _prep(zone_ids=("A-1.1A", "A-2.1B", "B-1.1A"), times=None, actual=None):
 
 def _model(variant, prep, seed=0, scaler=None, **overrides):
     kwargs = {"kz": prep.n_zones if variant == "lstm_ed" else None, **K_SMALL, **overrides}
-    cfg = ModelConfig(variant=variant, n_features=prep.nodes.shape[1],
-                      pair_dim=prep.pair.shape[2], **kwargs)
+    cfg = ModelConfig(variant=variant, **kwargs)
     params = init_model(cfg, np.random.default_rng(seed))
     params.scaler = scaler or fit_scaler([prep])
     return params
@@ -137,9 +133,9 @@ def test_random_input_order_stable():
 
 def test_resolve_input_order_modes():
     prep = _prep()
-    assert resolve_input_order(prep, "tsp", 0) == prep.tsp_order
+    assert scale_route(prep, _model("pairwise", prep)).order == prep.tsp_order
     with pytest.raises(ConfigError):
-        resolve_input_order(prep, "sorted", 0)
+        init_model(ModelConfig("pairwise", input_order_mode="sorted"), np.random.default_rng(0))
 
 
 def test_encode_single_zone():
@@ -210,7 +206,7 @@ def test_pair_attention_hand_built_ranks_by_travel_time():
     zb = prep.zinst.zone_index("B-1.1A")
     za = prep.zinst.zone_index("A-1.1A")
     for variant, key_dim in (("pairwise", 8), ("asnn", 12)):
-        params = _model(variant, prep, scaler=identity_scaler(12, 6))
+        params = _model(variant, prep, scaler=identity_scaler())
         w = np.zeros((1, 6 + 2 * key_dim))
         w[0, 0] = 1.0
         params.asnn = MlpParams([MlpLayer(w, None)])
@@ -274,7 +270,7 @@ def test_pointer_attention_w4_sign_controls_ranking():
         [6.0, 8.0, 0.0],
     ])
     prep = _prep(zone_ids=("A-1.1A", "B-1.1A"), times=times)
-    params = _model("pointer", prep, scaler=identity_scaler(12, 6))
+    params = _model("pointer", prep, scaler=identity_scaler())
     params.pointer.w1[...] = 0.0
     params.pointer.w4[...] = 0.0
     params.pointer.w4[0] = 1.0
@@ -574,12 +570,12 @@ def test_checkpoint_loader_names_what_is_malformed():
 
 def test_init_model_validation():
     with pytest.raises(ConfigError):
-        init_model(ModelConfig("bogus", 12), np.random.default_rng(0))
+        init_model(ModelConfig("bogus"), np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        init_model(ModelConfig("lstm_ed", 12), np.random.default_rng(0))  # kz missing
+        init_model(ModelConfig("lstm_ed"), np.random.default_rng(0))  # kz missing
     for variant in ("pairwise", "pointer", "asnn"):  # kz is the lstm_ed head width
         with pytest.raises(ConfigError):
-            init_model(ModelConfig(variant, 12, kz=3), np.random.default_rng(0))
+            init_model(ModelConfig(variant, kz=3), np.random.default_rng(0))
 
 
 def test_mlp_reference_on_asnn_shape(rng):

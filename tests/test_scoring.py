@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_route
 from oracles import erp_exhaustive, erp_traceback_ref, sd_ref, time_norm_ref
 from routeseq import completion, datagen, scoring
 from routeseq.errors import InvalidInputError

@@ -42,11 +42,18 @@ def test_split_validation():
         split_dataset(list(range(10)), (0.7, 0.2))
     with pytest.raises(InvalidInputError):
         split_dataset(list(range(3)), (0.99, 0.01))
+    with pytest.raises(InvalidInputError):
+        split_dataset(list(range(10)), (0.8, 0.2), seed=-1)
 
 
 def test_epochs_must_be_positive():
     with pytest.raises(InvalidInputError):
         train(_routes(2), TrainConfig(epochs=0))
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(InvalidInputError):
+        train(_routes(2), TrainConfig(epochs=1, seed=-1))
 
 
 @pytest.mark.parametrize("bad", [
