@@ -5,9 +5,9 @@ to the previous zone's exit), three candidate exit stops (closest on average
 to the next zone's stops; the depot plays "next zone" for the final zone),
 and the cheapest within-zone path of each (entry, exit) pair; the cheapest
 path wins, ties to the smallest.  A zone of at most ``EXACT_THRESHOLD`` stops
-builds one Held-Karp table per entry and reads every exit from it, larger
-ones solve each pair heuristically; an entry that is also the exit takes
-its tour without the closing edge.
+builds the Held-Karp tables of its entries as one stacked DP and reads every
+exit from its entry's table, larger ones solve each pair heuristically; an
+entry that is also the exit takes its tour without the closing edge.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ def _pair_paths(sub, firsts, lasts):
                 yield sol.order, sol.cost - (float(sub[sol.order[-1], f]) if f == l else 0.0)
         return
     m = _as_matrix(sub)
-    for f in firsts:
-        interior, ends, path = _held_karp(m, f)
+    for f, (interior, ends, path) in zip(firsts, _held_karp(m, firsts)):
         for l in lasts:
             if f == l:
                 tours = ends + m[interior, f]

@@ -201,7 +201,7 @@ def route_to_dict(route: RouteInstance) -> dict:
             }
             for s in route.stops
         ],
-        "travel_time_s": [float(v) for v in route.travel_time.ravel()],
+        "travel_time_s": route.travel_time.ravel().tolist(),
         "actual_sequence": [route.stops[i].stop_id for i in route.actual_stop_sequence],
         "metadata": route.metadata,
     }

@@ -145,41 +145,46 @@ def parse_zone_id(zone_id: str):
     return area.upper(), int(major), int(minor), letter.upper()
 
 
+def _mean(block: np.ndarray) -> np.float64:
+    """``np.mean(block)`` without its Python wrapper: the same reduce over the
+    C-order copy and the same division, so the same bits."""
+    block = block.copy()
+    return np.add.reduce(block, axis=None) / block.size
+
+
 def build_zone_instance(route: RouteInstance) -> ZoneInstance:
     """Group stops into zones and average the stop-level travel times.
 
-    Node ``a`` to node ``b`` is the mean over the (depot or member stop)
-    pairs of the two nodes, one ``np.mean`` per block.  Raises
-    MalformedRouteError when the route has no stops or a stop has no zone
-    id.
+    One gather orders the matrix and the coordinates with the depot first
+    and each zone's stops in one block.  Node ``a`` to node ``b`` is the
+    mean of their block of (depot or member stop) pairs, a centroid the mean
+    of its block of coordinates.  Raises MalformedRouteError when the route
+    has no stops or a stop has no zone id.
     """
     if not route.stops:
         raise MalformedRouteError(f"route {route.route_id}: has no stops")
-    zone_order: list[str] = []
     members: dict[str, list[int]] = {}
     for idx, stop in enumerate(route.stops):
         if not stop.zone_id:
             raise MalformedRouteError(
                 f"route {route.route_id}: stop {stop.stop_id!r} has an empty zone_id"
             )
-        if stop.zone_id not in members:
-            members[stop.zone_id] = []
-            zone_order.append(stop.zone_id)
-        members[stop.zone_id].append(idx)
+        members.setdefault(stop.zone_id, []).append(idx)
 
-    zones = []
-    for zid in zone_order:
-        idxs = members[zid]
-        lat = float(np.mean([route.stops[k].lat for k in idxs]))
-        lng = float(np.mean([route.stops[k].lng for k in idxs]))
-        zones.append(Zone(zid, list(idxs), (lat, lng)))
-
-    groups = [[0]] + [[k + 1 for k in zone.member_stops] for zone in zones]
-    ztt = np.zeros((len(groups), len(groups)))
-    for a, rows in enumerate(groups):
-        for b, cols in enumerate(groups):
+    perm = [0] + [k + 1 for idxs in members.values() for k in idxs]
+    sizes = [1] + [len(idxs) for idxs in members.values()]
+    spans = [slice(hi - size, hi) for hi, size in zip(np.cumsum(sizes).tolist(), sizes)]
+    points = [route.depot, *route.stops]
+    lat = np.array([points[k].lat for k in perm], dtype=float)
+    lng = np.array([points[k].lng for k in perm], dtype=float)
+    zones = [Zone(zid, idxs, (float(_mean(lat[span])), float(_mean(lng[span]))))
+             for (zid, idxs), span in zip(members.items(), spans[1:])]
+    tt = route.travel_time[np.ix_(perm, perm)]
+    ztt = np.zeros((len(spans), len(spans)))
+    for a, rows in enumerate(spans):
+        for b, cols in enumerate(spans):
             if a != b:
-                ztt[a, b] = np.mean(route.travel_time[np.ix_(rows, cols)])
+                ztt[a, b] = _mean(tt[rows, cols])
 
     return ZoneInstance(zones, ztt, first_visit_zone_order(zones, route.actual_stop_sequence))
 

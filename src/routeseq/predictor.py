@@ -77,6 +77,17 @@ class ModelConfig:
     input_order_mode: str = "tsp"
     order_seed: int = 0
 
+    def __post_init__(self):
+        # Checked where a config is made, ``dataclasses.replace`` included.
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.input_order_mode not in INPUT_ORDER_MODES:
+            raise ConfigError(f"unknown input order mode {self.input_order_mode!r}")
+        if self.kz is not None and self.variant != "lstm_ed":
+            raise ConfigError(f"kz is the lstm_ed head width; {self.variant} has no such head")
+        if self.variant == "lstm_ed" and (not self.kz or self.kz < 1):
+            raise ConfigError("lstm_ed requires kz (the largest route size in training)")
+
 
 @dataclass(eq=False)
 class PointerParams:
@@ -205,12 +216,6 @@ def scale_route(prep: PreparedRoute, params: ModelParams) -> ScaledRoute:
 def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Fresh parameters: uniform(+-1/sqrt(fan_in)) weights, zero biases
     except the LSTM forget gates' (1, see ``init_lstm``)."""
-    if config.variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {config.variant!r}")
-    if config.input_order_mode not in INPUT_ORDER_MODES:
-        raise ConfigError(f"unknown input order mode {config.input_order_mode!r}")
-    if config.kz is not None and config.variant != "lstm_ed":
-        raise ConfigError(f"kz is the lstm_ed head width; {config.variant} has no such head")
     k, h = N_FEATURES, config.hidden
     params = ModelParams(config=config, scaler=identity_scaler())
     if config.variant in ("pairwise", "pointer", "lstm_ed"):
@@ -232,8 +237,6 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
             w4=uniform_init(rng, (N_PAIR_FEATURES,), N_PAIR_FEATURES),
         )
     elif config.variant == "lstm_ed":
-        if not config.kz or config.kz < 1:
-            raise ConfigError("lstm_ed requires kz (the largest route size in training)")
         params.fc = init_mlp((h, config.kz), rng)
     return params
 
@@ -420,14 +423,11 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
         )
     except KeyError as exc:
         raise SchemaError("meta", f"missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("meta", f"malformed field: {exc}") from exc
-    if config.variant not in VARIANTS:
-        raise SchemaError("meta.variant", f"unknown variant {config.variant!r}")
-    try:
-        params = init_model(config, np.random.default_rng(0))
     except ConfigError as exc:
         raise SchemaError("meta", str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("meta", f"malformed field: {exc}") from exc
+    params = init_model(config, np.random.default_rng(0))
     expected = model_meta(params)
     for key in ("n_features", "pair_dim", "zone_feature_names"):
         if type(meta.get(key)) is not type(expected[key]) or meta.get(key) != expected[key]:

@@ -3,18 +3,20 @@
 Instances of n <= EXACT_THRESHOLD nodes are solved exactly by Held-Karp,
 larger ones by nearest-neighbor construction plus 2-opt, which recomputes
 the full cost of a reversed segment because matrices may be asymmetric.
-Results are deterministic.  Held-Karp runs from ``start`` over bitmasks of
+Results are deterministic.  Held-Karp runs from a start over bitmasks of
 the other nodes one popcount layer at a time: numpy takes a layer's
 candidates ``dp[mask - v, u] + m[u, v]`` (one float add each) in a few
-steps.  One table serves the tour and the path to every end; a u outside
-the mask is ``inf``, so the masks without an end hold the bits of a DP that
-leaves the end out.  The parent, like the tour's last node, is the first
-``argmin`` over ascending u, which gives the tie rule: walking back from
-the end of the order, each tie goes to the smallest node index, so an
-all-equal matrix gives a descending interior (the tour from 0 over 4 nodes
-is [0, 3, 2, 1]).  Nearest neighbor takes the smallest index among equally
-near nodes; 2-opt keeps the first move it scans unless a later one is
-better by more than 1e-12.
+steps.  The tables of several starts run as one DP, each mask's row holding
+every start's entries side by side, so they share the steps and each keeps
+the adds and parents it has alone.  One table serves the tour and the path
+to every end; a u outside the mask is ``inf``, so the masks without an end
+hold the bits of a DP that leaves the end out.  The parent, like the tour's
+last node, is the first ``argmin`` over ascending u, which gives the tie
+rule: walking back from the end of the order, each tie goes to the smallest
+node index, so an all-equal matrix gives a descending interior (the tour
+from 0 over 4 nodes is [0, 3, 2, 1]).  Nearest neighbor takes the smallest
+index among equally near nodes; 2-opt keeps the first move it scans unless
+a later one is better by more than 1e-12.
 """
 
 from __future__ import annotations
@@ -67,16 +69,18 @@ def route_cost(order, costs, close_tour: bool = False) -> float:
     return _seq_cost(list(order), m, close_tour)
 
 
-_CHUNK = 1024  # pairs per numpy step: its temporaries stay under 100 KB
+_CHUNK = 1024  # pairs per numpy step: its temporaries stay under 100 KB a start
 
 
 @functools.cache
-def _layers(k: int):
-    """Index arrays of the Held-Karp table over k interior nodes: the flat
-    index ``mask * k + v`` of each one-node mask, row offsets, and the
-    (mask, v in mask) pairs of popcounts 2..k in chunks of at most _CHUNK,
-    each as flat indices, ``v`` and ``mask - v``."""
+def _layers(k: int, s: int):
+    """Index arrays of s Held-Karp tables over k interior nodes, entry (mask,
+    v) of table i at ``(mask * s + i) * k + v``: those of the one-node masks,
+    (k, s), and the (mask, v in mask) pairs of popcounts 2..k in chunks of at
+    most _CHUNK, each as (pairs, s) entries, ``v``, ``mask - v`` and the
+    (pairs, s) row offsets of the chunk's candidates."""
     nodes = np.arange(k, dtype=np.int32)
+    lanes = k * np.arange(s, dtype=np.int32)
     bits = (np.arange(1 << k, dtype=np.int32)[:, None] >> nodes) & 1
     popcount = bits.sum(axis=1)
     chunks = []
@@ -85,38 +89,43 @@ def _layers(k: int):
         mask, v = mask.astype(np.int32), v.astype(np.int32)
         for c in range(0, len(v), _CHUNK):
             mc, vc = mask[c:c + _CHUNK], v[c:c + _CHUNK]
-            chunks.append((mc * k + vc, vc, mc ^ (1 << vc)))
-    return (1 << nodes) * k + nodes, k * np.arange(_CHUNK), chunks
+            chunks.append(((mc * s * k + vc)[:, None] + lanes, vc, mc ^ (1 << vc),
+                           k * np.arange(len(vc) * s, dtype=np.int32).reshape(-1, s)))
+    return ((1 << nodes) * s * k + nodes)[:, None] + lanes, chunks
 
 
-def _held_karp(m: np.ndarray, start: int):
-    """Held-Karp table from ``start`` over every other node: returns the
-    other nodes ``interior``, ``ends[u]``, the cost of the cheapest path
-    through all of them that ends at ``interior[u]``, and ``path(u)``, that
-    path walked back through the flat ``mask * k + v`` parent table."""
-    interior = [v for v in range(m.shape[0]) if v != start]
-    k = len(interior)
-    idx = np.array(interior)
-    step = m[idx][:, idx].T  # step[v, u]: the leg u -> v
-    singles, rows, chunks = _layers(k)
-    dp = np.full(k << k, _INF)
-    parent = np.zeros(k << k, dtype=np.int8)
-    dp[singles] = m[start, idx]
-    for flat, v, prev in chunks:
-        cand = dp.reshape(-1, k)[prev]
-        cand += step[v]
-        u = cand.argmin(axis=1)
+def _held_karp(m: np.ndarray, starts: list) -> list:
+    """Held-Karp tables from each of ``starts`` over every other node, run
+    as one DP whose row of a mask holds every start's entries.  Returns per
+    start the other nodes ``interior``, ``ends[u]``, the cost of the
+    cheapest path through all of them that ends at ``interior[u]``, and
+    ``path(u)``, that path walked back through the flat parent table."""
+    n, s = m.shape[0], len(starts)
+    k, full = n - 1, (1 << (n - 1)) - 1
+    interior = [[v for v in range(n) if v != start] for start in starts]
+    idx = np.array(interior, dtype=int)
+    step = m[idx[None], idx.T[:, :, None]].reshape(k, s * k)  # step[v, i * k + u]: the leg u -> v
+    singles, chunks = _layers(k, s)
+    dp = np.full(s * k << k, _INF)
+    parent = np.zeros(s * k << k, dtype=np.int8)
+    dp[singles] = m[starts, idx.T]
+    table = dp.reshape(1 << k, s * k)
+    for flat, v, prev, rows in chunks:
+        cand = table.take(prev, axis=0)
+        cand += step.take(v, axis=0)
+        u = cand.reshape(-1, s, k).argmin(axis=2)
         parent[flat] = u
-        dp[flat] = cand.reshape(-1)[rows[:len(u)] + u]
+        dp[flat] = cand.reshape(-1)[rows + u]
 
-    def path(u: int) -> list:
-        mid, mask = [], (1 << k) - 1
+    def path(i: int, u: int) -> list:
+        mid, mask = [], full
         for _ in range(k):
-            mid.append(interior[u])
-            mask, u = mask ^ (1 << u), int(parent[mask * k + u])
-        return [start] + mid[::-1]
+            mid.append(interior[i][u])
+            mask, u = mask ^ (1 << u), int(parent[(mask * s + i) * k + u])
+        return [starts[i]] + mid[::-1]
 
-    return interior, dp[-k:], path
+    return [(interior[i], table[full, i * k:(i + 1) * k], functools.partial(path, i))
+            for i in range(s)]
 
 
 def _nearest_neighbor(m: np.ndarray, start: int, pool: list, end: int | None):
@@ -161,7 +170,7 @@ def _solve(m: np.ndarray, start: int, end: int | None, exact_threshold: int) -> 
     if n == 1:
         return TspSolution([start], 0.0, "exact")
     if n <= exact_threshold:
-        interior, ends, path = _held_karp(m, start)
+        interior, ends, path = _held_karp(m, [start])[0]
         if end is None:
             ends = ends + m[interior, start]
             u = int(ends.argmin())

@@ -126,13 +126,14 @@ def test_best_zone_path_is_bit_identical_to_the_per_pair_reference(n, kind, entr
 
 
 def test_best_zone_path_builds_one_table_per_candidate_entry(monkeypatch):
-    # Every exit candidate's path comes from its entry's Held-Karp table, so
-    # a zone builds at most N_CANDIDATES tables, one per entry.
+    # Every exit candidate's path comes from its entry's Held-Karp table, and
+    # a zone builds the tables of its at most N_CANDIDATES entries as one
+    # stacked DP.
     calls = []
 
-    def counted(m, start):
-        calls.append(start)
-        return held_karp(m, start)
+    def counted(m, starts):
+        calls.append(starts)
+        return held_karp(m, starts)
 
     held_karp = tsp._held_karp
     monkeypatch.setattr(tsp, "_held_karp", counted)
@@ -143,7 +144,9 @@ def test_best_zone_path_builds_one_table_per_candidate_entry(monkeypatch):
             route, members, entry_from, next_nodes = _zone_case(rng, n, kind, "stop")
             calls.clear()
             best_zone_path(route, members, entry_from, next_nodes)
-            assert len(calls) == len(set(calls)) <= N_CANDIDATES, (n, kind, calls)
+            assert len(calls) == (n > 1), (n, kind, calls)
+            for starts in calls:
+                assert len(starts) == len(set(starts)) <= N_CANDIDATES, (n, kind, calls)
 
 
 def test_output_is_partition_into_contiguous_zones(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_route
+from oracles import zone_travel_time_ref
 from routeseq.domain import (
     build_zone_instance,
     first_visit_zone_order,
@@ -84,6 +85,31 @@ def test_zone_relabel_permutation_safety(rng):
     relabel = [ids2.index(z) for z in ids1]
     m = np.ix_([0] + [r + 1 for r in relabel], [0] + [r + 1 for r in relabel])
     assert np.allclose(zi2.zone_travel_time[m], zi.zone_travel_time)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer"])
+def test_zone_matrix_and_centroids_are_the_per_block_means_bit_for_bit(kind):
+    # One gather sorts the stops by zone; here the zones' members interleave,
+    # so that order is not the identity.  Cases 0-2 are a one-stop route, a
+    # route of single-stop zones and a one-zone route.
+    rng = np.random.default_rng(19)
+    fixed = ([1], [1] * 5, [7])
+    for case in range(90):
+        sizes = fixed[case] if case < len(fixed) else rng.integers(1, 6, size=rng.integers(2, 8))
+        zone_ids = [f"A-{z}.1A" for z, size in enumerate(sizes) for _ in range(size)]
+        zone_ids = [zone_ids[i] for i in rng.permutation(len(zone_ids))]
+        n = len(zone_ids)
+        times = (rng.uniform(10.0, 100.0, size=(n + 1, n + 1)) if kind == "uniform"
+                 else rng.integers(0, 60, size=(n + 1, n + 1)).astype(float))
+        np.fill_diagonal(times, 0.0)
+        route = make_route(zone_ids, times=times)
+        zi = build_zone_instance(route)
+        ref = zone_travel_time_ref(route, zi.zones)
+        assert zi.zone_travel_time.tobytes() == ref.tobytes(), case
+        for zone in zi.zones:
+            stops = [route.stops[k] for k in zone.member_stops]
+            assert zone.centroid == (float(np.mean([s.lat for s in stops])),
+                                     float(np.mean([s.lng for s in stops]))), case
 
 
 def test_stop_counts_add_up():

@@ -131,11 +131,15 @@ def test_random_input_order_stable():
     assert len(orders) > 1
 
 
-def test_resolve_input_order_modes():
+def test_planned_reading_order_and_unknown_modes_are_config_errors():
     prep = _prep()
-    assert scale_route(prep, _model("pairwise", prep)).order == prep.tsp_order
+    params = _model("pairwise", prep)
+    assert scale_route(prep, params).order == prep.tsp_order
     with pytest.raises(ConfigError):
-        init_model(ModelConfig("pairwise", input_order_mode="sorted"), np.random.default_rng(0))
+        ModelConfig("pairwise", input_order_mode="sorted")
+    # a config replaced after init_model is checked too, not read at random
+    with pytest.raises(ConfigError):
+        replace(params.config, input_order_mode="sorted")
 
 
 def test_encode_single_zone():

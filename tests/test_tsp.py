@@ -15,6 +15,7 @@ from oracles import (
 )
 from routeseq.errors import InvalidInputError
 from routeseq.tsp import (
+    _held_karp,
     _nearest_neighbor,
     _two_opt,
     route_cost,
@@ -159,6 +160,19 @@ def test_matches_plain_loop_held_karp_up_to_threshold(rng):
             assert (sol.order, sol.cost, sol.method) == (order[:-1], cost, "exact"), n
             sol = solve_path(m, first, last)
             assert (sol.order, sol.cost) == held_karp_loop(m, first, last), n
+
+
+def test_stacked_held_karp_matches_each_start_alone(rng):
+    # The tables of several starts share one DP; each start reads out the
+    # same ends bytes and paths as its table built alone, in any start order.
+    for n in range(1, 14):
+        for m in (random_cost_matrix(rng, n), _tie_heavy_matrix(rng, n)):
+            starts = [int(v) for v in rng.permutation(n)[:3]]
+            for start, (interior, ends, path) in zip(starts, _held_karp(m, starts)):
+                alone_interior, alone_ends, alone_path = _held_karp(m, [start])[0]
+                assert interior == alone_interior, (n, starts)
+                assert ends.tobytes() == alone_ends.tobytes(), (n, starts)
+                assert [path(u) for u in range(n - 1)] == [alone_path(u) for u in range(n - 1)]
 
 
 def test_invalid_matrices_rejected():
