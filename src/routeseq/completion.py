@@ -4,13 +4,16 @@ For each zone, in order: three candidate entry stops (closest in travel time
 to the previous zone's exit), three candidate exit stops (closest on average
 to the next zone's stops; the depot plays "next zone" for the final zone),
 and the cheapest within-zone path of each (entry, exit) pair; the cheapest
-path wins, ties to the smallest.  A zone of at most ``EXACT_THRESHOLD`` stops
-builds the Held-Karp tables of its entries as one stacked DP and reads every
-exit from its entry's table, larger ones solve each pair heuristically; an
-entry that is also the exit takes its tour without the closing edge.
+path wins, ties to the smallest, and only the cheapest pairs walk their
+path.  A zone of at most ``EXACT_THRESHOLD`` stops builds the Held-Karp
+tables of its entries as one stacked DP and reads every exit from its
+entry's table, larger ones solve each pair heuristically; an entry that is
+also the exit takes its tour without the closing edge.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,14 +32,15 @@ def _closest(members, scores):
 
 
 def _pair_paths(sub, firsts, lasts):
-    """(order, cost) of the within-zone path of each (entry, exit) pair, as
-    positions in ``sub``; an entry that is also the exit gives its tour
-    minus the closing leg."""
+    """(cost, path) of the within-zone path of each (entry, exit) pair,
+    where ``path()`` gives the order as positions in ``sub``; an entry that
+    is also the exit gives its tour minus the closing leg."""
     if len(sub) > EXACT_THRESHOLD:
         for f in firsts:
             for l in lasts:
                 sol = solve_tour(sub, origin=f) if f == l else solve_path(sub, f, l)
-                yield sol.order, sol.cost - (float(sub[sol.order[-1], f]) if f == l else 0.0)
+                cost = sol.cost - (float(sub[sol.order[-1], f]) if f == l else 0.0)
+                yield cost, lambda order=sol.order: order
         return
     m = _as_matrix(sub)
     for f, (interior, ends, path) in zip(firsts, _held_karp(m, firsts)):
@@ -44,10 +48,10 @@ def _pair_paths(sub, firsts, lasts):
             if f == l:
                 tours = ends + m[interior, f]
                 u = int(tours.argmin())
-                yield path(u), float(tours[u]) - float(m[interior[u], f])
+                yield float(tours[u]) - float(m[interior[u], f]), functools.partial(path, u)
             else:
                 u = interior.index(l)
-                yield path(u), float(ends[u])
+                yield float(ends[u]), functools.partial(path, u)
 
 
 def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_nodes: list):
@@ -55,7 +59,8 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_no
     matrix nodes of the next zone.  Returns (stop indices, travel time).
 
     ``members`` are stop indices; ``entry_from``/``next_nodes`` are matrix
-    indices (0 = depot).
+    indices (0 = depot).  Only the pairs of the least cost walk their path,
+    and a tie goes to the smallest path.
     """
     if len(members) == 1:
         return [members[0]], 0.0
@@ -63,12 +68,9 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_no
     nodes = [m + 1 for m in members]
     firsts = _closest(members, tt[entry_from, nodes].tolist())
     lasts = _closest(members, tt[np.ix_(nodes, next_nodes)].mean(axis=1).tolist())
-    best_path, best_cost = None, None
-    for order, cost in _pair_paths(tt[np.ix_(nodes, nodes)], firsts, lasts):
-        path = [members[k] for k in order]
-        if (best_cost is None or cost < best_cost
-                or (cost == best_cost and tuple(path) < tuple(best_path))):
-            best_path, best_cost = path, cost
+    pairs = list(_pair_paths(tt[np.ix_(nodes, nodes)], firsts, lasts))
+    best_cost = min(cost for cost, _ in pairs)
+    best_path = min([members[k] for k in path()] for cost, path in pairs if cost == best_cost)
     return best_path, float(best_cost)
 
 

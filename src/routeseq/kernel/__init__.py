@@ -1,6 +1,6 @@
 """Minimal differentiable numerical kernel: autodiff tape, fused LSTM-cell,
-MLP and pointer-score ops, softmax and the sequence NLL, Adam, and the
-bit-exact checkpoint byte codec (no file I/O)."""
+LSTM-sequence, MLP and pointer-score ops, softmax and the sequence NLL,
+Adam, and the bit-exact checkpoint byte codec (no file I/O)."""
 
 from .autodiff import (
     Node,
@@ -8,7 +8,6 @@ from .autodiff import (
     matmul,
     nll,
     softmax,
-    stack_rows,
     unwrap,
 )
 from .checkpoint import (
@@ -25,6 +24,7 @@ from .layers import (
     init_lstm,
     init_mlp,
     lstm_cell,
+    lstm_sequence,
     map_tensors,
     mlp_forward,
     named_tensors,
@@ -35,10 +35,10 @@ from .layers import (
 from .optim import AdamState, adam_init, adam_step, clip_gradients
 
 __all__ = [
-    "Node", "Tape", "matmul", "nll", "softmax", "stack_rows", "unwrap",
+    "Node", "Tape", "matmul", "nll", "softmax", "unwrap",
     "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint", "serialize_checkpoint",
     "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "init_lstm",
-    "init_mlp", "lstm_cell", "map_tensors", "mlp_forward", "named_tensors",
+    "init_mlp", "lstm_cell", "lstm_sequence", "map_tensors", "mlp_forward", "named_tensors",
     "pointer_scores", "uniform_init", "zero_state",
     "AdamState", "adam_init", "adam_step", "clip_gradients",
 ]

@@ -11,10 +11,15 @@ The graph is acyclic: a node holds its parents (through its backward
 closure) and a weak proxy of its tape, never itself or its tape, so a
 finished step's graph is freed by reference counting alone.
 
+A weight gradient that is a sum of outer products (one per decoder step or
+per candidate row) reaches a leaf through ``_acc_outer``: the tape keeps the
+rows and ``backward`` sums each leaf's rows once, in stacks of at most
+``STACK_ROWS``, after the last node has run, and then forgets them.
+
 The ops here are the ones the models run between their layers: ``matmul``
-(the attention context), ``stack_rows`` (the encoder outputs), ``softmax``
-and ``nll`` (the teacher-forced loss).  ``layers`` adds the fused ops
-``lstm_cell``, ``mlp_forward`` and ``pointer_scores``, which record through
+(the attention context), ``softmax`` and ``nll`` (the teacher-forced loss).
+``layers`` adds the fused ops ``lstm_cell``, ``lstm_sequence`` (the
+encoder), ``mlp_forward`` and ``pointer_scores``, which record through
 ``_record`` with hand-written backward passes.
 
 Shapes are deliberately modest: vectors, matrices, and 0-d scalars, which is
@@ -30,6 +35,11 @@ import numpy as np
 from ..errors import InvalidInputError
 
 NLL_CLAMP = 1e-12
+# Rows per product when a leaf's deferred weight-gradient rows are summed:
+# OpenBLAS runs a (128 x rows) @ (rows x 128) product on a second thread from
+# 64 rows on, which at these sizes costs more than it saves, and much more
+# while the other core is busy.
+STACK_ROWS = 32
 
 
 class Node:
@@ -50,6 +60,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Node] = []
+        self._rows: dict = {}  # leaf -> (output-gradient rows, input rows) of its weight gradient
         self._proxy = weakref.proxy(self)  # what nodes hold, so no node keeps the tape alive
 
     def leaf(self, value) -> Node:
@@ -64,6 +75,11 @@ class Tape:
         for node in reversed(self._nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+        rows, self._rows = self._rows, {}
+        for leaf, (gs, xs) in rows.items():
+            g, x = np.concatenate(gs), np.concatenate(xs)
+            for a in range(0, len(g), STACK_ROWS):
+                _acc(leaf, g[a:a + STACK_ROWS].T @ x[a:a + STACK_ROWS], own=True)
 
 
 def unwrap(x):
@@ -96,6 +112,22 @@ def _acc(x, g, own: bool = False):
         x.grad += g
 
 
+def _acc_outer(w, g, x):
+    """Accumulate ``g.T @ x``, the sum of the outer products of the rows of
+    ``g`` (m, out) and ``x`` (m, in), into the weight ``w`` (out, in).  A
+    leaf's rows wait on its tape until the end of ``backward``, which sums
+    all of them at once; any other node needs its gradient before its own
+    backward runs, so it gets the product now."""
+    if not isinstance(w, Node):
+        return
+    if w._backward is not None:
+        _acc(w, g.T @ x, own=True)
+        return
+    gs, xs = w.tape._rows.setdefault(w, ([], []))
+    gs.append(g)
+    xs.append(x)
+
+
 def matmul(a, b):
     """Matrix/vector product covering 2d@2d, 2d@1d, 1d@2d, and 1d@1d (dot)."""
     av, bv = unwrap(a), unwrap(b)
@@ -115,15 +147,6 @@ def matmul(a, b):
             _acc(b, g * av, own=True)
 
     return _record(av @ bv, (a, b), backward)
-
-
-def stack_rows(parts):
-    """Stack 1-d vectors into a matrix, one per row."""
-    def backward(g):
-        for k, p in enumerate(parts):
-            _acc(p, g[k])
-
-    return _record(np.stack([unwrap(p) for p in parts], axis=0), parts, backward)
 
 
 def softmax(u, allowed=None):

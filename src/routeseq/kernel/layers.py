@@ -2,13 +2,14 @@
 
 Everything here works on either plain ndarrays or autodiff ``Node`` inputs,
 so the same forward code serves inference and gradient-based training.
-``lstm_cell``, ``mlp_forward`` and ``pointer_scores`` are fused autodiff
-ops: each records two nodes (the cell) or one (the MLP, the pointer scores)
-whose hand-written backward repeats the float expressions of the elementary
-ops it replaces, in their order, so gradients are bit-identical to
-recording those ops one by one.  ``lstm_cell`` and ``mlp_forward`` take
-their input as a list of blocks laid side by side, so callers need no
-concatenation op.
+``lstm_cell``, ``lstm_sequence``, ``mlp_forward`` and ``pointer_scores`` are
+fused autodiff ops with hand-written backward passes: the cell records two
+nodes, the sequence three, the MLP and the pointer scores one each.  Their
+forward passes compute the float expressions of the elementary ops they
+replace, in their order; their weight gradients are sums of outer products
+that the tape forms once per backward (``autodiff._acc_outer``).
+``lstm_cell`` and ``mlp_forward`` take their input as a list of blocks laid
+side by side, so callers need no concatenation op.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvalidInputError, NumericError
-from .autodiff import Node, _acc, _record, unwrap
+from .autodiff import Node, _acc, _acc_outer, _record, unwrap
 
 
 @dataclass(eq=False)
@@ -113,54 +114,113 @@ def _acc_blocks(blocks, g) -> None:
         off += v.shape[-1]
 
 
-def lstm_cell(xs, state: LstmState, params: LstmCellParams):
-    """One LSTM step on the input blocks ``xs`` (1-d, end to end): returns
-    (new state, output vector).
+def _step(w, u, b, x, h, c):
+    """One LSTM step's values from the weights, the input ``x`` and the state
+    (``h``, ``c``): ``z = W x + U h + b``; the logistic gates f, i and o; the
+    candidate cell value ``g = tanh(z_c)``; ``c_new = f*c + i*g`` and
+    ``tanh(c_new)``; and ``h_new = o*tanh(c_new)``, in that order."""
+    z = w @ x + u @ h + b
+    n = c.shape[0]
+    s = _sigmoid_np(z[:3 * n])
+    f, i, o = s[:n], s[n:2 * n], s[2 * n:]
+    g = np.tanh(z[3 * n:])
+    c_new = f * c + i * g
+    t = np.tanh(c_new)
+    return f, i, o, g, c_new, t, o * t
 
-    Computes ``z = W x + U h + b`` and the gates from it: f, i and o are
-    logistic, the candidate cell value tanh(z_c),
-    ``c_new = f*c + i*tanh(z_c)`` and ``h_new = o*tanh(c_new)``; the output
-    equals the new hidden state (single layer, one direction).
+
+def lstm_cell(xs, state: LstmState, params: LstmCellParams):
+    """One LSTM step (``_step``) on the input blocks ``xs`` (1-d, end to
+    end): returns (new state, output vector); the output equals the new
+    hidden state (single layer, one direction).
 
     One fused op: it records ``c_new`` and then ``h_new``.  ``h_new``'s
-    backward hands its share of dz (zero outside the o slice) to
-    ``c_new``'s, which adds its own and runs the affine backward once.
+    backward adds its share to ``c_new``'s gradient and hands its own
+    gradient over, so ``c_new``'s backward forms the gate gradient dz once
+    and runs the affine backward once.
     """
     xv, hv, cv = _join(xs), unwrap(state.h), unwrap(state.c)
     if not np.all(np.isfinite(xv)):
         raise NumericError("lstm_cell received a non-finite input vector")
     w, u = unwrap(params.w), unwrap(params.u)
-    z = w @ xv + u @ hv + unwrap(params.b)
-    n = cv.shape[0]
-    s = _sigmoid_np(z[:3 * n])
-    f, i, o = s[:n], s[n:2 * n], s[2 * n:]
-    g = np.tanh(z[3 * n:])
-    c_new_v = f * cv + i * g
-    t = np.tanh(c_new_v)
-    handed = []  # h_new's share of dz, once its backward has run
+    f, i, o, g, c_new_v, t, h_new_v = _step(w, u, unwrap(params.b), xv, hv, cv)
+    handed = []  # h_new's gradient, once its backward has run
 
     def backward_c(gc):
+        gh = handed.pop() if handed else 0.0
         gz = np.concatenate([gc * cv * f * (1.0 - f), gc * g * i * (1.0 - i),
-                             np.zeros(n), gc * i * (1.0 - g * g)])
-        if handed:
-            gz += handed.pop()
+                             gh * t * o * (1.0 - o), gc * i * (1.0 - g * g)])
         _acc(params.b, gz)
-        _acc(params.u, np.outer(gz, hv), own=True)
+        _acc_outer(params.u, gz[None], hv[None])
         _acc(state.h, u.T @ gz, own=True)
-        _acc(params.w, np.outer(gz, xv), own=True)
+        _acc_outer(params.w, gz[None], xv[None])
         _acc_blocks(xs, w.T @ gz)
         _acc(state.c, gc * f, own=True)
 
     c_new = _record(c_new_v, (*xs, state.h, state.c, params.w, params.u, params.b), backward_c)
 
     def backward_h(gh):
-        gz = np.zeros(4 * n)
-        gz[2 * n:3 * n] = gh * t * o * (1.0 - o)
-        handed.append(gz)
+        handed.append(gh)
         _acc(c_new, gh * o * (1.0 - t * t), own=True)
 
-    h_new = _record(o * t, (c_new,), backward_h)
+    h_new = _record(h_new_v, (c_new,), backward_h)
     return LstmState(h_new, c_new), h_new
+
+
+def lstm_sequence(x, state: LstmState, params: LstmCellParams):
+    """The LSTM over the rows of ``x`` (n, input) from ``state``, as one
+    recorded op: returns (outputs (n, hidden), final state).
+
+    The forward pass runs ``_step`` row by row, so its values are the bits of
+    a loop of ``lstm_cell``.  It records the outputs, then the final h and
+    c, whose backward passes only hand their gradients over.  The outputs'
+    gradient starts at zero, so their backward runs whichever of the three
+    has a gradient (``lstm_ed`` reads only the final state): one loop of
+    backpropagation through time, then the W, U and b gradients over all
+    steps as one product each.
+    """
+    xv, hv, cv = unwrap(x), unwrap(state.h), unwrap(state.c)
+    if not np.all(np.isfinite(xv)):
+        raise NumericError("lstm_sequence received a non-finite input")
+    w, u, b = unwrap(params.w), unwrap(params.u), unwrap(params.b)
+    steps = []  # per row: f, i, o, g, c_new, tanh(c_new), h_new
+    h, c = hv, cv
+    for xt in xv:
+        steps.append(_step(w, u, b, xt, h, c))
+        h, c = steps[-1][6], steps[-1][4]
+    out_v = np.stack([step[6] for step in steps])
+    handed = {}  # the final h's and c's gradients, once their backward has run
+
+    def backward(g_out):
+        f, i, o, g, c_all, t, h_all = (np.stack(v) for v in zip(*steps))
+        c_prev, h_prev = np.vstack([cv, c_all[:-1]]), np.vstack([hv, h_all[:-1]])
+        # dz = [dc, dc, dh, dc] * dz_dch per step; dc picks up dh * dc_dh
+        dz_dch = np.concatenate([c_prev * f * (1.0 - f), g * i * (1.0 - i),
+                                 t * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        dc_dh = o * (1.0 - t * t)
+        gz = np.empty_like(dz_dch)
+        dh, dc = handed.pop("h", 0.0), handed.pop("c", 0.0)
+        for k in reversed(range(len(steps))):
+            dh = dh + g_out[k]
+            dc = dc + dh * dc_dh[k]
+            np.multiply(np.concatenate([dc, dc, dh, dc]), dz_dch[k], out=gz[k])
+            dh = u.T @ gz[k]
+            dc = dc * f[k]
+        _acc(params.b, gz.sum(axis=0), own=True)
+        _acc_outer(params.w, gz, xv)
+        _acc_outer(params.u, gz, h_prev)
+        if isinstance(x, Node):
+            _acc(x, gz @ w, own=True)
+        _acc(state.h, dh, own=True)
+        _acc(state.c, dc, own=True)
+
+    out = _record(out_v, (x, state.h, state.c, params.w, params.u, params.b), backward)
+    if not isinstance(out, Node):
+        return out, LstmState(steps[-1][6], steps[-1][4])
+    out.grad = np.zeros_like(out_v)
+    h_last = _record(steps[-1][6], (out,), lambda g: handed.__setitem__("h", g))
+    c_last = _record(steps[-1][4], (out,), lambda g: handed.__setitem__("c", g))
+    return out, LstmState(h_last, c_last)
 
 
 def mlp_forward(xs, params: MlpParams):
@@ -170,9 +230,12 @@ def mlp_forward(xs, params: MlpParams):
     score per row, (m,).
 
     Each layer is ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but
-    the last.  The backward pass walks the layers in reverse and takes the
-    products that matmul, add and relu took per layer: for rows
-    ``W.grad += (aᵀ g)ᵀ`` and ``g @ W``, for a vector ``outer(g, a)``, ``Wᵀ g``.
+    the last.  The backward pass treats a vector as one row, drops the rows
+    whose output gradient is exactly 0 (the candidates a masked softmax
+    left out), and walks the layers in reverse: ``b.grad`` gets the
+    gradient's sum over the rows, ``W.grad`` the outer products of its rows
+    with the layer's input rows (``_acc_outer``), and the layer below
+    ``g @ W``.
     """
     xv = _join(xs)
     layers = params.layers
@@ -195,19 +258,25 @@ def mlp_forward(xs, params: MlpParams):
             pres.append(a)
             a = np.maximum(a, 0.0)
     scores = rows and a.shape[1] == 1
+    m = len(xv) if rows else 1
 
     def backward(g):
-        if scores:
-            g = g.reshape(-1, 1)
+        g = g.reshape(m, -1)
+        kept = np.flatnonzero(g.any(axis=1))
+        if len(kept) == 0:
+            return
+        g = g[kept]
         for k in range(last, -1, -1):
-            layer, w = layers[k], unwrap(layers[k].w)
+            layer = layers[k]
             if k != last:
-                g = g * (pres[k] > 0.0)
+                g = g * (pres[k].reshape(m, -1)[kept] > 0.0)
             if layer.b is not None:
-                _acc(layer.b, g.sum(axis=0) if rows else g)
-            _acc(layer.w, (ins[k].T @ g).T if rows else np.outer(g, ins[k]), own=True)
-            g = g @ w if rows else w.T @ g
-        _acc_blocks(xs, g)
+                _acc(layer.b, g.sum(axis=0), own=True)
+            _acc_outer(layer.w, g, ins[k].reshape(m, -1)[kept])
+            g = g @ unwrap(layer.w)
+        g_in = np.zeros((m, g.shape[1]))
+        g_in[kept] = g
+        _acc_blocks(xs, g_in if rows else g_in[0])
 
     parents = (*xs, *(layer.w for layer in layers), *(layer.b for layer in layers))
     return _record(a.reshape(-1) if scores else a, parents, backward)
@@ -227,10 +296,10 @@ def pointer_scores(keys, d, pair_rows, w1, w2, w3, w4):
         _acc(w1, t.T @ g, own=True)
         gs = np.outer(g, w1v) * (1.0 - t * t)
         gq = gs.sum(axis=0)
-        _acc(w3, np.outer(gq, dv), own=True)
+        _acc_outer(w3, gq[None], dv[None])
         _acc(d, w3v.T @ gq, own=True)
         _acc(keys, gs @ w2v, own=True)
-        _acc(w2, (kv.T @ gs).T, own=True)
+        _acc_outer(w2, gs, kv)
 
     return _record(t @ w1v + zv @ w4v, (keys, d, pair_rows, w1, w2, w3, w4), backward)
 

@@ -50,11 +50,20 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), with m and v updated
+        # first, one operation at a time in two temporaries
+        step, denom = np.multiply(g, 1.0 - BETA1), np.multiply(g, 1.0 - BETA2)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += step
+        denom *= g
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        v += denom
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += EPS
+        step /= denom
+        p -= step
     return params, state
 
 

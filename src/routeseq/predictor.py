@@ -47,6 +47,7 @@ from .kernel import (
     init_lstm,
     init_mlp,
     lstm_cell,
+    lstm_sequence,
     map_tensors,
     matmul,
     mlp_forward,
@@ -55,7 +56,6 @@ from .kernel import (
     pointer_scores,
     serialize_checkpoint,
     softmax,
-    stack_rows,
     uniform_init,
     unwrap,
     zero_state,
@@ -278,12 +278,7 @@ def encode(params: ModelParams, scaled: ScaledRoute):
     state.  ``asnn`` keys on the scaled zone features and has no state."""
     if params.config.variant == "asnn":
         return scaled.nodes[1:], None
-    state = zero_state(params.config.hidden)
-    outputs = []
-    for x in scaled.nodes[1:]:
-        state, e = lstm_cell([x], state, params.encoder)
-        outputs.append(e)
-    return stack_rows(outputs), state
+    return lstm_sequence(scaled.nodes[1:], zero_state(params.config.hidden), params.encoder)
 
 
 def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys):

@@ -6,6 +6,7 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
+from conftest import make_route
 from oracles import finite_difference, grad_close, lstm_ref, mlp_ref
 from routeseq.errors import InvalidInputError, NumericError, SchemaError
 from routeseq.kernel import (
@@ -21,6 +22,7 @@ from routeseq.kernel import (
     init_lstm,
     init_mlp,
     lstm_cell,
+    lstm_sequence,
     map_tensors,
     matmul,
     mlp_forward,
@@ -29,8 +31,18 @@ from routeseq.kernel import (
     pointer_scores,
     serialize_checkpoint,
     softmax,
-    stack_rows,
+    unwrap,
     zero_state,
+)
+from routeseq.predictor import (
+    VARIANTS,
+    ModelConfig,
+    fit_scaler,
+    forward_logprob,
+    init_model,
+    prepare_route,
+    scale_route,
+    wrap_params,
 )
 
 
@@ -53,12 +65,26 @@ def _arrays(*shapes):
 _MASK = np.array([True, False, True, True, False])
 
 
+def _side_by_side(*parts):
+    """The parts side by side, through an identity layer of ``mlp_forward``:
+    vectors end to end, or rows with every vector repeated on each row."""
+    width = sum(unwrap(p).shape[-1] for p in parts)
+    return mlp_forward(list(parts), MlpParams([MlpLayer(np.eye(width), None)]))
+
+
 def _lstm_both(*args):
-    """lstm_cell over the input blocks ``args[:-5]``, both outputs as rows:
-    h_new = o*tanh(c_new) reaches every input through c_new too."""
+    """lstm_cell over the input blocks ``args[:-5]``, both outputs side by
+    side: h_new = o*tanh(c_new) reaches every input through c_new too."""
     *xs, h, c, w, u, b = args
     state, _ = lstm_cell(xs, LstmState(h, c), LstmCellParams(w, u, b))
-    return stack_rows([state.h, state.c])
+    return _side_by_side(state.h, state.c)
+
+
+def _lstm_sequence(x, h, c, w, u, b, outputs=True):
+    """lstm_sequence's outputs with its final state repeated on every row, or
+    (``outputs=False``) the final state alone, as ``lstm_ed`` reads it."""
+    out, state = lstm_sequence(x, LstmState(h, c), LstmCellParams(w, u, b))
+    return _side_by_side(out, state.h, state.c) if outputs else _side_by_side(state.h, state.c)
 
 
 def _mlp(x, *wb):
@@ -82,20 +108,35 @@ OP_CASES = {
     # the decoder's [last stop's features; context] input
     "lstm_cell_two_blocks": (_lstm_both, _arrays((2,), (1,), (3,), (3,), (12, 3), (12, 3), (12,)),
                              1e-5),
+    # four rows from a non-zero initial state
+    "lstm_sequence": (_lstm_sequence, _arrays((4, 2), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
+    "lstm_sequence_final_state": (
+        lambda *args: _lstm_sequence(*args, outputs=False),
+        _arrays((4, 2), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
     # at this seed every hidden pre-activation of the MLP cases is >= 0.005 from the kink
     "mlp_vector": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4), (2,)), 1e-5),
     "mlp_vector_no_out_bias": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4)), 1e-5),
     "mlp_rows": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4), (1,)), 1e-5),
     "mlp_rows_no_out_bias": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4)), 1e-5),
     "mlp_rows_wide_out": (_mlp, _arrays((5, 3), (4, 3), (4,), (2, 4), (2,)), 1e-5),
+    # a weight that is an op's output gets its gradient before that op's backward runs
+    "mlp_rows_computed_weight": (
+        lambda x, a, v, w1: mlp_forward([x], MlpParams([MlpLayer(matmul(a, v), None),
+                                                        MlpLayer(w1, None)])),
+        _arrays((5, 3), (4, 2), (2, 3), (1, 4)), 1e-5),
     # the pair scorer's [pair rows; query repeated on every row; keys]
     "mlp_rows_repeated_vector": (
         lambda z, q, k, w0, b0, w1: mlp_forward([z, q, k], MlpParams([MlpLayer(w0, b0),
                                                                       MlpLayer(w1, None)])),
         _arrays((4, 2), (3,), (4, 2), (5, 7), (5,), (1, 5)), 1e-5),
+    # pair-scorer rows through the masked softmax into nll: the rows the mask
+    # leaves out get a score gradient of exactly 0, and their backward is skipped
+    "mlp_rows_masked_nll": (
+        lambda z, q, k, w0, b0, w1: nll([(softmax(mlp_forward(
+            [z, q, k], MlpParams([MlpLayer(w0, b0), MlpLayer(w1, None)])), _MASK), 2)]),
+        _arrays((5, 2), (3,), (5, 2), (6, 7), (6,), (1, 6)), 1e-5),
     "pointer_scores": (pointer_scores,
                        _arrays((4, 3), (3,), (4, 2), (5,), (5, 3), (5, 3), (2,)), 1e-5),
-    "stack_rows": (lambda *p: stack_rows(list(p)), _arrays((4,), (4,), (4,)), 1e-5),
     "softmax": (softmax, _arrays((5,)), 1e-5),
     "softmax_masked": (lambda u: softmax(u, _MASK), _arrays((5,)), 1e-5),
     # a step small enough that the perturbed probabilities still sum to 1
@@ -143,23 +184,50 @@ def test_op_gradient_matches_central_difference(name):
 
 
 def test_finished_tape_is_freed_without_cyclic_gc():
+    # One whole training step per variant: the taped forward of a route,
+    # backward, and the weight-gradient rows the tape sums at its end.
+    prep = prepare_route(make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"]))
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        tape = Tape()
-        w = tape.leaf(np.ones((3, 3)))
-        h = matmul(w, np.ones(3))
-        tape.backward(nll([(softmax(h), 0)]))
-        tape_ref, value_ref = weakref.ref(tape), weakref.ref(h.value)
-        del tape, w, h
-        assert tape_ref() is None
-        assert value_ref() is None
+        for variant in VARIANTS:
+            kz = prep.n_zones if variant == "lstm_ed" else None
+            params = init_model(ModelConfig(variant, hidden=8, asnn_hidden=(16, 16), att_dim=8,
+                                            kz=kz), np.random.default_rng(0))
+            params.scaler = fit_scaler([prep])
+            gc.collect()
+            tape = Tape()
+            loss, _ = forward_logprob(wrap_params(params, tape), scale_route(prep, params))
+            tape.backward(loss)
+            assert not tape._rows, variant  # the deferred rows are summed and dropped
+            tape_ref, value_ref = weakref.ref(tape), weakref.ref(loss.value)
+            del tape, loss
+            assert tape_ref() is None, variant
+            assert value_ref() is None, variant
+            assert gc.collect() == 0, variant  # no cycle was left for the collector
     finally:
         if was_enabled:
             gc.enable()
 
 
 # --- lstm_cell ---------------------------------------------------------------
+
+def test_lstm_sequence_is_a_loop_of_lstm_cell_bit_for_bit(rng):
+    p = init_lstm(4, 6, rng)
+    x = rng.normal(size=(7, 4))
+    start = LstmState(rng.normal(size=6), rng.normal(size=6))
+    state, outputs = start, []
+    for row in x:
+        state, h = lstm_cell([row], state, p)
+        outputs.append(h)
+    tape = Tape()
+    for params in (p, map_tensors(p, lambda _, t: tape.leaf(t))):
+        keys, final = lstm_sequence(x, start, params)
+        assert np.array_equal(unwrap(keys), np.stack(outputs))
+        assert np.array_equal(unwrap(final.h), state.h)
+        assert np.array_equal(unwrap(final.c), state.c)
+    assert len(tape._nodes) == 3  # the outputs, then the final h and c
+
 
 def test_lstm_zero_everything():
     p = _zero_lstm(3, 4)
@@ -400,6 +468,24 @@ def test_adam_monotone_shrink():
     adam_step(params, {"w": np.array([1.0])}, state)
     v2 = params["w"][0]
     assert v2 < v1 < v0
+
+
+def test_adam_step_bits_match_the_one_line_update(rng):
+    # adam_step works in temporaries; its bits are those of the textbook lines
+    params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+    ref = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in ref.items()}
+    v = {name: np.zeros_like(p) for name, p in ref.items()}
+    state = adam_init(params, lr=0.01)
+    for t in range(1, 6):
+        grads = {name: rng.normal(size=p.shape) for name, p in ref.items()}
+        adam_step(params, grads, state)
+        for name, g in grads.items():
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+            ref[name] -= 0.01 * (m[name] / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v[name] / (1.0 - 0.999 ** t)) + 1e-8)
+            assert np.array_equal(params[name], ref[name]), (name, t)
 
 
 def test_adam_rejects_nan_without_touching():
