@@ -8,7 +8,8 @@ path wins, ties to the smallest, and only the cheapest pairs walk their
 path.  A zone of at most ``EXACT_THRESHOLD`` stops builds the Held-Karp
 tables of its entries as one stacked DP and reads every exit from its
 entry's table, larger ones solve each pair heuristically; an entry that is
-also the exit takes its tour without the closing edge.
+also the exit takes its tour without the closing edge.  The travel times
+are checked once per route, not per zone.
 """
 
 from __future__ import annotations
@@ -31,18 +32,18 @@ def _closest(members, scores):
     return [k for _, _, k in ranked[:N_CANDIDATES]]
 
 
-def _pair_paths(sub, firsts, lasts):
-    """(cost, path) of the within-zone path of each (entry, exit) pair,
-    where ``path()`` gives the order as positions in ``sub``; an entry that
-    is also the exit gives its tour minus the closing leg."""
-    if len(sub) > EXACT_THRESHOLD:
+def _pair_paths(m, firsts, lasts):
+    """(cost, path) of the within-zone path of each (entry, exit) pair over
+    the zone's block ``m`` of a checked matrix, where ``path()`` gives the
+    order as positions in ``m``; an entry that is also the exit gives its
+    tour minus the closing leg."""
+    if len(m) > EXACT_THRESHOLD:
         for f in firsts:
             for l in lasts:
-                sol = solve_tour(sub, origin=f) if f == l else solve_path(sub, f, l)
-                cost = sol.cost - (float(sub[sol.order[-1], f]) if f == l else 0.0)
+                sol = solve_tour(m, origin=f) if f == l else solve_path(m, f, l)
+                cost = sol.cost - (float(m[sol.order[-1], f]) if f == l else 0.0)
                 yield cost, lambda order=sol.order: order
         return
-    m = _as_matrix(sub)
     for f, (interior, ends, path) in zip(firsts, _held_karp(m, firsts)):
         for l in lasts:
             if f == l:
@@ -60,7 +61,8 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_no
 
     ``members`` are stop indices; ``entry_from``/``next_nodes`` are matrix
     indices (0 = depot).  Only the pairs of the least cost walk their path,
-    and a tie goes to the smallest path.
+    and a tie goes to the smallest path.  ``route.travel_time`` is read as
+    checked: ``complete_sequence`` checks it once per route.
     """
     if len(members) == 1:
         return [members[0]], 0.0
@@ -79,11 +81,14 @@ def complete_sequence(zone_order, instance: ZoneInstance, route: RouteInstance) 
 
     Returns 0-based stop indices covering every stop exactly once, zones
     contiguous in the given order; the walk starts and ends at the depot
-    (the depot itself is not part of the returned list).
+    (the depot itself is not part of the returned list).  The route's
+    travel times must be square, finite, non-negative and zero on the
+    diagonal (``InvalidInputError``).
     """
     n = instance.n_zones
     if sorted(zone_order) != list(range(n)):
         raise InvalidInputError("zone_order must be a permutation of the zones")
+    _as_matrix(route.travel_time)
     result: list[int] = []
     prev_node = 0  # depot
     for idx, z in enumerate(zone_order):

@@ -34,7 +34,7 @@ import numpy as np
 from .completion import complete_sequence
 from .domain import RouteInstance, StopRecord, build_zone_instance, parse_zone_id, validate_route
 from .errors import InvalidInputError, MalformedRouteError, SchemaError
-from .tsp import _nearest_neighbor, route_cost, solve_tour
+from .tsp import _as_matrix, _nearest_neighbor, _seq_cost, solve_tour
 
 SCHEMA_VERSION = "routeseq/1"
 BEHAVIORS = ("tsp", "nearest_zone", "cluster_biased")
@@ -157,9 +157,9 @@ def _gen_route(rng: np.random.Generator, config: SynthConfig, route_id: str) -> 
         majors = [parse_zone_id(z.zone_id)[1] for z in zinst.zones]
         # The start whose rollout is cheapest as a tour; a tie goes to the
         # smallest first zone.
-        zone_order = min((_cluster_rollout(ztt, majors, first) for first in range(len(majors))),
-                         key=lambda order: route_cost([0] + [z + 1 for z in order], ztt,
-                                                      close_tour=True))
+        m = _as_matrix(ztt)
+        zone_order = min((_cluster_rollout(m, majors, first) for first in range(len(majors))),
+                         key=lambda order: _seq_cost([0, *(z + 1 for z in order)], m, True))
     route.actual_stop_sequence = complete_sequence(zone_order, zinst, route)
 
     hour = int(rng.integers(6, 11))

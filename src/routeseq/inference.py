@@ -6,6 +6,9 @@ is the paper's first-stop iteration: it encodes the route once, runs one
 greedy rollout from each forced first zone over that encoding and keeps the
 rollout with the lowest operational cost.  The plain greedy rollout is the
 forced rollout of its own first pick, so it is among those candidates.
+The rollouts share one ``first_step`` (step 0 precedes the forced pick) and
+score no step with one zone left, so an n-zone route runs (n-1)^2 decoder
+steps best-first and n-1 greedy; its zone matrix is checked once.
 ``predict`` dispatches on the generation mode.
 """
 
@@ -22,9 +25,10 @@ from .predictor import (
     ScaledRoute,
     decode,
     encode,
+    first_step,
     scale_route,
 )
-from .tsp import route_cost
+from .tsp import _as_matrix, _seq_cost, route_cost
 
 GREEDY = "greedy"
 BEST_FIRST = "best_first"
@@ -49,8 +53,10 @@ def _masked_argmax(scores, visited) -> int:
     return int(np.argmax(np.where(visited, -np.inf, scores)))
 
 
-def _rollout(params: ModelParams, scaled: ScaledRoute, encoded,
+def _rollout(params: ModelParams, scaled: ScaledRoute, start, m: np.ndarray,
              forced_first: int | None, mode: str) -> PredictedSequence:
+    """The greedy rollout from ``first_step`` result ``start``, its
+    operational cost summed over the checked zone matrix ``m``."""
     prep = scaled.prep
     if forced_first is not None and not 0 <= forced_first < prep.n_zones:
         raise InvalidInputError(f"forced first zone {forced_first} not in this route")
@@ -62,25 +68,33 @@ def _rollout(params: ModelParams, scaled: ScaledRoute, encoded,
         visited[z] = True
         return z
 
-    _, traces = decode(params, scaled, encoded, pick)
+    _, traces = decode(params, scaled, start, pick)
     order = [t.chosen for t in traces]
-    return PredictedSequence(order, traces, operational_cost(order, prep.zinst), mode)
+    return PredictedSequence(order, traces, _seq_cost([0, *(z + 1 for z in order)], m, True),
+                             mode)
+
+
+def _start(params: ModelParams, prep: PreparedRoute):
+    """The route as ``params`` read it, its one ``first_step`` and its
+    checked zone matrix."""
+    scaled = scale_route(prep, params)
+    start = first_step(params, scaled, encode(params, scaled))
+    return scaled, start, _as_matrix(prep.zinst.zone_travel_time)
 
 
 def greedy_decode(params: ModelParams, prep: PreparedRoute,
                   forced_first: int | None = None) -> PredictedSequence:
     """Greedy rollout; ``forced_first`` overrides the first pick and decoding
     resumes from it."""
-    scaled = scale_route(prep, params)
-    return _rollout(params, scaled, encode(params, scaled), forced_first, GREEDY)
+    return _rollout(params, *_start(params, prep), forced_first, GREEDY)
 
 
 def generate_best_first(params: ModelParams, prep: PreparedRoute) -> PredictedSequence:
-    """Greedy rollouts from every first zone over one encoding of the route;
-    the cheapest wins, cost ties going to the smallest first-zone index."""
-    scaled = scale_route(prep, params)
-    encoded = encode(params, scaled)
-    return min((_rollout(params, scaled, encoded, z, BEST_FIRST) for z in range(prep.n_zones)),
+    """Greedy rollouts from every first zone over one encoding and one step 0
+    of the route; the cheapest wins, cost ties going to the smallest
+    first-zone index."""
+    start = _start(params, prep)
+    return min((_rollout(params, *start, z, BEST_FIRST) for z in range(prep.n_zones)),
                key=lambda c: (c.operational_cost, c.zone_order[0]))
 
 

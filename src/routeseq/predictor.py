@@ -23,7 +23,9 @@ probabilities are mapped back to zone-index order for the traces and for
 picking.  ``decode`` keeps one candidate mask: at every step one masked
 softmax turns the scores into probabilities over the zones not yet visited
 only, so visited zones get probability exactly 0 and the context fed to the
-next step is the same quantity in training and decoding.
+next step is the same quantity in training and decoding.  A step with one
+candidate left gives it probability 1 unscored, and every decoding starts
+from ``first_step``, the depot's step before any pick, which rollouts share.
 """
 
 from __future__ import annotations
@@ -304,51 +306,78 @@ def decode_step(params: ModelParams, x_last, w_prev, state: LstmState):
     return lstm_cell(blocks, state, params.decoder)
 
 
-def decode(params: ModelParams, scaled: ScaledRoute, encoded, pick):
-    """The decoder loop that training and inference share, over the route's
-    ``encode`` result ``encoded``.
-
-    Every step's softmax runs over one candidate mask by input position (by
-    head slot for ``lstm_ed``): the unvisited zones', so visited zones get
-    probability exactly 0, a step with one zone left gives it probability 1,
-    and the context fed to the next step is the same masked weighting whether
-    the step was teacher-forced or decoded.  ``pick(i, p_zone)`` names the
-    zone visited at step ``i`` from the step's probabilities by zone index.
-
-    Returns ``(steps, traces)``: per step the probabilities by input
-    position (a tape node when ``params`` are tape-wrapped) with the input
-    position of the picked zone, and the per-step traces.
-    """
-    cfg = params.config
+def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
+    """A route's candidate mask before any pick: by input position, or by
+    head slot for ``lstm_ed`` (true for the slots the route's zones fill)."""
     n = scaled.prep.n_zones
-    width = n if cfg.kz is None else cfg.kz
-    allowed = np.arange(width) < n
-    steps: list = []
-    traces: list[DecoderStepTrace] = []
-    keys, state = encoded
-    w_prev = np.zeros(cfg.hidden)
-    src = 0  # node of the last stop: the depot, then the last zone picked
-    for i in range(n):
-        # The query: node src's features, through the decoder LSTM for the
-        # recurrent variants (``asnn`` has no state and queries with them).
+    return np.arange(n if params.config.kz is None else params.config.kz) < n
+
+
+def _step(params: ModelParams, scaled: ScaledRoute, keys, state, src: int, w_prev, allowed):
+    """One decoder step from the last stop's node ``src`` over the candidates
+    ``allowed``: the decoder state after it, the probabilities by input
+    position (by head slot for ``lstm_ed``) and the context the next step
+    reads (``pairwise`` and ``pointer``, else None).  The query is node
+    ``src``'s features, through the decoder LSTM for the recurrent variants
+    (``asnn`` has no state), and a masked softmax scores the candidates.
+    That softmax would give one candidate exactly 1, and with none (an
+    ``lstm_ed`` head narrower than the route, its slots visited) every
+    probability is 0, so then ``allowed`` is taken as the probabilities and
+    neither the LSTM nor the scorer runs."""
+    if np.count_nonzero(allowed) > 1:
         d = scaled.nodes[src]
         if state is not None:
             state, d = decode_step(params, d, w_prev, state)
-        if allowed.any():
-            # softmax keeps no reference to the mask, so it is cleared in place below.
-            probs = softmax(_scores(params, scaled, src, d, keys), allowed)
-        else:
-            # Decoding a route with more zones than the lstm_ed head has
-            # slots: once those are visited, no zone left has a slot.
-            probs = np.zeros(width)
+        # softmax keeps no reference to the mask, so decode clears it in place.
+        probs = softmax(_scores(params, scaled, src, d, keys), allowed)
+    else:
+        probs = allowed.astype(np.float64)
+    w_ctx = matmul(probs, keys) if params.config.variant in ("pairwise", "pointer") else None
+    return state, probs, w_ctx
+
+
+def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
+    """Where every decoding of the route starts, from its ``encode`` result
+    ``encoded``: the keys and step 0, the depot's query over all the zones,
+    which comes before any pick.  Rollouts of one route that start from the
+    same ``first_step`` share it."""
+    keys, state = encoded
+    return keys, _step(params, scaled, keys, state, 0, np.zeros(params.config.hidden),
+                       _mask(params, scaled))
+
+
+def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
+    """The decoder loop that training and inference share, from the route's
+    ``first_step`` result ``start``.
+
+    Every step's softmax runs over one candidate mask by input position (by
+    head slot for ``lstm_ed``): the unvisited zones', so visited zones get
+    probability exactly 0, and the context fed to the next step is the same
+    masked weighting whether the step was teacher-forced or decoded.  A step
+    with one candidate left is not scored (``_step``), so an n-zone route
+    scores n - 1 steps, the first in ``start``.  ``pick(i, p_zone)`` names
+    the zone visited at step ``i`` from the step's probabilities by zone index.
+
+    Returns ``(steps, traces)``: per step the probabilities by input
+    position (a tape node when ``params`` are tape-wrapped and the step was
+    scored) with the input position of the picked zone, and the per-step
+    traces.
+    """
+    n = scaled.prep.n_zones
+    allowed = _mask(params, scaled)
+    width = len(allowed)
+    steps: list = []
+    traces: list[DecoderStepTrace] = []
+    keys, (state, probs, w_ctx) = start
+    src = 0  # node of the last stop: the depot, then the last zone picked
+    for i in range(n):
+        if i:
+            state, probs, w_ctx = _step(params, scaled, keys, state, src, w_ctx, allowed)
         p_zone = np.zeros(n)
         p_zone[list(scaled.order[:width])] = unwrap(probs)[:n]
         chosen = pick(i, p_zone)
-        w_ctx = None
-        if cfg.variant in ("pairwise", "pointer"):
-            w_prev = matmul(probs, keys)
-            w_ctx = unwrap(w_prev).copy()
-        traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx))
+        traces.append(DecoderStepTrace(i, p_zone, chosen,
+                                       None if w_ctx is None else unwrap(w_ctx).copy()))
         pos = int(scaled.pos_of_zone[chosen])
         steps.append((probs, pos))
         if pos < width:
@@ -365,12 +394,14 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
     prefix (see ``decode``), the distribution that greedy decoding picks
     from; the last step has one zone left and adds exactly 0.
     Pass tape-wrapped ``params`` (see ``wrap_params``) to record gradients.
+    The last step is not scored, so a one-zone route's loss depends on no
+    parameter: it is a plain 0-d array of 0, not a tape node.
     """
     n = scaled.prep.n_zones
     targets = scaled.prep.targets
     if sorted(targets) != list(range(n)):
         raise InvalidInputError("target sequence must be a permutation of the zones")
-    steps, traces = decode(params, scaled, encode(params, scaled),
+    steps, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
                            lambda i, p_zone: targets[i])
     return nll(steps), traces
 

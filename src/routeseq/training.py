@@ -13,12 +13,14 @@ import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
 from .kernel import (
+    Node,
     Tape,
     adam_init,
     adam_step,
     checkpoint_id,
     clip_gradients,
     serialize_checkpoint,
+    unwrap,
 )
 from .predictor import (
     ModelConfig,
@@ -120,13 +122,14 @@ def train(routes, config: TrainConfig):
             tape = Tape()
             wrapped = wrap_params(params, tape)
             loss, _ = forward_logprob(wrapped, sc)
-            value = float(loss.value)
+            value = float(unwrap(loss))
             if not np.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} on route "
                     f"{sc.prep.route.route_id!r}"
                 )
-            tape.backward(loss)
+            if isinstance(loss, Node):  # else a one-zone route: all gradients are 0
+                tape.backward(loss)
             grads = gradients(params, wrapped)
             if config.grad_clip is not None:
                 grads = clip_gradients(grads, config.grad_clip)

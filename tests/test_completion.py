@@ -204,6 +204,19 @@ def test_rejects_non_permutation():
         complete_sequence([0, 0], zi, route)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("cell", [(1, 2), (4, 3), (0, 3)])
+def test_rejects_negative_or_non_finite_travel_times(bad, cell):
+    # The route's matrix is checked once, at complete_sequence: an entry
+    # inside a zone's block and one between zones or from the depot.
+    route = make_route(["A-1.1A", "A-1.1A", "B-1.1A", "B-1.1A"])
+    zi = build_zone_instance(route)
+    route.travel_time = route.travel_time.copy()
+    route.travel_time[cell] = bad
+    with pytest.raises(InvalidInputError):
+        complete_sequence([0, 1], zi, route)
+
+
 def test_last_zone_uses_depot_as_next(rng):
     # the final zone's exit candidates are computed against the depot: its
     # segment must equal best_zone_path with next_nodes = [depot]

@@ -10,7 +10,8 @@ from conftest import make_route
 from oracles import route_cost_ref
 from routeseq.completion import complete_sequence
 from routeseq.inference import BEST_FIRST, GREEDY, predict
-from routeseq.predictor import VARIANTS, prepare_route
+from routeseq.kernel import adam_init, adam_step
+from routeseq.predictor import VARIANTS, ModelConfig, init_model, model_tensors, prepare_route
 from routeseq.scoring import evaluate_testset, score_route
 from routeseq.training import TrainConfig, train
 
@@ -37,6 +38,25 @@ def test_single_zone_route_end_to_end():
     score = score_route(route, prep, zone_order)
     assert score.r == 0.0
     assert score.first_k == (1,)
+
+
+def test_one_zone_route_takes_a_zero_gradient_adam_step():
+    # A one-zone route's one decoder step is not scored, so its loss depends
+    # on no parameter; training still adds 0.0 to the epoch loss and takes
+    # one Adam step with every gradient 0.
+    route = make_route(["A-1.1A"] * 3)
+    for variant in VARIANTS:
+        params, report = train([route], replace(SMALL, variant=variant))
+        assert report.epoch_losses == [0.0]
+        model = init_model(ModelConfig(variant=variant, hidden=SMALL.hidden,
+                                       asnn_hidden=SMALL.asnn_hidden, att_dim=SMALL.att_dim,
+                                       kz=1 if variant == "lstm_ed" else None),
+                           np.random.default_rng(SMALL.seed))
+        expected = model_tensors(model)
+        adam_step(expected, {name: np.zeros_like(t) for name, t in expected.items()},
+                  adam_init(expected, lr=SMALL.lr))
+        for name, tensor in model_tensors(params).items():
+            assert np.array_equal(tensor, expected[name]), (variant, name)
 
 
 def test_every_zone_has_one_stop():

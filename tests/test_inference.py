@@ -18,9 +18,11 @@ from routeseq.predictor import (
     VARIANTS,
     ModelConfig,
     fit_scaler,
+    forward_logprob,
     init_model,
     model_tensors,
     prepare_route,
+    scale_route,
 )
 
 K_SMALL = dict(hidden=8, asnn_hidden=(16, 16), att_dim=8)
@@ -107,7 +109,7 @@ def test_best_first_returns_minimum_candidate():
     for z in range(prep.n_zones):
         cand = greedy_decode(params, prep, forced_first=z)
         ocs.append(cand.operational_cost)
-    assert best.operational_cost == pytest.approx(min(ocs), rel=1e-12)
+    assert best.operational_cost == min(ocs)
 
 
 def _rollout_bits(pred):
@@ -116,22 +118,73 @@ def _rollout_bits(pred):
             [None if t.context is None else t.context.tobytes() for t in pred.traces])
 
 
+_FIVE = ("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A")
+_ROUTES = [_FIVE[:1], _FIVE[:2], _FIVE]
+
+
+def _rollout_cases(variant):
+    """(zone ids, kz): routes of 1, 2 and 5 zones, and for lstm_ed a head
+    narrower than the route."""
+    cases = [(zone_ids, None) for zone_ids in _ROUTES]
+    return cases + [(_FIVE, 2)] if variant == "lstm_ed" else cases
+
+
 @pytest.mark.parametrize("input_order", INPUT_ORDER_MODES)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_greedy_rollout_is_the_forced_rollout_of_its_first_zone(variant, input_order):
     # best-first takes its candidates from the forced rollouts only; the
     # plain greedy rollout must be one of them, bit for bit
-    five = ("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A")
-    cases = [(("A-1.1A",), None), (five, None)]
-    if variant == "lstm_ed":
-        cases.append((five, 2))  # a head narrower than the route
-    for zone_ids, kz in cases:
+    for zone_ids, kz in _rollout_cases(variant):
         for seed in (0, 1):
             prep, params = _setup(zone_ids=zone_ids, variant=variant, seed=seed,
                                   input_order=input_order, kz=kz)
             greedy = greedy_decode(params, prep)
             forced = greedy_decode(params, prep, forced_first=greedy.zone_order[0])
             assert _rollout_bits(greedy) == _rollout_bits(forced), (zone_ids, kz, seed)
+
+
+@pytest.mark.parametrize("input_order", INPUT_ORDER_MODES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_best_first_is_the_cheapest_independent_forced_rollout(variant, input_order):
+    # best-first shares one step 0 between its rollouts; each must still be
+    # the rollout greedy_decode runs alone from that first zone, bit for bit
+    for zone_ids, kz in _rollout_cases(variant):
+        for seed in (0, 1):
+            prep, params = _setup(zone_ids=zone_ids, variant=variant, seed=seed,
+                                  input_order=input_order, kz=kz)
+            alone = min((greedy_decode(params, prep, forced_first=z) for z in range(prep.n_zones)),
+                        key=lambda c: (c.operational_cost, c.zone_order[0]))
+            best = generate_best_first(params, prep)
+            assert _rollout_bits(best) == _rollout_bits(alone), (zone_ids, kz, seed)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decoder_steps_per_route(variant, monkeypatch):
+    # Step 0 is computed once per route and shared by the best-first
+    # rollouts, and a step with one zone left is not scored: an n-zone route
+    # scores (n-1)^2 steps best-first and n-1 greedy or teacher-forced, each
+    # through the decoder LSTM for the recurrent variants (asnn has none).
+    calls = {"decode_step": 0, "_scores": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(routeseq.predictor, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(routeseq.predictor, name, counting)
+
+    def count(run):
+        for name in calls:
+            calls[name] = 0
+        run()
+        return calls["decode_step"], calls["_scores"]
+
+    for zone_ids in _ROUTES:
+        n = len(zone_ids)
+        prep, params = _setup(zone_ids=zone_ids, variant=variant, seed=2)  # lstm_ed: kz = n
+        lstm = variant != "asnn"
+        for run, steps in ((lambda: generate_best_first(params, prep), (n - 1) ** 2),
+                           (lambda: greedy_decode(params, prep), n - 1),
+                           (lambda: forward_logprob(params, scale_route(prep, params)), n - 1)):
+            assert count(run) == (steps if lstm else 0, steps), (n, steps)
 
 
 def test_best_first_encodes_once_per_route(monkeypatch):

@@ -367,12 +367,14 @@ def test_forward_logprob_deterministic():
 
 def test_taped_forward_node_counts():
     # Tape nodes of one taped forward on a 15-zone route, as measured; the
-    # encoder records 3 (lstm_sequence), nll 1, and every decoder step at
-    # most 5: lstm_cell (2), the scorer, softmax and the context matmul.
+    # encoder records 3 (lstm_sequence), nll 1, every decoder step but the
+    # last at most 5: lstm_cell (2), the scorer, softmax and the context
+    # matmul; the last step has one zone left and records only the context
+    # matmul (pairwise and pointer).
     n = 15
     prep = _prep(zone_ids=[f"{a}-{k}.1A" for a in "AB" for k in range(1, 9)][:n])
-    expected = {"pairwise": 79, "pointer": 79, "lstm_ed": 64, "asnn": 31}
-    assert max(expected.values()) <= 3 + 1 + 5 * n
+    expected = {"pairwise": 75, "pointer": 75, "lstm_ed": 60, "asnn": 29}
+    assert max(expected.values()) <= 3 + 1 + 5 * (n - 1) + 1
     for variant, count in expected.items():
         params = _model(variant, prep)
         tape = Tape()
