@@ -159,7 +159,8 @@ def build_zone_instance(route: RouteInstance) -> ZoneInstance:
     and each zone's stops in one block.  Node ``a`` to node ``b`` is the
     mean of their block of (depot or member stop) pairs, a centroid the mean
     of its block of coordinates.  Raises MalformedRouteError when the route
-    has no stops or a stop has no zone id.
+    has no stops, a stop has no zone id, or the depot or a stop has a
+    non-finite coordinate or load.
     """
     if not route.stops:
         raise MalformedRouteError(f"route {route.route_id}: has no stops")
@@ -175,8 +176,13 @@ def build_zone_instance(route: RouteInstance) -> ZoneInstance:
     sizes = [1] + [len(idxs) for idxs in members.values()]
     spans = [slice(hi - size, hi) for hi, size in zip(np.cumsum(sizes).tolist(), sizes)]
     points = [route.depot, *route.stops]
-    lat = np.array([points[k].lat for k in perm], dtype=float)
-    lng = np.array([points[k].lng for k in perm], dtype=float)
+    values = np.array([(p.lat, p.lng, p.n_packages, p.service_time, p.package_volume)
+                       for p in points], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise MalformedRouteError(f"route {route.route_id}: {points[bad[0]].stop_id!r} has a "
+                                  "non-finite coordinate or load")
+    lat, lng = values[perm, 0], values[perm, 1]
     zones = [Zone(zid, idxs, (float(_mean(lat[span])), float(_mean(lng[span]))))
              for (zid, idxs), span in zip(members.items(), spans[1:])]
     tt = route.travel_time[np.ix_(perm, perm)]

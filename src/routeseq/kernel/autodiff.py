@@ -14,12 +14,15 @@ finished step's graph is freed by reference counting alone.
 A weight gradient that is a sum of outer products (one per decoder step or
 per candidate row) reaches a leaf through ``_acc_outer``: the tape keeps the
 rows and ``backward`` sums each leaf's rows once, in stacks of at most
-``STACK_ROWS``, after the last node has run, and then forgets them.
+``STACK_ROWS``, after the last node has run, and then forgets them.  The
+rows may cover a block of the weight's columns (the pair MLP's first layer
+gets its pair, query and key blocks apart), and each block is summed apart.
 
 The ops here are the ones the models run between their layers: ``matmul``
 (the attention context), ``softmax`` and ``nll`` (the teacher-forced loss).
 ``layers`` adds the fused ops ``lstm_cell``, ``lstm_sequence`` (the
-encoder), ``mlp_forward`` and ``pointer_scores``, which record through
+encoder), ``mlp_forward``, ``pair_terms``, ``pair_scores`` and
+``pointer_scores``, which record through
 ``_record`` with hand-written backward passes.
 
 Shapes are deliberately modest: vectors, matrices, and 0-d scalars, which is
@@ -60,7 +63,9 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Node] = []
-        self._rows: dict = {}  # leaf -> (output-gradient rows, input rows) of its weight gradient
+        # (leaf, first column) -> (output-gradient rows, input rows) of a
+        # block of the leaf's weight gradient
+        self._rows: dict = {}
         self._proxy = weakref.proxy(self)  # what nodes hold, so no node keeps the tape alive
 
     def leaf(self, value) -> Node:
@@ -76,10 +81,10 @@ class Tape:
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
         rows, self._rows = self._rows, {}
-        for leaf, (gs, xs) in rows.items():
+        for (leaf, col), (gs, xs) in rows.items():
             g, x = np.concatenate(gs), np.concatenate(xs)
             for a in range(0, len(g), STACK_ROWS):
-                _acc(leaf, g[a:a + STACK_ROWS].T @ x[a:a + STACK_ROWS], own=True)
+                _acc_cols(leaf, g[a:a + STACK_ROWS].T @ x[a:a + STACK_ROWS], col)
 
 
 def unwrap(x):
@@ -112,18 +117,30 @@ def _acc(x, g, own: bool = False):
         x.grad += g
 
 
-def _acc_outer(w, g, x):
+def _acc_cols(w, g, col):
+    """Accumulate the fresh array ``g`` into the columns of ``w``'s gradient
+    from ``col`` on; a ``g`` of ``w``'s shape is a plain ``_acc``."""
+    if g.shape == w.value.shape:
+        _acc(w, g, own=True)
+        return
+    if w.grad is None:
+        w.grad = np.zeros_like(w.value)
+    w.grad[:, col:col + g.shape[1]] += g
+
+
+def _acc_outer(w, g, x, col=0):
     """Accumulate ``g.T @ x``, the sum of the outer products of the rows of
-    ``g`` (m, out) and ``x`` (m, in), into the weight ``w`` (out, in).  A
-    leaf's rows wait on its tape until the end of ``backward``, which sums
-    all of them at once; any other node needs its gradient before its own
-    backward runs, so it gets the product now."""
+    ``g`` (m, out) and ``x`` (m, in), into the weight ``w`` (out, ...), in
+    its ``in`` columns from ``col`` on (all of them by default).  A leaf's
+    rows wait on its tape until the end of ``backward``, which sums all of
+    a block's rows at once; any other node needs its gradient before its
+    own backward runs, so it gets the product now."""
     if not isinstance(w, Node):
         return
     if w._backward is not None:
-        _acc(w, g.T @ x, own=True)
+        _acc_cols(w, g.T @ x, col)
         return
-    gs, xs = w.tape._rows.setdefault(w, ([], []))
+    gs, xs = w.tape._rows.setdefault((w, col), ([], []))
     gs.append(g)
     xs.append(x)
 

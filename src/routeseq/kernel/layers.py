@@ -2,14 +2,19 @@
 
 Everything here works on either plain ndarrays or autodiff ``Node`` inputs,
 so the same forward code serves inference and gradient-based training.
-``lstm_cell``, ``lstm_sequence``, ``mlp_forward`` and ``pointer_scores`` are
-fused autodiff ops with hand-written backward passes: the cell records two
-nodes, the sequence three, the MLP and the pointer scores one each.  Their
-forward passes compute the float expressions of the elementary ops they
-replace, in their order; their weight gradients are sums of outer products
-that the tape forms once per backward (``autodiff._acc_outer``).
-``lstm_cell`` and ``mlp_forward`` take their input as a list of blocks laid
-side by side, so callers need no concatenation op.
+``lstm_cell``, ``lstm_sequence``, ``mlp_forward``, ``pair_terms``,
+``pair_scores`` and ``pointer_scores`` are fused autodiff ops with
+hand-written backward passes: the cell records two nodes, the sequence
+three, the MLP, the pair MLP's key term and the pointer scores one each,
+and a pair MLP step one plus its ``mlp_forward``.  Their forward passes
+compute the float expressions of the elementary ops they replace, in their
+order; their weight gradients are sums of outer products that the tape
+forms once per backward (``autodiff._acc_outer``).  ``lstm_cell`` and
+``mlp_forward`` take their input as a list of blocks laid side by side (all
+vectors or all rows), so callers need no concatenation op.  The pair MLP
+splits its first layer by columns instead: the terms of the route-constant
+blocks are formed once per route (``pair_terms``) and each step adds its
+query's term to them (``pair_scores``).
 """
 
 from __future__ import annotations
@@ -91,27 +96,18 @@ def _sigmoid_np(x):
 
 
 def _join(blocks) -> np.ndarray:
-    """The input blocks side by side: 1-d blocks end to end, or, when a
-    block has rows, every 1-d block repeated on each of its rows."""
-    vals = [unwrap(b) for b in blocks]
-    m = next((v.shape[0] for v in vals if v.ndim == 2), None)
-    if m is None:
-        return np.concatenate(vals)
-    return np.concatenate([v if v.ndim == 2 else np.tile(v, (m, 1)) for v in vals], axis=1)
+    """The input blocks side by side: vectors end to end, or rows beside rows."""
+    return np.concatenate([unwrap(b) for b in blocks], axis=-1)
 
 
 def _acc_blocks(blocks, g) -> None:
     """Hand each input block its columns of the joined input's gradient
-    ``g``; a repeated 1-d block gets their sum over the rows."""
+    ``g``, a fresh array of the caller's, so a block may keep them as its own."""
     off = 0
     for b in blocks:
-        v = unwrap(b)
-        gb = g[..., off:off + v.shape[-1]]
-        if v.ndim < g.ndim:
-            _acc(b, gb.sum(axis=0), own=True)
-        else:
-            _acc(b, gb)
-        off += v.shape[-1]
+        width = unwrap(b).shape[-1]
+        _acc(b, g[..., off:off + width], own=True)
+        off += width
 
 
 def _step(w, u, b, x, h, c):
@@ -225,9 +221,8 @@ def lstm_sequence(x, state: LstmState, params: LstmCellParams):
 
 def mlp_forward(xs, params: MlpParams):
     """Apply the MLP to the input blocks ``xs``, as one recorded op: to a
-    vector (d,), or to rows (m, d) when a block has rows (1-d blocks are
-    repeated on every row).  Over rows, a one-unit output layer gives one
-    score per row, (m,).
+    vector (d,) when the blocks are vectors, or to rows (m, d) when they are
+    rows.  Over rows, a one-unit output layer gives one score per row, (m,).
 
     Each layer is ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but
     the last.  The backward pass treats a vector as one row, drops the rows
@@ -280,6 +275,106 @@ def mlp_forward(xs, params: MlpParams):
 
     parents = (*xs, *(layer.w for layer in layers), *(layer.b for layer in layers))
     return _record(a.reshape(-1) if scores else a, parents, backward)
+
+
+@dataclass(eq=False)
+class PairTerms:
+    """A route's constant terms of the pair MLP's first layer
+    ``W [pair; query; key] + b``, whose weight ``pair_terms`` splits by
+    columns into ``W_z``, ``W_q`` and ``W_k``: ``W_z pair`` of every pair
+    row, ``W_k key + b`` of every key, and, when every query is a node's
+    features, ``W_q query`` of every node."""
+
+    first: MlpLayer
+    rest: MlpParams             # the layers after the first
+    w_q: np.ndarray             # (hidden, q) the first layer's query columns
+    pair: np.ndarray            # (s, n, p) pair rows from each source node
+    pair_term: np.ndarray       # (s, n, hidden) W_z pair
+    key_term: object            # (n, hidden) W_k key + b; a tape node when recorded
+    queries: np.ndarray | None  # (s, q) route-constant queries, or None
+    query_term: np.ndarray | None  # (s, hidden) W_q query, or None
+
+
+def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
+    """The route-constant terms of the pair MLP ``params`` over the pair rows
+    ``pair`` (s, n, p) from s source nodes to the n keys ``keys`` (n, k),
+    and of the queries (s, q) when they are route constants.  The first
+    layer's columns are the pair, query and key blocks in that order.
+
+    The key term is one recorded op: its backward runs once per route, after
+    every ``pair_scores`` step has added its rows, and hands ``b`` and the
+    keys their gradients and the tape the ``W_k`` rows.  The pair and query
+    terms are plain arrays: their ``W_z`` and ``W_q`` rows come from the
+    steps that read them."""
+    layers = params.layers
+    first, kv = layers[0], unwrap(keys)
+    w = unwrap(first.w)
+    p, k = pair.shape[-1], kv.shape[1]
+    q = w.shape[1] - p - k
+    if q < 0 or (queries is not None and queries.shape[1] != q):
+        raise InvalidInputError(f"pair MLP input width {w.shape[1]} does not match pair "
+                                f"width {p}, key width {k} and the query")
+    w_q, w_k = w[:, p:p + q], w[:, p + q:]
+    key_v = kv @ w_k.T
+    if first.b is not None:
+        key_v = key_v + unwrap(first.b)
+
+    def backward(g):
+        if first.b is not None:
+            _acc(first.b, g.sum(axis=0), own=True)
+        _acc_outer(first.w, g, kv, p + q)
+        if isinstance(keys, Node):
+            _acc(keys, g @ w_k, own=True)
+
+    return PairTerms(
+        first=first,
+        rest=MlpParams(layers[1:]),
+        w_q=w_q,
+        pair=pair,
+        pair_term=(pair.reshape(-1, p) @ w[:, :p].T).reshape(*pair.shape[:2], -1),
+        key_term=_record(key_v, (keys, first.w, first.b), backward),
+        queries=queries,
+        query_term=None if queries is None else queries @ w_q.T,
+    )
+
+
+def pair_scores(terms: PairTerms, src: int, d=None):
+    """The pair MLP's score of every key from source node ``src`` with the
+    query ``d`` (q,), or with the route-constant query of ``src`` when ``d``
+    is None: the value of ``mlp_forward`` over the rows [pair; query; key].
+
+    The first layer is one recorded op, ``pair_term[src] + key_term +
+    W_q query`` and its ReLU; ``mlp_forward`` runs the remaining layers (a
+    pair MLP of one layer scores with the sum itself).  Its backward hands
+    the key term its rows, ``d`` its gradient, and the tape the ``W_z`` rows
+    of the step's pair rows and one ``W_q`` row."""
+    first, w_q = terms.first, terms.w_q
+    if d is None:
+        qv, q_term = terms.queries[src], terms.query_term[src]
+    else:
+        qv = unwrap(d)
+        if qv.shape != (w_q.shape[1],):
+            raise InvalidInputError(f"pair MLP query shape {qv.shape} does not match "
+                                    f"({w_q.shape[1]},)")
+        q_term = w_q @ qv
+    pre = terms.pair_term[src] + unwrap(terms.key_term)
+    pre += q_term
+    hidden = bool(terms.rest.layers)
+
+    def backward(g):
+        g = g.reshape(pre.shape)
+        if hidden:
+            g = g * (pre > 0.0)
+        _acc(terms.key_term, g)  # copied: the tape keeps g as W_z rows
+        _acc_outer(first.w, g, terms.pair[src])
+        gq = g.sum(axis=0)
+        _acc_outer(first.w, gq[None], qv[None], terms.pair.shape[-1])
+        if isinstance(d, Node):
+            _acc(d, w_q.T @ gq, own=True)
+
+    out = _record(np.maximum(pre, 0.0) if hidden else pre.reshape(-1),
+                  (terms.key_term, d, first.w), backward)
+    return mlp_forward([out], terms.rest) if hidden else out
 
 
 def pointer_scores(keys, d, pair_rows, w1, w2, w3, w4):

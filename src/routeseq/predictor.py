@@ -26,6 +26,10 @@ only, so visited zones get probability exactly 0 and the context fed to the
 next step is the same quantity in training and decoding.  A step with one
 candidate left gives it probability 1 unscored, and every decoding starts
 from ``first_step``, the depot's step before any pick, which rollouts share.
+``first_step`` also forms the pair MLP's route-constant terms
+(``_pair_terms``): its first layer's weight split by columns, the pair
+features and the keys go through it once per route, and a step adds only
+its query's term.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ from .kernel import (
     mlp_forward,
     named_tensors,
     nll,
+    pair_scores,
+    pair_terms,
     pointer_scores,
     serialize_checkpoint,
     softmax,
@@ -283,20 +289,32 @@ def encode(params: ModelParams, scaled: ScaledRoute):
     return lstm_sequence(scaled.nodes[1:], zero_state(params.config.hidden), params.encoder)
 
 
-def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys):
+def _pair_terms(params: ModelParams, scaled: ScaledRoute, keys):
+    """The pair MLP's route-constant terms (``kernel.pair_terms``) over the
+    route's pair rows and the ``encode`` keys, with ``asnn``'s queries, the
+    node features; None for the variants without the pair MLP."""
+    if params.asnn is None:
+        return None
+    queries = scaled.nodes if params.config.variant == "asnn" else None
+    return pair_terms(scaled.pair, keys, params.asnn, queries)
+
+
+def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms):
     """One decoder step's scores by input position (by head slot for
-    ``lstm_ed``), from the last stop's node ``src``, the query ``d`` and the
-    ``encode`` keys.  ``pointer`` adds its linear local term on the pair
-    features from ``src`` to the additive attention; ``lstm_ed`` scores with
-    its fully-connected head; ``pairwise`` and ``asnn`` score [pair features
-    from ``src``; query; key] per candidate with the shared pair MLP."""
+    ``lstm_ed``), from the last stop's node ``src``, the query ``d``, the
+    ``encode`` keys and the route's ``_pair_terms``.  ``pointer`` adds its
+    linear local term on the pair features from ``src`` to the additive
+    attention; ``lstm_ed`` scores with its fully-connected head; ``pairwise``
+    and ``asnn`` score [pair features from ``src``; query; key] per candidate
+    with the shared pair MLP, whose pair and key terms ``terms`` holds
+    (``asnn``'s query, node ``src``'s features, too)."""
     variant = params.config.variant
     if variant == "pointer":
         p = params.pointer
         return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4)
     if variant == "lstm_ed":
         return mlp_forward([d], params.fc)
-    return mlp_forward([scaled.pair[src], d, keys], params.asnn)
+    return pair_scores(terms, src, None if variant == "asnn" else d)
 
 
 def decode_step(params: ModelParams, x_last, w_prev, state: LstmState):
@@ -313,7 +331,8 @@ def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
     return np.arange(n if params.config.kz is None else params.config.kz) < n
 
 
-def _step(params: ModelParams, scaled: ScaledRoute, keys, state, src: int, w_prev, allowed):
+def _step(params: ModelParams, scaled: ScaledRoute, keys, terms, state, src: int, w_prev,
+          allowed):
     """One decoder step from the last stop's node ``src`` over the candidates
     ``allowed``: the decoder state after it, the probabilities by input
     position (by head slot for ``lstm_ed``) and the context the next step
@@ -329,7 +348,7 @@ def _step(params: ModelParams, scaled: ScaledRoute, keys, state, src: int, w_pre
         if state is not None:
             state, d = decode_step(params, d, w_prev, state)
         # softmax keeps no reference to the mask, so decode clears it in place.
-        probs = softmax(_scores(params, scaled, src, d, keys), allowed)
+        probs = softmax(_scores(params, scaled, src, d, keys, terms), allowed)
     else:
         probs = allowed.astype(np.float64)
     w_ctx = matmul(probs, keys) if params.config.variant in ("pairwise", "pointer") else None
@@ -338,12 +357,14 @@ def _step(params: ModelParams, scaled: ScaledRoute, keys, state, src: int, w_pre
 
 def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
     """Where every decoding of the route starts, from its ``encode`` result
-    ``encoded``: the keys and step 0, the depot's query over all the zones,
+    ``encoded``: the keys, the pair MLP's route-constant terms
+    (``_pair_terms``) and step 0, the depot's query over all the zones,
     which comes before any pick.  Rollouts of one route that start from the
     same ``first_step`` share it."""
     keys, state = encoded
-    return keys, _step(params, scaled, keys, state, 0, np.zeros(params.config.hidden),
-                       _mask(params, scaled))
+    terms = _pair_terms(params, scaled, keys)
+    return (keys, terms), _step(params, scaled, keys, terms, state, 0,
+                                np.zeros(params.config.hidden), _mask(params, scaled))
 
 
 def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
@@ -368,11 +389,11 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     width = len(allowed)
     steps: list = []
     traces: list[DecoderStepTrace] = []
-    keys, (state, probs, w_ctx) = start
+    (keys, terms), (state, probs, w_ctx) = start
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
         if i:
-            state, probs, w_ctx = _step(params, scaled, keys, state, src, w_ctx, allowed)
+            state, probs, w_ctx = _step(params, scaled, keys, terms, state, src, w_ctx, allowed)
         p_zone = np.zeros(n)
         p_zone[list(scaled.order[:width])] = unwrap(probs)[:n]
         chosen = pick(i, p_zone)

@@ -64,12 +64,15 @@ class TrainReport:
 
 
 def split_dataset(routes, fractions=(0.8, 0.2), seed: int = 0):
-    """Seed-deterministic disjoint exhaustive shuffle split."""
+    """Seed-deterministic disjoint exhaustive shuffle split into train and
+    test by the pair ``fractions``."""
     n = len(routes)
     if seed < 0:
         raise InvalidInputError("seed must be >= 0")
     if n < 2:
         raise InvalidInputError("need at least 2 routes to split")
+    if len(fractions) != 2:
+        raise InvalidInputError(f"split fractions must be a (train, test) pair, got {fractions}")
     if not np.isfinite(fractions).all() or abs(sum(fractions) - 1.0) > 1e-9:
         raise InvalidInputError(f"split fractions must be finite and sum to 1, got {fractions}")
     n_train = int(round(fractions[0] * n))

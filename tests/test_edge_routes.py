@@ -5,10 +5,12 @@ from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 from conftest import make_route
 from oracles import route_cost_ref
 from routeseq.completion import complete_sequence
+from routeseq.errors import MalformedRouteError
 from routeseq.inference import BEST_FIRST, GREEDY, predict
 from routeseq.kernel import adam_init, adam_step
 from routeseq.predictor import VARIANTS, ModelConfig, init_model, model_tensors, prepare_route
@@ -103,3 +105,25 @@ def test_route_without_stops_is_one_typed_failure_in_every_variant_and_mode():
             report = evaluate_testset([empty, good], params=params, mode=mode)
             assert report.failures == [("E0", "MalformedRouteError: route E0: has no stops")]
             assert [row.route_id for row in report.rows] == ["G0"]
+
+
+def test_non_finite_stop_data_is_one_typed_failure_in_every_variant():
+    # A route built in code with a NaN or infinite coordinate or load fails
+    # at the boundary, whatever the model (JSON input never gets this far).
+    good = make_route(["A-1.1A", "B-1.1A"], route_id="G0")
+    bad_routes = []
+    for k, (who, name, value) in enumerate([("depot", "lat", np.nan), ("stop", "lat", np.nan),
+                                            ("stop", "lng", np.inf), ("stop", "n_packages", np.nan),
+                                            ("stop", "service_time", np.inf),
+                                            ("stop", "package_volume", -np.inf)]):
+        route = make_route(["A-1.1A", "B-1.1A", "A-1.1A"], route_id=f"N{k}")
+        setattr(route.depot if who == "depot" else route.stops[1], name, value)
+        with pytest.raises(MalformedRouteError, match="non-finite coordinate or load"):
+            prepare_route(route)
+        bad_routes.append(route)
+    for variant in VARIANTS:
+        params, _ = train([good], replace(SMALL, variant=variant))
+        report = evaluate_testset([*bad_routes, good], params=params)
+        assert [route_id for route_id, _ in report.failures] == [r.route_id for r in bad_routes]
+        assert all(msg.startswith("MalformedRouteError") for _, msg in report.failures)
+        assert [row.route_id for row in report.rows] == ["G0"]

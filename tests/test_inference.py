@@ -188,22 +188,30 @@ def test_decoder_steps_per_route(variant, monkeypatch):
 
 
 def test_best_first_encodes_once_per_route(monkeypatch):
+    # one encoding, and for the pair MLP one set of its route-constant terms
     calls = []
     encode = routeseq.inference.encode
+    pair_terms = routeseq.predictor.pair_terms
 
     def counting_encode(params, scaled):
-        calls.append(scaled.prep.route.route_id)
+        calls.append("encode")
         return encode(params, scaled)
 
+    def counting_pair_terms(*args):
+        calls.append("pair_terms")
+        return pair_terms(*args)
+
     monkeypatch.setattr(routeseq.inference, "encode", counting_encode)
+    monkeypatch.setattr(routeseq.predictor, "pair_terms", counting_pair_terms)
     for variant in VARIANTS:
+        expected = ["encode", "pair_terms"] if variant in ("pairwise", "asnn") else ["encode"]
         prep, params = _setup(variant=variant, seed=1)
         calls.clear()
         generate_best_first(params, prep)
-        assert len(calls) == 1, variant
+        assert calls == expected, variant
         calls.clear()
         predict(params, prep, BEST_FIRST)
-        assert len(calls) == 1, variant
+        assert calls == expected, variant
 
 
 def test_best_first_single_zone_equals_greedy():

@@ -28,6 +28,8 @@ from routeseq.kernel import (
     mlp_forward,
     named_tensors,
     nll,
+    pair_scores,
+    pair_terms,
     pointer_scores,
     serialize_checkpoint,
     softmax,
@@ -66,8 +68,8 @@ _MASK = np.array([True, False, True, True, False])
 
 
 def _side_by_side(*parts):
-    """The parts side by side, through an identity layer of ``mlp_forward``:
-    vectors end to end, or rows with every vector repeated on each row."""
+    """The vectors ``parts`` end to end, through an identity layer of
+    ``mlp_forward``."""
     width = sum(unwrap(p).shape[-1] for p in parts)
     return mlp_forward(list(parts), MlpParams([MlpLayer(np.eye(width), None)]))
 
@@ -81,16 +83,31 @@ def _lstm_both(*args):
 
 
 def _lstm_sequence(x, h, c, w, u, b, outputs=True):
-    """lstm_sequence's outputs with its final state repeated on every row, or
-    (``outputs=False``) the final state alone, as ``lstm_ed`` reads it."""
+    """lstm_sequence's final state after a weighted sum of its output rows,
+    every weight non-zero, or (``outputs=False``) the final state alone, as
+    ``lstm_ed`` reads it."""
     out, state = lstm_sequence(x, LstmState(h, c), LstmCellParams(w, u, b))
-    return _side_by_side(out, state.h, state.c) if outputs else _side_by_side(state.h, state.c)
+    if not outputs:
+        return _side_by_side(state.h, state.c)
+    return _side_by_side(matmul(np.linspace(1.0, 2.0, len(unwrap(x))), out), state.h, state.c)
 
 
 def _mlp(x, *wb):
     """mlp_forward over layers (w0, b0, w1, b1, ...); an odd count leaves
     the output layer without bias."""
     return mlp_forward([x], MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
+
+
+# Constant pair rows (6 source nodes x 5 keys x 2 features) and node
+# features (6 x 4) of the pair-scorer cases; they get no gradient.
+_PAIR = np.random.default_rng(3).normal(size=(6, 5, 2))
+_NODES = np.random.default_rng(4).normal(size=(6, 4))
+
+
+def _pair(keys, d, layers, queries=None):
+    """The pair scorer's step from source node 2 over ``keys``, with the
+    query ``d`` or (``d`` None) the route-constant ``queries``."""
+    return pair_scores(pair_terms(_PAIR, keys, MlpParams(layers), queries), 2, d)
 
 
 def _probs(*sizes):
@@ -124,17 +141,28 @@ OP_CASES = {
         lambda x, a, v, w1: mlp_forward([x], MlpParams([MlpLayer(matmul(a, v), None),
                                                         MlpLayer(w1, None)])),
         _arrays((5, 3), (4, 2), (2, 3), (1, 4)), 1e-5),
-    # the pair scorer's [pair rows; query repeated on every row; keys]
-    "mlp_rows_repeated_vector": (
-        lambda z, q, k, w0, b0, w1: mlp_forward([z, q, k], MlpParams([MlpLayer(w0, b0),
-                                                                      MlpLayer(w1, None)])),
-        _arrays((4, 2), (3,), (4, 2), (5, 7), (5,), (1, 5)), 1e-5),
-    # pair-scorer rows through the masked softmax into nll: the rows the mask
-    # leaves out get a score gradient of exactly 0, and their backward is skipped
-    "mlp_rows_masked_nll": (
-        lambda z, q, k, w0, b0, w1: nll([(softmax(mlp_forward(
-            [z, q, k], MlpParams([MlpLayer(w0, b0), MlpLayer(w1, None)])), _MASK), 2)]),
-        _arrays((5, 2), (3,), (5, 2), (6, 7), (6,), (1, 6)), 1e-5),
+    # the pair scorer at pairwise's widths, [pair rows; query; keys], the
+    # query and the keys computed (tape nodes); at this seed every
+    # first-layer pre-activation of the pair-scorer cases is >= 0.1 from the kink
+    "pair_scores": (
+        lambda k, d, w0, b0, w1: _pair(k, d, [MlpLayer(w0, b0), MlpLayer(w1, None)]),
+        _arrays((5, 3), (3,), (4, 8), (4,), (1, 4)), 1e-5),
+    # through the masked softmax into nll: the rows the mask leaves out get a
+    # score gradient of exactly 0, which the MLP's backward skips
+    "pair_scores_masked_nll": (
+        lambda k, d, w0, b0, w1: nll([(softmax(_pair(k, d, [MlpLayer(w0, b0),
+                                                            MlpLayer(w1, None)]), _MASK), 2)]),
+        _arrays((5, 3), (3,), (6, 8), (6,), (1, 6)), 1e-5),
+    # at asnn's widths: the queries and keys are constant node features, and
+    # the first layer's weight is an op's output, so its column blocks get
+    # their gradients before that op's backward runs
+    "pair_scores_asnn_masked_nll": (
+        lambda a, v, b0, w1: nll([(softmax(_pair(_NODES[1:], None, [
+            MlpLayer(matmul(a, v), b0), MlpLayer(w1, None)], _NODES), _MASK), 2)]),
+        _arrays((6, 2), (2, 10), (6,), (1, 6)), 1e-5),
+    # a pair MLP of one layer scores with its first layer's sum
+    "pair_scores_one_layer": (lambda k, d, w0: _pair(k, d, [MlpLayer(w0, None)]),
+                              _arrays((5, 3), (3,), (1, 8)), 1e-5),
     "pointer_scores": (pointer_scores,
                        _arrays((4, 3), (3,), (4, 2), (5,), (5, 3), (5, 3), (2,)), 1e-5),
     "softmax": (softmax, _arrays((5,)), 1e-5),
@@ -327,17 +355,36 @@ def test_mlp_batched_matches_vector(rng):
     assert np.allclose(batched, rows, atol=1e-14)
 
 
-def test_mlp_repeats_a_vector_block_on_every_row(rng):
-    p = init_mlp((6, 5, 1), rng)
-    z, q = rng.normal(size=(3, 2)), rng.normal(size=4)
-    tiled = mlp_forward([np.hstack([z, np.tile(q, (3, 1))])], p)
-    assert np.array_equal(mlp_forward([z, q], p), tiled)
+def test_pair_scores_add_the_route_terms_then_run_the_mlp(rng):
+    # pair rows (4 sources x 3 keys x 2), keys and query of width 3
+    p = init_mlp((8, 5, 1), rng)
+    pair, keys, d, nodes = (rng.normal(size=s) for s in ((4, 3, 2), (3, 3), (3,), (4, 3)))
+    w, b = p.layers[0].w, p.layers[0].b
+    pair_term = (pair.reshape(12, 2) @ w[:, :2].T).reshape(4, 3, 5)[2]
+    key_term = keys @ w[:, 5:].T + b
+    rest = MlpParams(p.layers[1:])
+    got = pair_scores(pair_terms(pair, keys, p), 2, d)
+    assert np.array_equal(got, mlp_forward([np.maximum(pair_term + key_term + w[:, 2:5] @ d, 0.0)],
+                                           rest))
+    got = pair_scores(pair_terms(pair, keys, p, nodes), 2)  # route-constant queries
+    query_term = (nodes @ w[:, 2:5].T)[2]
+    assert np.array_equal(got, mlp_forward([np.maximum(pair_term + key_term + query_term, 0.0)],
+                                           rest))
 
 
 def test_mlp_width_mismatch():
     p = init_mlp((3, 2), np.random.default_rng(0))
     with pytest.raises(InvalidInputError):
         mlp_forward([np.zeros(4)], p)
+    # the pair scorer: 2 pair features, key width 3, so a query width of 3
+    p = init_mlp((8, 4, 1), np.random.default_rng(0))
+    pair, keys = np.zeros((3, 2, 2)), np.zeros((2, 3))
+    with pytest.raises(InvalidInputError):
+        pair_scores(pair_terms(pair, keys, p), 0, np.zeros(4))
+    with pytest.raises(InvalidInputError):
+        pair_terms(pair, keys, p, np.zeros((3, 2)))
+    with pytest.raises(InvalidInputError):
+        pair_terms(pair, np.zeros((2, 7)), p)
 
 
 # --- softmax / cross-entropy (nll) ------------------------------------------------

@@ -29,6 +29,7 @@ from routeseq.kernel import (
 )
 from routeseq.predictor import (
     ModelConfig,
+    _pair_terms,
     _scores,
     checkpoint_tensors,
     decode_step,
@@ -69,6 +70,11 @@ def _reading_at_random(params, seed):
     """``params`` with a config that reads routes in the random order of ``seed``."""
     return replace(params, config=replace(params.config, input_order_mode="random",
                                           order_seed=seed))
+
+
+def _depot_scores(params, sc, d, keys):
+    """Step 0's scores, from the depot, with the query ``d`` over ``keys``."""
+    return _scores(params, sc, 0, d, keys, _pair_terms(params, sc, keys))
 
 
 def _zeroed(params):
@@ -186,7 +192,7 @@ def test_pair_attention_uniform_for_zero_params():
     sc = scale_route(prep, params)
     d = np.zeros(8)
     enc_matrix = np.zeros((3, 8))
-    a = softmax(_scores(params, sc, 0, d, enc_matrix))
+    a = softmax(_depot_scores(params, sc, d, enc_matrix))
     assert np.allclose(a, 1.0 / 3.0)
 
 
@@ -194,7 +200,7 @@ def test_pair_attention_single_zone():
     prep = _prep(zone_ids=("A-1.1A",))
     params = _model("pairwise", prep)
     sc = scale_route(prep, params)
-    a = softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((1, 8))))
+    a = softmax(_depot_scores(params, sc, np.zeros(8), np.zeros((1, 8))))
     assert np.allclose(a, [1.0])
 
 
@@ -220,10 +226,32 @@ def test_pair_attention_hand_built_ranks_by_travel_time():
             query, keys = np.zeros(8), np.zeros((2, 8))
         else:
             query, keys = sc.nodes[0], sc.nodes[1:]
-        a = softmax(_scores(params, sc, 0, query, keys))[sc.pos_of_zone]
+        a = softmax(_depot_scores(params, sc, query, keys))[sc.pos_of_zone]
         # depot -> zone B costs 50 vs 10 for zone A, so B gets the attention
         assert a[zb] > a[za], variant
         assert a[zb] == pytest.approx(math.exp(50) / (math.exp(50) + math.exp(10)), rel=1e-12)
+
+
+def test_pair_scores_match_the_mlp_reference_over_joined_rows():
+    # every source node's step of routes of 1, 2, 5 and 15 zones, against the
+    # plain-loop MLP over the rows [pair; query; key]; the query is a
+    # decoder output (pairwise) or the source's features (asnn)
+    zone_ids = [f"{a}-{k}.1A" for a in "AB" for k in range(1, 9)]
+    for n in (1, 2, 5, 15):
+        prep = _prep(zone_ids=zone_ids[:n])
+        for variant in ("pairwise", "asnn"):
+            params = _model(variant, prep, seed=n)
+            sc = scale_route(prep, params)
+            keys, _ = encode(params, sc)
+            terms = _pair_terms(params, sc, keys)
+            layers = [(l.w, np.zeros(1) if l.b is None else l.b) for l in params.asnn.layers]
+            rng = np.random.default_rng(n)
+            for src in range(n + 1):
+                d = rng.uniform(-1.0, 1.0, size=8) if variant == "pairwise" else sc.nodes[src]
+                ref = [mlp_ref(np.concatenate([sc.pair[src, j], d, keys[j]]), layers)[0]
+                       for j in range(n)]
+                got = _scores(params, sc, src, d, keys, terms)
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=variant)
 
 
 def test_pair_mlp_has_no_output_bias():
@@ -263,7 +291,7 @@ def test_pointer_attention_uniform_when_w1_w4_zero():
     params.pointer.w4[...] = 0.0
     sc = scale_route(prep, params)
     keys, state = encode(params, sc)
-    a = softmax(_scores(params, sc, 0, state.h, keys))
+    a = softmax(_depot_scores(params, sc, state.h, keys))
     assert np.allclose(a, 1.0 / 3.0)
 
 
@@ -279,12 +307,12 @@ def test_pointer_attention_w4_sign_controls_ranking():
     params.pointer.w4[...] = 0.0
     params.pointer.w4[0] = 1.0
     sc = scale_route(prep, params)
-    a = softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8))))[sc.pos_of_zone]
+    a = softmax(_depot_scores(params, sc, np.zeros(8), np.zeros((2, 8))))[sc.pos_of_zone]
     zb = prep.zinst.zone_index("B-1.1A")
     za = prep.zinst.zone_index("A-1.1A")
     assert a[zb] > a[za]
     params.pointer.w4[0] = -1.0
-    a = softmax(_scores(params, sc, 0, np.zeros(8), np.zeros((2, 8))))[sc.pos_of_zone]
+    a = softmax(_depot_scores(params, sc, np.zeros(8), np.zeros((2, 8))))[sc.pos_of_zone]
     assert a[za] > a[zb]
 
 
@@ -295,7 +323,7 @@ def test_pointer_attention_saturation_stays_finite():
     params.pointer.w3 *= 1e6
     sc = scale_route(prep, params)
     keys, state = encode(params, sc)
-    a = softmax(_scores(params, sc, 0, state.h, keys))
+    a = softmax(_depot_scores(params, sc, state.h, keys))
     assert np.all(np.isfinite(np.asarray(a)))
 
 
@@ -367,14 +395,16 @@ def test_forward_logprob_deterministic():
 
 def test_taped_forward_node_counts():
     # Tape nodes of one taped forward on a 15-zone route, as measured; the
-    # encoder records 3 (lstm_sequence), nll 1, every decoder step but the
-    # last at most 5: lstm_cell (2), the scorer, softmax and the context
-    # matmul; the last step has one zone left and records only the context
-    # matmul (pairwise and pointer).
+    # encoder records 3 (lstm_sequence), the pair MLP's key term 1 (pairwise
+    # and asnn), nll 1, every decoder step but the last at most 6:
+    # lstm_cell (2), the scorer (the pair MLP's first layer and the rest of
+    # it, else one op), softmax and the context matmul; the last step has
+    # one zone left and records only the context matmul (pairwise and
+    # pointer).
     n = 15
     prep = _prep(zone_ids=[f"{a}-{k}.1A" for a in "AB" for k in range(1, 9)][:n])
-    expected = {"pairwise": 75, "pointer": 75, "lstm_ed": 60, "asnn": 29}
-    assert max(expected.values()) <= 3 + 1 + 5 * (n - 1) + 1
+    expected = {"pairwise": 90, "pointer": 75, "lstm_ed": 60, "asnn": 44}
+    assert max(expected.values()) <= 3 + 1 + 1 + 6 * (n - 1) + 1
     for variant, count in expected.items():
         params = _model(variant, prep)
         tape = Tape()

@@ -44,6 +44,10 @@ def test_split_validation():
         split_dataset(list(range(3)), (0.99, 0.01))
     with pytest.raises(InvalidInputError):
         split_dataset(list(range(10)), (0.8, 0.2), seed=-1)
+    with pytest.raises(InvalidInputError):  # sums to 1, but is not a pair
+        split_dataset(list(range(10)), (0.5, 0.3, 0.2))
+    with pytest.raises(InvalidInputError):
+        split_dataset(list(range(10)), (1.0,))
 
 
 def test_epochs_must_be_positive():
