@@ -217,11 +217,11 @@ def save_routes(routes, path) -> None:
         fh.write(routes_to_json(routes))
 
 
-def require_field(mapping, key, path, kind=None, default=None):
+def require_field(mapping, key, path, kind=None, default=None, least=None):
     """``mapping[key]``, which must exist unless a ``default`` stands in
     (and be a ``kind``, a JSON boolean never counting as a number and a
-    number only when a finite float holds it); otherwise a ``SchemaError``
-    at ``<path>.<key>``."""
+    number only when a finite float holds it, and at least ``least`` when
+    that is given); otherwise a ``SchemaError`` at ``<path>.<key>``."""
     if default is not None and isinstance(mapping, dict) and key not in mapping:
         return default
     if not isinstance(mapping, dict) or key not in mapping:
@@ -231,6 +231,8 @@ def require_field(mapping, key, path, kind=None, default=None):
         raise SchemaError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
     if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise SchemaError(f"{path}.{key}", "expected a finite number within float range")
+    if least is not None and value < least:
+        raise SchemaError(f"{path}.{key}", f"expected a number >= {least}, got {value}")
     return value
 
 
@@ -250,9 +252,11 @@ def route_from_dict(rd: dict, path: str) -> RouteInstance:
             zone_id=require_field(sd, "zone_id", spath, str),
             lat=float(require_field(sd, "lat", spath, (int, float))),
             lng=float(require_field(sd, "lng", spath, (int, float))),
-            n_packages=require_field(sd, "n_packages", spath, int, 0),
-            service_time=float(require_field(sd, "service_time_s", spath, (int, float), 0.0)),
-            package_volume=float(require_field(sd, "volume_cm3", spath, (int, float), 0.0)),
+            n_packages=require_field(sd, "n_packages", spath, int, 0, least=0),
+            service_time=float(require_field(sd, "service_time_s", spath, (int, float), 0.0,
+                                             least=0)),
+            package_volume=float(require_field(sd, "volume_cm3", spath, (int, float), 0.0,
+                                               least=0)),
         ))
         if not stops[-1].zone_id:
             raise SchemaError(f"{spath}.zone_id", "expected a non-empty zone id")

@@ -159,11 +159,16 @@ def build_zone_instance(route: RouteInstance) -> ZoneInstance:
     and each zone's stops in one block.  Node ``a`` to node ``b`` is the
     mean of their block of (depot or member stop) pairs, a centroid the mean
     of its block of coordinates.  Raises MalformedRouteError when the route
-    has no stops, a stop has no zone id, or the depot or a stop has a
-    non-finite coordinate or load.
+    has no stops, its travel-time matrix is not (n+1) x (n+1), a stop has no
+    zone id, or the depot or a stop has a non-finite coordinate or load or a
+    negative load.
     """
-    if not route.stops:
+    n = len(route.stops)
+    if not n:
         raise MalformedRouteError(f"route {route.route_id}: has no stops")
+    if np.shape(route.travel_time) != (n + 1, n + 1):
+        raise MalformedRouteError(f"route {route.route_id}: travel_time shape "
+                                  f"{np.shape(route.travel_time)} != {(n + 1, n + 1)}")
     members: dict[str, list[int]] = {}
     for idx, stop in enumerate(route.stops):
         if not stop.zone_id:
@@ -182,6 +187,10 @@ def build_zone_instance(route: RouteInstance) -> ZoneInstance:
     if len(bad):
         raise MalformedRouteError(f"route {route.route_id}: {points[bad[0]].stop_id!r} has a "
                                   "non-finite coordinate or load")
+    bad = np.flatnonzero((values[:, 2:] < 0).any(axis=1))
+    if len(bad):
+        raise MalformedRouteError(f"route {route.route_id}: {points[bad[0]].stop_id!r} has a "
+                                  "negative load")
     lat, lng = values[perm, 0], values[perm, 1]
     zones = [Zone(zid, idxs, (float(_mean(lat[span])), float(_mean(lng[span]))))
              for (zid, idxs), span in zip(members.items(), spans[1:])]

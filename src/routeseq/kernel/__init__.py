@@ -1,14 +1,14 @@
-"""Minimal differentiable numerical kernel: autodiff tape, fused LSTM-cell,
-LSTM-sequence, MLP and pointer-score ops, the pair MLP's route-constant
-terms and per-step scores, softmax and the sequence NLL, Adam, and the
+"""Minimal differentiable numerical kernel: autodiff tape, the fused
+LSTM-sequence op, the plain-array LSTM step, softmax, MLP, pair-MLP and
+pointer scorers with their backward passes (which the decoder op runs),
+the pair MLP's route-constant terms, the sequence NLL, Adam, and the
 bit-exact checkpoint byte codec (no file I/O)."""
 
 from .autodiff import (
+    Grads,
     Node,
     Tape,
-    matmul,
     nll,
-    softmax,
     unwrap,
 )
 from .checkpoint import (
@@ -22,26 +22,34 @@ from .layers import (
     LstmState,
     MlpLayer,
     MlpParams,
+    PairScoresBackward,
     init_lstm,
     init_mlp,
-    lstm_cell,
+    lstm_backward_step,
+    lstm_factors,
     lstm_sequence,
+    lstm_step,
     map_tensors,
-    mlp_forward,
+    mlp_backward,
+    mlp_values,
     named_tensors,
     pair_scores,
     pair_terms,
     pointer_scores,
+    pointer_scores_backward,
+    softmax,
     uniform_init,
     zero_state,
 )
 from .optim import AdamState, adam_init, adam_step, clip_gradients
 
 __all__ = [
-    "Node", "Tape", "matmul", "nll", "softmax", "unwrap",
+    "Grads", "Node", "Tape", "nll", "unwrap",
     "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint", "serialize_checkpoint",
-    "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "init_lstm",
-    "init_mlp", "lstm_cell", "lstm_sequence", "map_tensors", "mlp_forward", "named_tensors",
-    "pair_scores", "pair_terms", "pointer_scores", "uniform_init", "zero_state",
+    "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "PairScoresBackward",
+    "init_lstm", "init_mlp", "lstm_backward_step", "lstm_factors", "lstm_sequence", "lstm_step",
+    "map_tensors", "mlp_backward", "mlp_values", "named_tensors",
+    "pair_scores", "pair_terms", "pointer_scores",
+    "pointer_scores_backward", "softmax", "uniform_init", "zero_state",
     "AdamState", "adam_init", "adam_step", "clip_gradients",
 ]

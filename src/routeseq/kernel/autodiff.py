@@ -17,13 +17,14 @@ rows and ``backward`` sums each leaf's rows once, in stacks of at most
 ``STACK_ROWS``, after the last node has run, and then forgets them.  The
 rows may cover a block of the weight's columns (the pair MLP's first layer
 gets its pair, query and key blocks apart), and each block is summed apart.
+An op whose backward pass loops over steps gathers its gradients in a
+``Grads`` and hands each over once, at the end of the loop.
 
-The ops here are the ones the models run between their layers: ``matmul``
-(the attention context), ``softmax`` and ``nll`` (the teacher-forced loss).
-``layers`` adds the fused ops ``lstm_cell``, ``lstm_sequence`` (the
-encoder), ``mlp_forward``, ``pair_terms``, ``pair_scores`` and
-``pointer_scores``, which record through
-``_record`` with hand-written backward passes.
+The op here is ``nll`` (the teacher-forced loss over the decoder's stacked
+step probabilities).  ``layers`` adds the fused ops ``lstm_sequence`` (the
+encoder) and ``pair_terms`` (the pair MLP's key term), and
+``predictor.decode`` records the whole decoder as one op per route; all of
+them record through ``_record`` with hand-written backward passes.
 
 Shapes are deliberately modest: vectors, matrices, and 0-d scalars, which is
 all the sequence models need.  Everything is float64.
@@ -145,74 +146,67 @@ def _acc_outer(w, g, x, col=0):
     xs.append(x)
 
 
-def matmul(a, b):
-    """Matrix/vector product covering 2d@2d, 2d@1d, 1d@2d, and 1d@1d (dot)."""
-    av, bv = unwrap(a), unwrap(b)
+class Grads:
+    """The gradients a recorded op's backward loop gathers step by step and
+    hands over once, at its end (``hand``): sums into a tensor (``add``)
+    and weight-gradient rows (``outer``).  Tensors that are not ``Node``
+    objects are skipped."""
 
-    def backward(g):
-        if av.ndim == 2 and bv.ndim == 2:
-            _acc(a, g @ bv.T, own=True)
-            _acc(b, av.T @ g, own=True)
-        elif av.ndim == 2 and bv.ndim == 1:
-            _acc(a, np.outer(g, bv), own=True)
-            _acc(b, av.T @ g, own=True)
-        elif av.ndim == 1 and bv.ndim == 2:
-            _acc(a, bv @ g, own=True)
-            _acc(b, np.outer(av, g), own=True)
-        else:
-            _acc(a, g * bv, own=True)
-            _acc(b, g * av, own=True)
+    def __init__(self):
+        self._sums: dict = {}   # id -> (tensor, running sum)
+        self._rows: dict = {}   # (id, first column) -> (weight, column, bias, g rows, x rows)
 
-    return _record(av @ bv, (a, b), backward)
+    def add(self, x, g) -> None:
+        """Add ``g`` into the sum for ``x``."""
+        if isinstance(x, Node):
+            entry = self._sums.get(id(x))
+            if entry is None:
+                entry = self._sums[id(x)] = (x, np.zeros_like(x.value))
+            entry[1][...] += g
 
+    def outer(self, w, g, x, col=0, bias=None) -> None:
+        """Gather the rows of ``_acc_outer(w, g, x, col)``; ``bias``, when
+        given, gets the sum of the ``g`` rows."""
+        if isinstance(w, Node) or isinstance(bias, Node):
+            entry = self._rows.setdefault((id(w), col), (w, col, bias, [], []))
+            entry[3].append(g)
+            entry[4].append(x)
 
-def softmax(u, allowed=None):
-    """Numerically stable softmax of a 1-d vector (max-subtracted).
-
-    ``allowed`` (boolean, same length) restricts the normalization to the
-    entries it marks; every other entry gets probability exactly 0 and
-    receives no gradient.
-    """
-    uv = unwrap(u)
-    if uv.ndim != 1 or uv.shape[0] == 0:
-        raise InvalidInputError("softmax expects a non-empty 1-d vector")
-    if allowed is None:
-        e = np.exp(uv - uv.max())
-    else:
-        if allowed.shape != uv.shape or not allowed.any():
-            raise InvalidInputError("softmax mask must match the vector and allow an entry")
-        kept = uv[allowed]
-        e = np.zeros_like(uv)
-        e[allowed] = np.exp(kept - kept.max())
-    out_v = e / e.sum()
-    return _record(out_v, (u,), lambda g: _acc(u, out_v * (g - g @ out_v), own=True))
+    def hand(self) -> None:
+        for x, total in self._sums.values():
+            _acc(x, total, own=True)
+        for w, col, bias, gs, xs in self._rows.values():
+            g = np.concatenate(gs)
+            if bias is not None:
+                _acc(bias, g.sum(axis=0), own=True)
+            _acc_outer(w, g, np.concatenate(xs), col)
 
 
-def nll(steps):
-    """Total negative log probability of a sequence of picks: ``steps``
-    holds (probability vector, target index) pairs, and each term is clamped
-    at 1e-12.
+def nll(probs, targets):
+    """Total negative log probability of a sequence of picks: row ``k`` of
+    ``probs`` (m, classes) is step k's probability vector and ``targets[k]``
+    its pick; each term is clamped at 1e-12, and the terms are summed in
+    step order.
 
     The clamp makes a vanishing probability yield -ln(1e-12) with zero
-    gradient rather than an infinity.
+    gradient rather than an infinity.  Plain ``probs`` of no row give a plain 0.
     """
-    pts = []
-    for probs, target in steps:
-        pv = unwrap(probs)
-        if pv.ndim != 1:
-            raise InvalidInputError("nll expects 1-d probability vectors")
-        if not 0 <= target < pv.shape[0]:
-            raise InvalidInputError(f"target index {target} out of range for {pv.shape[0]} classes")
-        if abs(float(pv.sum()) - 1.0) > 1e-6:
-            raise InvalidInputError("probabilities must sum to 1 within 1e-6")
-        pts.append(float(pv[target]))
+    pv, t = unwrap(probs), np.asarray(targets, dtype=np.intp)
+    if pv.ndim != 2 or t.shape != (len(pv),):
+        raise InvalidInputError("nll expects one probability row per target")
+    bad = t[(t < 0) | (t >= pv.shape[1])]
+    if len(bad):
+        raise InvalidInputError(f"target index {bad[0]} out of range for {pv.shape[1]} classes")
+    if np.any(np.abs(pv.sum(axis=1) - 1.0) > 1e-6):
+        raise InvalidInputError("probabilities must sum to 1 within 1e-6")
+    pts = pv[np.arange(len(t)), t].tolist()
 
     def backward(g):
-        for (probs, target), pt in zip(steps, pts):
-            if pt > NLL_CLAMP:
-                gp = np.zeros_like(unwrap(probs))
-                gp[target] = -float(g) / pt
-                _acc(probs, gp, own=True)
+        live = [k for k, pt in enumerate(pts) if pt > NLL_CLAMP]
+        if live:
+            gp = np.zeros_like(pv)
+            gp[live, t[live]] = [-float(g) / pts[k] for k in live]
+            _acc(probs, gp, own=True)
 
     out_v = np.asarray(sum(float(-np.log(max(pt, NLL_CLAMP))) for pt in pts), dtype=np.float64)
-    return _record(out_v, [probs for probs, _ in steps], backward)
+    return _record(out_v, (probs,), backward)

@@ -1,30 +1,32 @@
-"""LSTM cell, multilayer perceptron, and parameter initializers.
+"""LSTM, multilayer perceptron, scorers and parameter initializers.
 
-Everything here works on either plain ndarrays or autodiff ``Node`` inputs,
-so the same forward code serves inference and gradient-based training.
-``lstm_cell``, ``lstm_sequence``, ``mlp_forward``, ``pair_terms``,
-``pair_scores`` and ``pointer_scores`` are fused autodiff ops with
-hand-written backward passes: the cell records two nodes, the sequence
-three, the MLP, the pair MLP's key term and the pointer scores one each,
-and a pair MLP step one plus its ``mlp_forward``.  Their forward passes
-compute the float expressions of the elementary ops they replace, in their
-order; their weight gradients are sums of outer products that the tape
-forms once per backward (``autodiff._acc_outer``).  ``lstm_cell`` and
-``mlp_forward`` take their input as a list of blocks laid side by side (all
-vectors or all rows), so callers need no concatenation op.  The pair MLP
-splits its first layer by columns instead: the terms of the route-constant
-blocks are formed once per route (``pair_terms``) and each step adds its
-query's term to them (``pair_scores``).
+Two kinds of function live here.  The fused autodiff ops ``lstm_sequence``
+(the encoder; three nodes) and ``pair_terms`` (the pair MLP's key term; one
+node) work on plain ndarrays or ``Node`` inputs and record with
+hand-written backward passes.  The decoder's pieces work on plain arrays
+only: ``lstm_step``, ``softmax``, ``mlp_values``, ``pair_scores`` and
+``pointer_scores`` compute a step and keep what its backward pass reads,
+and ``lstm_factors``/``lstm_backward_step``, ``mlp_backward``,
+``PairScoresBackward`` and ``pointer_scores_backward`` run that pass
+inside the one op that ``predictor.decode`` records per route.  Forward
+passes compute the float expressions of the elementary ops they replace,
+in their order, so recording changes no value.  Weight gradients are sums
+of outer products that the tape forms once per backward
+(``autodiff._acc_outer``), handed over once per op.  The pair MLP splits
+its first layer by columns: the terms of the route-constant blocks are
+formed once per route (``pair_terms``) and each step adds its query's term
+to them (``pair_scores``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import InvalidInputError, NumericError
-from .autodiff import Node, _acc, _acc_outer, _record, unwrap
+from .autodiff import STACK_ROWS, Grads, Node, _acc, _acc_outer, _record, unwrap
 
 
 @dataclass(eq=False)
@@ -90,31 +92,30 @@ def zero_state(hidden_dim: int) -> LstmState:
 
 def _sigmoid_np(x):
     """The logistic function, branch-free: 1/(1+e^-x) for x >= 0 and
-    e^x/(1+e^x) below, both from e = exp(-|x|), so no exp overflows."""
+    e^x/(1+e^x) below, both from e = exp(-|x|), so no exp overflows, and
+    with one division."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _join(blocks) -> np.ndarray:
-    """The input blocks side by side: vectors end to end, or rows beside rows."""
-    return np.concatenate([unwrap(b) for b in blocks], axis=-1)
+class LstmStep(NamedTuple):
+    """One LSTM step's values: the logistic gates f, i and o, the candidate
+    cell value g, the new cell state c, tanh(c) and the new hidden state h."""
+
+    f: np.ndarray
+    i: np.ndarray
+    o: np.ndarray
+    g: np.ndarray
+    c: np.ndarray
+    t: np.ndarray
+    h: np.ndarray
 
 
-def _acc_blocks(blocks, g) -> None:
-    """Hand each input block its columns of the joined input's gradient
-    ``g``, a fresh array of the caller's, so a block may keep them as its own."""
-    off = 0
-    for b in blocks:
-        width = unwrap(b).shape[-1]
-        _acc(b, g[..., off:off + width], own=True)
-        off += width
-
-
-def _step(w, u, b, x, h, c):
-    """One LSTM step's values from the weights, the input ``x`` and the state
-    (``h``, ``c``): ``z = W x + U h + b``; the logistic gates f, i and o; the
-    candidate cell value ``g = tanh(z_c)``; ``c_new = f*c + i*g`` and
-    ``tanh(c_new)``; and ``h_new = o*tanh(c_new)``, in that order."""
+def lstm_step(w, u, b, x, h, c) -> LstmStep:
+    """One LSTM step on plain arrays, from the weights, the input ``x`` and
+    the state (``h``, ``c``): ``z = W x + U h + b``; the logistic gates f, i
+    and o; the candidate cell value ``g = tanh(z_c)``; ``c_new = f*c + i*g``
+    and ``tanh(c_new)``; and ``h_new = o*tanh(c_new)``, in that order."""
     z = w @ x + u @ h + b
     n = c.shape[0]
     s = _sigmoid_np(z[:3 * n])
@@ -122,89 +123,66 @@ def _step(w, u, b, x, h, c):
     g = np.tanh(z[3 * n:])
     c_new = f * c + i * g
     t = np.tanh(c_new)
-    return f, i, o, g, c_new, t, o * t
+    return LstmStep(f, i, o, g, c_new, t, o * t)
 
 
-def lstm_cell(xs, state: LstmState, params: LstmCellParams):
-    """One LSTM step (``_step``) on the input blocks ``xs`` (1-d, end to
-    end): returns (new state, output vector); the output equals the new
-    hidden state (single layer, one direction).
+def lstm_factors(steps, c0):
+    """The gate-derivative factors of the consecutive ``lstm_step`` values
+    ``steps`` from the cell state ``c0``, stacked once per sequence: per
+    step the forget gate f, dz/d(c, c, h, c) and dc/dh (see
+    ``lstm_backward_step``)."""
+    f, i, o, g, c_all, t, _ = np.array(steps).transpose(1, 0, 2)
+    c_prev = np.vstack([c0, c_all[:-1]])
+    dz_dch = np.concatenate([c_prev * f * (1.0 - f), g * i * (1.0 - i),
+                             t * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+    return f, dz_dch, o * (1.0 - t * t)
 
-    One fused op: it records ``c_new`` and then ``h_new``.  ``h_new``'s
-    backward adds its share to ``c_new``'s gradient and hands its own
-    gradient over, so ``c_new``'s backward forms the gate gradient dz once
-    and runs the affine backward once.
-    """
-    xv, hv, cv = _join(xs), unwrap(state.h), unwrap(state.c)
-    if not np.all(np.isfinite(xv)):
-        raise NumericError("lstm_cell received a non-finite input vector")
-    w, u = unwrap(params.w), unwrap(params.u)
-    f, i, o, g, c_new_v, t, h_new_v = _step(w, u, unwrap(params.b), xv, hv, cv)
-    handed = []  # h_new's gradient, once its backward has run
 
-    def backward_c(gc):
-        gh = handed.pop() if handed else 0.0
-        gz = np.concatenate([gc * cv * f * (1.0 - f), gc * g * i * (1.0 - i),
-                             gh * t * o * (1.0 - o), gc * i * (1.0 - g * g)])
-        _acc(params.b, gz)
-        _acc_outer(params.u, gz[None], hv[None])
-        _acc(state.h, u.T @ gz, own=True)
-        _acc_outer(params.w, gz[None], xv[None])
-        _acc_blocks(xs, w.T @ gz)
-        _acc(state.c, gc * f, own=True)
-
-    c_new = _record(c_new_v, (*xs, state.h, state.c, params.w, params.u, params.b), backward_c)
-
-    def backward_h(gh):
-        handed.append(gh)
-        _acc(c_new, gh * o * (1.0 - t * t), own=True)
-
-    h_new = _record(h_new_v, (c_new,), backward_h)
-    return LstmState(h_new, c_new), h_new
+def lstm_backward_step(k, dh, dc, factors, u, gz):
+    """Step ``k`` of backpropagation through time over ``lstm_factors``
+    ``factors``: from the gradients ``dh`` and ``dc`` of the step's new
+    hidden and cell states (every use of them summed), writes the gate
+    gradient ``dz = [dc, dc, dh, dc] * dz_dch`` into ``gz[k]``, ``dc``
+    having taken up ``dh * dc_dh`` first, and returns the gradients of the
+    state before the step, ``Uᵀ dz`` and ``dc * f``."""
+    f, dz_dch, dc_dh = factors
+    dc = dc + dh * dc_dh[k]
+    np.multiply(np.concatenate([dc, dc, dh, dc]), dz_dch[k], out=gz[k])
+    return u.T @ gz[k], dc * f[k]
 
 
 def lstm_sequence(x, state: LstmState, params: LstmCellParams):
     """The LSTM over the rows of ``x`` (n, input) from ``state``, as one
     recorded op: returns (outputs (n, hidden), final state).
 
-    The forward pass runs ``_step`` row by row, so its values are the bits of
-    a loop of ``lstm_cell``.  It records the outputs, then the final h and
-    c, whose backward passes only hand their gradients over.  The outputs'
-    gradient starts at zero, so their backward runs whichever of the three
-    has a gradient (``lstm_ed`` reads only the final state): one loop of
-    backpropagation through time, then the W, U and b gradients over all
-    steps as one product each.
+    The forward pass runs ``lstm_step`` row by row.  It records the outputs,
+    then the final h and c, whose backward passes only hand their gradients
+    over.  The outputs' gradient starts at zero, so their backward runs
+    whichever of the three has a gradient (``lstm_ed`` reads only the final
+    state): one loop of backpropagation through time, then the W, U and b
+    gradients over all steps as one product each.
     """
     xv, hv, cv = unwrap(x), unwrap(state.h), unwrap(state.c)
     if not np.all(np.isfinite(xv)):
         raise NumericError("lstm_sequence received a non-finite input")
     w, u, b = unwrap(params.w), unwrap(params.u), unwrap(params.b)
-    steps = []  # per row: f, i, o, g, c_new, tanh(c_new), h_new
+    steps = []
     h, c = hv, cv
     for xt in xv:
-        steps.append(_step(w, u, b, xt, h, c))
-        h, c = steps[-1][6], steps[-1][4]
-    out_v = np.stack([step[6] for step in steps])
+        steps.append(lstm_step(w, u, b, xt, h, c))
+        h, c = steps[-1].h, steps[-1].c
+    out_v = np.stack([step.h for step in steps])
     handed = {}  # the final h's and c's gradients, once their backward has run
 
     def backward(g_out):
-        f, i, o, g, c_all, t, h_all = (np.stack(v) for v in zip(*steps))
-        c_prev, h_prev = np.vstack([cv, c_all[:-1]]), np.vstack([hv, h_all[:-1]])
-        # dz = [dc, dc, dh, dc] * dz_dch per step; dc picks up dh * dc_dh
-        dz_dch = np.concatenate([c_prev * f * (1.0 - f), g * i * (1.0 - i),
-                                 t * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
-        dc_dh = o * (1.0 - t * t)
-        gz = np.empty_like(dz_dch)
+        factors = lstm_factors(steps, cv)
+        gz = np.empty_like(factors[1])
         dh, dc = handed.pop("h", 0.0), handed.pop("c", 0.0)
         for k in reversed(range(len(steps))):
-            dh = dh + g_out[k]
-            dc = dc + dh * dc_dh[k]
-            np.multiply(np.concatenate([dc, dc, dh, dc]), dz_dch[k], out=gz[k])
-            dh = u.T @ gz[k]
-            dc = dc * f[k]
+            dh, dc = lstm_backward_step(k, dh + g_out[k], dc, factors, u, gz)
         _acc(params.b, gz.sum(axis=0), own=True)
         _acc_outer(params.w, gz, xv)
-        _acc_outer(params.u, gz, h_prev)
+        _acc_outer(params.u, gz, np.vstack([hv, out_v[:-1]]))
         if isinstance(x, Node):
             _acc(x, gz @ w, own=True)
         _acc(state.h, dh, own=True)
@@ -212,37 +190,43 @@ def lstm_sequence(x, state: LstmState, params: LstmCellParams):
 
     out = _record(out_v, (x, state.h, state.c, params.w, params.u, params.b), backward)
     if not isinstance(out, Node):
-        return out, LstmState(steps[-1][6], steps[-1][4])
+        return out, LstmState(h, c)
     out.grad = np.zeros_like(out_v)
-    h_last = _record(steps[-1][6], (out,), lambda g: handed.__setitem__("h", g))
-    c_last = _record(steps[-1][4], (out,), lambda g: handed.__setitem__("c", g))
+    h_last = _record(h, (out,), lambda g: handed.__setitem__("h", g))
+    c_last = _record(c, (out,), lambda g: handed.__setitem__("c", g))
     return out, LstmState(h_last, c_last)
 
 
-def mlp_forward(xs, params: MlpParams):
-    """Apply the MLP to the input blocks ``xs``, as one recorded op: to a
-    vector (d,) when the blocks are vectors, or to rows (m, d) when they are
-    rows.  Over rows, a one-unit output layer gives one score per row, (m,).
+def softmax(u, allowed=None):
+    """Numerically stable softmax of a 1-d vector (max-subtracted), on
+    plain arrays.
 
-    Each layer is ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but
-    the last.  The backward pass treats a vector as one row, drops the rows
-    whose output gradient is exactly 0 (the candidates a masked softmax
-    left out), and walks the layers in reverse: ``b.grad`` gets the
-    gradient's sum over the rows, ``W.grad`` the outer products of its rows
-    with the layer's input rows (``_acc_outer``), and the layer below
-    ``g @ W``.
+    ``allowed`` (boolean, same length) restricts the normalization to the
+    entries it marks; every other entry gets probability exactly 0, and so
+    a gradient of exactly 0 through the softmax's backward
+    ``p * (g - g·p)``.
     """
-    xv = _join(xs)
-    layers = params.layers
-    in_dim = unwrap(layers[0].w).shape[1]
-    if xv.shape[-1] != in_dim:
-        raise InvalidInputError(
-            f"mlp_forward input width {xv.shape[-1]} does not match first layer ({in_dim})"
-        )
-    rows = xv.ndim == 2
+    if u.ndim != 1 or u.shape[0] == 0:
+        raise InvalidInputError("softmax expects a non-empty 1-d vector")
+    if allowed is None:
+        e = np.exp(u - u.max())
+    else:
+        if allowed.shape != u.shape or not allowed.any():
+            raise InvalidInputError("softmax mask must match the vector and allow an entry")
+        kept = u[allowed]
+        e = np.zeros_like(u)
+        e[allowed] = np.exp(kept - kept.max())
+    return e / e.sum()
+
+
+def mlp_values(x, layers):
+    """The MLP ``layers`` on a vector (d,) or on rows (m, d), on plain
+    arrays: its output and each layer's input.  Each layer is ``W a + b``
+    (``a @ W.T + b`` for rows), ReLU on all but the last."""
+    rows = x.ndim == 2
     last = len(layers) - 1
-    ins, pres = [], []  # each layer's input; each hidden layer's pre-activation
-    a = xv
+    ins = []
+    a = x
     for k, layer in enumerate(layers):
         ins.append(a)
         w = unwrap(layer.w)
@@ -250,31 +234,25 @@ def mlp_forward(xs, params: MlpParams):
         if layer.b is not None:
             a = a + unwrap(layer.b)
         if k != last:
-            pres.append(a)
             a = np.maximum(a, 0.0)
-    scores = rows and a.shape[1] == 1
-    m = len(xv) if rows else 1
+    return a, ins
 
-    def backward(g):
-        g = g.reshape(m, -1)
-        kept = np.flatnonzero(g.any(axis=1))
-        if len(kept) == 0:
-            return
-        g = g[kept]
-        for k in range(last, -1, -1):
-            layer = layers[k]
-            if k != last:
-                g = g * (pres[k].reshape(m, -1)[kept] > 0.0)
-            if layer.b is not None:
-                _acc(layer.b, g.sum(axis=0), own=True)
-            _acc_outer(layer.w, g, ins[k].reshape(m, -1)[kept])
-            g = g @ unwrap(layer.w)
-        g_in = np.zeros((m, g.shape[1]))
-        g_in[kept] = g
-        _acc_blocks(xs, g_in if rows else g_in[0])
 
-    parents = (*xs, *(layer.w for layer in layers), *(layer.b for layer in layers))
-    return _record(a.reshape(-1) if scores else a, parents, backward)
+def mlp_backward(layers, ins, g, grads: Grads):
+    """Back through ``mlp_values`` from the output-gradient rows ``g`` (m,
+    out), given the layer inputs ``ins`` of those rows: walks the layers in
+    reverse, hands ``grads`` each layer's weight rows (``g`` with its input
+    rows) and bias, and returns the input's gradient rows, ``g @ W`` of the
+    first layer.  A hidden unit passes gradient where its ReLU output, the
+    next layer's input, is positive (where its pre-activation is)."""
+    last = len(layers) - 1
+    for k in range(last, -1, -1):
+        layer = layers[k]
+        if k != last:
+            g = g * (ins[k + 1] > 0.0)
+        grads.outer(layer.w, g, ins[k], bias=layer.b)
+        g = g @ unwrap(layer.w)
+    return g
 
 
 @dataclass(eq=False)
@@ -302,10 +280,11 @@ def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
     layer's columns are the pair, query and key blocks in that order.
 
     The key term is one recorded op: its backward runs once per route, after
-    every ``pair_scores`` step has added its rows, and hands ``b`` and the
-    keys their gradients and the tape the ``W_k`` rows.  The pair and query
-    terms are plain arrays: their ``W_z`` and ``W_q`` rows come from the
-    steps that read them."""
+    the decoder has handed it the sum of every step's rows
+    (``PairScoresBackward``), and hands ``b`` and the keys their gradients
+    and the tape the ``W_k`` rows.  The pair and query terms are plain
+    arrays: their ``W_z`` and ``W_q`` rows come from the steps that read
+    them."""
     layers = params.layers
     first, kv = layers[0], unwrap(keys)
     w = unwrap(first.w)
@@ -341,62 +320,111 @@ def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
 def pair_scores(terms: PairTerms, src: int, d=None):
     """The pair MLP's score of every key from source node ``src`` with the
     query ``d`` (q,), or with the route-constant query of ``src`` when ``d``
-    is None: the value of ``mlp_forward`` over the rows [pair; query; key].
-
-    The first layer is one recorded op, ``pair_term[src] + key_term +
-    W_q query`` and its ReLU; ``mlp_forward`` runs the remaining layers (a
-    pair MLP of one layer scores with the sum itself).  Its backward hands
-    the key term its rows, ``d`` its gradient, and the tape the ``W_z`` rows
-    of the step's pair rows and one ``W_q`` row."""
-    first, w_q = terms.first, terms.w_q
+    is None, on plain arrays: the value of the MLP over the rows [pair;
+    query; key], its first layer's sum formed as ``pair_term[src] +
+    key_term + W_q query``.  Returns the scores and what
+    ``PairScoresBackward`` reads: the query and the later layers' inputs."""
+    w_q = terms.w_q
     if d is None:
         qv, q_term = terms.queries[src], terms.query_term[src]
     else:
-        qv = unwrap(d)
+        qv = d
         if qv.shape != (w_q.shape[1],):
             raise InvalidInputError(f"pair MLP query shape {qv.shape} does not match "
                                     f"({w_q.shape[1]},)")
         q_term = w_q @ qv
     pre = terms.pair_term[src] + unwrap(terms.key_term)
     pre += q_term
-    hidden = bool(terms.rest.layers)
-
-    def backward(g):
-        g = g.reshape(pre.shape)
-        if hidden:
-            g = g * (pre > 0.0)
-        _acc(terms.key_term, g)  # copied: the tape keeps g as W_z rows
-        _acc_outer(first.w, g, terms.pair[src])
-        gq = g.sum(axis=0)
-        _acc_outer(first.w, gq[None], qv[None], terms.pair.shape[-1])
-        if isinstance(d, Node):
-            _acc(d, w_q.T @ gq, own=True)
-
-    out = _record(np.maximum(pre, 0.0) if hidden else pre.reshape(-1),
-                  (terms.key_term, d, first.w), backward)
-    return mlp_forward([out], terms.rest) if hidden else out
+    if not terms.rest.layers:  # a pair MLP of one layer scores with the sum itself
+        return pre.reshape(-1), (qv, [])
+    a, ins = mlp_values(np.maximum(pre, 0.0), terms.rest.layers)
+    return a.reshape(-1), (qv, ins)
 
 
-def pointer_scores(keys, d, pair_rows, w1, w2, w3, w4):
-    """Additive pointer scores with a linear local term, one per row of
-    ``keys``: ``tanh(K W2ᵀ + W3 d)·w1 + Z·w4`` for keys K (n, h), query
-    ``d`` (h,) and pair rows Z (n, p), as one recorded op."""
-    kv, dv, zv = unwrap(keys), unwrap(d), unwrap(pair_rows)
-    w1v, w2v, w3v, w4v = unwrap(w1), unwrap(w2), unwrap(w3), unwrap(w4)
-    t = np.tanh(kv @ w2v.T + w3v @ dv)
+class PairScoresBackward:
+    """The pair MLP's backward pass over a route's scored ``pair_scores``
+    steps, in three parts for the decoder's reverse loop.  It reads only the
+    candidates with a non-zero probability (a masked softmax leaves the
+    others at exactly 0, and with them their scores' gradients).
 
-    def backward(g):
-        _acc(pair_rows, np.outer(g, w4v), own=True)
-        _acc(w4, zv.T @ g, own=True)
-        _acc(w1, t.T @ g, own=True)
-        gs = np.outer(g, w1v) * (1.0 - t * t)
-        gq = gs.sum(axis=0)
-        _acc_outer(w3, gq[None], dv[None])
-        _acc(d, w3v.T @ gq, own=True)
-        _acc(keys, gs @ w2v, own=True)
-        _acc_outer(w2, gs, kv)
+    Up front, each such row's score gradient is formed for a unit gradient
+    of the score, over the rows of every step at once: the later layers'
+    pre-activation gradients and the first layer's (``v``), one product per
+    layer.  Scores are linear in that gradient, so in the loop a step's
+    query gradient is ``W_qᵀ (s @ v)`` for its scores' gradient ``s``
+    (``query``).  At the end, ``hand`` scales the rows by every step's
+    ``s`` and hands ``grads`` every layer's weight rows and bias and the
+    key term's gradient, once."""
 
-    return _record(t @ w1v + zv @ w4v, (keys, d, pair_rows, w1, w2, w3, w4), backward)
+    def __init__(self, terms: PairTerms, srcs, saved, probs):
+        """``srcs`` holds each scored step's source node, ``saved`` its
+        ``pair_scores`` values and ``probs`` its probabilities (m, n)."""
+        self.terms = terms
+        steps, self.pos = np.nonzero(probs)  # the rows, step by step
+        self.ends = np.cumsum(np.count_nonzero(probs, axis=1)).tolist()
+        self.pair = terms.pair[np.asarray(srcs)[steps], self.pos]
+        self.queries = np.array([qv for qv, _ in saved])
+        rest = terms.rest.layers
+        self.ins = [np.array([ins[k] for _, ins in saved])[steps, self.pos]
+                    for k in range(len(rest))]
+        # Per later layer, its pre-activation gradient rows for unit scores:
+        # ones for the one-unit output layer, whose input gradient is then
+        # its weight row in every row.
+        g = np.ones((len(self.pos), 1))
+        self.unit = [g]
+        if rest:
+            g = unwrap(rest[-1].w)
+            for k in range(len(rest) - 2, -1, -1):
+                g = g * (self.ins[k + 1] > 0.0)
+                self.unit.insert(0, g)
+                w = unwrap(rest[k].w)  # in stacks of STACK_ROWS rows, as the tape sums rows
+                g = np.concatenate([g[a:a + STACK_ROWS] @ w for a in range(0, len(g), STACK_ROWS)])
+            g = g * (self.ins[0] > 0.0)  # the first layer's ReLU output feeds the rest
+        self.v = g
+        self.s = np.empty(len(self.pos))
+        self.gq = np.empty((len(saved), self.v.shape[1]))
+
+    def query(self, k: int, s):
+        """Step ``k``'s query gradient from its scores' gradient ``s``."""
+        a, b = (self.ends[k - 1] if k else 0), self.ends[k]
+        self.s[a:b] = s[self.pos[a:b]]
+        self.gq[k] = self.s[a:b] @ self.v[a:b]
+        return self.terms.w_q.T @ self.gq[k]
+
+    def hand(self, grads: Grads) -> None:
+        terms, s = self.terms, self.s[:, None]
+        for layer, unit, x in zip(terms.rest.layers, self.unit, self.ins):
+            grads.outer(layer.w, s * unit, x, bias=layer.b)
+        g = s * self.v
+        grads.outer(terms.first.w, g, self.pair)
+        grads.outer(terms.first.w, self.gq, self.queries, self.pair.shape[1])
+        key = np.zeros(unwrap(terms.key_term).shape)
+        np.add.at(key, self.pos, g)
+        grads.add(terms.key_term, key)
+
+
+def pointer_scores(kv, dv, zv, w1, w2, w3, w4):
+    """Additive pointer scores with a linear local term, one per row of the
+    keys K (n, h), on plain arrays: ``tanh(K W2ᵀ + W3 d)·w1 + Z·w4`` for
+    the query d (h,) and the pair rows Z (n, p).  Returns the scores and
+    the tanh, which ``pointer_scores_backward`` reads."""
+    t = np.tanh(kv @ w2.T + w3 @ dv)
+    return t @ w1 + zv @ w4, t
+
+
+def pointer_scores_backward(keys, dv, zv, t, weights, g, grads: Grads):
+    """Back through one ``pointer_scores`` step with the tanh ``t`` from the
+    scores' gradient ``g``: hands ``grads`` the gradients of ``keys`` and of
+    ``weights`` (w1, w2, w3, w4) and returns the query's gradient."""
+    w1, w2, w3, w4 = weights
+    grads.add(w4, zv.T @ g)
+    grads.add(w1, t.T @ g)
+    gs = np.outer(g, unwrap(w1)) * (1.0 - t * t)
+    gq = gs.sum(axis=0)
+    grads.outer(w3, gq[None], dv[None])
+    grads.add(keys, gs @ unwrap(w2))
+    grads.outer(w2, gs, unwrap(keys))
+    return unwrap(w3).T @ gq
 
 
 def map_tensors(obj, fn, prefix: str = ""):

@@ -30,6 +30,13 @@ from ``first_step``, the depot's step before any pick, which rollouts share.
 (``_pair_terms``): its first layer's weight split by columns, the pair
 features and the keys go through it once per route, and a step adds only
 its query's term.
+
+Every step runs on plain arrays, in training too.  With tape-wrapped
+parameters ``decode`` keeps each scored step's values and records one node
+per route, the scored steps' stacked probabilities, which ``nll`` reads;
+its backward pass (``_decode_backward``) is one reverse loop over the steps
+(masked softmax, scorer, decoder LSTM, backpropagation through time) that
+hands every gradient off that chain over once per route.
 """
 
 from __future__ import annotations
@@ -42,32 +49,39 @@ import numpy as np
 
 from . import domain
 from .domain import N_PAIR_FEATURES, ZoneInstance, build_zone_instance, node_features, pair_tensor
-from .errors import ConfigError, InvalidInputError, SchemaError
+from .errors import ConfigError, InvalidInputError, NumericError, SchemaError
 from .kernel import (
+    Grads,
     LstmCellParams,
     LstmState,
     MlpParams,
+    Node,
     Tape,
     checkpoint_id,
     deserialize_checkpoint,
     init_lstm,
     init_mlp,
-    lstm_cell,
+    lstm_backward_step,
+    lstm_factors,
     lstm_sequence,
+    lstm_step,
     map_tensors,
-    matmul,
-    mlp_forward,
+    mlp_backward,
+    mlp_values,
     named_tensors,
     nll,
+    PairScoresBackward,
     pair_scores,
     pair_terms,
     pointer_scores,
+    pointer_scores_backward,
     serialize_checkpoint,
     softmax,
     uniform_init,
     unwrap,
     zero_state,
 )
+from .kernel.autodiff import _record
 from .tsp import solve_tour
 
 VARIANTS = ("pairwise", "pointer", "lstm_ed", "asnn")
@@ -302,26 +316,46 @@ def _pair_terms(params: ModelParams, scaled: ScaledRoute, keys):
 def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms):
     """One decoder step's scores by input position (by head slot for
     ``lstm_ed``), from the last stop's node ``src``, the query ``d``, the
-    ``encode`` keys and the route's ``_pair_terms``.  ``pointer`` adds its
-    linear local term on the pair features from ``src`` to the additive
-    attention; ``lstm_ed`` scores with its fully-connected head; ``pairwise``
-    and ``asnn`` score [pair features from ``src``; query; key] per candidate
-    with the shared pair MLP, whose pair and key terms ``terms`` holds
-    (``asnn``'s query, node ``src``'s features, too)."""
+    keys ``keys`` and the route's ``_pair_terms``, on plain arrays, with
+    what ``_scores_backward`` reads.  ``pointer`` adds its linear local term
+    on the pair features from ``src`` to the additive attention; ``lstm_ed``
+    scores with its fully-connected head; ``pairwise`` and ``asnn`` score
+    [pair features from ``src``; query; key] per candidate with the shared
+    pair MLP, whose pair and key terms ``terms`` holds (``asnn``'s query,
+    node ``src``'s features, too)."""
     variant = params.config.variant
     if variant == "pointer":
         p = params.pointer
-        return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4)
+        return pointer_scores(keys, d, scaled.pair[src],
+                              *(unwrap(w) for w in (p.w1, p.w2, p.w3, p.w4)))
     if variant == "lstm_ed":
-        return mlp_forward([d], params.fc)
+        return mlp_values(d, params.fc.layers)
     return pair_scores(terms, src, None if variant == "asnn" else d)
 
 
-def decode_step(params: ModelParams, x_last, w_prev, state: LstmState):
-    """One decoder LSTM step on [features of the last stop; context]
-    (the lstm_ed variant feeds the features alone)."""
-    blocks = [x_last] if params.config.variant == "lstm_ed" else [x_last, w_prev]
-    return lstm_cell(blocks, state, params.decoder)
+def _scores_backward(params: ModelParams, scaled: ScaledRoute, inputs, src: int, d, saved, g,
+                     grads):
+    """Back through one ``pointer`` or ``lstm_ed`` ``_scores`` step from the
+    scores' gradient ``g``: hands ``grads`` the scorer's gradients and
+    returns the query's (the pair MLP's steps go through
+    ``PairScoresBackward``)."""
+    if params.config.variant == "pointer":
+        p = params.pointer
+        return pointer_scores_backward(inputs.encoded[0], d, scaled.pair[src], saved,
+                                       (p.w1, p.w2, p.w3, p.w4), g, grads)
+    return mlp_backward(params.fc.layers, [v[None] for v in saved], g[None], grads)[0]
+
+
+def decode_step(params: ModelParams, x_last, w_prev, state):
+    """One decoder LSTM step on [features of the last stop; context] (the
+    lstm_ed variant feeds the features alone) from the state (``h``,
+    ``c``), on plain arrays: the step's ``lstm_step`` values, whose ``h``
+    and ``c`` are the new state."""
+    x = x_last if params.config.variant == "lstm_ed" else np.concatenate([x_last, w_prev])
+    if not np.isfinite(x).all():
+        raise NumericError("the decoder LSTM received a non-finite input vector")
+    dec = params.decoder
+    return lstm_step(unwrap(dec.w), unwrap(dec.u), unwrap(dec.b), x, state.h, state.c)
 
 
 def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
@@ -331,40 +365,59 @@ def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
     return np.arange(n if params.config.kz is None else params.config.kz) < n
 
 
-def _step(params: ModelParams, scaled: ScaledRoute, keys, terms, state, src: int, w_prev,
-          allowed):
+@dataclass(eq=False)
+class DecoderInputs:
+    """What every decoder step of a route reads besides its own state."""
+
+    encoded: tuple   # ``encode``'s (keys, state), tape nodes when recorded
+    keys: np.ndarray  # the keys' values
+    terms: object    # ``_pair_terms``, None without the pair MLP
+    nodes: list      # the tape nodes among the decoder's inputs; empty when nothing records
+
+
+def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state, src: int,
+          w_prev, allowed):
     """One decoder step from the last stop's node ``src`` over the candidates
-    ``allowed``: the decoder state after it, the probabilities by input
-    position (by head slot for ``lstm_ed``) and the context the next step
-    reads (``pairwise`` and ``pointer``, else None).  The query is node
-    ``src``'s features, through the decoder LSTM for the recurrent variants
-    (``asnn`` has no state), and a masked softmax scores the candidates.
-    That softmax would give one candidate exactly 1, and with none (an
-    ``lstm_ed`` head narrower than the route, its slots visited) every
-    probability is 0, so then ``allowed`` is taken as the probabilities and
-    neither the LSTM nor the scorer runs."""
+    ``allowed``, on plain arrays: the decoder state after it, the
+    probabilities by input position (by head slot for ``lstm_ed``), the
+    context the next step reads (``pairwise`` and ``pointer``, else None)
+    and, for a scored step, what the decoder's backward pass reads of it
+    (else None).  The query is node ``src``'s features, through the decoder
+    LSTM for the recurrent variants (``asnn`` has no state), and a masked
+    softmax scores the candidates.  That softmax would give one candidate
+    exactly 1, and with none (an ``lstm_ed`` head narrower than the route,
+    its slots visited) every probability is 0, so then ``allowed`` is taken
+    as the probabilities and neither the LSTM nor the scorer runs."""
+    saved = None
     if np.count_nonzero(allowed) > 1:
-        d = scaled.nodes[src]
+        d, lstm = scaled.nodes[src], None
         if state is not None:
-            state, d = decode_step(params, d, w_prev, state)
+            lstm = state = decode_step(params, d, w_prev, state)
+            d = lstm.h
+        scores, scored = _scores(params, scaled, src, d, inputs.keys, inputs.terms)
         # softmax keeps no reference to the mask, so decode clears it in place.
-        probs = softmax(_scores(params, scaled, src, d, keys, terms), allowed)
+        probs = softmax(scores, allowed)
+        saved = (src, w_prev, lstm, scored)
     else:
         probs = allowed.astype(np.float64)
-    w_ctx = matmul(probs, keys) if params.config.variant in ("pairwise", "pointer") else None
-    return state, probs, w_ctx
+    w_ctx = probs @ inputs.keys if params.config.variant in ("pairwise", "pointer") else None
+    return state, probs, w_ctx, saved
 
 
 def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
     """Where every decoding of the route starts, from its ``encode`` result
-    ``encoded``: the keys, the pair MLP's route-constant terms
-    (``_pair_terms``) and step 0, the depot's query over all the zones,
-    which comes before any pick.  Rollouts of one route that start from the
-    same ``first_step`` share it."""
+    ``encoded``: the ``DecoderInputs``, with the pair MLP's route-constant
+    terms (``_pair_terms``), and step 0, the depot's query over all the
+    zones, which comes before any pick.  Rollouts of one route that start
+    from the same ``first_step`` share it."""
     keys, state = encoded
     terms = _pair_terms(params, scaled, keys)
-    return (keys, terms), _step(params, scaled, keys, terms, state, 0,
-                                np.zeros(params.config.hidden), _mask(params, scaled))
+    read = [keys, *(() if state is None else (state.h, state.c)),
+            None if terms is None else terms.key_term, *model_tensors(params).values()]
+    inputs = DecoderInputs(encoded, unwrap(keys), terms, [t for t in read if isinstance(t, Node)])
+    state = None if state is None else LstmState(unwrap(state.h), unwrap(state.c))
+    return inputs, _step(params, scaled, inputs, state, 0, np.zeros(params.config.hidden),
+                         _mask(params, scaled))
 
 
 def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
@@ -376,35 +429,95 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     probability exactly 0, and the context fed to the next step is the same
     masked weighting whether the step was teacher-forced or decoded.  A step
     with one candidate left is not scored (``_step``), so an n-zone route
-    scores n - 1 steps, the first in ``start``.  ``pick(i, p_zone)`` names
-    the zone visited at step ``i`` from the step's probabilities by zone index.
+    scores n - 1 steps, the first in ``start``, and the scored steps come
+    first.  ``pick(i, p_zone)`` names the zone visited at step ``i`` from
+    the step's probabilities by zone index.
 
-    Returns ``(steps, traces)``: per step the probabilities by input
-    position (a tape node when ``params`` are tape-wrapped and the step was
-    scored) with the input position of the picked zone, and the per-step
-    traces.
+    Returns ``(probs, traces)``: the scored steps' probabilities by input
+    position stacked (m, width), and the per-step traces.  When the decoder
+    reads a tape node (tape-wrapped ``params``), every step still runs on
+    plain arrays, keeping the values its backward pass reads, and ``probs``
+    is one recorded op (``_decode_backward``).
     """
     n = scaled.prep.n_zones
+    inputs, (state, probs, w_ctx, saved) = start
     allowed = _mask(params, scaled)
     width = len(allowed)
-    steps: list = []
+    slots = list(scaled.order[:width])  # the zone of each position that has a slot
+    scored, kept = [], []  # the scored steps' probabilities and, when recorded, saved values
     traces: list[DecoderStepTrace] = []
-    (keys, terms), (state, probs, w_ctx) = start
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
         if i:
-            state, probs, w_ctx = _step(params, scaled, keys, terms, state, src, w_ctx, allowed)
+            state, probs, w_ctx, saved = _step(params, scaled, inputs, state, src, w_ctx, allowed)
+        if saved is not None:
+            scored.append(probs)
+            if inputs.nodes:
+                kept.append(saved)
         p_zone = np.zeros(n)
-        p_zone[list(scaled.order[:width])] = unwrap(probs)[:n]
+        p_zone[slots] = probs[:n]
         chosen = pick(i, p_zone)
-        traces.append(DecoderStepTrace(i, p_zone, chosen,
-                                       None if w_ctx is None else unwrap(w_ctx).copy()))
+        traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx))
         pos = int(scaled.pos_of_zone[chosen])
-        steps.append((probs, pos))
         if pos < width:
             allowed[pos] = False
         src = pos + 1
-    return steps, traces
+    stacked = np.stack(scored) if scored else np.zeros((0, width))
+    if not kept:
+        return stacked, traces
+    return _record(stacked, inputs.nodes,
+                   lambda g: _decode_backward(params, scaled, inputs, kept, stacked, g)), traces
+
+
+def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, steps,
+                     probs, g):
+    """The decoder op's backward pass from the gradient ``g`` of the scored
+    steps' stacked probabilities ``probs``: one reverse loop over the steps,
+    each through its masked softmax, its scorer and (recurrent variants) the
+    decoder LSTM, whose gradient reaches the step before through the LSTM
+    state and through the context it read.  The gradients off that chain
+    are handed over once, after the loop: the weight rows and biases, the
+    key term's, the keys' (the contexts' ``Pᵀ·dC`` included) and the
+    encoder's final state's."""
+    grads = Grads()
+    keys, state = inputs.encoded
+    has_context = params.config.variant in ("pairwise", "pointer")
+    if has_context:
+        d_ctx = np.zeros((len(steps), inputs.keys.shape[1]))  # gradient of each step's context
+    if state is not None:
+        lstms = [lstm for _, _, lstm, _ in steps]
+        factors = lstm_factors(lstms, unwrap(state.c))
+        gz = np.empty_like(factors[1])
+        dec = params.decoder
+        u, w_ctx = unwrap(dec.u), unwrap(dec.w)[:, N_FEATURES:]
+        dh = dc = 0.0
+    pair = None if inputs.terms is None else PairScoresBackward(
+        inputs.terms, [src for src, _, _, _ in steps], [scored for _, _, _, scored in steps], probs)
+    for k in range(len(steps) - 1, -1, -1):
+        src, _, lstm, scored = steps[k]
+        p, gp = probs[k], g[k]
+        if has_context:
+            gp = gp + inputs.keys @ d_ctx[k]
+        s = p * (gp - gp @ p)
+        dq = pair.query(k, s) if pair else _scores_backward(params, scaled, inputs, src, lstm.h,
+                                                             scored, s, grads)
+        if state is not None:
+            dh, dc = lstm_backward_step(k, dh + dq, dc, factors, u, gz)
+            if has_context and k:
+                d_ctx[k - 1] = gz[k] @ w_ctx
+    if has_context:
+        grads.add(keys, probs.T @ d_ctx)
+    if state is not None:
+        x = scaled.nodes[[src for src, _, _, _ in steps]]
+        if has_context:
+            x = np.hstack([x, np.stack([w_prev for _, w_prev, _, _ in steps])])
+        grads.outer(dec.w, gz, x, bias=dec.b)
+        grads.outer(dec.u, gz, np.stack([unwrap(state.h), *(lstm.h for lstm in lstms[:-1])]))
+        grads.add(state.h, dh)
+        grads.add(state.c, dc)
+    if pair:
+        pair.hand(grads)
+    grads.hand()
 
 
 def forward_logprob(params: ModelParams, scaled: ScaledRoute):
@@ -413,18 +526,23 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
 
     Step ``i`` normalizes over the zones not yet visited in the target
     prefix (see ``decode``), the distribution that greedy decoding picks
-    from; the last step has one zone left and adds exactly 0.
-    Pass tape-wrapped ``params`` (see ``wrap_params``) to record gradients.
-    The last step is not scored, so a one-zone route's loss depends on no
-    parameter: it is a plain 0-d array of 0, not a tape node.
+    from; the last step has one zone left and adds exactly 0, so ``nll``
+    reads the scored steps only.  Pass tape-wrapped ``params`` (see
+    ``wrap_params``) to record gradients.  A one-zone route scores no step,
+    so its loss depends on no parameter: it is a plain 0-d array of 0, not a
+    tape node.  An ``lstm_ed`` head narrower than the route has no slot for
+    some target: an ``InvalidInputError``.
     """
     n = scaled.prep.n_zones
     targets = scaled.prep.targets
     if sorted(targets) != list(range(n)):
         raise InvalidInputError("target sequence must be a permutation of the zones")
-    steps, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
+    if n > len(_mask(params, scaled)):
+        raise InvalidInputError(f"a route of {n} zones does not fit the lstm_ed head "
+                                f"of {params.config.kz} slots")
+    probs, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
                            lambda i, p_zone: targets[i])
-    return nll(steps), traces
+    return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])]), traces
 
 
 # --- checkpoint round trip ---------------------------------------------------

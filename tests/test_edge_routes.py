@@ -127,3 +127,27 @@ def test_non_finite_stop_data_is_one_typed_failure_in_every_variant():
         assert [route_id for route_id, _ in report.failures] == [r.route_id for r in bad_routes]
         assert all(msg.startswith("MalformedRouteError") for _, msg in report.failures)
         assert [row.route_id for row in report.rows] == ["G0"]
+
+
+def test_wrong_shape_matrix_and_negative_loads_are_typed_failures_in_every_variant():
+    # Built in code, a route whose travel-time matrix is n x n instead of
+    # (n+1) x (n+1), or whose stop has a negative load, fails at the
+    # boundary whatever the model (the JSON loader rejects both).
+    good = make_route(["A-1.1A", "B-1.1A"], route_id="G0")
+    short = make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"], route_id="S0")
+    short.travel_time = short.travel_time[:4, :4]
+    bad_routes = [short]
+    for k, name in enumerate(("n_packages", "service_time", "package_volume")):
+        route = make_route(["A-1.1A", "B-1.1A", "A-1.1A"], route_id=f"L{k}")
+        setattr(route.stops[1], name, -3)
+        with pytest.raises(MalformedRouteError, match="negative load"):
+            prepare_route(route)
+        bad_routes.append(route)
+    with pytest.raises(MalformedRouteError, match="travel_time shape"):
+        prepare_route(short)
+    for variant in VARIANTS:
+        params, _ = train([good], replace(SMALL, variant=variant))
+        report = evaluate_testset([*bad_routes, good], params=params)
+        assert [route_id for route_id, _ in report.failures] == [r.route_id for r in bad_routes]
+        assert all(msg.startswith("MalformedRouteError") for _, msg in report.failures)
+        assert [row.route_id for row in report.rows] == ["G0"]

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 from itertools import zip_longest
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import make_route
 from oracles import finite_difference, grad_close, lstm_ref, mlp_ref
 from routeseq.errors import InvalidInputError, NumericError, SchemaError
 from routeseq.kernel import (
+    Grads,
     LstmCellParams,
     LstmState,
     MlpLayer,
@@ -21,26 +23,31 @@ from routeseq.kernel import (
     deserialize_checkpoint,
     init_lstm,
     init_mlp,
-    lstm_cell,
     lstm_sequence,
+    lstm_step,
     map_tensors,
-    matmul,
-    mlp_forward,
+    mlp_backward,
+    mlp_values,
     named_tensors,
     nll,
     pair_scores,
     pair_terms,
-    pointer_scores,
     serialize_checkpoint,
     softmax,
     unwrap,
     zero_state,
 )
+from routeseq.kernel.autodiff import _acc, _record
+from routeseq.kernel.layers import _sigmoid_np
 from routeseq.predictor import (
     VARIANTS,
     ModelConfig,
+    decode,
+    encode,
+    first_step,
     fit_scaler,
     forward_logprob,
+    gradients,
     init_model,
     prepare_route,
     scale_route,
@@ -51,6 +58,19 @@ from routeseq.predictor import (
 def _zero_lstm(input_dim, hidden):
     p = init_lstm(input_dim, hidden, np.random.default_rng(0))
     return map_tensors(p, lambda _, t: np.zeros_like(t))
+
+
+def matmul(a, b):
+    """The product ``a @ b`` of vectors and matrices as a recorded op: what
+    the gradient checks reduce an op's output with, and a way to make a
+    weight that is an op's output."""
+    av, bv = unwrap(a), unwrap(b)
+
+    def backward(g):
+        _acc(a, g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv), own=True)
+        _acc(b, av.T @ g if av.ndim == 2 else np.multiply.outer(av, g), own=True)
+
+    return _record(av @ bv, (a, b), backward)
 
 
 # --- autodiff ops ------------------------------------------------------------
@@ -64,22 +84,33 @@ def _arrays(*shapes):
     return make
 
 
-_MASK = np.array([True, False, True, True, False])
-
-
 def _side_by_side(*parts):
-    """The vectors ``parts`` end to end, through an identity layer of
-    ``mlp_forward``."""
-    width = sum(unwrap(p).shape[-1] for p in parts)
-    return mlp_forward(list(parts), MlpParams([MlpLayer(np.eye(width), None)]))
+    """The vectors ``parts`` end to end, as a recorded op."""
+    sizes = np.cumsum([len(unwrap(p)) for p in parts])[:-1]
+
+    def backward(g):
+        for p, gp in zip(parts, np.split(g, sizes)):
+            _acc(p, gp)
+
+    return _record(np.concatenate([unwrap(p) for p in parts]), parts, backward)
 
 
-def _lstm_both(*args):
-    """lstm_cell over the input blocks ``args[:-5]``, both outputs side by
-    side: h_new = o*tanh(c_new) reaches every input through c_new too."""
-    *xs, h, c, w, u, b = args
-    state, _ = lstm_cell(xs, LstmState(h, c), LstmCellParams(w, u, b))
-    return _side_by_side(state.h, state.c)
+def mlp_forward(x, params):
+    """The MLP as a recorded op over ``mlp_values`` and ``mlp_backward``, on
+    a vector or on rows; a one-unit output layer over rows gives one score
+    per row, as the pair scorer reads it."""
+    xv = unwrap(x)
+    a, ins = mlp_values(xv, params.layers)
+    m = len(xv) if xv.ndim == 2 else 1
+
+    def backward(g):
+        grads = Grads()
+        g_in = mlp_backward(params.layers, [v.reshape(m, -1) for v in ins], g.reshape(m, -1), grads)
+        grads.hand()
+        _acc(x, g_in.reshape(xv.shape), own=True)
+
+    parents = (x, *(layer.w for layer in params.layers), *(layer.b for layer in params.layers))
+    return _record(a.reshape(-1) if xv.ndim == 2 and a.shape[1] == 1 else a, parents, backward)
 
 
 def _lstm_sequence(x, h, c, w, u, b, outputs=True):
@@ -95,36 +126,76 @@ def _lstm_sequence(x, h, c, w, u, b, outputs=True):
 def _mlp(x, *wb):
     """mlp_forward over layers (w0, b0, w1, b1, ...); an odd count leaves
     the output layer without bias."""
-    return mlp_forward([x], MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
+    return mlp_forward(x, MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
 
 
-# Constant pair rows (6 source nodes x 5 keys x 2 features) and node
-# features (6 x 4) of the pair-scorer cases; they get no gradient.
-_PAIR = np.random.default_rng(3).normal(size=(6, 5, 2))
-_NODES = np.random.default_rng(4).normal(size=(6, 4))
+# The decoder op's cases run on one 5-zone route, teacher-forced along a
+# driven order that is not the reading order, with hidden width 3, a pair
+# MLP of one hidden layer of 4 units (asnn_hidden=(4,)) and attention width 4.
+_ROUTE = prepare_route(make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A"],
+                                  actual=[3, 0, 4, 1, 2]))
+
+def _decoder(variant, tensors, encoded=None, kz=None, loss=False, asnn_hidden=(4,)):
+    """The decoder op over ``_ROUTE``, teacher-forced, for a seeded model of
+    ``variant`` whose tensors named in ``tensors`` are replaced: the scored
+    steps' stacked probabilities, or with ``loss`` their ``nll``.  The
+    ``encode`` result is ``encoded`` (keys, (h, c)) when given."""
+    params = init_model(ModelConfig(variant, hidden=3, asnn_hidden=asnn_hidden, att_dim=4, kz=kz),
+                        np.random.default_rng(0))
+    params.scaler = fit_scaler([_ROUTE])
+    params = replace(params, **{name: map_tensors(getattr(params, name),
+                                                  lambda n, t: tensors.get(n, t), name)
+                                for name in ("decoder", "asnn", "pointer", "fc")})
+    scaled = scale_route(_ROUTE, params)
+    if encoded is not None:
+        keys, (h, c) = encoded
+        encoded = (keys, LstmState(h, c))
+    targets = _ROUTE.targets
+    probs, _ = decode(params, scaled, first_step(params, scaled, encoded or encode(params, scaled)),
+                      lambda i, _: targets[i])
+    if not loss:
+        return probs
+    return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])])
 
 
-def _pair(keys, d, layers, queries=None):
-    """The pair scorer's step from source node 2 over ``keys``, with the
-    query ``d`` or (``d`` None) the route-constant ``queries``."""
-    return pair_scores(pair_terms(_PAIR, keys, MlpParams(layers), queries), 2, d)
+def _keyed(variant, names, loss=False, asnn_hidden=(4,)):
+    """A ``_decoder`` case whose inputs are the keys (5 x 3) and then the
+    tensors ``names``, with the encoder's final state fixed."""
+    state = (np.full(3, 0.3), np.full(3, -0.2))
+    return lambda keys, *ts: _decoder(variant, dict(zip(names, ts)), (keys, state), loss=loss,
+                                      asnn_hidden=asnn_hidden)
 
 
-def _probs(*sizes):
-    """Input maker: one probability vector per size."""
-    return lambda rng: [rng.dirichlet(np.ones(s)) for s in sizes]
+def _stated(variant, names, kz=None):
+    """A ``_decoder`` case whose inputs are the encoder's final h and c
+    (3,) and then the tensors ``names``, with the keys fixed."""
+    keys = np.random.default_rng(5).normal(size=(5, 3))
+    return lambda h, c, *ts: _decoder(variant, dict(zip(names, ts)), (keys, (h, c)), kz)
 
 
-# name -> (op over the inputs, input maker, finite-difference step)
+def _probs(rows, width):
+    """Input maker: one (rows, width) matrix of probability rows."""
+    return lambda rng: [rng.dirichlet(np.ones(width), size=rows)]
+
+
+_LSTM = ("decoder.w", "decoder.u", "decoder.b")
+
+# name -> (op over the inputs, input maker, finite-difference step).  The
+# decoder op's cases are named after the parts of its backward pass that
+# they single out.
 OP_CASES = {
     "matmul_2d_2d": (matmul, _arrays((3, 4), (4, 2)), 1e-5),
     "matmul_2d_1d": (matmul, _arrays((3, 4), (4,)), 1e-5),
     "matmul_1d_2d": (matmul, _arrays((4,), (4, 3)), 1e-5),
     "matmul_1d_1d": (matmul, _arrays((4,), (4,)), 1e-5),
-    "lstm_cell": (_lstm_both, _arrays((2,), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
-    # the decoder's [last stop's features; context] input
-    "lstm_cell_two_blocks": (_lstm_both, _arrays((2,), (1,), (3,), (3,), (12, 3), (12, 3), (12,)),
-                             1e-5),
+    # the decoder LSTM fed the last stop's features alone (lstm_ed), from
+    # the encoder's final state, into the head
+    "lstm_cell": (_stated("lstm_ed", (*_LSTM, "fc.0.w", "fc.0.b"), kz=5),
+                  _arrays((3,), (3,), (12, 12), (12, 3), (12,), (5, 3), (5,)), 1e-5),
+    # the decoder's [last stop's features; context] input: the context's
+    # gradient reaches the step before and the keys
+    "lstm_cell_two_blocks": (_keyed("pairwise", _LSTM),
+                             _arrays((5, 3), (12, 15), (12, 3), (12,)), 1e-5),
     # four rows from a non-zero initial state
     "lstm_sequence": (_lstm_sequence, _arrays((4, 2), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
     "lstm_sequence_final_state": (
@@ -138,38 +209,41 @@ OP_CASES = {
     "mlp_rows_wide_out": (_mlp, _arrays((5, 3), (4, 3), (4,), (2, 4), (2,)), 1e-5),
     # a weight that is an op's output gets its gradient before that op's backward runs
     "mlp_rows_computed_weight": (
-        lambda x, a, v, w1: mlp_forward([x], MlpParams([MlpLayer(matmul(a, v), None),
+        lambda x, a, v, w1: mlp_forward(x, MlpParams([MlpLayer(matmul(a, v), None),
                                                         MlpLayer(w1, None)])),
         _arrays((5, 3), (4, 2), (2, 3), (1, 4)), 1e-5),
-    # the pair scorer at pairwise's widths, [pair rows; query; keys], the
-    # query and the keys computed (tape nodes); at this seed every
-    # first-layer pre-activation of the pair-scorer cases is >= 0.1 from the kink
-    "pair_scores": (
-        lambda k, d, w0, b0, w1: _pair(k, d, [MlpLayer(w0, b0), MlpLayer(w1, None)]),
-        _arrays((5, 3), (3,), (4, 8), (4,), (1, 4)), 1e-5),
-    # through the masked softmax into nll: the rows the mask leaves out get a
-    # score gradient of exactly 0, which the MLP's backward skips
+    # the pair scorer at pairwise's widths, [pair rows; query; keys]: the
+    # keys reach the key term, the context and (through the decoder LSTM)
+    # the queries
+    "pair_scores": (_keyed("pairwise", ("asnn.0.w", "asnn.0.b", "asnn.1.w")),
+                    _arrays((5, 3), (4, 12), (4,), (1, 4)), 1e-5),
+    # through nll: the candidates the mask leaves out get a score gradient
+    # of exactly 0, which the scorer's backward skips
     "pair_scores_masked_nll": (
-        lambda k, d, w0, b0, w1: nll([(softmax(_pair(k, d, [MlpLayer(w0, b0),
-                                                            MlpLayer(w1, None)]), _MASK), 2)]),
-        _arrays((5, 3), (3,), (6, 8), (6,), (1, 6)), 1e-5),
+        _keyed("pairwise", ("asnn.0.w", "asnn.0.b", "asnn.1.w"), loss=True),
+        _arrays((5, 3), (4, 12), (4,), (1, 4)), 1e-5),
     # at asnn's widths: the queries and keys are constant node features, and
     # the first layer's weight is an op's output, so its column blocks get
     # their gradients before that op's backward runs
     "pair_scores_asnn_masked_nll": (
-        lambda a, v, b0, w1: nll([(softmax(_pair(_NODES[1:], None, [
-            MlpLayer(matmul(a, v), b0), MlpLayer(w1, None)], _NODES), _MASK), 2)]),
-        _arrays((6, 2), (2, 10), (6,), (1, 6)), 1e-5),
+        lambda a, v, b0, w1: _decoder("asnn", {"asnn.0.w": matmul(a, v), "asnn.0.b": b0,
+                                               "asnn.1.w": w1}, loss=True),
+        _arrays((4, 2), (2, 30), (4,), (1, 4)), 1e-5),
     # a pair MLP of one layer scores with its first layer's sum
-    "pair_scores_one_layer": (lambda k, d, w0: _pair(k, d, [MlpLayer(w0, None)]),
-                              _arrays((5, 3), (3,), (1, 8)), 1e-5),
-    "pointer_scores": (pointer_scores,
-                       _arrays((4, 3), (3,), (4, 2), (5,), (5, 3), (5, 3), (2,)), 1e-5),
-    "softmax": (softmax, _arrays((5,)), 1e-5),
-    "softmax_masked": (lambda u: softmax(u, _MASK), _arrays((5,)), 1e-5),
+    "pair_scores_one_layer": (_keyed("pairwise", ("asnn.0.w",), asnn_hidden=()),
+                              _arrays((5, 3), (1, 12)), 1e-5),
+    "pointer_scores": (_keyed("pointer", ("pointer.w1", "pointer.w2", "pointer.w3",
+                                          "pointer.w4")),
+                       _arrays((5, 3), (4,), (4, 3), (4, 3), (6,)), 1e-5),
+    # every head slot a zone's: step 0's softmax runs over all of them
+    "softmax": (_stated("lstm_ed", ("fc.0.w", "fc.0.b"), kz=5),
+                _arrays((3,), (3,), (5, 3), (5,)), 1e-5),
+    # a head wider than the route: its last two slots are masked at every step
+    "softmax_masked": (_stated("lstm_ed", ("fc.0.w", "fc.0.b"), kz=7),
+                       _arrays((3,), (3,), (7, 3), (7,)), 1e-5),
     # a step small enough that the perturbed probabilities still sum to 1
     # within nll's 1e-6 check
-    "nll": (lambda p0, p1, p2: nll([(p0, 2), (p1, 0), (p2, 1)]), _probs(5, 4, 2), 1e-7),
+    "nll": (lambda p: nll(p, [2, 0, 1]), _probs(3, 5), 1e-7),
 }
 
 
@@ -238,16 +312,35 @@ def test_finished_tape_is_freed_without_cyclic_gc():
             gc.enable()
 
 
-# --- lstm_cell ---------------------------------------------------------------
+def _lstm_cell(x, state, p):
+    """One LSTM step of the cell ``p`` on plain arrays: (h, c)."""
+    step = lstm_step(p.w, p.u, p.b, x, state.h, state.c)
+    return step.h, step.c
+
+
+def test_sigmoid_one_division_matches_the_two_branch_form():
+    # one division of the selected numerator is elementwise the same IEEE
+    # operation as the select of two divisions
+    rng = np.random.default_rng(3)
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 710.0, -710.0, 745.0, -745.0, 1e308, -1e308])
+    for k in range(2000):
+        x = np.concatenate([rng.normal(scale=10.0 ** (k % 4), size=16), edges])
+        e = np.exp(-np.abs(x))
+        two_branch = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        assert _sigmoid_np(x).tobytes() == two_branch.tobytes()
+
+
+# --- lstm --------------------------------------------------------------------
 
 def test_lstm_sequence_is_a_loop_of_lstm_cell_bit_for_bit(rng):
+    # the encoder op against a loop of the decoder's plain step
     p = init_lstm(4, 6, rng)
     x = rng.normal(size=(7, 4))
     start = LstmState(rng.normal(size=6), rng.normal(size=6))
     state, outputs = start, []
     for row in x:
-        state, h = lstm_cell([row], state, p)
-        outputs.append(h)
+        state = LstmState(*_lstm_cell(row, state, p))
+        outputs.append(state.h)
     tape = Tape()
     for params in (p, map_tensors(p, lambda _, t: tape.leaf(t))):
         keys, final = lstm_sequence(x, start, params)
@@ -259,9 +352,9 @@ def test_lstm_sequence_is_a_loop_of_lstm_cell_bit_for_bit(rng):
 
 def test_lstm_zero_everything():
     p = _zero_lstm(3, 4)
-    state, e = lstm_cell([np.zeros(3)], zero_state(4), p)
-    assert np.all(e == 0.0)
-    assert np.all(state.c == 0.0)
+    h, c = _lstm_cell(np.zeros(3), zero_state(4), p)
+    assert np.all(h == 0.0)
+    assert np.all(c == 0.0)
 
 
 def test_lstm_saturation_matches_reference():
@@ -272,10 +365,10 @@ def test_lstm_saturation_matches_reference():
     p.b[3:6] -= 50.0   # input gate
     x = rng.normal(size=2)
     h0, c0 = rng.normal(size=3), rng.normal(size=3) + 5.0
-    state, e = lstm_cell([x], LstmState(h0.copy(), c0.copy()), p)
+    h, c = _lstm_cell(x, LstmState(h0.copy(), c0.copy()), p)
     h_ref, c_ref = lstm_ref(x, h0, c0, p)
-    assert np.allclose(e, h_ref, atol=1e-14)
-    assert np.allclose(state.c, c_ref, atol=1e-14)
+    assert np.allclose(h, h_ref, atol=1e-14)
+    assert np.allclose(c, c_ref, atol=1e-14)
 
 
 def test_init_lstm_stacks_the_per_gate_draws():
@@ -292,31 +385,31 @@ def test_init_lstm_stacks_the_per_gate_draws():
 def test_lstm_output_bounded(rng):
     p = init_lstm(4, 6, rng)
     state = LstmState(rng.normal(size=6), rng.normal(size=6) * 10)
-    _, e = lstm_cell([rng.normal(size=4)], state, p)
-    assert np.all(np.abs(e) <= 1.0)
+    h, _ = _lstm_cell(rng.normal(size=4), state, p)
+    assert np.all(np.abs(h) <= 1.0)
 
 
 def test_lstm_rejects_non_finite():
     p = _zero_lstm(2, 2)
     with pytest.raises(NumericError):
-        lstm_cell([np.array([np.nan, 0.0])], zero_state(2), p)
+        lstm_sequence(np.array([[0.0, 0.0], [np.nan, 0.0]]), zero_state(2), p)
 
 
 def test_lstm_gradients_every_parameter(rng):
-    # d ||h'||^2 / d theta for every single component
+    # d ||h'||^2 / d theta for every single component, one step of the
+    # encoder op from a non-zero state
     p = init_lstm(3, 4, rng)
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     h0, c0 = rng.normal(size=4), rng.normal(size=4)
 
     def loss_fn():
-        state, e = lstm_cell([x], LstmState(h0, c0), p)
-        return float(np.sum(np.asarray(e) ** 2))
+        _, state = lstm_sequence(x, LstmState(h0, c0), p)
+        return float(np.sum(np.asarray(state.h) ** 2))
 
     tape = Tape()
     wrapped = map_tensors(p, lambda _, t: tape.leaf(t))
-    state, e = lstm_cell([x], LstmState(h0, c0), wrapped)
-    loss = matmul(e, e)
-    tape.backward(loss)
+    _, state = lstm_sequence(x, LstmState(h0, c0), wrapped)
+    tape.backward(matmul(state.h, state.h))
     grads = {n: t.grad for n, t in named_tensors(wrapped, "p").items()}
     for name, arr in named_tensors(p, "p").items():
         g = grads[name]
@@ -329,19 +422,19 @@ def test_lstm_gradients_every_parameter(rng):
 
 def test_mlp_zero_weights_returns_bias():
     p = MlpParams([MlpLayer(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]))])
-    assert np.allclose(mlp_forward([np.array([5.0, 6.0])], p), [1.0, 2.0, 3.0])
+    assert np.allclose(mlp_forward(np.array([5.0, 6.0]), p), [1.0, 2.0, 3.0])
 
 
 def test_mlp_identity_layer():
     p = MlpParams([MlpLayer(np.eye(4), np.zeros(4))])
     x = np.array([1.0, -2.0, 3.0, -4.0])
-    assert np.allclose(mlp_forward([x], p), x)
+    assert np.allclose(mlp_forward(x, p), x)
 
 
 def test_mlp_matches_reference(rng):
     p = init_mlp((2, 128, 128, 1), rng)
     x = rng.normal(size=2)
-    got = mlp_forward([x], p)
+    got = mlp_forward(x, p)
     ref = mlp_ref(x, [(l.w, l.b) for l in p.layers])
     assert np.allclose(got, ref, atol=1e-12)
 
@@ -349,8 +442,8 @@ def test_mlp_matches_reference(rng):
 def test_mlp_batched_matches_vector(rng):
     p = init_mlp((5, 7, 1), rng)
     xs = rng.normal(size=(4, 5))
-    batched = mlp_forward([xs], p)
-    rows = np.concatenate([mlp_forward([x], p) for x in xs])
+    batched = mlp_forward(xs, p)
+    rows = np.concatenate([mlp_forward(x, p) for x in xs])
     assert batched.shape == (4,)  # a one-unit output layer gives one score per row
     assert np.allclose(batched, rows, atol=1e-14)
 
@@ -363,19 +456,16 @@ def test_pair_scores_add_the_route_terms_then_run_the_mlp(rng):
     pair_term = (pair.reshape(12, 2) @ w[:, :2].T).reshape(4, 3, 5)[2]
     key_term = keys @ w[:, 5:].T + b
     rest = MlpParams(p.layers[1:])
-    got = pair_scores(pair_terms(pair, keys, p), 2, d)
-    assert np.array_equal(got, mlp_forward([np.maximum(pair_term + key_term + w[:, 2:5] @ d, 0.0)],
+    got, _ = pair_scores(pair_terms(pair, keys, p), 2, d)
+    assert np.array_equal(got, mlp_forward(np.maximum(pair_term + key_term + w[:, 2:5] @ d, 0.0),
                                            rest))
-    got = pair_scores(pair_terms(pair, keys, p, nodes), 2)  # route-constant queries
+    got, _ = pair_scores(pair_terms(pair, keys, p, nodes), 2)  # route-constant queries
     query_term = (nodes @ w[:, 2:5].T)[2]
-    assert np.array_equal(got, mlp_forward([np.maximum(pair_term + key_term + query_term, 0.0)],
+    assert np.array_equal(got, mlp_forward(np.maximum(pair_term + key_term + query_term, 0.0),
                                            rest))
 
 
 def test_mlp_width_mismatch():
-    p = init_mlp((3, 2), np.random.default_rng(0))
-    with pytest.raises(InvalidInputError):
-        mlp_forward([np.zeros(4)], p)
     # the pair scorer: 2 pair features, key width 3, so a query width of 3
     p = init_mlp((8, 4, 1), np.random.default_rng(0))
     pair, keys = np.zeros((3, 2, 2)), np.zeros((2, 3))
@@ -426,65 +516,80 @@ def test_masked_softmax(rng):
     assert softmax(u, np.eye(5, dtype=bool)[2])[2] == 1.0
     with pytest.raises(InvalidInputError):
         softmax(u, np.zeros(5, dtype=bool))
-
-    def loss_fn():
-        return float(nll([(softmax(u, allowed), 3)]))
-
+    # Through the decoder op: an lstm_ed head wider than the route has slots
+    # the mask leaves out at every step, and their head rows get gradient
+    # exactly 0 (the "softmax_masked" case checks the rest against central
+    # differences).
     tape = Tape()
-    un = tape.leaf(u)
-    tape.backward(nll([(softmax(un, allowed), 3)]))
-    assert np.all(un.grad[~allowed] == 0.0)
-    for idx in range(5):
-        assert grad_close(finite_difference(loss_fn, u, idx), un.grad[idx])
+    w, b = tape.leaf(rng.normal(size=(7, 3))), tape.leaf(rng.normal(size=7))
+    tape.backward(_decoder("lstm_ed", {"fc.0.w": w, "fc.0.b": b}, kz=7, loss=True))
+    assert np.all(w.grad[5:] == 0.0) and np.all(b.grad[5:] == 0.0)
+    assert np.all(w.grad[:5] != 0.0)
 
 
 def test_cross_entropy_uniform():
-    p = np.full(5, 0.2)
-    assert nll([(p, 3)]) == pytest.approx(math.log(5), abs=1e-12)
-    assert nll([(p, 3), (np.full(2, 0.5), 0)]) == pytest.approx(math.log(10), abs=1e-12)
+    assert nll(np.full((1, 5), 0.2), [3]) == pytest.approx(math.log(5), abs=1e-12)
+    two = np.array([[0.2] * 5, [0.5, 0.5, 0.0, 0.0, 0.0]])
+    assert nll(two, [3, 0]) == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_cross_entropy_certain():
-    p = np.zeros(4)
-    p[1] = 1.0
-    assert nll([(p, 1)]) == 0.0
-    assert nll([]) == 0.0
+    p = np.zeros((1, 4))
+    p[0, 1] = 1.0
+    assert nll(p, [1]) == 0.0
+    assert nll(np.zeros((0, 4)), []) == 0.0
 
 
 def test_cross_entropy_clamp():
-    p = np.array([1.0 - 1e-15, 1e-15])
-    assert nll([(p, 1)]) == pytest.approx(-math.log(1e-12), rel=1e-12)
+    p = np.array([[1.0 - 1e-15, 1e-15], [0.25, 0.75]])
+    assert nll(p[:1], [1]) == pytest.approx(-math.log(1e-12), rel=1e-12)
     tape = Tape()
-    clamped, free = tape.leaf(p), tape.leaf(np.array([0.25, 0.75]))
-    tape.backward(nll([(clamped, 1), (free, 0)]))
+    clamped = tape.leaf(p[:1])
+    tape.backward(nll(clamped, [1]))
     assert clamped.grad is None  # the clamped term passes no gradient
-    assert np.array_equal(free.grad, [-4.0, 0.0])
+    both = tape.leaf(p)
+    tape.backward(nll(both, [1, 0]))
+    assert np.array_equal(both.grad, [[0.0, 0.0], [-4.0, 0.0]])
 
 
 def test_cross_entropy_validation():
     with pytest.raises(InvalidInputError):
-        nll([(np.array([0.9, 0.2]), 0)])  # does not sum to 1
+        nll(np.array([[0.9, 0.2]]), [0])  # does not sum to 1
     with pytest.raises(InvalidInputError):
-        nll([(np.array([0.5, 0.5]), 2)])  # target out of range
+        nll(np.array([[0.5, 0.5]]), [2])  # target out of range
     with pytest.raises(InvalidInputError):
-        nll([(np.full((2, 2), 0.25), 0)])  # not a vector
+        nll(np.array([0.5, 0.5]), [0])  # not a matrix of rows
     with pytest.raises(InvalidInputError):
-        nll([(np.array([0.5, 0.5]), 0), (np.array([0.5, 0.6]), 1)])  # a later step
+        nll(np.array([[0.5, 0.5]]), [0, 1])  # a target without a row
+    with pytest.raises(InvalidInputError):
+        nll(np.array([[0.5, 0.5], [0.5, 0.6]]), [0, 1])  # a later step
 
 
 def test_softmax_cross_entropy_gradient(rng):
-    u = rng.normal(size=6)
+    # The teacher-forced loss through the decoder op: the lstm_ed head's
+    # bias gets the scores' gradient, which for the softmax of the one
+    # scored step of a two-zone route under nll is p - onehot(target).
+    prep = prepare_route(make_route(["A-1.1A", "B-1.1A"], actual=[1, 0]))
+    params = init_model(ModelConfig("lstm_ed", hidden=3, kz=2), rng)
+    params.scaler = fit_scaler([prep])
+    params.fc.layers[0].b[...] = rng.normal(size=2)
+    sc = scale_route(prep, params)
+    tape = Tape()
+    wrapped = wrap_params(params, tape)
+    loss, traces = forward_logprob(wrapped, sc)
+    tape.backward(loss)
+    p = traces[0].attention[list(sc.order)]
+    target = sc.pos_of_zone[prep.targets[0]]
+    np.testing.assert_allclose(gradients(params, wrapped)["fc.0.b"], p - np.eye(2)[target],
+                               rtol=1e-12, atol=1e-15)
 
     def loss_fn():
-        return float(nll([(softmax(u), 2)]))
+        return float(forward_logprob(params, sc)[0])
 
-    tape = Tape()
-    un = tape.leaf(u)
-    loss = nll([(softmax(un), 2)])
-    tape.backward(loss)
-    for idx in range(6):
-        fd = finite_difference(loss_fn, u, idx)
-        assert grad_close(fd, un.grad[idx])
+    b = params.fc.layers[0].b
+    for idx in range(2):
+        assert grad_close(finite_difference(loss_fn, b, idx),
+                          gradients(params, wrapped)["fc.0.b"][idx])
 
 
 # --- adam ----------------------------------------------------------------------

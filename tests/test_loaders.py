@@ -83,6 +83,17 @@ def test_dataset_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, js
     assert err.value.json_path == json_path
 
 
+@pytest.mark.parametrize("path, value, json_path", [
+    (("routes", 0, "stops", 1, "n_packages"), -3, "routes[0].stops[1].n_packages"),
+    (("routes", 1, "stops", 0, "service_time_s"), -0.5, "routes[1].stops[0].service_time_s"),
+    (("routes", 1, "stops", 1, "volume_cm3"), -1, "routes[1].stops[1].volume_cm3"),
+])
+def test_dataset_negative_load_is_a_schema_error(tmp_path, path, value, json_path):
+    with pytest.raises(SchemaError) as err:
+        load_routes(_write(tmp_path, _with(DATASET, path, value)))
+    assert err.value.json_path == json_path
+
+
 @pytest.mark.parametrize("path, json_path", [
     (("routes", 1, "stops", 0, "lng"), "routes[1].stops[0].lng"),
     (("routes", 0, "stops", 1, "n_packages"), "routes[0].stops[1].n_packages"),

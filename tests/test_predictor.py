@@ -16,24 +16,30 @@ from oracles import (
 from routeseq.datagen import SynthConfig, generate
 from routeseq.errors import ConfigError, SchemaError
 from routeseq.inference import greedy_decode
+from routeseq.kernel.autodiff import _acc, _record
 from routeseq.kernel import (
+    LstmState,
     MlpLayer,
     MlpParams,
+    Node,
     Tape,
     deserialize_checkpoint,
     init_lstm,
-    lstm_cell,
     serialize_checkpoint,
     softmax,
+    unwrap,
     zero_state,
 )
 from routeseq.predictor import (
+    VARIANTS,
     ModelConfig,
     _pair_terms,
     _scores,
     checkpoint_tensors,
+    decode,
     decode_step,
     encode,
+    first_step,
     fit_scaler,
     forward_logprob,
     gradients,
@@ -74,7 +80,7 @@ def _reading_at_random(params, seed):
 
 def _depot_scores(params, sc, d, keys):
     """Step 0's scores, from the depot, with the query ``d`` over ``keys``."""
-    return _scores(params, sc, 0, d, keys, _pair_terms(params, sc, keys))
+    return _scores(params, sc, 0, d, keys, _pair_terms(params, sc, keys))[0]
 
 
 def _zeroed(params):
@@ -250,7 +256,7 @@ def test_pair_scores_match_the_mlp_reference_over_joined_rows():
                 d = rng.uniform(-1.0, 1.0, size=8) if variant == "pairwise" else sc.nodes[src]
                 ref = [mlp_ref(np.concatenate([sc.pair[src, j], d, keys[j]]), layers)[0]
                        for j in range(n)]
-                got = _scores(params, sc, src, d, keys, terms)
+                got, _ = _scores(params, sc, src, d, keys, terms)
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=variant)
 
 
@@ -331,19 +337,18 @@ def test_decode_step_zero_params():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
     sc = scale_route(prep, params)
-    state, d = decode_step(params, sc.nodes[0], np.zeros(8), zero_state(8))
-    assert np.all(np.asarray(d) == 0.0)
+    step = decode_step(params, sc.nodes[0], np.zeros(8), zero_state(8))
+    assert np.all(step.h == 0.0) and np.all(step.c == 0.0)
 
 
 def test_decode_step_state_matters():
     prep = _prep()
     params = _model("pairwise", prep, seed=9)
     sc = scale_route(prep, params)
-    from routeseq.kernel import LstmState
     s0 = zero_state(8)
     s1 = LstmState(np.ones(8), np.ones(8))
-    _, d0 = decode_step(params, sc.nodes[0], np.zeros(8), s0)
-    _, d1 = decode_step(params, sc.nodes[0], np.zeros(8), s1)
+    d0 = decode_step(params, sc.nodes[0], np.zeros(8), s0).h
+    d1 = decode_step(params, sc.nodes[0], np.zeros(8), s1).h
     assert not np.allclose(d0, d1)
 
 
@@ -394,22 +399,119 @@ def test_forward_logprob_deterministic():
 
 
 def test_taped_forward_node_counts():
-    # Tape nodes of one taped forward on a 15-zone route, as measured; the
-    # encoder records 3 (lstm_sequence), the pair MLP's key term 1 (pairwise
-    # and asnn), nll 1, every decoder step but the last at most 6:
-    # lstm_cell (2), the scorer (the pair MLP's first layer and the rest of
-    # it, else one op), softmax and the context matmul; the last step has
-    # one zone left and records only the context matmul (pairwise and
-    # pointer).
+    # Tape nodes of one taped forward on a 15-zone route: the encoder
+    # records 3 (lstm_sequence), the pair MLP's key term 1 (pairwise and
+    # asnn), the decoder 1 for all its steps and nll 1, whatever the route's
+    # length.
     n = 15
     prep = _prep(zone_ids=[f"{a}-{k}.1A" for a in "AB" for k in range(1, 9)][:n])
-    expected = {"pairwise": 90, "pointer": 75, "lstm_ed": 60, "asnn": 44}
-    assert max(expected.values()) <= 3 + 1 + 1 + 6 * (n - 1) + 1
+    expected = {"pairwise": 6, "pointer": 5, "lstm_ed": 5, "asnn": 3}
     for variant, count in expected.items():
         params = _model(variant, prep)
         tape = Tape()
         forward_logprob(wrap_params(params, tape), scale_route(prep, params))
         assert len(tape._nodes) == count, variant
+
+
+_ZONE_IDS = ("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A")
+_TINY = dict(hidden=3, asnn_hidden=(4,), att_dim=4)
+
+
+def _fd_check(params, loss_of, grads):
+    """Every entry of every tensor of ``params``: central difference of
+    ``loss_of()`` against ``grads``."""
+    for name, arr in model_tensors(params).items():
+        for idx in range(arr.size):
+            fd = finite_difference(loss_of, arr, idx)
+            an = grads[name].ravel()[idx]
+            assert grad_close(fd, an), f"{name}[{idx}] fd={fd} an={an}"
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decoder_op_gradients_match_central_differences(variant):
+    # Routes of 1 zone (no scored step: a plain 0 loss), 2 zones (one
+    # scored step) and 5 zones, driven in an order that is not the reading
+    # order; every tensor entry against its central difference.
+    for n, actual in ((1, None), (2, [1, 0]), (5, [3, 0, 4, 1, 2])):
+        prep = _prep(zone_ids=_ZONE_IDS[:n], actual=actual)
+        params = _model(variant, prep, seed=n, **_TINY)
+        sc = scale_route(prep, params)
+        tape = Tape()
+        wrapped = wrap_params(params, tape)
+        loss, _ = forward_logprob(wrapped, sc)
+        if n == 1:
+            assert not isinstance(loss, Node) and float(loss) == 0.0
+            continue
+        tape.backward(loss)
+        _fd_check(params, lambda: float(forward_logprob(params, sc)[0]),
+                  gradients(params, wrapped))
+
+
+@pytest.mark.parametrize("kz", [3, 7])
+def test_decoder_op_gradients_with_lstm_ed_head_narrower_and_wider(kz):
+    # A head of 3 slots on a 5-zone route scores only while two of its
+    # slots are unvisited; one of 7 masks its last two slots at every step.
+    # The stacked probabilities of a fixed rollout, reduced by fixed
+    # weights, against central differences.
+    prep = _prep(zone_ids=_ZONE_IDS, actual=[3, 0, 4, 1, 2])
+    params = _model("lstm_ed", prep, seed=4, kz=kz, **_TINY)
+    sc = scale_route(prep, params)
+    order = [sc.order[pos] for pos in (2, 0, 4, 1, 3)]  # zones, by input position
+    weights = np.random.default_rng(kz).normal(size=(4, kz))
+
+    def reduced(p):
+        probs, _ = decode(p, sc, first_step(p, sc, encode(p, sc)), lambda i, _: order[i])
+        return probs, weights[:len(unwrap(probs))]
+
+    probs, w = reduced(params)
+    assert len(probs) == (2 if kz == 3 else 4)
+    tape = Tape()
+    wrapped = wrap_params(params, tape)
+    probs, w = reduced(wrapped)
+    tape.backward(_record(np.sum(probs.value * w), (probs,), lambda g: _acc(probs, g * w)))
+
+    def loss_of():
+        p, w = reduced(params)
+        return float(np.sum(p * w))
+
+    _fd_check(params, loss_of, gradients(params, wrapped))
+
+
+def test_target_below_the_nll_clamp_gets_zero_gradient():
+    # Two zones, one scored step whose target gets probability e^-40: its
+    # term is clamped at -ln(1e-12) and passes no gradient, so every
+    # parameter's gradient is 0.
+    times = np.array([[0.0, 10.0, 50.0], [5.0, 0.0, 7.0], [6.0, 8.0, 0.0]])
+    prep = _prep(zone_ids=("A-1.1A", "B-1.1A"), times=times, actual=[0, 1])
+    params = _model("pointer", prep, scaler=identity_scaler())
+    params.pointer.w1[...] = 0.0
+    params.pointer.w4[...] = 0.0
+    params.pointer.w4[0] = 1.0
+    sc = scale_route(prep, params)
+    tape = Tape()
+    wrapped = wrap_params(params, tape)
+    loss, traces = forward_logprob(wrapped, sc)
+    assert traces[0].attention[prep.targets[0]] < 1e-12
+    assert float(unwrap(loss)) == -math.log(1e-12)
+    tape.backward(loss)
+    assert all(np.all(g == 0.0) for g in gradients(params, wrapped).values())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_taped_and_plain_decoding_give_the_same_bytes(variant):
+    # The decoder runs every step on plain arrays whether it records or not:
+    # the same probabilities, contexts, picks and loss, byte for byte.
+    prep = _prep(zone_ids=_ZONE_IDS, actual=[3, 0, 4, 1, 2])
+    params = _model(variant, prep, seed=6)
+    sc = scale_route(prep, params)
+    plain_loss, plain = forward_logprob(params, sc)
+    tape = Tape()
+    taped_loss, taped = forward_logprob(wrap_params(params, tape), sc)
+    assert float(unwrap(taped_loss)).hex() == float(plain_loss).hex()
+    for a, b in zip(plain, taped, strict=True):
+        assert a.chosen == b.chosen and a.attention.tobytes() == b.attention.tobytes()
+        contexts = [b"-" if t.context is None else t.context.tobytes() for t in (a, b)]
+        assert contexts[0] == contexts[1]
 
 
 def test_forward_logprob_attention_sums_to_one():
@@ -615,14 +717,15 @@ def test_init_model_validation():
 
 def test_mlp_reference_on_asnn_shape(rng):
     # duplicate-implementation oracle on the attention head's exact shape
-    from routeseq.kernel import init_mlp, mlp_forward
+    from routeseq.kernel import init_mlp, mlp_values
 
     p = init_mlp((70, 128, 128, 1), rng)
     for layer in p.layers:
         layer.b = rng.normal(size=layer.b.shape)
     x = rng.normal(size=70)
-    assert np.allclose(mlp_forward([x], p), mlp_ref(x, [(l.w, l.b) for l in p.layers]), atol=1e-12)
+    assert np.allclose(mlp_values(x, p.layers)[0], mlp_ref(x, [(l.w, l.b) for l in p.layers]),
+                       atol=1e-12)
     # the pair MLP's output layer has no bias: same as a zero one
     ref = mlp_ref(x, [(l.w, l.b) for l in p.layers[:-1]] + [(p.layers[-1].w, np.zeros(1))])
     p.layers[-1].b = None
-    assert np.allclose(mlp_forward([x], p), ref, atol=1e-12)
+    assert np.allclose(mlp_values(x, p.layers)[0], ref, atol=1e-12)

@@ -1,0 +1,72 @@
+"""Print the pairwise model's forward+backward time per route by zone count.
+
+One training step's differentiated part, layer by layer: for each zone count
+the median milliseconds of the taped teacher-forced forward pass
+(``forward_logprob`` on tape-wrapped parameters) and ``Tape.backward`` over
+repeated runs on one generated route, ``SynthConfig(n_routes=1,
+zones_per_route=(z, z), seed=1)``, with the default pairwise model at seed 0.
+Parameter wrapping and gradient collection are outside the timed span.
+
+    python3 tools/train_step_ms.py [--zones 5 10 15] [--runs 50]
+
+``routeseq`` is imported from ``PYTHONPATH`` when it is set there, else from
+the ``src/`` next to this script.  Information only: there is no bound.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from routeseq.datagen import SynthConfig, generate  # noqa: E402
+from routeseq.kernel import Tape  # noqa: E402
+from routeseq.predictor import (  # noqa: E402
+    ModelConfig,
+    fit_scaler,
+    forward_logprob,
+    init_model,
+    prepare_route,
+    scale_route,
+    wrap_params,
+)
+
+
+def step_ms(zones: int, runs: int) -> float:
+    prep = prepare_route(generate(SynthConfig(n_routes=1, zones_per_route=(zones, zones),
+                                              seed=1))[0])
+    params = init_model(ModelConfig("pairwise"), np.random.default_rng(0))
+    params.scaler = fit_scaler([prep])
+    scaled = scale_route(prep, params)
+    times = []
+    for _ in range(runs):
+        tape = Tape()
+        wrapped = wrap_params(params, tape)
+        start = time.perf_counter()
+        loss, _ = forward_logprob(wrapped, scaled)
+        tape.backward(loss)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--zones", type=int, nargs="+", default=[5, 10, 15])
+    parser.add_argument("--runs", type=int, default=50)
+    args = parser.parse_args()
+    print(f"python {platform.python_version()}, numpy {np.__version__}, nproc {os.cpu_count()}")
+    for zones in args.zones:
+        print(f"pairwise forward+backward, {zones} zones: {step_ms(zones, args.runs):.2f} ms "
+              f"(median of {args.runs} runs)")
+
+
+if __name__ == "__main__":
+    main()
