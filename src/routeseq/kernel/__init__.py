@@ -1,8 +1,10 @@
-"""Minimal differentiable numerical kernel: autodiff tape, the fused
-LSTM-sequence op, the plain-array LSTM step, softmax, MLP, pair-MLP and
-pointer scorers with their backward passes (which the decoder op runs),
-the pair MLP's route-constant terms, the sequence NLL, Adam, and the
-bit-exact checkpoint byte codec (no file I/O)."""
+"""Minimal differentiable numerical kernel: the autodiff tape with the
+``Grads`` that hands a recorded op's weight gradients over, the sequence
+NLL, the plain-array LSTM (one step and a whole sequence), softmax, MLP,
+the pair MLP's route-constant terms and the pair-MLP and pointer scorers,
+each with the backward pass that the one op per route of
+``predictor.decode`` runs, Adam, and the bit-exact checkpoint byte codec
+(no file I/O)."""
 
 from .autodiff import (
     Grads,
@@ -28,6 +30,7 @@ from .layers import (
     lstm_backward_step,
     lstm_factors,
     lstm_sequence,
+    lstm_sequence_backward,
     lstm_step,
     map_tensors,
     mlp_backward,
@@ -47,7 +50,8 @@ __all__ = [
     "Grads", "Node", "Tape", "nll", "unwrap",
     "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint", "serialize_checkpoint",
     "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "PairScoresBackward",
-    "init_lstm", "init_mlp", "lstm_backward_step", "lstm_factors", "lstm_sequence", "lstm_step",
+    "init_lstm", "init_mlp", "lstm_backward_step", "lstm_factors", "lstm_sequence",
+    "lstm_sequence_backward", "lstm_step",
     "map_tensors", "mlp_backward", "mlp_values", "named_tensors",
     "pair_scores", "pair_terms", "pointer_scores",
     "pointer_scores_backward", "softmax", "uniform_init", "zero_state",

@@ -1,30 +1,25 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Every op accepts either plain ndarrays or ``Node`` objects.  With plain
-arrays it just computes the value; as soon as one input is a ``Node`` the op
-is recorded on that node's tape by ``_record``, and ``Tape.backward`` later
-pushes exact gradients to every reachable leaf.  Tapes record nodes in
-execution order, so reversing that order is a valid topological order for
-backpropagation.
+A recorded op's output is a ``Node`` on the tape of the first ``Node``
+among its inputs (``_record``), with a hand-written backward pass;
+``Tape.backward`` later pushes exact gradients to every reachable leaf.
+Tapes record nodes in execution order, so reversing that order is a valid
+topological order for backpropagation.
 
 The graph is acyclic: a node holds its parents (through its backward
 closure) and a weak proxy of its tape, never itself or its tape, so a
 finished step's graph is freed by reference counting alone.
 
-A weight gradient that is a sum of outer products (one per decoder step or
-per candidate row) reaches a leaf through ``_acc_outer``: the tape keeps the
-rows and ``backward`` sums each leaf's rows once, in stacks of at most
-``STACK_ROWS``, after the last node has run, and then forgets them.  The
-rows may cover a block of the weight's columns (the pair MLP's first layer
-gets its pair, query and key blocks apart), and each block is summed apart.
-An op whose backward pass loops over steps gathers its gradients in a
-``Grads`` and hands each over once, at the end of the loop.
-
-The op here is ``nll`` (the teacher-forced loss over the decoder's stacked
-step probabilities).  ``layers`` adds the fused ops ``lstm_sequence`` (the
-encoder) and ``pair_terms`` (the pair MLP's key term), and
-``predictor.decode`` records the whole decoder as one op per route; all of
-them record through ``_record`` with hand-written backward passes.
+Two ops record: ``nll`` (the teacher-forced loss over the decoder's
+stacked step probabilities) and the one op per route that
+``predictor.decode`` records on tape-wrapped parameters, whose backward
+pass runs the decoder's, the pair MLP's key term's and the encoder's
+backpropagation on plain arrays.  That pass gathers every weight gradient
+in one ``Grads`` and hands each over once, at its end: sums into a tensor,
+and weight gradients that are sums of outer products (one per step or per
+candidate row), summed from their rows in stacks of at most
+``STACK_ROWS``, by block of columns where the rows cover only some (the
+pair MLP's first layer gets its pair, query and key blocks apart).
 
 Shapes are deliberately modest: vectors, matrices, and 0-d scalars, which is
 all the sequence models need.  Everything is float64.
@@ -39,10 +34,13 @@ import numpy as np
 from ..errors import InvalidInputError
 
 NLL_CLAMP = 1e-12
-# Rows per product when a leaf's deferred weight-gradient rows are summed:
-# OpenBLAS runs a (128 x rows) @ (rows x 128) product on a second thread from
-# 64 rows on, which at these sizes costs more than it saves, and much more
-# while the other core is busy.
+# Rows per product when a weight's gradient rows are summed.  This does not
+# keep OpenBLAS on one thread: with no thread variable set (scipy-openblas
+# 0.3.31, 2 cores), 32-row products at these widths were measured on a second
+# thread, (32 x 128)ᵀ @ (32 x 128) at 1.99 CPU seconds per wall second (1.00
+# with OPENBLAS_NUM_THREADS=1) and (32 x 128) @ (128 x 128)ᵀ at 1.99, while
+# 15-row products stayed on one.  It stays 32: any other size moves the
+# gradients' bits.
 STACK_ROWS = 32
 
 
@@ -64,9 +62,6 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Node] = []
-        # (leaf, first column) -> (output-gradient rows, input rows) of a
-        # block of the leaf's weight gradient
-        self._rows: dict = {}
         self._proxy = weakref.proxy(self)  # what nodes hold, so no node keeps the tape alive
 
     def leaf(self, value) -> Node:
@@ -81,11 +76,6 @@ class Tape:
         for node in reversed(self._nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
-        rows, self._rows = self._rows, {}
-        for (leaf, col), (gs, xs) in rows.items():
-            g, x = np.concatenate(gs), np.concatenate(xs)
-            for a in range(0, len(g), STACK_ROWS):
-                _acc_cols(leaf, g[a:a + STACK_ROWS].T @ x[a:a + STACK_ROWS], col)
 
 
 def unwrap(x):
@@ -129,25 +119,8 @@ def _acc_cols(w, g, col):
     w.grad[:, col:col + g.shape[1]] += g
 
 
-def _acc_outer(w, g, x, col=0):
-    """Accumulate ``g.T @ x``, the sum of the outer products of the rows of
-    ``g`` (m, out) and ``x`` (m, in), into the weight ``w`` (out, ...), in
-    its ``in`` columns from ``col`` on (all of them by default).  A leaf's
-    rows wait on its tape until the end of ``backward``, which sums all of
-    a block's rows at once; any other node needs its gradient before its
-    own backward runs, so it gets the product now."""
-    if not isinstance(w, Node):
-        return
-    if w._backward is not None:
-        _acc_cols(w, g.T @ x, col)
-        return
-    gs, xs = w.tape._rows.setdefault((w, col), ([], []))
-    gs.append(g)
-    xs.append(x)
-
-
 class Grads:
-    """The gradients a recorded op's backward loop gathers step by step and
+    """The gradients a recorded op's backward pass gathers step by step and
     hands over once, at its end (``hand``): sums into a tensor (``add``)
     and weight-gradient rows (``outer``).  Tensors that are not ``Node``
     objects are skipped."""
@@ -165,21 +138,30 @@ class Grads:
             entry[1][...] += g
 
     def outer(self, w, g, x, col=0, bias=None) -> None:
-        """Gather the rows of ``_acc_outer(w, g, x, col)``; ``bias``, when
-        given, gets the sum of the ``g`` rows."""
+        """Gather rows of the gradient of the weight ``w`` (out, ...): the
+        sum of the outer products of the rows of ``g`` (m, out) and ``x``
+        (m, in), which go into its ``in`` columns from ``col`` on (all of
+        them by default); ``bias``, when given, gets the sum of the ``g``
+        rows."""
         if isinstance(w, Node) or isinstance(bias, Node):
             entry = self._rows.setdefault((id(w), col), (w, col, bias, [], []))
             entry[3].append(g)
             entry[4].append(x)
 
     def hand(self) -> None:
+        """Hand every gathered gradient over; a block of weight columns gets
+        the sum of all its rows, as ``g.T @ x`` products of ``STACK_ROWS``
+        rows each."""
         for x, total in self._sums.values():
             _acc(x, total, own=True)
         for w, col, bias, gs, xs in self._rows.values():
             g = np.concatenate(gs)
             if bias is not None:
                 _acc(bias, g.sum(axis=0), own=True)
-            _acc_outer(w, g, np.concatenate(xs), col)
+            if isinstance(w, Node):
+                x = np.concatenate(xs)
+                for a in range(0, len(g), STACK_ROWS):
+                    _acc_cols(w, g[a:a + STACK_ROWS].T @ x[a:a + STACK_ROWS], col)
 
 
 def nll(probs, targets):

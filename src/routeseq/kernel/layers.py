@@ -1,18 +1,15 @@
 """LSTM, multilayer perceptron, scorers and parameter initializers.
 
-Two kinds of function live here.  The fused autodiff ops ``lstm_sequence``
-(the encoder; three nodes) and ``pair_terms`` (the pair MLP's key term; one
-node) work on plain ndarrays or ``Node`` inputs and record with
-hand-written backward passes.  The decoder's pieces work on plain arrays
-only: ``lstm_step``, ``softmax``, ``mlp_values``, ``pair_scores`` and
-``pointer_scores`` compute a step and keep what its backward pass reads,
-and ``lstm_factors``/``lstm_backward_step``, ``mlp_backward``,
-``PairScoresBackward`` and ``pointer_scores_backward`` run that pass
-inside the one op that ``predictor.decode`` records per route.  Forward
-passes compute the float expressions of the elementary ops they replace,
-in their order, so recording changes no value.  Weight gradients are sums
-of outer products that the tape forms once per backward
-(``autodiff._acc_outer``), handed over once per op.  The pair MLP splits
+Everything here works on plain arrays (a tape-wrapped tensor is read
+through ``unwrap``) and records nothing.  The forward passes ``lstm_sequence``
+(the encoder), ``lstm_step``, ``softmax``, ``mlp_values``, ``pair_terms``,
+``pair_scores`` and ``pointer_scores`` compute the model's values and keep
+what their backward passes read.  The backward passes
+``lstm_sequence_backward``, ``lstm_factors``/``lstm_backward_step``,
+``mlp_backward``, ``PairScoresBackward`` and ``pointer_scores_backward``
+hand a ``Grads`` their weight gradients; they run inside the one op that
+``predictor.decode`` records per route, whose backward pass runs the
+decoder's, the pair MLP's and the encoder's in turn.  The pair MLP splits
 its first layer by columns: the terms of the route-constant blocks are
 formed once per route (``pair_terms``) and each step adds its query's term
 to them (``pair_scores``).
@@ -26,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, NumericError
-from .autodiff import STACK_ROWS, Grads, Node, _acc, _acc_outer, _record, unwrap
+from .autodiff import STACK_ROWS, Grads, Node, unwrap
 
 
 @dataclass(eq=False)
@@ -152,49 +149,34 @@ def lstm_backward_step(k, dh, dc, factors, u, gz):
 
 
 def lstm_sequence(x, state: LstmState, params: LstmCellParams):
-    """The LSTM over the rows of ``x`` (n, input) from ``state``, as one
-    recorded op: returns (outputs (n, hidden), final state).
-
-    The forward pass runs ``lstm_step`` row by row.  It records the outputs,
-    then the final h and c, whose backward passes only hand their gradients
-    over.  The outputs' gradient starts at zero, so their backward runs
-    whichever of the three has a gradient (``lstm_ed`` reads only the final
-    state): one loop of backpropagation through time, then the W, U and b
-    gradients over all steps as one product each.
-    """
-    xv, hv, cv = unwrap(x), unwrap(state.h), unwrap(state.c)
-    if not np.all(np.isfinite(xv)):
+    """The LSTM over the rows of ``x`` (n, input) from ``state``: returns the
+    outputs (n, hidden), the final state and the ``lstm_step`` values of
+    every row, which ``lstm_sequence_backward`` reads."""
+    if not np.all(np.isfinite(x)):
         raise NumericError("lstm_sequence received a non-finite input")
     w, u, b = unwrap(params.w), unwrap(params.u), unwrap(params.b)
     steps = []
-    h, c = hv, cv
-    for xt in xv:
+    h, c = state.h, state.c
+    for xt in x:
         steps.append(lstm_step(w, u, b, xt, h, c))
         h, c = steps[-1].h, steps[-1].c
-    out_v = np.stack([step.h for step in steps])
-    handed = {}  # the final h's and c's gradients, once their backward has run
+    return np.stack([step.h for step in steps]), LstmState(h, c), steps
 
-    def backward(g_out):
-        factors = lstm_factors(steps, cv)
-        gz = np.empty_like(factors[1])
-        dh, dc = handed.pop("h", 0.0), handed.pop("c", 0.0)
-        for k in reversed(range(len(steps))):
-            dh, dc = lstm_backward_step(k, dh + g_out[k], dc, factors, u, gz)
-        _acc(params.b, gz.sum(axis=0), own=True)
-        _acc_outer(params.w, gz, xv)
-        _acc_outer(params.u, gz, np.vstack([hv, out_v[:-1]]))
-        if isinstance(x, Node):
-            _acc(x, gz @ w, own=True)
-        _acc(state.h, dh, own=True)
-        _acc(state.c, dc, own=True)
 
-    out = _record(out_v, (x, state.h, state.c, params.w, params.u, params.b), backward)
-    if not isinstance(out, Node):
-        return out, LstmState(h, c)
-    out.grad = np.zeros_like(out_v)
-    h_last = _record(h, (out,), lambda g: handed.__setitem__("h", g))
-    c_last = _record(c, (out,), lambda g: handed.__setitem__("c", g))
-    return out, LstmState(h_last, c_last)
+def lstm_sequence_backward(x, state: LstmState, params: LstmCellParams, steps, g_out, dh, dc,
+                           grads: Grads) -> None:
+    """Backpropagation through time over the ``lstm_sequence`` values
+    ``steps`` of the rows ``x`` from ``state``, from the gradients of its
+    outputs ``g_out`` (n, hidden) and of its final h and c (``dh``,
+    ``dc``): one reverse loop over the steps, then the W and U rows of all
+    steps and b's gradient handed to ``grads``."""
+    factors = lstm_factors(steps, state.c)
+    gz = np.empty_like(factors[1])
+    u = unwrap(params.u)
+    for k in reversed(range(len(steps))):
+        dh, dc = lstm_backward_step(k, dh + g_out[k], dc, factors, u, gz)
+    grads.outer(params.w, gz, x, bias=params.b)
+    grads.outer(params.u, gz, np.vstack([state.h, *(step.h for step in steps[:-1])]))
 
 
 def softmax(u, allowed=None):
@@ -268,7 +250,8 @@ class PairTerms:
     w_q: np.ndarray             # (hidden, q) the first layer's query columns
     pair: np.ndarray            # (s, n, p) pair rows from each source node
     pair_term: np.ndarray       # (s, n, hidden) W_z pair
-    key_term: object            # (n, hidden) W_k key + b; a tape node when recorded
+    keys: np.ndarray            # (n, k) the keys
+    key_term: np.ndarray        # (n, hidden) W_k key + b
     queries: np.ndarray | None  # (s, q) route-constant queries, or None
     query_term: np.ndarray | None  # (s, hidden) W_q query, or None
 
@@ -277,41 +260,29 @@ def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
     """The route-constant terms of the pair MLP ``params`` over the pair rows
     ``pair`` (s, n, p) from s source nodes to the n keys ``keys`` (n, k),
     and of the queries (s, q) when they are route constants.  The first
-    layer's columns are the pair, query and key blocks in that order.
-
-    The key term is one recorded op: its backward runs once per route, after
-    the decoder has handed it the sum of every step's rows
-    (``PairScoresBackward``), and hands ``b`` and the keys their gradients
-    and the tape the ``W_k`` rows.  The pair and query terms are plain
-    arrays: their ``W_z`` and ``W_q`` rows come from the steps that read
-    them."""
+    layer's columns are the pair, query and key blocks in that order.  The
+    gradients of every block come from ``PairScoresBackward``, once per
+    route."""
     layers = params.layers
-    first, kv = layers[0], unwrap(keys)
+    first = layers[0]
     w = unwrap(first.w)
-    p, k = pair.shape[-1], kv.shape[1]
+    p, k = pair.shape[-1], keys.shape[1]
     q = w.shape[1] - p - k
     if q < 0 or (queries is not None and queries.shape[1] != q):
         raise InvalidInputError(f"pair MLP input width {w.shape[1]} does not match pair "
                                 f"width {p}, key width {k} and the query")
     w_q, w_k = w[:, p:p + q], w[:, p + q:]
-    key_v = kv @ w_k.T
+    key_term = keys @ w_k.T
     if first.b is not None:
-        key_v = key_v + unwrap(first.b)
-
-    def backward(g):
-        if first.b is not None:
-            _acc(first.b, g.sum(axis=0), own=True)
-        _acc_outer(first.w, g, kv, p + q)
-        if isinstance(keys, Node):
-            _acc(keys, g @ w_k, own=True)
-
+        key_term = key_term + unwrap(first.b)
     return PairTerms(
         first=first,
         rest=MlpParams(layers[1:]),
         w_q=w_q,
         pair=pair,
         pair_term=(pair.reshape(-1, p) @ w[:, :p].T).reshape(*pair.shape[:2], -1),
-        key_term=_record(key_v, (keys, first.w, first.b), backward),
+        keys=keys,
+        key_term=key_term,
         queries=queries,
         query_term=None if queries is None else queries @ w_q.T,
     )
@@ -333,7 +304,7 @@ def pair_scores(terms: PairTerms, src: int, d=None):
             raise InvalidInputError(f"pair MLP query shape {qv.shape} does not match "
                                     f"({w_q.shape[1]},)")
         q_term = w_q @ qv
-    pre = terms.pair_term[src] + unwrap(terms.key_term)
+    pre = terms.pair_term[src] + terms.key_term
     pre += q_term
     if not terms.rest.layers:  # a pair MLP of one layer scores with the sum itself
         return pre.reshape(-1), (qv, [])
@@ -353,8 +324,8 @@ class PairScoresBackward:
     layer.  Scores are linear in that gradient, so in the loop a step's
     query gradient is ``W_qᵀ (s @ v)`` for its scores' gradient ``s``
     (``query``).  At the end, ``hand`` scales the rows by every step's
-    ``s`` and hands ``grads`` every layer's weight rows and bias and the
-    key term's gradient, once."""
+    ``s``, hands ``grads`` every layer's weight rows and bias, and runs the
+    key term's backward pass, once."""
 
     def __init__(self, terms: PairTerms, srcs, saved, probs):
         """``srcs`` holds each scored step's source node, ``saved`` its
@@ -377,7 +348,7 @@ class PairScoresBackward:
             for k in range(len(rest) - 2, -1, -1):
                 g = g * (self.ins[k + 1] > 0.0)
                 self.unit.insert(0, g)
-                w = unwrap(rest[k].w)  # in stacks of STACK_ROWS rows, as the tape sums rows
+                w = unwrap(rest[k].w)  # in stacks of STACK_ROWS rows, as Grads sums rows
                 g = np.concatenate([g[a:a + STACK_ROWS] @ w for a in range(0, len(g), STACK_ROWS)])
             g = g * (self.ins[0] > 0.0)  # the first layer's ReLU output feeds the rest
         self.v = g
@@ -391,16 +362,22 @@ class PairScoresBackward:
         self.gq[k] = self.s[a:b] @ self.v[a:b]
         return self.terms.w_q.T @ self.gq[k]
 
-    def hand(self, grads: Grads) -> None:
+    def hand(self, grads: Grads, d_keys=None) -> None:
+        """Hands ``grads`` the gradients of every layer, the first by its
+        pair, query and key blocks (with ``b`` the key term's), and adds the
+        keys' gradient into ``d_keys`` when it is given."""
         terms, s = self.terms, self.s[:, None]
         for layer, unit, x in zip(terms.rest.layers, self.unit, self.ins):
             grads.outer(layer.w, s * unit, x, bias=layer.b)
         g = s * self.v
+        p, q = self.pair.shape[1], terms.w_q.shape[1]
         grads.outer(terms.first.w, g, self.pair)
-        grads.outer(terms.first.w, self.gq, self.queries, self.pair.shape[1])
-        key = np.zeros(unwrap(terms.key_term).shape)
+        grads.outer(terms.first.w, self.gq, self.queries, p)
+        key = np.zeros(terms.key_term.shape)  # each key's row: the sum over the steps
         np.add.at(key, self.pos, g)
-        grads.add(terms.key_term, key)
+        grads.outer(terms.first.w, key, terms.keys, p + q, bias=terms.first.b)
+        if d_keys is not None:
+            d_keys += key @ unwrap(terms.first.w)[:, p + q:]
 
 
 def pointer_scores(kv, dv, zv, w1, w2, w3, w4):
@@ -412,18 +389,19 @@ def pointer_scores(kv, dv, zv, w1, w2, w3, w4):
     return t @ w1 + zv @ w4, t
 
 
-def pointer_scores_backward(keys, dv, zv, t, weights, g, grads: Grads):
+def pointer_scores_backward(kv, dv, zv, t, weights, g, grads: Grads, d_keys):
     """Back through one ``pointer_scores`` step with the tanh ``t`` from the
-    scores' gradient ``g``: hands ``grads`` the gradients of ``keys`` and of
-    ``weights`` (w1, w2, w3, w4) and returns the query's gradient."""
+    scores' gradient ``g``: hands ``grads`` the gradients of ``weights``
+    (w1, w2, w3, w4), adds the keys' into ``d_keys`` and returns the
+    query's."""
     w1, w2, w3, w4 = weights
     grads.add(w4, zv.T @ g)
     grads.add(w1, t.T @ g)
     gs = np.outer(g, unwrap(w1)) * (1.0 - t * t)
     gq = gs.sum(axis=0)
     grads.outer(w3, gq[None], dv[None])
-    grads.add(keys, gs @ unwrap(w2))
-    grads.outer(w2, gs, unwrap(keys))
+    d_keys += gs @ unwrap(w2)
+    grads.outer(w2, gs, kv)
     return unwrap(w3).T @ gq
 
 

@@ -31,12 +31,13 @@ from ``first_step``, the depot's step before any pick, which rollouts share.
 features and the keys go through it once per route, and a step adds only
 its query's term.
 
-Every step runs on plain arrays, in training too.  With tape-wrapped
-parameters ``decode`` keeps each scored step's values and records one node
-per route, the scored steps' stacked probabilities, which ``nll`` reads;
-its backward pass (``_decode_backward``) is one reverse loop over the steps
-(masked softmax, scorer, decoder LSTM, backpropagation through time) that
-hands every gradient off that chain over once per route.
+Everything runs on plain arrays, in training too.  With tape-wrapped
+parameters ``decode`` keeps each scored step's values and records one op
+per route, the scored steps' stacked probabilities, which ``nll`` reads.
+Its backward pass (``_decode_backward``) runs the route's chain back in
+one function: the decoder's steps in reverse (masked softmax, scorer,
+decoder LSTM), the pair MLP's key term and the encoder, and hands every
+weight gradient over once.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .errors import ConfigError, InvalidInputError, NumericError, SchemaError
 from .kernel import (
     Grads,
     LstmCellParams,
-    LstmState,
     MlpParams,
     Node,
     Tape,
@@ -64,6 +64,7 @@ from .kernel import (
     lstm_backward_step,
     lstm_factors,
     lstm_sequence,
+    lstm_sequence_backward,
     lstm_step,
     map_tensors,
     mlp_backward,
@@ -293,13 +294,14 @@ def gradients(params: ModelParams, wrapped: ModelParams) -> dict:
 
 
 def encode(params: ModelParams, scaled: ScaledRoute):
-    """The route's attention keys by input position and the decoder's
-    initial state, as ``(keys, state)``.  The recurrent variants run the
-    encoder over the scaled features in reading order, from a zero initial
-    state: the keys are its stacked outputs and the state its final LSTM
-    state.  ``asnn`` keys on the scaled zone features and has no state."""
+    """The route's attention keys by input position, the decoder's initial
+    state and the encoder's steps, as ``(keys, state, steps)``.  The
+    recurrent variants run the encoder over the scaled features in reading
+    order, from a zero initial state: its stacked outputs, final LSTM state
+    and ``lstm_step`` values.  ``asnn`` keys on the scaled zone features and
+    has no state and no steps."""
     if params.config.variant == "asnn":
-        return scaled.nodes[1:], None
+        return scaled.nodes[1:], None, None
     return lstm_sequence(scaled.nodes[1:], zero_state(params.config.hidden), params.encoder)
 
 
@@ -333,16 +335,16 @@ def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms):
     return pair_scores(terms, src, None if variant == "asnn" else d)
 
 
-def _scores_backward(params: ModelParams, scaled: ScaledRoute, inputs, src: int, d, saved, g,
-                     grads):
+def _scores_backward(params: ModelParams, scaled: ScaledRoute, keys, src: int, d, saved, g,
+                     grads, d_keys):
     """Back through one ``pointer`` or ``lstm_ed`` ``_scores`` step from the
-    scores' gradient ``g``: hands ``grads`` the scorer's gradients and
-    returns the query's (the pair MLP's steps go through
-    ``PairScoresBackward``)."""
+    scores' gradient ``g``: hands ``grads`` the scorer's gradients, adds the
+    keys' into ``d_keys`` and returns the query's (the pair MLP's steps go
+    through ``PairScoresBackward``)."""
     if params.config.variant == "pointer":
         p = params.pointer
-        return pointer_scores_backward(inputs.encoded[0], d, scaled.pair[src], saved,
-                                       (p.w1, p.w2, p.w3, p.w4), g, grads)
+        return pointer_scores_backward(keys, d, scaled.pair[src], saved,
+                                       (p.w1, p.w2, p.w3, p.w4), g, grads, d_keys)
     return mlp_backward(params.fc.layers, [v[None] for v in saved], g[None], grads)[0]
 
 
@@ -369,10 +371,9 @@ def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
 class DecoderInputs:
     """What every decoder step of a route reads besides its own state."""
 
-    encoded: tuple   # ``encode``'s (keys, state), tape nodes when recorded
-    keys: np.ndarray  # the keys' values
-    terms: object    # ``_pair_terms``, None without the pair MLP
-    nodes: list      # the tape nodes among the decoder's inputs; empty when nothing records
+    encoded: tuple    # ``encode``'s (keys, state, steps)
+    terms: object     # ``_pair_terms``, None without the pair MLP
+    recorded: object  # the tape-wrapped tensor the decoder op records on, else None
 
 
 def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state, src: int,
@@ -394,13 +395,13 @@ def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state
         if state is not None:
             lstm = state = decode_step(params, d, w_prev, state)
             d = lstm.h
-        scores, scored = _scores(params, scaled, src, d, inputs.keys, inputs.terms)
+        scores, scored = _scores(params, scaled, src, d, inputs.encoded[0], inputs.terms)
         # softmax keeps no reference to the mask, so decode clears it in place.
         probs = softmax(scores, allowed)
         saved = (src, w_prev, lstm, scored)
     else:
         probs = allowed.astype(np.float64)
-    w_ctx = probs @ inputs.keys if params.config.variant in ("pairwise", "pointer") else None
+    w_ctx = probs @ inputs.encoded[0] if params.config.variant in ("pairwise", "pointer") else None
     return state, probs, w_ctx, saved
 
 
@@ -409,13 +410,13 @@ def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
     ``encoded``: the ``DecoderInputs``, with the pair MLP's route-constant
     terms (``_pair_terms``), and step 0, the depot's query over all the
     zones, which comes before any pick.  Rollouts of one route that start
-    from the same ``first_step`` share it."""
-    keys, state = encoded
-    terms = _pair_terms(params, scaled, keys)
-    read = [keys, *(() if state is None else (state.h, state.c)),
-            None if terms is None else terms.key_term, *model_tensors(params).values()]
-    inputs = DecoderInputs(encoded, unwrap(keys), terms, [t for t in read if isinstance(t, Node)])
-    state = None if state is None else LstmState(unwrap(state.h), unwrap(state.c))
+    from the same ``first_step`` share it.  The decoder op records when
+    ``params`` are tape-wrapped (``wrap_params``), as its first weight
+    shows: the decoder LSTM's input weight, or ``asnn``'s first layer's."""
+    keys, state, _ = encoded
+    w = params.asnn.layers[0].w if params.decoder is None else params.decoder.w
+    inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys),
+                           w if isinstance(w, Node) else None)
     return inputs, _step(params, scaled, inputs, state, 0, np.zeros(params.config.hidden),
                          _mask(params, scaled))
 
@@ -434,8 +435,8 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     the step's probabilities by zone index.
 
     Returns ``(probs, traces)``: the scored steps' probabilities by input
-    position stacked (m, width), and the per-step traces.  When the decoder
-    reads a tape node (tape-wrapped ``params``), every step still runs on
+    position stacked (m, width), and the per-step traces.  With
+    tape-wrapped ``params`` (see ``first_step``), every step still runs on
     plain arrays, keeping the values its backward pass reads, and ``probs``
     is one recorded op (``_decode_backward``).
     """
@@ -452,7 +453,7 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
             state, probs, w_ctx, saved = _step(params, scaled, inputs, state, src, w_ctx, allowed)
         if saved is not None:
             scored.append(probs)
-            if inputs.nodes:
+            if inputs.recorded is not None:
                 kept.append(saved)
         p_zone = np.zeros(n)
         p_zone[slots] = probs[:n]
@@ -465,7 +466,7 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     stacked = np.stack(scored) if scored else np.zeros((0, width))
     if not kept:
         return stacked, traces
-    return _record(stacked, inputs.nodes,
+    return _record(stacked, (inputs.recorded,),
                    lambda g: _decode_backward(params, scaled, inputs, kept, stacked, g)), traces
 
 
@@ -475,18 +476,19 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
     steps' stacked probabilities ``probs``: one reverse loop over the steps,
     each through its masked softmax, its scorer and (recurrent variants) the
     decoder LSTM, whose gradient reaches the step before through the LSTM
-    state and through the context it read.  The gradients off that chain
-    are handed over once, after the loop: the weight rows and biases, the
-    key term's, the keys' (the contexts' ``Pᵀ·dC`` included) and the
-    encoder's final state's."""
+    state and through the context it read; then the pair MLP's key term
+    and the encoder, from the keys' gradients (the contexts' ``Pᵀ·dC`` and
+    the key term's included) and the final state's.  Every weight gradient
+    is handed over once, at the end."""
     grads = Grads()
-    keys, state = inputs.encoded
+    keys, state, encoder = inputs.encoded
+    d_keys = np.zeros_like(keys)
     has_context = params.config.variant in ("pairwise", "pointer")
     if has_context:
-        d_ctx = np.zeros((len(steps), inputs.keys.shape[1]))  # gradient of each step's context
+        d_ctx = np.zeros((len(steps), keys.shape[1]))  # gradient of each step's context
     if state is not None:
         lstms = [lstm for _, _, lstm, _ in steps]
-        factors = lstm_factors(lstms, unwrap(state.c))
+        factors = lstm_factors(lstms, state.c)
         gz = np.empty_like(factors[1])
         dec = params.decoder
         u, w_ctx = unwrap(dec.u), unwrap(dec.w)[:, N_FEATURES:]
@@ -497,26 +499,27 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
         src, _, lstm, scored = steps[k]
         p, gp = probs[k], g[k]
         if has_context:
-            gp = gp + inputs.keys @ d_ctx[k]
+            gp = gp + keys @ d_ctx[k]
         s = p * (gp - gp @ p)
-        dq = pair.query(k, s) if pair else _scores_backward(params, scaled, inputs, src, lstm.h,
-                                                             scored, s, grads)
+        dq = pair.query(k, s) if pair else _scores_backward(params, scaled, keys, src, lstm.h,
+                                                             scored, s, grads, d_keys)
         if state is not None:
             dh, dc = lstm_backward_step(k, dh + dq, dc, factors, u, gz)
             if has_context and k:
                 d_ctx[k - 1] = gz[k] @ w_ctx
     if has_context:
-        grads.add(keys, probs.T @ d_ctx)
+        d_keys += probs.T @ d_ctx
     if state is not None:
         x = scaled.nodes[[src for src, _, _, _ in steps]]
         if has_context:
             x = np.hstack([x, np.stack([w_prev for _, w_prev, _, _ in steps])])
         grads.outer(dec.w, gz, x, bias=dec.b)
-        grads.outer(dec.u, gz, np.stack([unwrap(state.h), *(lstm.h for lstm in lstms[:-1])]))
-        grads.add(state.h, dh)
-        grads.add(state.c, dc)
+        grads.outer(dec.u, gz, np.stack([state.h, *(lstm.h for lstm in lstms[:-1])]))
     if pair:
-        pair.hand(grads)
+        pair.hand(grads, None if encoder is None else d_keys)
+    if encoder is not None:
+        lstm_sequence_backward(scaled.nodes[1:], zero_state(params.config.hidden),
+                               params.encoder, encoder, d_keys, dh, dc, grads)
     grads.hand()
 
 

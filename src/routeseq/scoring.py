@@ -170,8 +170,11 @@ class DisparityReport:
 
 
 def aggregate(rows, failures) -> DisparityReport:
+    """The report over the scored ``rows``; with none, an error that names
+    every failure's route id and message."""
     if not rows:
-        raise InvalidInputError("no routes were scored")
+        raise InvalidInputError("; ".join(["no routes were scored",
+                                           *(f"{rid}: {msg}" for rid, msg in failures)]))
     rs = np.array([row.r for row in rows])
     acc = []
     for i in range(FIRST_K):

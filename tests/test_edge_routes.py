@@ -10,7 +10,7 @@ import pytest
 from conftest import make_route
 from oracles import route_cost_ref
 from routeseq.completion import complete_sequence
-from routeseq.errors import MalformedRouteError
+from routeseq.errors import InvalidInputError, MalformedRouteError
 from routeseq.inference import BEST_FIRST, GREEDY, predict
 from routeseq.kernel import adam_init, adam_step
 from routeseq.predictor import VARIANTS, ModelConfig, init_model, model_tensors, prepare_route
@@ -151,3 +151,14 @@ def test_wrong_shape_matrix_and_negative_loads_are_typed_failures_in_every_varia
         assert [route_id for route_id, _ in report.failures] == [r.route_id for r in bad_routes]
         assert all(msg.startswith("MalformedRouteError") for _, msg in report.failures)
         assert [row.route_id for row in report.rows] == ["G0"]
+
+
+def test_a_set_whose_every_route_fails_names_each_failure():
+    # A one-route set whose 4-stop route has a 4 x 4 matrix scores no route:
+    # the error names the route and says why it failed.
+    short = make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"], route_id="S0")
+    short.travel_time = short.travel_time[:4, :4]
+    params = init_model(ModelConfig("asnn", hidden=8, asnn_hidden=(16,)), np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match=r"^no routes were scored; S0: MalformedRouteError: "
+                                                r"route S0: travel_time shape"):
+        evaluate_testset([short], params=params)

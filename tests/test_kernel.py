@@ -24,6 +24,7 @@ from routeseq.kernel import (
     init_lstm,
     init_mlp,
     lstm_sequence,
+    lstm_sequence_backward,
     lstm_step,
     map_tensors,
     mlp_backward,
@@ -84,17 +85,6 @@ def _arrays(*shapes):
     return make
 
 
-def _side_by_side(*parts):
-    """The vectors ``parts`` end to end, as a recorded op."""
-    sizes = np.cumsum([len(unwrap(p)) for p in parts])[:-1]
-
-    def backward(g):
-        for p, gp in zip(parts, np.split(g, sizes)):
-            _acc(p, gp)
-
-    return _record(np.concatenate([unwrap(p) for p in parts]), parts, backward)
-
-
 def mlp_forward(x, params):
     """The MLP as a recorded op over ``mlp_values`` and ``mlp_backward``, on
     a vector or on rows; a one-unit output layer over rows gives one score
@@ -113,14 +103,28 @@ def mlp_forward(x, params):
     return _record(a.reshape(-1) if xv.ndim == 2 and a.shape[1] == 1 else a, parents, backward)
 
 
-def _lstm_sequence(x, h, c, w, u, b, outputs=True):
-    """lstm_sequence's final state after a weighted sum of its output rows,
-    every weight non-zero, or (``outputs=False``) the final state alone, as
-    ``lstm_ed`` reads it."""
-    out, state = lstm_sequence(x, LstmState(h, c), LstmCellParams(w, u, b))
-    if not outputs:
-        return _side_by_side(state.h, state.c)
-    return _side_by_side(matmul(np.linspace(1.0, 2.0, len(unwrap(x))), out), state.h, state.c)
+# The encoder's cases read four rows of width 2 from a non-zero state.
+_X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 2))
+_START = LstmState(np.full(3, 0.3), np.full(3, -0.2))
+
+
+def _lstm_sequence(w, u, b, outputs=True):
+    """lstm_sequence as a recorded op over its plain forward and backward: a
+    weighted sum of its output rows, then its final h and c.  Every weight is
+    non-zero, or (``outputs=False``) every weight is 0, so the gradient
+    comes through the final state alone, as ``lstm_ed`` reads it."""
+    params = LstmCellParams(w, u, b)
+    out, state, steps = lstm_sequence(_X, _START, params)
+    mix = np.linspace(1.0, 2.0, len(_X)) * outputs
+    n = len(state.h)
+
+    def backward(g):
+        grads = Grads()
+        lstm_sequence_backward(_X, _START, params, steps, np.outer(mix, g[:n]), g[n:2 * n],
+                               g[2 * n:], grads)
+        grads.hand()
+
+    return _record(np.concatenate([mix @ out, state.h, state.c]), (w, u, b), backward)
 
 
 def _mlp(x, *wb):
@@ -135,42 +139,34 @@ def _mlp(x, *wb):
 _ROUTE = prepare_route(make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A"],
                                   actual=[3, 0, 4, 1, 2]))
 
-def _decoder(variant, tensors, encoded=None, kz=None, loss=False, asnn_hidden=(4,)):
+def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,)):
     """The decoder op over ``_ROUTE``, teacher-forced, for a seeded model of
     ``variant`` whose tensors named in ``tensors`` are replaced: the scored
-    steps' stacked probabilities, or with ``loss`` their ``nll``.  The
-    ``encode`` result is ``encoded`` (keys, (h, c)) when given."""
+    steps' stacked probabilities, or with ``loss`` their ``nll``.  When a
+    replacement is a tape node, every other tensor is a leaf of its tape,
+    as ``wrap_params`` makes them."""
     params = init_model(ModelConfig(variant, hidden=3, asnn_hidden=asnn_hidden, att_dim=4, kz=kz),
                         np.random.default_rng(0))
     params.scaler = fit_scaler([_ROUTE])
-    params = replace(params, **{name: map_tensors(getattr(params, name),
-                                                  lambda n, t: tensors.get(n, t), name)
-                                for name in ("decoder", "asnn", "pointer", "fc")})
+    tape = next((t.tape for t in tensors.values() if isinstance(t, Node)), None)
+
+    def put(name, t):
+        return tensors.get(name, t if tape is None else tape.leaf(t))
+
+    params = replace(params, **{name: map_tensors(getattr(params, name), put, name)
+                                for name in ("encoder", "decoder", "asnn", "pointer", "fc")})
     scaled = scale_route(_ROUTE, params)
-    if encoded is not None:
-        keys, (h, c) = encoded
-        encoded = (keys, LstmState(h, c))
     targets = _ROUTE.targets
-    probs, _ = decode(params, scaled, first_step(params, scaled, encoded or encode(params, scaled)),
+    probs, _ = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
                       lambda i, _: targets[i])
     if not loss:
         return probs
     return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])])
 
 
-def _keyed(variant, names, loss=False, asnn_hidden=(4,)):
-    """A ``_decoder`` case whose inputs are the keys (5 x 3) and then the
-    tensors ``names``, with the encoder's final state fixed."""
-    state = (np.full(3, 0.3), np.full(3, -0.2))
-    return lambda keys, *ts: _decoder(variant, dict(zip(names, ts)), (keys, state), loss=loss,
-                                      asnn_hidden=asnn_hidden)
-
-
-def _stated(variant, names, kz=None):
-    """A ``_decoder`` case whose inputs are the encoder's final h and c
-    (3,) and then the tensors ``names``, with the keys fixed."""
-    keys = np.random.default_rng(5).normal(size=(5, 3))
-    return lambda h, c, *ts: _decoder(variant, dict(zip(names, ts)), (keys, (h, c)), kz)
+def _model(variant, names, loss=False, kz=None, asnn_hidden=(4,)):
+    """A ``_decoder`` case whose inputs are the model's tensors ``names``."""
+    return lambda *ts: _decoder(variant, dict(zip(names, ts)), kz, loss, asnn_hidden)
 
 
 def _probs(rows, width):
@@ -178,7 +174,9 @@ def _probs(rows, width):
     return lambda rng: [rng.dirichlet(np.ones(width), size=rows)]
 
 
+_ENCODER = ("encoder.w", "encoder.u", "encoder.b")
 _LSTM = ("decoder.w", "decoder.u", "decoder.b")
+_PAIR_MLP = ("asnn.0.w", "asnn.0.b", "asnn.1.w")
 
 # name -> (op over the inputs, input maker, finite-difference step).  The
 # decoder op's cases are named after the parts of its backward pass that
@@ -189,18 +187,20 @@ OP_CASES = {
     "matmul_1d_2d": (matmul, _arrays((4,), (4, 3)), 1e-5),
     "matmul_1d_1d": (matmul, _arrays((4,), (4,)), 1e-5),
     # the decoder LSTM fed the last stop's features alone (lstm_ed), from
-    # the encoder's final state, into the head
-    "lstm_cell": (_stated("lstm_ed", (*_LSTM, "fc.0.w", "fc.0.b"), kz=5),
-                  _arrays((3,), (3,), (12, 12), (12, 3), (12,), (5, 3), (5,)), 1e-5),
+    # the encoder's final state, into the head: the encoder's gradients
+    # come through its final state only
+    "lstm_cell": (_model("lstm_ed", (*_ENCODER, *_LSTM, "fc.0.w", "fc.0.b"), kz=5),
+                  _arrays((12, 12), (12, 3), (12,), (12, 12), (12, 3), (12,), (5, 3), (5,)),
+                  1e-5),
     # the decoder's [last stop's features; context] input: the context's
-    # gradient reaches the step before and the keys
-    "lstm_cell_two_blocks": (_keyed("pairwise", _LSTM),
-                             _arrays((5, 3), (12, 15), (12, 3), (12,)), 1e-5),
-    # four rows from a non-zero initial state
-    "lstm_sequence": (_lstm_sequence, _arrays((4, 2), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
+    # gradient reaches the step before and the keys, and so the encoder
+    "lstm_cell_two_blocks": (_model("pairwise", (*_ENCODER, *_LSTM)),
+                             _arrays((12, 12), (12, 3), (12,), (12, 15), (12, 3), (12,)), 1e-5),
+    # the encoder alone, from the gradients of its outputs and final state
+    "lstm_sequence": (_lstm_sequence, _arrays((12, 2), (12, 3), (12,)), 1e-5),
     "lstm_sequence_final_state": (
         lambda *args: _lstm_sequence(*args, outputs=False),
-        _arrays((4, 2), (3,), (3,), (12, 2), (12, 3), (12,)), 1e-5),
+        _arrays((12, 2), (12, 3), (12,)), 1e-5),
     # at this seed every hidden pre-activation of the MLP cases is >= 0.005 from the kink
     "mlp_vector": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4), (2,)), 1e-5),
     "mlp_vector_no_out_bias": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4)), 1e-5),
@@ -213,15 +213,15 @@ OP_CASES = {
                                                         MlpLayer(w1, None)])),
         _arrays((5, 3), (4, 2), (2, 3), (1, 4)), 1e-5),
     # the pair scorer at pairwise's widths, [pair rows; query; keys]: the
-    # keys reach the key term, the context and (through the decoder LSTM)
-    # the queries
-    "pair_scores": (_keyed("pairwise", ("asnn.0.w", "asnn.0.b", "asnn.1.w")),
-                    _arrays((5, 3), (4, 12), (4,), (1, 4)), 1e-5),
+    # keys, the encoder's outputs, reach the key term, the context and
+    # (through the decoder LSTM) the queries
+    "pair_scores": (_model("pairwise", (*_ENCODER, *_PAIR_MLP)),
+                    _arrays((12, 12), (12, 3), (12,), (4, 12), (4,), (1, 4)), 1e-5),
     # through nll: the candidates the mask leaves out get a score gradient
     # of exactly 0, which the scorer's backward skips
     "pair_scores_masked_nll": (
-        _keyed("pairwise", ("asnn.0.w", "asnn.0.b", "asnn.1.w"), loss=True),
-        _arrays((5, 3), (4, 12), (4,), (1, 4)), 1e-5),
+        _model("pairwise", (*_ENCODER, *_PAIR_MLP), loss=True),
+        _arrays((12, 12), (12, 3), (12,), (4, 12), (4,), (1, 4)), 1e-5),
     # at asnn's widths: the queries and keys are constant node features, and
     # the first layer's weight is an op's output, so its column blocks get
     # their gradients before that op's backward runs
@@ -230,17 +230,16 @@ OP_CASES = {
                                                "asnn.1.w": w1}, loss=True),
         _arrays((4, 2), (2, 30), (4,), (1, 4)), 1e-5),
     # a pair MLP of one layer scores with its first layer's sum
-    "pair_scores_one_layer": (_keyed("pairwise", ("asnn.0.w",), asnn_hidden=()),
-                              _arrays((5, 3), (1, 12)), 1e-5),
-    "pointer_scores": (_keyed("pointer", ("pointer.w1", "pointer.w2", "pointer.w3",
+    "pair_scores_one_layer": (_model("pairwise", (*_ENCODER, "asnn.0.w"), asnn_hidden=()),
+                              _arrays((12, 12), (12, 3), (12,), (1, 12)), 1e-5),
+    "pointer_scores": (_model("pointer", (*_ENCODER, "pointer.w1", "pointer.w2", "pointer.w3",
                                           "pointer.w4")),
-                       _arrays((5, 3), (4,), (4, 3), (4, 3), (6,)), 1e-5),
+                       _arrays((12, 12), (12, 3), (12,), (4,), (4, 3), (4, 3), (6,)), 1e-5),
     # every head slot a zone's: step 0's softmax runs over all of them
-    "softmax": (_stated("lstm_ed", ("fc.0.w", "fc.0.b"), kz=5),
-                _arrays((3,), (3,), (5, 3), (5,)), 1e-5),
+    "softmax": (_model("lstm_ed", ("fc.0.w", "fc.0.b"), kz=5), _arrays((5, 3), (5,)), 1e-5),
     # a head wider than the route: its last two slots are masked at every step
-    "softmax_masked": (_stated("lstm_ed", ("fc.0.w", "fc.0.b"), kz=7),
-                       _arrays((3,), (3,), (7, 3), (7,)), 1e-5),
+    "softmax_masked": (_model("lstm_ed", ("fc.0.w", "fc.0.b"), kz=7), _arrays((7, 3), (7,)),
+                       1e-5),
     # a step small enough that the perturbed probabilities still sum to 1
     # within nll's 1e-6 check
     "nll": (lambda p: nll(p, [2, 0, 1]), _probs(3, 5), 1e-7),
@@ -286,8 +285,8 @@ def test_op_gradient_matches_central_difference(name):
 
 
 def test_finished_tape_is_freed_without_cyclic_gc():
-    # One whole training step per variant: the taped forward of a route,
-    # backward, and the weight-gradient rows the tape sums at its end.
+    # One whole training step per variant: the taped forward of a route and
+    # backward.
     prep = prepare_route(make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"]))
     was_enabled = gc.isenabled()
     gc.disable()
@@ -301,7 +300,6 @@ def test_finished_tape_is_freed_without_cyclic_gc():
             tape = Tape()
             loss, _ = forward_logprob(wrap_params(params, tape), scale_route(prep, params))
             tape.backward(loss)
-            assert not tape._rows, variant  # the deferred rows are summed and dropped
             tape_ref, value_ref = weakref.ref(tape), weakref.ref(loss.value)
             del tape, loss
             assert tape_ref() is None, variant
@@ -333,7 +331,7 @@ def test_sigmoid_one_division_matches_the_two_branch_form():
 # --- lstm --------------------------------------------------------------------
 
 def test_lstm_sequence_is_a_loop_of_lstm_cell_bit_for_bit(rng):
-    # the encoder op against a loop of the decoder's plain step
+    # the encoder against a loop of the decoder's plain step
     p = init_lstm(4, 6, rng)
     x = rng.normal(size=(7, 4))
     start = LstmState(rng.normal(size=6), rng.normal(size=6))
@@ -343,11 +341,11 @@ def test_lstm_sequence_is_a_loop_of_lstm_cell_bit_for_bit(rng):
         outputs.append(state.h)
     tape = Tape()
     for params in (p, map_tensors(p, lambda _, t: tape.leaf(t))):
-        keys, final = lstm_sequence(x, start, params)
-        assert np.array_equal(unwrap(keys), np.stack(outputs))
-        assert np.array_equal(unwrap(final.h), state.h)
-        assert np.array_equal(unwrap(final.c), state.c)
-    assert len(tape._nodes) == 3  # the outputs, then the final h and c
+        keys, final, steps = lstm_sequence(x, start, params)
+        assert np.array_equal(keys, np.stack(outputs))
+        assert np.array_equal(final.h, state.h) and np.array_equal(final.c, state.c)
+        assert len(steps) == len(x) and steps[-1].c is final.c
+    assert not tape._nodes  # tape-wrapped weights are read, not recorded
 
 
 def test_lstm_zero_everything():
@@ -397,19 +395,22 @@ def test_lstm_rejects_non_finite():
 
 def test_lstm_gradients_every_parameter(rng):
     # d ||h'||^2 / d theta for every single component, one step of the
-    # encoder op from a non-zero state
+    # encoder's backward pass from a non-zero state
     p = init_lstm(3, 4, rng)
     x = rng.normal(size=(1, 3))
-    h0, c0 = rng.normal(size=4), rng.normal(size=4)
+    start = LstmState(rng.normal(size=4), rng.normal(size=4))
 
     def loss_fn():
-        _, state = lstm_sequence(x, LstmState(h0, c0), p)
-        return float(np.sum(np.asarray(state.h) ** 2))
+        _, state, _ = lstm_sequence(x, start, p)
+        return float(np.sum(state.h ** 2))
 
     tape = Tape()
     wrapped = map_tensors(p, lambda _, t: tape.leaf(t))
-    _, state = lstm_sequence(x, LstmState(h0, c0), wrapped)
-    tape.backward(matmul(state.h, state.h))
+    _, state, steps = lstm_sequence(x, start, wrapped)
+    grads = Grads()
+    lstm_sequence_backward(x, start, wrapped, steps, np.zeros((1, 4)), 2.0 * state.h,
+                           np.zeros(4), grads)
+    grads.hand()
     grads = {n: t.grad for n, t in named_tensors(wrapped, "p").items()}
     for name, arr in named_tensors(p, "p").items():
         g = grads[name]

@@ -1,11 +1,12 @@
-"""Print the pairwise model's forward+backward time per route by zone count.
+"""Print each model variant's forward+backward time per route by zone count.
 
 One training step's differentiated part, layer by layer: for each zone count
-the median milliseconds of the taped teacher-forced forward pass
-(``forward_logprob`` on tape-wrapped parameters) and ``Tape.backward`` over
-repeated runs on one generated route, ``SynthConfig(n_routes=1,
-zones_per_route=(z, z), seed=1)``, with the default pairwise model at seed 0.
-Parameter wrapping and gradient collection are outside the timed span.
+and each variant the median milliseconds of the taped teacher-forced forward
+pass (``forward_logprob`` on tape-wrapped parameters) and ``Tape.backward``
+over repeated runs on one generated route, ``SynthConfig(n_routes=1,
+zones_per_route=(z, z), seed=1)``, with the variant's default model at seed 0
+(``lstm_ed``'s head as wide as the route).  Parameter wrapping and gradient
+collection are outside the timed span.
 
     python3 tools/train_step_ms.py [--zones 5 10 15] [--runs 50]
 
@@ -30,6 +31,7 @@ import numpy as np  # noqa: E402
 from routeseq.datagen import SynthConfig, generate  # noqa: E402
 from routeseq.kernel import Tape  # noqa: E402
 from routeseq.predictor import (  # noqa: E402
+    VARIANTS,
     ModelConfig,
     fit_scaler,
     forward_logprob,
@@ -40,10 +42,11 @@ from routeseq.predictor import (  # noqa: E402
 )
 
 
-def step_ms(zones: int, runs: int) -> float:
+def step_ms(variant: str, zones: int, runs: int) -> float:
     prep = prepare_route(generate(SynthConfig(n_routes=1, zones_per_route=(zones, zones),
                                               seed=1))[0])
-    params = init_model(ModelConfig("pairwise"), np.random.default_rng(0))
+    kz = zones if variant == "lstm_ed" else None
+    params = init_model(ModelConfig(variant, kz=kz), np.random.default_rng(0))
     params.scaler = fit_scaler([prep])
     scaled = scale_route(prep, params)
     times = []
@@ -64,8 +67,9 @@ def main() -> None:
     args = parser.parse_args()
     print(f"python {platform.python_version()}, numpy {np.__version__}, nproc {os.cpu_count()}")
     for zones in args.zones:
-        print(f"pairwise forward+backward, {zones} zones: {step_ms(zones, args.runs):.2f} ms "
-              f"(median of {args.runs} runs)")
+        for variant in VARIANTS:
+            print(f"{variant} forward+backward, {zones} zones: "
+                  f"{step_ms(variant, zones, args.runs):.2f} ms (median of {args.runs} runs)")
 
 
 if __name__ == "__main__":
