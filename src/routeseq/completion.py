@@ -20,7 +20,8 @@ import numpy as np
 
 from .domain import RouteInstance, ZoneInstance
 from .errors import InvalidInputError
-from .tsp import EXACT_THRESHOLD, _as_matrix, _held_karp, solve_path, solve_tour
+from .tsp import EXACT_THRESHOLD, _as_matrix, _held_karp, _solve
+from .tsp import solve_path  # noqa: F401  (perfbench/selftest.py reads completion.solve_path)
 
 N_CANDIDATES = 3
 
@@ -40,7 +41,7 @@ def _pair_paths(m, firsts, lasts):
     if len(m) > EXACT_THRESHOLD:
         for f in firsts:
             for l in lasts:
-                sol = solve_tour(m, origin=f) if f == l else solve_path(m, f, l)
+                sol = _solve(m, f, None if f == l else l, EXACT_THRESHOLD)
                 cost = sol.cost - (float(m[sol.order[-1], f]) if f == l else 0.0)
                 yield cost, lambda order=sol.order: order
         return

@@ -216,16 +216,17 @@ def node_features(route: RouteInstance, instance: ZoneInstance) -> np.ndarray:
     The depot has its own coordinates and no stops or load.  A node's
     travel-time summary (min, mean, max, population std) covers its times to
     the zones other than itself; with nothing to summarize (the zone of a
-    single-zone route) it is all zeros.
+    single-zone route) it is all zeros; summaries reduce contiguous rows.
     """
     ztt = instance.zone_travel_time
     nodes = [((route.depot.lat, route.depot.lng), [])]
     nodes += [(zone.centroid, [route.stops[k] for k in zone.member_stops])
               for zone in instance.zones]
+    others = ztt[1:, 1:][~np.eye(instance.n_zones, dtype=bool)].reshape(instance.n_zones, -1)
+    summaries = np.hstack([(a.min(1), a.mean(1), a.max(1), a.std(1)) if a.size else np.zeros((4, 1))
+                           for a in (ztt[:1, 1:], others)]).T
     rows = []
-    for a, (centroid, stops) in enumerate(nodes):
-        out = np.delete(ztt[a], [0, a])
-        summary = (out.min(), out.mean(), out.max(), out.std()) if out.size else (0.0,) * 4
+    for a, ((centroid, stops), summary) in enumerate(zip(nodes, summaries)):
         rows.append([
             *centroid,
             float(len(stops)),

@@ -27,6 +27,7 @@ from .predictor import (
     encode,
     first_step,
     scale_route,
+    zone_probs,
 )
 from .tsp import _as_matrix, _seq_cost, route_cost
 
@@ -47,12 +48,6 @@ def operational_cost(zone_order, instance) -> float:
     return route_cost(nodes, instance.zone_travel_time, close_tour=True)
 
 
-def _masked_argmax(scores, visited) -> int:
-    """Index of the largest score among unvisited zones; ties go to the
-    smallest index."""
-    return int(np.argmax(np.where(visited, -np.inf, scores)))
-
-
 def _rollout(params: ModelParams, scaled: ScaledRoute, start, m: np.ndarray,
              forced_first: int | None, mode: str) -> PredictedSequence:
     """The greedy rollout from ``first_step`` result ``start``, its
@@ -62,14 +57,15 @@ def _rollout(params: ModelParams, scaled: ScaledRoute, start, m: np.ndarray,
         raise InvalidInputError(f"forced first zone {forced_first} not in this route")
     visited = np.zeros(prep.n_zones, dtype=bool)
 
-    def pick(i, p_zone):
+    def pick(i, probs):
         forced = i == 0 and forced_first is not None
-        z = forced_first if forced else _masked_argmax(p_zone, visited)
+        z = forced_first if forced else int(np.argmax(  # ties to the smallest zone index
+            np.where(visited, -np.inf, zone_probs(scaled, probs))))
         visited[z] = True
         return z
 
     _, traces = decode(params, scaled, start, pick)
-    order = [t.chosen for t in traces]
+    order = [t.chosen for t in traces]  # builds every step's trace
     return PredictedSequence(order, traces, _seq_cost([0, *(z + 1 for z in order)], m, True),
                              mode)
 

@@ -68,6 +68,10 @@ class Tape:
         """Wrap an array as a differentiable leaf (not recorded; no parents)."""
         return Node(np.asarray(value, dtype=np.float64), self._proxy)
 
+    def reset(self) -> None:
+        """Forget every recorded op (not the leaves) to record a new pass."""
+        self._nodes.clear()
+
     def backward(self, loss: Node) -> None:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``."""
         if not isinstance(loss, Node) or loss.value.shape != ():

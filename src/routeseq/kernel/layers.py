@@ -190,14 +190,10 @@ def softmax(u, allowed=None):
     """
     if u.ndim != 1 or u.shape[0] == 0:
         raise InvalidInputError("softmax expects a non-empty 1-d vector")
-    if allowed is None:
-        e = np.exp(u - u.max())
-    else:
-        if allowed.shape != u.shape or not allowed.any():
-            raise InvalidInputError("softmax mask must match the vector and allow an entry")
-        kept = u[allowed]
-        e = np.zeros_like(u)
-        e[allowed] = np.exp(kept - kept.max())
+    if allowed is not None and (allowed.shape != u.shape or not allowed.any()):
+        raise InvalidInputError("softmax mask must match the vector and allow an entry")
+    allowed = True if allowed is None else allowed
+    e = np.exp(np.where(allowed, u - u.max(where=allowed, initial=-np.inf), -np.inf))
     return e / e.sum()
 
 
@@ -374,7 +370,8 @@ class PairScoresBackward:
         grads.outer(terms.first.w, g, self.pair)
         grads.outer(terms.first.w, self.gq, self.queries, p)
         key = np.zeros(terms.key_term.shape)  # each key's row: the sum over the steps
-        np.add.at(key, self.pos, g)
+        for a, b in zip([0, *self.ends], self.ends):  # a step's positions are distinct
+            key[self.pos[a:b]] += g[a:b]
         grads.outer(terms.first.w, key, terms.keys, p + q, bias=terms.first.b)
         if d_keys is not None:
             d_keys += key @ unwrap(terms.first.w)[:, p + q:]

@@ -34,6 +34,8 @@ its query's term.
 Everything runs on plain arrays, in training too.  With tape-wrapped
 parameters ``decode`` keeps each scored step's values and records one op
 per route, the scored steps' stacked probabilities, which ``nll`` reads.
+A decoding's traces are built when first read (``StepTraces``), so
+training, which reads none, builds none.
 Its backward pass (``_decode_backward``) runs the route's chain back in
 one function: the decoder's steps in reverse (masked softmax, scorer,
 decoder LSTM), the pair MLP's key term and the encoder, and hands every
@@ -42,7 +44,9 @@ weight gradient over once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -421,6 +425,32 @@ def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
                          _mask(params, scaled))
 
 
+def zone_probs(scaled: ScaledRoute, probs) -> np.ndarray:
+    """A step's probabilities by input position (head slot) by zone index."""
+    pos = scaled.pos_of_zone  # a zone without a head slot (pos >= width) gets 0
+    return probs[pos] if len(probs) >= len(pos) else np.where(
+        pos < len(probs), probs.take(pos, mode="clip"), 0.0)
+
+
+class StepTraces(Sequence):
+    """A decoding's ``DecoderStepTrace`` per step, built on the first read
+    from each step's (probabilities by input position, pick, context)."""
+
+    def __init__(self, scaled: ScaledRoute):
+        self.scaled, self.steps = scaled, []
+
+    @functools.cached_property
+    def _traces(self) -> list:
+        return [DecoderStepTrace(i, zone_probs(self.scaled, probs), chosen, w_ctx)
+                for i, (probs, chosen, w_ctx) in enumerate(self.steps)]
+
+    def __getitem__(self, i):
+        return self._traces[i]
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+
 def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     """The decoder loop that training and inference share, from the route's
     ``first_step`` result ``start``.
@@ -431,22 +461,21 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     masked weighting whether the step was teacher-forced or decoded.  A step
     with one candidate left is not scored (``_step``), so an n-zone route
     scores n - 1 steps, the first in ``start``, and the scored steps come
-    first.  ``pick(i, p_zone)`` names the zone visited at step ``i`` from
-    the step's probabilities by zone index.
+    first.  ``pick(i, probs)`` names the zone visited at step ``i`` from the
+    step's probabilities by input position.
 
     Returns ``(probs, traces)``: the scored steps' probabilities by input
-    position stacked (m, width), and the per-step traces.  With
-    tape-wrapped ``params`` (see ``first_step``), every step still runs on
-    plain arrays, keeping the values its backward pass reads, and ``probs``
-    is one recorded op (``_decode_backward``).
+    position stacked (m, width), and the ``StepTraces``.  With tape-wrapped
+    ``params`` (see ``first_step``), every step still runs on plain arrays,
+    keeping the values its backward pass reads, and ``probs`` is one
+    recorded op (``_decode_backward``).
     """
     n = scaled.prep.n_zones
     inputs, (state, probs, w_ctx, saved) = start
     allowed = _mask(params, scaled)
     width = len(allowed)
-    slots = list(scaled.order[:width])  # the zone of each position that has a slot
     scored, kept = [], []  # the scored steps' probabilities and, when recorded, saved values
-    traces: list[DecoderStepTrace] = []
+    traces = StepTraces(scaled)
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
         if i:
@@ -455,10 +484,8 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
             scored.append(probs)
             if inputs.recorded is not None:
                 kept.append(saved)
-        p_zone = np.zeros(n)
-        p_zone[slots] = probs[:n]
-        chosen = pick(i, p_zone)
-        traces.append(DecoderStepTrace(i, p_zone, chosen, w_ctx))
+        chosen = pick(i, probs)
+        traces.steps.append((probs, chosen, w_ctx))
         pos = int(scaled.pos_of_zone[chosen])
         if pos < width:
             allowed[pos] = False
@@ -544,7 +571,7 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
         raise InvalidInputError(f"a route of {n} zones does not fit the lstm_ed head "
                                 f"of {params.config.kz} slots")
     probs, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
-                           lambda i, p_zone: targets[i])
+                           lambda i, _: targets[i])
     return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])]), traces
 
 

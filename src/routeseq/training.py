@@ -1,7 +1,8 @@
 """Dataset splitting and the per-route stochastic training loop.
 
 ``train`` returns the trained model and its report and writes no file;
-``predictor.save_model`` writes the checkpoint.
+``predictor.save_model`` writes the checkpoint.  A ``train`` call takes
+every Adam step on one tape, emptied before each route.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from .kernel import (
 )
 from .predictor import (
     ModelConfig,
-    ModelParams,
     checkpoint_tensors,
     fit_scaler,
     forward_logprob,
-    gradients,
     init_model,
     model_meta,
     model_tensors,
@@ -117,13 +116,17 @@ def train(routes, config: TrainConfig):
 
     named = model_tensors(params)
     opt = adam_init(named, lr=config.lr)
+    tape = Tape()  # the leaves hold the arrays adam_step updates in place
+    wrapped = wrap_params(params, tape)
+    leaves = model_tensors(wrapped)
     epoch_losses = []
     for epoch in range(config.epochs):
         total = 0.0
         for idx in rng.permutation(len(scaled)):
             sc = scaled[idx]
-            tape = Tape()
-            wrapped = wrap_params(params, tape)
+            tape.reset()
+            for leaf in leaves.values():
+                leaf.grad = None
             loss, _ = forward_logprob(wrapped, sc)
             value = float(unwrap(loss))
             if not np.isfinite(value):
@@ -133,7 +136,8 @@ def train(routes, config: TrainConfig):
                 )
             if isinstance(loss, Node):  # else a one-zone route: all gradients are 0
                 tape.backward(loss)
-            grads = gradients(params, wrapped)
+            grads = {name: np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
+                     for name, leaf in leaves.items()}
             if config.grad_clip is not None:
                 grads = clip_gradients(grads, config.grad_clip)
             adam_step(named, grads, opt)

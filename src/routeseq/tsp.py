@@ -2,7 +2,8 @@
 
 Instances of n <= EXACT_THRESHOLD nodes are solved exactly by Held-Karp,
 larger ones by nearest-neighbor construction plus 2-opt, which recomputes
-the full cost of a reversed segment because matrices may be asymmetric.
+the full cost of a reversed segment because matrices may be asymmetric, in
+one numpy pass per move with the adds of rescoring each candidate alone.
 Results are deterministic.  Held-Karp runs from a start over bitmasks of
 the other nodes one popcount layer at a time: numpy takes a layer's
 candidates ``dp[mask - v, u] + m[u, v]`` (one float add each) in a few
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 EXACT_THRESHOLD = 13
+TWO_OPT_CAP = 10  # improving 2-opt moves per n^2, at most, on n nodes
 _INF = float("inf")
 
 
@@ -138,29 +140,38 @@ def _nearest_neighbor(m: np.ndarray, start: int, pool: list, end: int | None):
     return order if end is None else [*order, end]
 
 
+@functools.cache
+def _reversals(n: int, hi: int, close: bool):
+    """2-opt's reversals of positions i..j (1 <= i < j < hi) of n nodes in scan
+    order: the positions each walks, from a virtual node n whose 0.0 leg adds
+    ``_seq_cost``'s first 0.0, and its legs' flat indexes in an (n+1)^2 matrix."""
+    rows = np.array([[n, *range(i), *range(j, i - 1, -1), *range(j + 1, n), *[0] * close]
+                     for i in range(1, hi - 1) for j in range(i + 1, hi)],
+                    dtype=np.intp).reshape(-1, n + 1 + close)
+    return rows, rows[:, :-1] * (n + 1) + rows[:, 1:]
+
+
 def _two_opt(order: list, m: np.ndarray, close: bool, fixed_last: bool):
     """Best-improvement 2-opt with full recomputation of reversed segments
     (safe for asymmetric matrices).  Position 0 is fixed; the final position
-    too when ``fixed_last``.  Capped at 10*n^2 improving applications."""
+    too when ``fixed_last``.  Capped at TWO_OPT_CAP * n^2 improving moves.  A
+    pass sums every candidate's legs at once in ``_seq_cost``'s order and applies
+    the last one in scan order that beat the running best by over 1e-12."""
     n = len(order)
-    hi = n - 1 if fixed_last else n
+    rows, legs = _reversals(n, n - 1 if fixed_last else n, close)
     cur_cost = _seq_cost(order, m, close)
-    cap = 10 * n * n
-    applied = 0
-    improved = True
-    while improved and applied < cap:
-        improved = False
-        best_cost, best_move = cur_cost, None
-        for i in range(1, hi - 1):
-            for j in range(i + 1, hi):
-                cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-                cand_cost = _seq_cost(cand, m, close)
-                if cand_cost < best_cost - 1e-12:
-                    best_cost, best_move = cand_cost, cand
-        if best_move is not None:
-            order, cur_cost = best_move, best_cost
-            applied += 1
-            improved = True
+    pad = np.zeros((n + 1, n + 1))  # m, and the virtual node n
+    pad[:n, :n] = m
+    for _ in range(int(TWO_OPT_CAP * n * n)):
+        nodes = np.append(order, n)  # the node at each position
+        costs = np.add.accumulate(pad[np.ix_(nodes, nodes)].take(legs), axis=1)[:, -1]
+        k, best = -1, cur_cost
+        while (hits := np.flatnonzero(costs[k + 1:] < best - 1e-12)).size:
+            k += 1 + int(hits[0])
+            best = costs[k]
+        if k < 0:
+            break
+        order, cur_cost = nodes[rows[k, 1:n + 1]].tolist(), float(best)
     return order, cur_cost
 
 

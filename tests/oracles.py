@@ -82,6 +82,43 @@ def nearest_neighbor_ref(costs: np.ndarray, start: int, pool, end: int | None):
     return order if end is None else [*order, end]
 
 
+def _seq_cost_loop(order, costs, close):
+    total = 0.0
+    for a, b in zip(order[:-1], order[1:]):
+        total += costs[a, b]
+    if close and len(order) > 1:
+        total += costs[order[-1], order[0]]
+    return float(total)
+
+
+def two_opt_loop(order, costs, close, fixed_last, cap=None):
+    """Best-improvement 2-opt by plain loops, rescoring every reversal of
+    positions i..j (1 <= i < j, the last position kept when ``fixed_last``)
+    in full, left to right from 0.0 with the closing leg last; in scan
+    order a candidate is kept when it beats the running best by more than
+    1e-12.  At most ``cap`` improving moves (10 n^2 by default)."""
+    n = len(order)
+    hi = n - 1 if fixed_last else n
+    cur_cost = _seq_cost_loop(order, costs, close)
+    cap = 10 * n * n if cap is None else cap
+    applied = 0
+    improved = True
+    while improved and applied < cap:
+        improved = False
+        best_cost, best_move = cur_cost, None
+        for i in range(1, hi - 1):
+            for j in range(i + 1, hi):
+                cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+                cand_cost = _seq_cost_loop(cand, costs, close)
+                if cand_cost < best_cost - 1e-12:
+                    best_cost, best_move = cand_cost, cand
+        if best_move is not None:
+            order, cur_cost = best_move, best_cost
+            applied += 1
+            improved = True
+    return order, cur_cost
+
+
 def held_karp_loop(costs: np.ndarray, first: int, last: int):
     """Plain-loop Held-Karp over interior bitmasks (``first == last`` is the
     tour), for sizes past enumeration.  Each target keeps its first strict

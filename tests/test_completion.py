@@ -149,6 +149,26 @@ def test_best_zone_path_builds_one_table_per_candidate_entry(monkeypatch):
                 assert len(starts) == len(set(starts)) <= N_CANDIDATES, (n, kind, calls)
 
 
+def test_completion_checks_the_matrix_once_with_a_heuristic_zone(monkeypatch):
+    # A zone of more than EXACT_THRESHOLD stops solves its pairs on blocks of
+    # the matrix complete_sequence checked, so a route is checked once.
+    calls = []
+
+    def counted(costs):
+        calls.append(np.shape(costs))
+        return as_matrix(costs)
+
+    as_matrix = tsp._as_matrix
+    monkeypatch.setattr(tsp, "_as_matrix", counted)
+    monkeypatch.setattr(completion, "_as_matrix", counted)
+    route = make_route(["Z-1.1A"] * 14 + ["N-1.1A"] * 3)
+    zinst = build_zone_instance(route)
+    assert max(len(zone.member_stops) for zone in zinst.zones) == 14 > tsp.EXACT_THRESHOLD
+    stops = complete_sequence(list(range(zinst.n_zones)), zinst, route)
+    assert sorted(stops) == list(range(17))
+    assert calls == [(18, 18)]
+
+
 def test_output_is_partition_into_contiguous_zones(rng):
     from routeseq import datagen
 

@@ -123,7 +123,9 @@ _EDGE_ZONE_IDS = {
     *[generate(SynthConfig(n_routes=6, zones_per_route=(1, 8), stops_per_zone=(1, 3),
                            behavior=b, seed=3)) for b in ("cluster_biased", "nearest_zone", "tsp")],
     [make_route(ids, route_id=name) for name, ids in _EDGE_ZONE_IDS.items()],
-], ids=["cluster_biased", "nearest_zone", "tsp", "edge"])
+    # rows of 8 or more times, which numpy sums pairwise in 8 lanes
+    generate(SynthConfig(n_routes=4, zones_per_route=(9, 15), stops_per_zone=(1, 3), seed=4)),
+], ids=["cluster_biased", "nearest_zone", "tsp", "edge", "9_to_15_zones"])
 def test_prepared_tensors_match_per_node_and_per_pair_references(routes):
     preps = [prepare_route(r) for r in routes]
     for p in preps:

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import make_route
-from routeseq import datagen, training
+from routeseq import datagen, predictor, training
 from routeseq.errors import InvalidInputError, TrainingDivergedError
 from routeseq.kernel import Tape, checkpoint_id
-from routeseq.predictor import forward_logprob, load_model, save_model, scale_route
+from routeseq.predictor import (
+    forward_logprob,
+    load_model,
+    prepare_route,
+    save_model,
+    scale_route,
+    wrap_params,
+)
 from routeseq.training import TrainConfig, split_dataset, train
 
 
@@ -123,6 +130,40 @@ def test_nan_loss_aborts_with_route_and_epoch(monkeypatch):
         train(routes, TrainConfig(epochs=1, hidden=8, asnn_hidden=(16, 16)))
     assert "epoch 1" in str(err.value)
     assert "R0000" in str(err.value)
+
+
+def test_one_tape_per_call_and_no_trace_built_in_training(monkeypatch):
+    # A train call records every step on one tape and reads no trace, so it
+    # builds none; a taped forward's traces are built when read, with the
+    # bytes of the plain forward's.
+    built = {"tape": 0, "trace": 0}
+
+    class CountedTape(Tape):
+        def __init__(self):
+            built["tape"] += 1
+            super().__init__()
+
+    def counted_trace(*args, trace=predictor.DecoderStepTrace):
+        built["trace"] += 1
+        return trace(*args)
+
+    monkeypatch.setattr(training, "Tape", CountedTape)
+    monkeypatch.setattr(predictor, "DecoderStepTrace", counted_trace)
+    routes = _routes(n=3, seed=4)
+    params, report = train(routes, TrainConfig(epochs=2, hidden=8, asnn_hidden=(16, 16)))
+    assert built == {"tape": 1, "trace": 0}
+    assert len(report.epoch_losses) == 2
+
+    sc = scale_route(prepare_route(routes[0]), params)
+    _, plain = forward_logprob(params, sc)
+    tape = Tape()
+    _, taped = forward_logprob(wrap_params(params, tape), sc)
+    assert built["trace"] == 0
+    for a, b in zip(plain, taped, strict=True):
+        assert a.step == b.step and a.chosen == b.chosen
+        assert a.attention.tobytes() == b.attention.tobytes()
+        assert a.context.tobytes() == b.context.tobytes()
+    assert built["trace"] == 2 * sc.prep.n_zones
 
 
 def test_checkpoint_file_written_and_loadable(tmp_path):

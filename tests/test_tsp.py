@@ -12,11 +12,14 @@ from oracles import (
     nearest_neighbor_ref,
     route_cost_ref,
     tie_rule_order,
+    two_opt_loop,
 )
+from routeseq import tsp
 from routeseq.errors import InvalidInputError
 from routeseq.tsp import (
     _held_karp,
     _nearest_neighbor,
+    _seq_cost,
     _two_opt,
     route_cost,
     solve_path,
@@ -229,6 +232,62 @@ def test_two_opt_improves_nearest_neighbor(rng):
         nn_cost = route_cost_ref(nn_order, m, close=True)
         _, improved = _two_opt(list(nn_order), m, close=True, fixed_last=False)
         assert improved <= nn_cost + 1e-9
+
+
+@st.composite
+def _two_opt_cases(draw):
+    """Matrices of 4..20 nodes, real or with entries 0..2 (so candidate
+    costs tie), the integer ones with -0.0 legs among their zeros, and an
+    order starting at node 0; a fixed-last path keeps its last node."""
+    n = draw(st.integers(4, 20))
+    if draw(st.booleans()):
+        elements = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+    else:
+        elements = st.sampled_from([0.0, -0.0, 1.0, 2.0])
+    m = draw(arrays(np.float64, (n, n), elements=elements))
+    np.fill_diagonal(m, 0.0)
+    return m, [0, *draw(st.permutations(range(1, n)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_two_opt_cases())
+def test_two_opt_matches_plain_loop_oracle(case):
+    # Every candidate's cost is summed in the loop's order, so the moves,
+    # the orders and the costs keep their bits, ties and -0.0 legs included.
+    m, order = case
+    for close, fixed_last in ((True, False), (False, True)):
+        got_order, got_cost = _two_opt(list(order), m, close, fixed_last)
+        want_order, want_cost = two_opt_loop(list(order), m, close, fixed_last)
+        assert got_order == want_order
+        assert type(got_cost) is float and got_cost.hex() == want_cost.hex()
+
+
+def test_two_opt_with_negative_zero_legs_matches_oracle():
+    m = np.array([[0.0, -0.0, 2.0, 1.0, -0.0],
+                  [2.0, 0.0, -0.0, 2.0, 1.0],
+                  [-0.0, 1.0, 0.0, -0.0, 2.0],
+                  [1.0, 2.0, 1.0, 0.0, -0.0],
+                  [-0.0, -0.0, 2.0, 1.0, 0.0]])
+    for close, fixed_last in ((True, False), (False, True)):
+        got = _two_opt([0, 4, 3, 2, 1], m, close, fixed_last)
+        want = two_opt_loop([0, 4, 3, 2, 1], m, close, fixed_last)
+        assert got[0] == want[0] and got[1].hex() == want[1].hex()
+
+
+def test_two_opt_cap_binds(monkeypatch, rng):
+    # With the cap at one move per 16^2 nodes, 2-opt stops after its first
+    # improving move: a permutation whose cost is its full sum, short of
+    # what the uncapped run reaches.
+    n = 16
+    m = random_cost_matrix(rng, n, symmetric=True)
+    order = list(range(n))
+    free_order, free_cost = _two_opt(list(order), m, close=True, fixed_last=False)
+    monkeypatch.setattr(tsp, "TWO_OPT_CAP", 1 / n**2)
+    capped_order, capped_cost = _two_opt(list(order), m, close=True, fixed_last=False)
+    assert sorted(capped_order) == list(range(n)) and capped_order[0] == 0
+    assert capped_cost == _seq_cost(capped_order, m, close=True)
+    assert (capped_order, capped_cost) == two_opt_loop(list(order), m, True, False, cap=1)
+    assert capped_order != order and capped_cost > free_cost
 
 
 @st.composite

@@ -1,12 +1,17 @@
-"""Print each model variant's forward+backward time per route by zone count.
+"""Print each model variant's forward+backward and whole-step time per route by zone count.
 
-One training step's differentiated part, layer by layer: for each zone count
-and each variant the median milliseconds of the taped teacher-forced forward
-pass (``forward_logprob`` on tape-wrapped parameters) and ``Tape.backward``
-over repeated runs on one generated route, ``SynthConfig(n_routes=1,
-zones_per_route=(z, z), seed=1)``, with the variant's default model at seed 0
-(``lstm_ed``'s head as wide as the route).  Parameter wrapping and gradient
-collection are outside the timed span.
+One training step, layer by layer: for each zone count and each variant the
+median milliseconds over repeated runs on one generated route,
+``SynthConfig(n_routes=1, zones_per_route=(z, z), seed=1)``, with the
+variant's default model at seed 0 (``lstm_ed``'s head as wide as the route):
+
+- forward+backward: the taped teacher-forced forward pass
+  (``forward_logprob`` on tape-wrapped parameters) and ``Tape.backward``;
+  parameter wrapping and gradient collection are outside the timed span;
+- whole step: the step as ``training.train`` takes it, on that route alone
+  for one epoch per run: the tape and leaf-gradient reset, the same passes,
+  the gradient collection and ``adam_step``, timed from one
+  ``forward_logprob`` call of ``train`` to the next.
 
     python3 tools/train_step_ms.py [--zones 5 10 15] [--runs 50]
 
@@ -28,6 +33,7 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from routeseq import training  # noqa: E402
 from routeseq.datagen import SynthConfig, generate  # noqa: E402
 from routeseq.kernel import Tape  # noqa: E402
 from routeseq.predictor import (  # noqa: E402
@@ -42,9 +48,10 @@ from routeseq.predictor import (  # noqa: E402
 )
 
 
-def step_ms(variant: str, zones: int, runs: int) -> float:
-    prep = prepare_route(generate(SynthConfig(n_routes=1, zones_per_route=(zones, zones),
-                                              seed=1))[0])
+def step_ms(variant: str, zones: int, runs: int) -> tuple:
+    """Median ms of forward+backward and of the whole training step."""
+    route = generate(SynthConfig(n_routes=1, zones_per_route=(zones, zones), seed=1))[0]
+    prep = prepare_route(route)
     kz = zones if variant == "lstm_ed" else None
     params = init_model(ModelConfig(variant, kz=kz), np.random.default_rng(0))
     params.scaler = fit_scaler([prep])
@@ -57,7 +64,19 @@ def step_ms(variant: str, zones: int, runs: int) -> float:
         loss, _ = forward_logprob(wrapped, scaled)
         tape.backward(loss)
         times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
+
+    starts = []
+
+    def timed_forward(*args):
+        starts.append(time.perf_counter())
+        return forward_logprob(*args)
+
+    training.forward_logprob = timed_forward
+    try:
+        training.train([route], training.TrainConfig(variant, epochs=runs + 1))
+    finally:
+        training.forward_logprob = forward_logprob
+    return statistics.median(times) * 1e3, statistics.median(np.diff(starts)) * 1e3
 
 
 def main() -> None:
@@ -68,8 +87,9 @@ def main() -> None:
     print(f"python {platform.python_version()}, numpy {np.__version__}, nproc {os.cpu_count()}")
     for zones in args.zones:
         for variant in VARIANTS:
-            print(f"{variant} forward+backward, {zones} zones: "
-                  f"{step_ms(variant, zones, args.runs):.2f} ms (median of {args.runs} runs)")
+            fb, whole = step_ms(variant, zones, args.runs)
+            print(f"{variant} forward+backward, {zones} zones: {fb:.2f} ms, "
+                  f"whole step {whole:.2f} ms (median of {args.runs} runs)")
 
 
 if __name__ == "__main__":
