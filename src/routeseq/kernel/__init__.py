@@ -1,10 +1,10 @@
-"""Minimal differentiable numerical kernel: the autodiff tape with the
-``Grads`` that hands a recorded op's weight gradients over, the sequence
-NLL, the plain-array LSTM (one step and a whole sequence), softmax, MLP,
-the pair MLP's route-constant terms and the pair-MLP and pointer scorers,
-each with the backward pass that the one op per route of
-``predictor.decode`` runs, Adam, and the bit-exact checkpoint byte codec
-(no file I/O)."""
+"""Minimal differentiable numerical kernel over plain arrays: the autodiff
+tape, which keeps the model tensors' gradients, the ``Grads`` that hands a
+recorded op's weight gradients to it, the sequence NLL, the LSTM (one step
+and a whole sequence), softmax, MLP, the pair MLP's route-constant terms
+and the pair-MLP and pointer scorers, each with the backward pass that
+the one op per route of ``predictor.decode`` runs, Adam, and the bit-exact
+checkpoint byte codec (no file I/O)."""
 
 from .autodiff import (
     Grads,

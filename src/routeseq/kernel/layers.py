@@ -1,10 +1,10 @@
 """LSTM, multilayer perceptron, scorers and parameter initializers.
 
-Everything here works on plain arrays (a tape-wrapped tensor is read
-through ``unwrap``) and records nothing.  The forward passes ``lstm_sequence``
-(the encoder), ``lstm_step``, ``softmax``, ``mlp_values``, ``pair_terms``,
-``pair_scores`` and ``pointer_scores`` compute the model's values and keep
-what their backward passes read.  The backward passes
+Everything here works on plain arrays, the model's tensors included, and
+records nothing.  The forward passes ``lstm_sequence`` (the encoder),
+``lstm_step``, ``softmax``, ``mlp_values``, ``pair_terms``, ``pair_scores``
+and ``pointer_scores`` compute the model's values and keep what their
+backward passes read.  The backward passes
 ``lstm_sequence_backward``, ``lstm_factors``/``lstm_backward_step``,
 ``mlp_backward``, ``PairScoresBackward`` and ``pointer_scores_backward``
 hand a ``Grads`` their weight gradients; they run inside the one op that
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import InvalidInputError, NumericError
-from .autodiff import STACK_ROWS, Grads, Node, unwrap
+from .autodiff import STACK_ROWS, Grads
 
 
 @dataclass(eq=False)
@@ -154,7 +154,7 @@ def lstm_sequence(x, state: LstmState, params: LstmCellParams):
     every row, which ``lstm_sequence_backward`` reads."""
     if not np.all(np.isfinite(x)):
         raise NumericError("lstm_sequence received a non-finite input")
-    w, u, b = unwrap(params.w), unwrap(params.u), unwrap(params.b)
+    w, u, b = params.w, params.u, params.b
     steps = []
     h, c = state.h, state.c
     for xt in x:
@@ -172,9 +172,8 @@ def lstm_sequence_backward(x, state: LstmState, params: LstmCellParams, steps, g
     steps and b's gradient handed to ``grads``."""
     factors = lstm_factors(steps, state.c)
     gz = np.empty_like(factors[1])
-    u = unwrap(params.u)
     for k in reversed(range(len(steps))):
-        dh, dc = lstm_backward_step(k, dh + g_out[k], dc, factors, u, gz)
+        dh, dc = lstm_backward_step(k, dh + g_out[k], dc, factors, params.u, gz)
     grads.outer(params.w, gz, x, bias=params.b)
     grads.outer(params.u, gz, np.vstack([state.h, *(step.h for step in steps[:-1])]))
 
@@ -207,10 +206,9 @@ def mlp_values(x, layers):
     a = x
     for k, layer in enumerate(layers):
         ins.append(a)
-        w = unwrap(layer.w)
-        a = a @ w.T if rows else w @ a
+        a = a @ layer.w.T if rows else layer.w @ a
         if layer.b is not None:
-            a = a + unwrap(layer.b)
+            a = a + layer.b
         if k != last:
             a = np.maximum(a, 0.0)
     return a, ins
@@ -229,7 +227,7 @@ def mlp_backward(layers, ins, g, grads: Grads):
         if k != last:
             g = g * (ins[k + 1] > 0.0)
         grads.outer(layer.w, g, ins[k], bias=layer.b)
-        g = g @ unwrap(layer.w)
+        g = g @ layer.w
     return g
 
 
@@ -261,7 +259,7 @@ def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
     route."""
     layers = params.layers
     first = layers[0]
-    w = unwrap(first.w)
+    w = first.w
     p, k = pair.shape[-1], keys.shape[1]
     q = w.shape[1] - p - k
     if q < 0 or (queries is not None and queries.shape[1] != q):
@@ -270,7 +268,7 @@ def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
     w_q, w_k = w[:, p:p + q], w[:, p + q:]
     key_term = keys @ w_k.T
     if first.b is not None:
-        key_term = key_term + unwrap(first.b)
+        key_term = key_term + first.b
     return PairTerms(
         first=first,
         rest=MlpParams(layers[1:]),
@@ -340,11 +338,11 @@ class PairScoresBackward:
         g = np.ones((len(self.pos), 1))
         self.unit = [g]
         if rest:
-            g = unwrap(rest[-1].w)
+            g = rest[-1].w
             for k in range(len(rest) - 2, -1, -1):
                 g = g * (self.ins[k + 1] > 0.0)
                 self.unit.insert(0, g)
-                w = unwrap(rest[k].w)  # in stacks of STACK_ROWS rows, as Grads sums rows
+                w = rest[k].w  # in stacks of STACK_ROWS rows, as Grads sums rows
                 g = np.concatenate([g[a:a + STACK_ROWS] @ w for a in range(0, len(g), STACK_ROWS)])
             g = g * (self.ins[0] > 0.0)  # the first layer's ReLU output feeds the rest
         self.v = g
@@ -374,7 +372,7 @@ class PairScoresBackward:
             key[self.pos[a:b]] += g[a:b]
         grads.outer(terms.first.w, key, terms.keys, p + q, bias=terms.first.b)
         if d_keys is not None:
-            d_keys += key @ unwrap(terms.first.w)[:, p + q:]
+            d_keys += key @ terms.first.w[:, p + q:]
 
 
 def pointer_scores(kv, dv, zv, w1, w2, w3, w4):
@@ -394,12 +392,12 @@ def pointer_scores_backward(kv, dv, zv, t, weights, g, grads: Grads, d_keys):
     w1, w2, w3, w4 = weights
     grads.add(w4, zv.T @ g)
     grads.add(w1, t.T @ g)
-    gs = np.outer(g, unwrap(w1)) * (1.0 - t * t)
+    gs = np.outer(g, w1) * (1.0 - t * t)
     gq = gs.sum(axis=0)
     grads.outer(w3, gq[None], dv[None])
-    d_keys += gs @ unwrap(w2)
+    d_keys += gs @ w2
     grads.outer(w2, gs, kv)
-    return unwrap(w3).T @ gq
+    return w3.T @ gq
 
 
 def map_tensors(obj, fn, prefix: str = ""):
@@ -408,7 +406,7 @@ def map_tensors(obj, fn, prefix: str = ""):
     ``prefix`` (``encoder.w``, ``asnn.0.b``), and a None field stays None.
     A dataclass container is walked in the order of its fields, which is
     the order its ``__init__`` sets its attributes in."""
-    if isinstance(obj, (np.ndarray, Node)):
+    if isinstance(obj, np.ndarray):
         return fn(prefix, obj)
     if obj is None:
         return None

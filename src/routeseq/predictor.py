@@ -31,15 +31,15 @@ from ``first_step``, the depot's step before any pick, which rollouts share.
 features and the keys go through it once per route, and a step adds only
 its query's term.
 
-Everything runs on plain arrays, in training too.  With tape-wrapped
-parameters ``decode`` keeps each scored step's values and records one op
-per route, the scored steps' stacked probabilities, which ``nll`` reads.
-A decoding's traces are built when first read (``StepTraces``), so
-training, which reads none, builds none.
-Its backward pass (``_decode_backward``) runs the route's chain back in
-one function: the decoder's steps in reverse (masked softmax, scorer,
-decoder LSTM), the pair MLP's key term and the encoder, and hands every
-weight gradient over once.
+The model's tensors are plain arrays, and everything runs on plain arrays,
+in training too.  Given a tape, ``decode`` keeps each scored step's values
+and records one op per route, the scored steps' stacked probabilities,
+which ``nll`` reads.  Its backward pass (``_decode_backward``) runs the
+route's chain back in one function: the decoder's steps in reverse (masked
+softmax, scorer, decoder LSTM), the pair MLP's key term and the encoder,
+and hands every weight gradient over once, to the tape's ``grads``.  A
+decoding's traces are built when first read (``StepTraces``), so training,
+which reads none, builds none.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,6 @@ from .kernel import (
     Grads,
     LstmCellParams,
     MlpParams,
-    Node,
     Tape,
     checkpoint_id,
     deserialize_checkpoint,
@@ -86,7 +85,6 @@ from .kernel import (
     unwrap,
     zero_state,
 )
-from .kernel.autodiff import _record
 from .tsp import solve_tour
 
 VARIANTS = ("pairwise", "pointer", "lstm_ed", "asnn")
@@ -280,23 +278,6 @@ def model_tensors(params: ModelParams) -> dict:
     return out
 
 
-def wrap_params(params: ModelParams, tape: Tape) -> ModelParams:
-    """Same structure with every tensor wrapped as a tape leaf."""
-    return replace(params, **{name: map_tensors(getattr(params, name),
-                                                lambda _, t: tape.leaf(t), name)
-                              for name in _COMPONENTS})
-
-
-def gradients(params: ModelParams, wrapped: ModelParams) -> dict:
-    """Collect leaf gradients after backward; untouched leaves give zeros."""
-    grads = {}
-    flat = model_tensors(wrapped)
-    for name, base in model_tensors(params).items():
-        node = flat[name]
-        grads[name] = node.grad if node.grad is not None else np.zeros_like(base)
-    return grads
-
-
 def encode(params: ModelParams, scaled: ScaledRoute):
     """The route's attention keys by input position, the decoder's initial
     state and the encoder's steps, as ``(keys, state, steps)``.  The
@@ -332,8 +313,7 @@ def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms):
     variant = params.config.variant
     if variant == "pointer":
         p = params.pointer
-        return pointer_scores(keys, d, scaled.pair[src],
-                              *(unwrap(w) for w in (p.w1, p.w2, p.w3, p.w4)))
+        return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4)
     if variant == "lstm_ed":
         return mlp_values(d, params.fc.layers)
     return pair_scores(terms, src, None if variant == "asnn" else d)
@@ -361,7 +341,7 @@ def decode_step(params: ModelParams, x_last, w_prev, state):
     if not np.isfinite(x).all():
         raise NumericError("the decoder LSTM received a non-finite input vector")
     dec = params.decoder
-    return lstm_step(unwrap(dec.w), unwrap(dec.u), unwrap(dec.b), x, state.h, state.c)
+    return lstm_step(dec.w, dec.u, dec.b, x, state.h, state.c)
 
 
 def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
@@ -375,9 +355,8 @@ def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
 class DecoderInputs:
     """What every decoder step of a route reads besides its own state."""
 
-    encoded: tuple    # ``encode``'s (keys, state, steps)
-    terms: object     # ``_pair_terms``, None without the pair MLP
-    recorded: object  # the tape-wrapped tensor the decoder op records on, else None
+    encoded: tuple  # ``encode``'s (keys, state, steps)
+    terms: object   # ``_pair_terms``, None without the pair MLP
 
 
 def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state, src: int,
@@ -414,13 +393,9 @@ def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
     ``encoded``: the ``DecoderInputs``, with the pair MLP's route-constant
     terms (``_pair_terms``), and step 0, the depot's query over all the
     zones, which comes before any pick.  Rollouts of one route that start
-    from the same ``first_step`` share it.  The decoder op records when
-    ``params`` are tape-wrapped (``wrap_params``), as its first weight
-    shows: the decoder LSTM's input weight, or ``asnn``'s first layer's."""
+    from the same ``first_step`` share it."""
     keys, state, _ = encoded
-    w = params.asnn.layers[0].w if params.decoder is None else params.decoder.w
-    inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys),
-                           w if isinstance(w, Node) else None)
+    inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys))
     return inputs, _step(params, scaled, inputs, state, 0, np.zeros(params.config.hidden),
                          _mask(params, scaled))
 
@@ -451,7 +426,7 @@ class StepTraces(Sequence):
         return len(self.steps)
 
 
-def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
+def decode(params: ModelParams, scaled: ScaledRoute, start, pick, tape: Tape | None = None):
     """The decoder loop that training and inference share, from the route's
     ``first_step`` result ``start``.
 
@@ -465,16 +440,16 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     step's probabilities by input position.
 
     Returns ``(probs, traces)``: the scored steps' probabilities by input
-    position stacked (m, width), and the ``StepTraces``.  With tape-wrapped
-    ``params`` (see ``first_step``), every step still runs on plain arrays,
-    keeping the values its backward pass reads, and ``probs`` is one
-    recorded op (``_decode_backward``).
+    position stacked (m, width), and the ``StepTraces``.  Given a ``tape``,
+    every step still runs on plain arrays, keeping the values its backward
+    pass reads, and ``probs`` is one op recorded on it
+    (``_decode_backward``), unless no step was scored.
     """
     n = scaled.prep.n_zones
     inputs, (state, probs, w_ctx, saved) = start
     allowed = _mask(params, scaled)
     width = len(allowed)
-    scored, kept = [], []  # the scored steps' probabilities and, when recorded, saved values
+    scored, kept = [], []  # the scored steps' probabilities and, given a tape, saved values
     traces = StepTraces(scaled)
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
@@ -482,7 +457,7 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
             state, probs, w_ctx, saved = _step(params, scaled, inputs, state, src, w_ctx, allowed)
         if saved is not None:
             scored.append(probs)
-            if inputs.recorded is not None:
+            if tape is not None:
                 kept.append(saved)
         chosen = pick(i, probs)
         traces.steps.append((probs, chosen, w_ctx))
@@ -493,12 +468,13 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     stacked = np.stack(scored) if scored else np.zeros((0, width))
     if not kept:
         return stacked, traces
-    return _record(stacked, (inputs.recorded,),
-                   lambda g: _decode_backward(params, scaled, inputs, kept, stacked, g)), traces
+    grads = tape.grads  # not the tape: the tape holds this op, so that would be a cycle
+    return tape.record(stacked, lambda g: _decode_backward(params, scaled, inputs, kept, stacked,
+                                                           g, grads)), traces
 
 
 def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, steps,
-                     probs, g):
+                     probs, g, out: dict):
     """The decoder op's backward pass from the gradient ``g`` of the scored
     steps' stacked probabilities ``probs``: one reverse loop over the steps,
     each through its masked softmax, its scorer and (recurrent variants) the
@@ -506,7 +482,7 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
     state and through the context it read; then the pair MLP's key term
     and the encoder, from the keys' gradients (the contexts' ``Pᵀ·dC`` and
     the key term's included) and the final state's.  Every weight gradient
-    is handed over once, at the end."""
+    is added into ``out`` (the tape's ``grads``) once, at the end."""
     grads = Grads()
     keys, state, encoder = inputs.encoded
     d_keys = np.zeros_like(keys)
@@ -518,7 +494,7 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
         factors = lstm_factors(lstms, state.c)
         gz = np.empty_like(factors[1])
         dec = params.decoder
-        u, w_ctx = unwrap(dec.u), unwrap(dec.w)[:, N_FEATURES:]
+        u, w_ctx = dec.u, dec.w[:, N_FEATURES:]
         dh = dc = 0.0
     pair = None if inputs.terms is None else PairScoresBackward(
         inputs.terms, [src for src, _, _, _ in steps], [scored for _, _, _, scored in steps], probs)
@@ -547,20 +523,20 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
     if encoder is not None:
         lstm_sequence_backward(scaled.nodes[1:], zero_state(params.config.hidden),
                                params.encoder, encoder, d_keys, dh, dc, grads)
-    grads.hand()
+    grads.hand(out)
 
 
-def forward_logprob(params: ModelParams, scaled: ScaledRoute):
+def forward_logprob(params: ModelParams, scaled: ScaledRoute, tape: Tape | None = None):
     """Teacher-forced total negative log-likelihood of the actual zone
     sequence, with per-step traces.
 
     Step ``i`` normalizes over the zones not yet visited in the target
     prefix (see ``decode``), the distribution that greedy decoding picks
     from; the last step has one zone left and adds exactly 0, so ``nll``
-    reads the scored steps only.  Pass tape-wrapped ``params`` (see
-    ``wrap_params``) to record gradients.  A one-zone route scores no step,
-    so its loss depends on no parameter: it is a plain 0-d array of 0, not a
-    tape node.  An ``lstm_ed`` head narrower than the route has no slot for
+    reads the scored steps only.  Given a ``tape``, the loss is recorded on
+    it, and ``tape.backward(loss)`` hands the gradients of the model's
+    tensors to ``tape.grads``.  A one-zone route scores no step, so its loss
+    depends on no parameter: it is a plain 0-d array of 0, not a tape node.  An ``lstm_ed`` head narrower than the route has no slot for
     some target: an ``InvalidInputError``.
     """
     n = scaled.prep.n_zones
@@ -571,7 +547,7 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute):
         raise InvalidInputError(f"a route of {n} zones does not fit the lstm_ed head "
                                 f"of {params.config.kz} slots")
     probs, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
-                           lambda i, _: targets[i])
+                           lambda i, _: targets[i], tape)
     return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])]), traces
 
 
@@ -601,7 +577,8 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
     ``n_features``, ``pair_dim`` and ``zone_feature_names`` must equal the
     code's, else a ``SchemaError`` names the key (``meta.<key>``).  ``init_model``
     gives the variant's tensor names and shapes; each is filled from the
-    tensor of that name, and tensors the model does not name are ignored
+    tensor of that name, whose values must be finite (a scaler's standard
+    deviations positive), and tensors the model does not name are ignored
     (such as the pair MLP's output bias ``asnn.<last>.b`` in older files).
     A checkpoint written before the LSTM gates were stacked holds an LSTM's
     ``w``, ``u`` and ``b`` as four per-gate tensors (``encoder.w_f`` ...),
@@ -638,6 +615,10 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
             if tensors[src].shape != shape:
                 raise SchemaError(f"tensors.{src}",
                                   f"expected shape {shape}, got {tensors[src].shape}")
+            if not np.isfinite(tensors[src]).all():
+                raise SchemaError(f"tensors.{src}", "non-finite value")
+            if src.startswith("scaler.") and src.endswith("_std") and (tensors[src] <= 0.0).any():
+                raise SchemaError(f"tensors.{src}", "standard deviation not positive")
         dst[...] = np.concatenate([tensors[src] for src, _ in sources])
     return params
 

@@ -2,7 +2,9 @@
 
 ``train`` returns the trained model and its report and writes no file;
 ``predictor.save_model`` writes the checkpoint.  A ``train`` call takes
-every Adam step on one tape, emptied before each route.
+every Adam step on one tape, emptied before each route: the model's tensors
+stay plain arrays, which ``adam_step`` updates in place, and the tape keeps
+their gradients.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .predictor import (
     model_tensors,
     prepare_route,
     scale_route,
-    wrap_params,
 )
 
 
@@ -116,18 +117,14 @@ def train(routes, config: TrainConfig):
 
     named = model_tensors(params)
     opt = adam_init(named, lr=config.lr)
-    tape = Tape()  # the leaves hold the arrays adam_step updates in place
-    wrapped = wrap_params(params, tape)
-    leaves = model_tensors(wrapped)
+    tape = Tape()
     epoch_losses = []
     for epoch in range(config.epochs):
         total = 0.0
         for idx in rng.permutation(len(scaled)):
             sc = scaled[idx]
             tape.reset()
-            for leaf in leaves.values():
-                leaf.grad = None
-            loss, _ = forward_logprob(wrapped, sc)
+            loss, _ = forward_logprob(params, sc, tape)
             value = float(unwrap(loss))
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -136,8 +133,7 @@ def train(routes, config: TrainConfig):
                 )
             if isinstance(loss, Node):  # else a one-zone route: all gradients are 0
                 tape.backward(loss)
-            grads = {name: np.zeros_like(leaf.value) if leaf.grad is None else leaf.grad
-                     for name, leaf in leaves.items()}
+            grads = tape.gradients(named)
             if config.grad_clip is not None:
                 grads = clip_gradients(grads, config.grad_clip)
             adam_step(named, grads, opt)

@@ -20,12 +20,10 @@ from routeseq.predictor import (
     ModelConfig,
     fit_scaler,
     forward_logprob,
-    gradients,
     init_model,
     model_tensors,
     prepare_route,
     scale_route,
-    wrap_params,
 )
 from routeseq.scoring import erp, sequence_deviation
 from routeseq.tsp import _nearest_neighbor, _two_opt, route_cost, solve_path, solve_tour
@@ -76,11 +74,10 @@ def test_criterion_2_gradient_fidelity():
             params.scaler = fit_scaler([prep])
             sc = scale_route(prep, params)
             tape = Tape()
-            wrapped = wrap_params(params, tape)
-            loss, _ = forward_logprob(wrapped, sc)
+            loss, _ = forward_logprob(params, sc, tape)
             tape.backward(loss)
-            grads = gradients(params, wrapped)
             named = model_tensors(params)
+            grads = tape.gradients(named)
             for name, arr in named.items():
                 flat = arr.ravel()
                 for idx in {0, flat.size // 2, flat.size - 1}:

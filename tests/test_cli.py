@@ -3,13 +3,15 @@ import io
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routeseq import cli, datagen
 from routeseq.cli import main
-from routeseq.predictor import VARIANTS
+from routeseq.kernel import serialize_checkpoint
+from routeseq.predictor import VARIANTS, ModelConfig, checkpoint_tensors, init_model, model_meta
 
 GEN_ARGS = ["--n-routes", "4", "--zones", "3", "4", "--stops-per-zone", "2", "3", "--seed", "5"]
 
@@ -49,6 +51,23 @@ def test_runtime_error_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     payload = json.loads(err.strip().splitlines()[-1])
     assert "error" in payload
+
+
+@pytest.mark.parametrize("name, value", [("asnn.1.w", float("nan")), ("scaler.x_std", 0.0)])
+def test_predict_with_unusable_checkpoint_exits_2(tmp_path, capsys, name, value):
+    data = _gen(tmp_path)
+    params = init_model(ModelConfig("asnn"), np.random.default_rng(0))
+    tensors = checkpoint_tensors(params)
+    tensors[name].flat[0] = value
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(serialize_checkpoint(tensors, model_meta(params)))
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "p.json")]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert error["type"] == "SchemaError"
+    assert error["message"].startswith(f"tensors.{name}:")
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_solve_tsp_and_stops(tmp_path):

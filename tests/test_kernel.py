@@ -38,7 +38,6 @@ from routeseq.kernel import (
     unwrap,
     zero_state,
 )
-from routeseq.kernel.autodiff import _acc, _record
 from routeseq.kernel.layers import _sigmoid_np
 from routeseq.predictor import (
     VARIANTS,
@@ -48,11 +47,10 @@ from routeseq.predictor import (
     first_step,
     fit_scaler,
     forward_logprob,
-    gradients,
     init_model,
+    model_tensors,
     prepare_route,
     scale_route,
-    wrap_params,
 )
 
 
@@ -61,17 +59,40 @@ def _zero_lstm(input_dim, hidden):
     return map_tensors(p, lambda _, t: np.zeros_like(t))
 
 
-def matmul(a, b):
-    """The product ``a @ b`` of vectors and matrices as a recorded op: what
-    the gradient checks reduce an op's output with, and a way to make a
-    weight that is an op's output."""
+def _push(grads, x, g):
+    """Add the gradient ``g`` into ``x``: into a recorded value's ``grad``,
+    or, for a plain tensor, into its entry of the tape's ``grads``, as a
+    model tensor's is handed over."""
+    if isinstance(x, Node):
+        x.grad = g if x.grad is None else x.grad + g
+    else:
+        acc = Grads()
+        acc.add(x, g)
+        acc.hand(grads)
+
+
+def _recorded(tape, x):
+    """``x`` as a recorded op's output whose gradient goes to ``x``'s entry
+    of the tape's ``grads``."""
+    grads = tape.grads
+    return tape.record(x, lambda g: _push(grads, x, g))
+
+
+def matmul(a, b, tape=None):
+    """The product ``a @ b`` of vectors and matrices, recorded on ``tape``
+    or on the tape of a recorded input (else plain): what the gradient
+    checks reduce an op's output with."""
     av, bv = unwrap(a), unwrap(b)
+    tape = next((x.tape for x in (a, b) if isinstance(x, Node)), tape)
+    if tape is None:
+        return av @ bv
+    grads = tape.grads
 
     def backward(g):
-        _acc(a, g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv), own=True)
-        _acc(b, av.T @ g if av.ndim == 2 else np.multiply.outer(av, g), own=True)
+        _push(grads, a, g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv))
+        _push(grads, b, av.T @ g if av.ndim == 2 else np.multiply.outer(av, g))
 
-    return _record(av @ bv, (a, b), backward)
+    return tape.record(av @ bv, backward)
 
 
 # --- autodiff ops ------------------------------------------------------------
@@ -85,22 +106,24 @@ def _arrays(*shapes):
     return make
 
 
-def mlp_forward(x, params):
-    """The MLP as a recorded op over ``mlp_values`` and ``mlp_backward``, on
-    a vector or on rows; a one-unit output layer over rows gives one score
-    per row, as the pair scorer reads it."""
-    xv = unwrap(x)
-    a, ins = mlp_values(xv, params.layers)
-    m = len(xv) if xv.ndim == 2 else 1
+def mlp_forward(x, params, tape=None):
+    """The MLP over ``mlp_values`` and ``mlp_backward``, on a vector or on
+    rows, recorded on ``tape`` when given; a one-unit output layer over rows
+    gives one score per row, as the pair scorer reads it."""
+    a, ins = mlp_values(x, params.layers)
+    m = len(x) if x.ndim == 2 else 1
+    out = a.reshape(-1) if x.ndim == 2 and a.shape[1] == 1 else a
+    if tape is None:
+        return out
+    grads = tape.grads
 
     def backward(g):
-        grads = Grads()
-        g_in = mlp_backward(params.layers, [v.reshape(m, -1) for v in ins], g.reshape(m, -1), grads)
-        grads.hand()
-        _acc(x, g_in.reshape(xv.shape), own=True)
+        acc = Grads()
+        g_in = mlp_backward(params.layers, [v.reshape(m, -1) for v in ins], g.reshape(m, -1), acc)
+        acc.hand(grads)
+        _push(grads, x, g_in.reshape(x.shape))
 
-    parents = (x, *(layer.w for layer in params.layers), *(layer.b for layer in params.layers))
-    return _record(a.reshape(-1) if xv.ndim == 2 and a.shape[1] == 1 else a, parents, backward)
+    return tape.record(out, backward)
 
 
 # The encoder's cases read four rows of width 2 from a non-zero state.
@@ -108,29 +131,35 @@ _X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 2))
 _START = LstmState(np.full(3, 0.3), np.full(3, -0.2))
 
 
-def _lstm_sequence(w, u, b, outputs=True):
-    """lstm_sequence as a recorded op over its plain forward and backward: a
-    weighted sum of its output rows, then its final h and c.  Every weight is
-    non-zero, or (``outputs=False``) every weight is 0, so the gradient
-    comes through the final state alone, as ``lstm_ed`` reads it."""
+def _lstm_sequence(w, u, b, outputs=True, tape=None):
+    """lstm_sequence over its plain forward and backward, recorded on
+    ``tape`` when given: a weighted sum of its output rows, then its final h
+    and c.  Every weight is non-zero, or (``outputs=False``) every weight is
+    0, so the gradient comes through the final state alone, as ``lstm_ed``
+    reads it."""
     params = LstmCellParams(w, u, b)
     out, state, steps = lstm_sequence(_X, _START, params)
     mix = np.linspace(1.0, 2.0, len(_X)) * outputs
     n = len(state.h)
+    value = np.concatenate([mix @ out, state.h, state.c])
+    if tape is None:
+        return value
+    grads = tape.grads
 
     def backward(g):
-        grads = Grads()
+        acc = Grads()
         lstm_sequence_backward(_X, _START, params, steps, np.outer(mix, g[:n]), g[n:2 * n],
-                               g[2 * n:], grads)
-        grads.hand()
+                               g[2 * n:], acc)
+        acc.hand(grads)
 
-    return _record(np.concatenate([mix @ out, state.h, state.c]), (w, u, b), backward)
+    return tape.record(value, backward)
 
 
-def _mlp(x, *wb):
+def _mlp(x, *wb, tape=None):
     """mlp_forward over layers (w0, b0, w1, b1, ...); an odd count leaves
     the output layer without bias."""
-    return mlp_forward(x, MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
+    return mlp_forward(x, MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]),
+                       tape)
 
 
 # The decoder op's cases run on one 5-zone route, teacher-forced along a
@@ -139,26 +168,21 @@ def _mlp(x, *wb):
 _ROUTE = prepare_route(make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A"],
                                   actual=[3, 0, 4, 1, 2]))
 
-def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,)):
-    """The decoder op over ``_ROUTE``, teacher-forced, for a seeded model of
-    ``variant`` whose tensors named in ``tensors`` are replaced: the scored
-    steps' stacked probabilities, or with ``loss`` their ``nll``.  When a
-    replacement is a tape node, every other tensor is a leaf of its tape,
-    as ``wrap_params`` makes them."""
+def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,), tape=None):
+    """The decoder op over ``_ROUTE``, teacher-forced and recorded on
+    ``tape`` when given, for a seeded model of ``variant`` whose tensors
+    named in ``tensors`` are replaced: the scored steps' stacked
+    probabilities, or with ``loss`` their ``nll``."""
     params = init_model(ModelConfig(variant, hidden=3, asnn_hidden=asnn_hidden, att_dim=4, kz=kz),
                         np.random.default_rng(0))
     params.scaler = fit_scaler([_ROUTE])
-    tape = next((t.tape for t in tensors.values() if isinstance(t, Node)), None)
-
-    def put(name, t):
-        return tensors.get(name, t if tape is None else tape.leaf(t))
-
-    params = replace(params, **{name: map_tensors(getattr(params, name), put, name)
+    params = replace(params, **{name: map_tensors(getattr(params, name),
+                                                  lambda n, t: tensors.get(n, t), name)
                                 for name in ("encoder", "decoder", "asnn", "pointer", "fc")})
     scaled = scale_route(_ROUTE, params)
     targets = _ROUTE.targets
     probs, _ = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
-                      lambda i, _: targets[i])
+                      lambda i, _: targets[i], tape)
     if not loss:
         return probs
     return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])])
@@ -166,7 +190,8 @@ def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,)):
 
 def _model(variant, names, loss=False, kz=None, asnn_hidden=(4,)):
     """A ``_decoder`` case whose inputs are the model's tensors ``names``."""
-    return lambda *ts: _decoder(variant, dict(zip(names, ts)), kz, loss, asnn_hidden)
+    return lambda *ts, tape=None: _decoder(variant, dict(zip(names, ts)), kz, loss, asnn_hidden,
+                                           tape)
 
 
 def _probs(rows, width):
@@ -178,9 +203,9 @@ _ENCODER = ("encoder.w", "encoder.u", "encoder.b")
 _LSTM = ("decoder.w", "decoder.u", "decoder.b")
 _PAIR_MLP = ("asnn.0.w", "asnn.0.b", "asnn.1.w")
 
-# name -> (op over the inputs, input maker, finite-difference step).  The
-# decoder op's cases are named after the parts of its backward pass that
-# they single out.
+# name -> (op over the inputs, recorded on its ``tape`` argument when given,
+# input maker, finite-difference step).  The decoder op's cases are named
+# after the parts of its backward pass that they single out.
 OP_CASES = {
     "matmul_2d_2d": (matmul, _arrays((3, 4), (4, 2)), 1e-5),
     "matmul_2d_1d": (matmul, _arrays((3, 4), (4,)), 1e-5),
@@ -199,7 +224,7 @@ OP_CASES = {
     # the encoder alone, from the gradients of its outputs and final state
     "lstm_sequence": (_lstm_sequence, _arrays((12, 2), (12, 3), (12,)), 1e-5),
     "lstm_sequence_final_state": (
-        lambda *args: _lstm_sequence(*args, outputs=False),
+        lambda *args, tape=None: _lstm_sequence(*args, outputs=False, tape=tape),
         _arrays((12, 2), (12, 3), (12,)), 1e-5),
     # at this seed every hidden pre-activation of the MLP cases is >= 0.005 from the kink
     "mlp_vector": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4), (2,)), 1e-5),
@@ -207,11 +232,6 @@ OP_CASES = {
     "mlp_rows": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4), (1,)), 1e-5),
     "mlp_rows_no_out_bias": (_mlp, _arrays((5, 3), (4, 3), (4,), (4, 4), (4,), (1, 4)), 1e-5),
     "mlp_rows_wide_out": (_mlp, _arrays((5, 3), (4, 3), (4,), (2, 4), (2,)), 1e-5),
-    # a weight that is an op's output gets its gradient before that op's backward runs
-    "mlp_rows_computed_weight": (
-        lambda x, a, v, w1: mlp_forward(x, MlpParams([MlpLayer(matmul(a, v), None),
-                                                        MlpLayer(w1, None)])),
-        _arrays((5, 3), (4, 2), (2, 3), (1, 4)), 1e-5),
     # the pair scorer at pairwise's widths, [pair rows; query; keys]: the
     # keys, the encoder's outputs, reach the key term, the context and
     # (through the decoder LSTM) the queries
@@ -222,13 +242,9 @@ OP_CASES = {
     "pair_scores_masked_nll": (
         _model("pairwise", (*_ENCODER, *_PAIR_MLP), loss=True),
         _arrays((12, 12), (12, 3), (12,), (4, 12), (4,), (1, 4)), 1e-5),
-    # at asnn's widths: the queries and keys are constant node features, and
-    # the first layer's weight is an op's output, so its column blocks get
-    # their gradients before that op's backward runs
-    "pair_scores_asnn_masked_nll": (
-        lambda a, v, b0, w1: _decoder("asnn", {"asnn.0.w": matmul(a, v), "asnn.0.b": b0,
-                                               "asnn.1.w": w1}, loss=True),
-        _arrays((4, 2), (2, 30), (4,), (1, 4)), 1e-5),
+    # at asnn's widths: the queries and keys are constant node features
+    "pair_scores_asnn_masked_nll": (_model("asnn", _PAIR_MLP, loss=True),
+                                    _arrays((4, 30), (4,), (1, 4)), 1e-5),
     # a pair MLP of one layer scores with its first layer's sum
     "pair_scores_one_layer": (_model("pairwise", (*_ENCODER, "asnn.0.w"), asnn_hidden=()),
                               _arrays((12, 12), (12, 3), (12,), (1, 12)), 1e-5),
@@ -242,7 +258,8 @@ OP_CASES = {
                        1e-5),
     # a step small enough that the perturbed probabilities still sum to 1
     # within nll's 1e-6 check
-    "nll": (lambda p: nll(p, [2, 0, 1]), _probs(3, 5), 1e-7),
+    "nll": (lambda p, tape=None: nll(p if tape is None else _recorded(tape, p), [2, 0, 1]),
+            _probs(3, 5), 1e-7),
 }
 
 
@@ -267,20 +284,20 @@ def test_op_gradient_matches_central_difference(name):
     rng = np.random.default_rng(7)
     inputs = make(rng)
     plain = op(*inputs)
-    assert not isinstance(plain, Node)  # nothing is recorded without a Node input
+    assert not isinstance(plain, Node)  # nothing is recorded without a tape
     w = _weights(rng, np.shape(plain))
 
     def loss_fn():
         return float(_reduce(op(*inputs), w))
 
     tape = Tape()
-    leaves = [tape.leaf(x) for x in inputs]
-    tape.backward(_reduce(op(*leaves), w))
-    for k, (x, leaf) in enumerate(zip(inputs, leaves)):
-        assert leaf.grad.shape == x.shape
+    tape.backward(_reduce(op(*inputs, tape=tape), w))
+    for k, x in enumerate(inputs):
+        grad = tape.grads[id(x)]
+        assert grad.shape == x.shape
         for idx in range(x.size):
             fd = finite_difference(loss_fn, x, idx, eps)
-            an = leaf.grad.ravel()[idx]
+            an = grad.ravel()[idx]
             assert grad_close(fd, an), f"input {k}[{idx}]: fd={fd} an={an}"
 
 
@@ -298,7 +315,7 @@ def test_finished_tape_is_freed_without_cyclic_gc():
             params.scaler = fit_scaler([prep])
             gc.collect()
             tape = Tape()
-            loss, _ = forward_logprob(wrap_params(params, tape), scale_route(prep, params))
+            loss, _ = forward_logprob(params, scale_route(prep, params), tape)
             tape.backward(loss)
             tape_ref, value_ref = weakref.ref(tape), weakref.ref(loss.value)
             del tape, loss
@@ -339,13 +356,10 @@ def test_lstm_sequence_is_a_loop_of_lstm_cell_bit_for_bit(rng):
     for row in x:
         state = LstmState(*_lstm_cell(row, state, p))
         outputs.append(state.h)
-    tape = Tape()
-    for params in (p, map_tensors(p, lambda _, t: tape.leaf(t))):
-        keys, final, steps = lstm_sequence(x, start, params)
-        assert np.array_equal(keys, np.stack(outputs))
-        assert np.array_equal(final.h, state.h) and np.array_equal(final.c, state.c)
-        assert len(steps) == len(x) and steps[-1].c is final.c
-    assert not tape._nodes  # tape-wrapped weights are read, not recorded
+    keys, final, steps = lstm_sequence(x, start, p)
+    assert np.array_equal(keys, np.stack(outputs))
+    assert np.array_equal(final.h, state.h) and np.array_equal(final.c, state.c)
+    assert len(steps) == len(x) and steps[-1].c is final.c
 
 
 def test_lstm_zero_everything():
@@ -404,14 +418,12 @@ def test_lstm_gradients_every_parameter(rng):
         _, state, _ = lstm_sequence(x, start, p)
         return float(np.sum(state.h ** 2))
 
-    tape = Tape()
-    wrapped = map_tensors(p, lambda _, t: tape.leaf(t))
-    _, state, steps = lstm_sequence(x, start, wrapped)
+    _, state, steps = lstm_sequence(x, start, p)
     grads = Grads()
-    lstm_sequence_backward(x, start, wrapped, steps, np.zeros((1, 4)), 2.0 * state.h,
-                           np.zeros(4), grads)
-    grads.hand()
-    grads = {n: t.grad for n, t in named_tensors(wrapped, "p").items()}
+    lstm_sequence_backward(x, start, p, steps, np.zeros((1, 4)), 2.0 * state.h, np.zeros(4), grads)
+    tape = Tape()
+    grads.hand(tape.grads)
+    grads = tape.gradients(named_tensors(p, "p"))
     for name, arr in named_tensors(p, "p").items():
         g = grads[name]
         for idx in range(arr.size):
@@ -522,10 +534,11 @@ def test_masked_softmax(rng):
     # exactly 0 (the "softmax_masked" case checks the rest against central
     # differences).
     tape = Tape()
-    w, b = tape.leaf(rng.normal(size=(7, 3))), tape.leaf(rng.normal(size=7))
-    tape.backward(_decoder("lstm_ed", {"fc.0.w": w, "fc.0.b": b}, kz=7, loss=True))
-    assert np.all(w.grad[5:] == 0.0) and np.all(b.grad[5:] == 0.0)
-    assert np.all(w.grad[:5] != 0.0)
+    w, b = rng.normal(size=(7, 3)), rng.normal(size=7)
+    tape.backward(_decoder("lstm_ed", {"fc.0.w": w, "fc.0.b": b}, kz=7, loss=True, tape=tape))
+    gw, gb = tape.grads[id(w)], tape.grads[id(b)]
+    assert np.all(gw[5:] == 0.0) and np.all(gb[5:] == 0.0)
+    assert np.all(gw[:5] != 0.0)
 
 
 def test_cross_entropy_uniform():
@@ -545,10 +558,10 @@ def test_cross_entropy_clamp():
     p = np.array([[1.0 - 1e-15, 1e-15], [0.25, 0.75]])
     assert nll(p[:1], [1]) == pytest.approx(-math.log(1e-12), rel=1e-12)
     tape = Tape()
-    clamped = tape.leaf(p[:1])
+    clamped = tape.record(p[:1], lambda g: None)
     tape.backward(nll(clamped, [1]))
     assert clamped.grad is None  # the clamped term passes no gradient
-    both = tape.leaf(p)
+    both = tape.record(p, lambda g: None)
     tape.backward(nll(both, [1, 0]))
     assert np.array_equal(both.grad, [[0.0, 0.0], [-4.0, 0.0]])
 
@@ -576,21 +589,19 @@ def test_softmax_cross_entropy_gradient(rng):
     params.fc.layers[0].b[...] = rng.normal(size=2)
     sc = scale_route(prep, params)
     tape = Tape()
-    wrapped = wrap_params(params, tape)
-    loss, traces = forward_logprob(wrapped, sc)
+    loss, traces = forward_logprob(params, sc, tape)
     tape.backward(loss)
+    grads = tape.gradients(model_tensors(params))
     p = traces[0].attention[list(sc.order)]
     target = sc.pos_of_zone[prep.targets[0]]
-    np.testing.assert_allclose(gradients(params, wrapped)["fc.0.b"], p - np.eye(2)[target],
-                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grads["fc.0.b"], p - np.eye(2)[target], rtol=1e-12, atol=1e-15)
 
     def loss_fn():
         return float(forward_logprob(params, sc)[0])
 
     b = params.fc.layers[0].b
     for idx in range(2):
-        assert grad_close(finite_difference(loss_fn, b, idx),
-                          gradients(params, wrapped)["fc.0.b"][idx])
+        assert grad_close(finite_difference(loss_fn, b, idx), grads["fc.0.b"][idx])
 
 
 # --- adam ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from oracles import (
 from routeseq.datagen import SynthConfig, generate
 from routeseq.errors import ConfigError, SchemaError
 from routeseq.inference import greedy_decode
-from routeseq.kernel.autodiff import _acc, _record
 from routeseq.kernel import (
     LstmState,
     MlpLayer,
@@ -42,7 +41,6 @@ from routeseq.predictor import (
     first_step,
     fit_scaler,
     forward_logprob,
-    gradients,
     identity_scaler,
     init_model,
     load_model,
@@ -53,7 +51,6 @@ from routeseq.predictor import (
     random_input_order,
     save_model,
     scale_route,
-    wrap_params,
 )
 
 K_SMALL = dict(hidden=8, asnn_hidden=(16, 16), att_dim=8)
@@ -409,7 +406,7 @@ def test_taped_forward_node_counts():
     for variant in VARIANTS:
         params = _model(variant, prep)
         tape = Tape()
-        forward_logprob(wrap_params(params, tape), scale_route(prep, params))
+        forward_logprob(params, scale_route(prep, params), tape)
         assert len(tape._nodes) == 2, variant
 
 
@@ -437,14 +434,13 @@ def test_decoder_op_gradients_match_central_differences(variant):
         params = _model(variant, prep, seed=n, **_TINY)
         sc = scale_route(prep, params)
         tape = Tape()
-        wrapped = wrap_params(params, tape)
-        loss, _ = forward_logprob(wrapped, sc)
+        loss, _ = forward_logprob(params, sc, tape)
         if n == 1:
             assert not isinstance(loss, Node) and float(loss) == 0.0
             continue
         tape.backward(loss)
         _fd_check(params, lambda: float(forward_logprob(params, sc)[0]),
-                  gradients(params, wrapped))
+                  tape.gradients(model_tensors(params)))
 
 
 @pytest.mark.parametrize("kz", [3, 7])
@@ -459,22 +455,22 @@ def test_decoder_op_gradients_with_lstm_ed_head_narrower_and_wider(kz):
     order = [sc.order[pos] for pos in (2, 0, 4, 1, 3)]  # zones, by input position
     weights = np.random.default_rng(kz).normal(size=(4, kz))
 
-    def reduced(p):
-        probs, _ = decode(p, sc, first_step(p, sc, encode(p, sc)), lambda i, _: order[i])
+    def reduced(tape=None):
+        probs, _ = decode(params, sc, first_step(params, sc, encode(params, sc)),
+                          lambda i, _: order[i], tape)
         return probs, weights[:len(unwrap(probs))]
 
-    probs, w = reduced(params)
+    probs, w = reduced()
     assert len(probs) == (2 if kz == 3 else 4)
     tape = Tape()
-    wrapped = wrap_params(params, tape)
-    probs, w = reduced(wrapped)
-    tape.backward(_record(np.sum(probs.value * w), (probs,), lambda g: _acc(probs, g * w)))
+    probs, w = reduced(tape)
+    tape.backward(tape.record(np.sum(probs.value * w), lambda g: setattr(probs, "grad", g * w)))
 
     def loss_of():
-        p, w = reduced(params)
+        p, w = reduced()
         return float(np.sum(p * w))
 
-    _fd_check(params, loss_of, gradients(params, wrapped))
+    _fd_check(params, loss_of, tape.gradients(model_tensors(params)))
 
 
 def test_target_below_the_nll_clamp_gets_zero_gradient():
@@ -489,12 +485,11 @@ def test_target_below_the_nll_clamp_gets_zero_gradient():
     params.pointer.w4[0] = 1.0
     sc = scale_route(prep, params)
     tape = Tape()
-    wrapped = wrap_params(params, tape)
-    loss, traces = forward_logprob(wrapped, sc)
+    loss, traces = forward_logprob(params, sc, tape)
     assert traces[0].attention[prep.targets[0]] < 1e-12
-    assert float(unwrap(loss)) == -math.log(1e-12)
+    assert float(loss.value) == -math.log(1e-12)
     tape.backward(loss)
-    assert all(np.all(g == 0.0) for g in gradients(params, wrapped).values())
+    assert all(np.all(g == 0.0) for g in tape.gradients(model_tensors(params)).values())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -506,8 +501,8 @@ def test_taped_and_plain_decoding_give_the_same_bytes(variant):
     sc = scale_route(prep, params)
     plain_loss, plain = forward_logprob(params, sc)
     tape = Tape()
-    taped_loss, taped = forward_logprob(wrap_params(params, tape), sc)
-    assert float(unwrap(taped_loss)).hex() == float(plain_loss).hex()
+    taped_loss, taped = forward_logprob(params, sc, tape)
+    assert float(taped_loss.value).hex() == float(plain_loss).hex()
     for a, b in zip(plain, taped, strict=True):
         assert a.chosen == b.chosen and a.attention.tobytes() == b.attention.tobytes()
         contexts = [b"-" if t.context is None else t.context.tobytes() for t in (a, b)]
@@ -536,10 +531,9 @@ def test_forward_logprob_training_sanity_loss_decreases():
     first = last = None
     for _ in range(50):
         tape = Tape()
-        wrapped = wrap_params(params, tape)
-        loss, _ = forward_logprob(wrapped, sc)
+        loss, _ = forward_logprob(params, sc, tape)
         tape.backward(loss)
-        adam_step(named, gradients(params, wrapped), opt)
+        adam_step(named, tape.gradients(named), opt)
         last = float(loss.value)
         first = first if first is not None else last
     assert last < first
@@ -587,11 +581,10 @@ def test_gradient_check_all_variants_small():
         params = _model(variant, prep, seed=13)
         sc = scale_route(prep, params)
         tape = Tape()
-        wrapped = wrap_params(params, tape)
-        loss, _ = forward_logprob(wrapped, sc)
+        loss, _ = forward_logprob(params, sc, tape)
         tape.backward(loss)
-        grads = gradients(params, wrapped)
         named = model_tensors(params)
+        grads = tape.gradients(named)
 
         def loss_of():
             l, _ = forward_logprob(params, sc)
@@ -703,6 +696,38 @@ def test_checkpoint_loader_names_what_is_malformed():
     with pytest.raises(SchemaError) as err:
         params_from_checkpoint(checkpoint_tensors(params), {**meta, "kz": 3})
     assert err.value.json_path == "meta"
+
+
+# One weight per variant that a bad value once went through unnoticed.
+_WEIGHT_OF = {"pairwise": "asnn.1.w", "pointer": "pointer.w3", "lstm_ed": "fc.0.w",
+              "asnn": "asnn.1.w"}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_with_non_finite_or_unusable_values_is_rejected(variant):
+    # A NaN weight once loaded and then decoded zones in index order, and a
+    # zero scaler std passed through evaluation the same way; each bad value
+    # is a SchemaError naming the tensor, a legacy per-gate one included.
+    prep = _prep()
+    params = _model(variant, prep)
+    meta = model_meta(params)
+    cases = [(_WEIGHT_OF[variant], np.nan), (_WEIGHT_OF[variant], np.inf),
+             ("scaler.x_std", 0.0), ("scaler.z_std", -1.0)]
+    for name, value in cases:
+        tensors = {k: v.copy() for k, v in checkpoint_tensors(params).items()}
+        tensors[name].flat[0] = value
+        with pytest.raises(SchemaError) as err:
+            params_from_checkpoint(tensors, meta)
+        assert err.value.json_path == f"tensors.{name}", (name, value)
+    if variant != "asnn":
+        tensors = {k: v.copy() for k, v in checkpoint_tensors(params).items()}
+        for gate, rows in zip("fioc", np.split(tensors.pop("encoder.w"), 4)):
+            tensors[f"encoder.w_{gate}"] = rows
+        tensors["encoder.w_o"][0, 0] = np.nan
+        with pytest.raises(SchemaError) as err:
+            params_from_checkpoint(tensors, meta)
+        assert err.value.json_path == "tensors.encoder.w_o"
+    assert params_from_checkpoint(checkpoint_tensors(params), meta).config == params.config
 
 
 def test_init_model_validation():

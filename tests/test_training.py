@@ -13,7 +13,6 @@ from routeseq.predictor import (
     prepare_route,
     save_model,
     scale_route,
-    wrap_params,
 )
 from routeseq.training import TrainConfig, split_dataset, train
 
@@ -121,9 +120,8 @@ def test_bitwise_identical_checkpoints():
 def test_nan_loss_aborts_with_route_and_epoch(monkeypatch):
     routes = _routes(n=2, seed=3)
 
-    def bad_forward(params, scaled):
-        tape = Tape()
-        return tape.leaf(np.asarray(np.nan)), []
+    def bad_forward(params, scaled, tape):
+        return tape.record(np.asarray(np.nan), lambda g: None), []
 
     monkeypatch.setattr(training, "forward_logprob", bad_forward)
     with pytest.raises(TrainingDivergedError) as err:
@@ -157,7 +155,7 @@ def test_one_tape_per_call_and_no_trace_built_in_training(monkeypatch):
     sc = scale_route(prepare_route(routes[0]), params)
     _, plain = forward_logprob(params, sc)
     tape = Tape()
-    _, taped = forward_logprob(wrap_params(params, tape), sc)
+    _, taped = forward_logprob(params, sc, tape)
     assert built["trace"] == 0
     for a, b in zip(plain, taped, strict=True):
         assert a.step == b.step and a.chosen == b.chosen

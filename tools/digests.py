@@ -65,10 +65,9 @@ from routeseq.kernel import Tape  # noqa: E402
 from routeseq.predictor import (  # noqa: E402
     VARIANTS,
     forward_logprob,
-    gradients,
+    model_tensors,
     prepare_route,
     scale_route,
-    wrap_params,
 )
 from routeseq.training import TrainConfig, train  # noqa: E402
 
@@ -236,12 +235,11 @@ def main() -> None:
                 parts = []
                 for route in train_routes:
                     tape = Tape()
-                    wrapped = wrap_params(params, tape)
                     scaled = scale_route(prepare_route(route), params)
-                    loss, _ = forward_logprob(wrapped, scaled)
+                    loss, _ = forward_logprob(params, scaled, tape)
                     tape.backward(loss)
                     parts.append(float(loss.value).hex())
-                    for name, g in sorted(gradients(params, wrapped).items()):
+                    for name, g in sorted(tape.gradients(model_tensors(params)).items()):
                         parts += [name, g.tobytes()]
                 print(f"grad {tag}", _sha(parts))
 

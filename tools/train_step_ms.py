@@ -5,13 +5,16 @@ median milliseconds over repeated runs on one generated route,
 ``SynthConfig(n_routes=1, zones_per_route=(z, z), seed=1)``, with the
 variant's default model at seed 0 (``lstm_ed``'s head as wide as the route):
 
-- forward+backward: the taped teacher-forced forward pass
-  (``forward_logprob`` on tape-wrapped parameters) and ``Tape.backward``;
-  parameter wrapping and gradient collection are outside the timed span;
-- whole step: the step as ``training.train`` takes it, on that route alone
-  for one epoch per run: the tape and leaf-gradient reset, the same passes,
-  the gradient collection and ``adam_step``, timed from one
-  ``forward_logprob`` call of ``train`` to the next.
+- forward+backward: the teacher-forced forward pass recorded on a new tape
+  (``forward_logprob(params, scaled, tape)``) and ``Tape.backward``;
+  gradient collection is outside the timed span;
+- whole step: the step as ``training.train`` takes it, on that route alone:
+  the tape reset, the same passes, the gradient collection and
+  ``adam_step``, timed from the first ``forward_logprob`` call of a
+  two-epoch ``train`` call to its second.
+
+The two are timed run by run in turn, so a change of machine load moves
+both columns alike.
 
     python3 tools/train_step_ms.py [--zones 5 10 15] [--runs 50]
 
@@ -44,7 +47,6 @@ from routeseq.predictor import (  # noqa: E402
     init_model,
     prepare_route,
     scale_route,
-    wrap_params,
 )
 
 
@@ -56,27 +58,26 @@ def step_ms(variant: str, zones: int, runs: int) -> tuple:
     params = init_model(ModelConfig(variant, kz=kz), np.random.default_rng(0))
     params.scaler = fit_scaler([prep])
     scaled = scale_route(prep, params)
-    times = []
-    for _ in range(runs):
-        tape = Tape()
-        wrapped = wrap_params(params, tape)
-        start = time.perf_counter()
-        loss, _ = forward_logprob(wrapped, scaled)
-        tape.backward(loss)
-        times.append(time.perf_counter() - start)
-
-    starts = []
+    times, steps, starts = [], [], []
 
     def timed_forward(*args):
         starts.append(time.perf_counter())
         return forward_logprob(*args)
 
-    training.forward_logprob = timed_forward
-    try:
-        training.train([route], training.TrainConfig(variant, epochs=runs + 1))
-    finally:
-        training.forward_logprob = forward_logprob
-    return statistics.median(times) * 1e3, statistics.median(np.diff(starts)) * 1e3
+    for _ in range(runs):
+        tape = Tape()
+        start = time.perf_counter()
+        loss, _ = forward_logprob(params, scaled, tape)
+        tape.backward(loss)
+        times.append(time.perf_counter() - start)
+        starts.clear()
+        training.forward_logprob = timed_forward
+        try:
+            training.train([route], training.TrainConfig(variant, epochs=2))
+        finally:
+            training.forward_logprob = forward_logprob
+        steps.append(starts[1] - starts[0])
+    return statistics.median(times) * 1e3, statistics.median(steps) * 1e3
 
 
 def main() -> None:
