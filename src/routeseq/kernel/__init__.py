@@ -1,15 +1,17 @@
 """Minimal differentiable numerical kernel over plain arrays: the autodiff
-tape, which keeps the model tensors' gradients, the ``Grads`` that hands a
-recorded op's weight gradients to it, the sequence NLL, the LSTM (one step
-and a whole sequence), softmax, MLP, the pair MLP's route-constant terms
-and the pair-MLP and pointer scorers, each with the backward pass that
-the one op per route of ``predictor.decode`` runs, Adam, and the bit-exact
-checkpoint byte codec (no file I/O)."""
+tape, which keeps the model tensors' gradients in views of a flat buffer,
+the ``Grads`` that hands a recorded op's weight gradients to it, the
+sequence NLL, the LSTM (one step and a whole sequence), softmax, MLP, the
+pair MLP's route-constant terms and the pair-MLP and pointer scorers, each
+with the backward pass that the one op per route of ``predictor.decode``
+runs, Adam over a flat buffer, and the bit-exact checkpoint byte codec (no
+file I/O)."""
 
 from .autodiff import (
     Grads,
     Node,
     Tape,
+    flat_views,
     nll,
     unwrap,
 )
@@ -47,7 +49,7 @@ from .layers import (
 from .optim import AdamState, adam_init, adam_step, clip_gradients
 
 __all__ = [
-    "Grads", "Node", "Tape", "nll", "unwrap",
+    "Grads", "Node", "Tape", "flat_views", "nll", "unwrap",
     "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint", "serialize_checkpoint",
     "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "PairScoresBackward",
     "init_lstm", "init_mlp", "lstm_backward_step", "lstm_factors", "lstm_sequence",

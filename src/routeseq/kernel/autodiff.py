@@ -3,11 +3,12 @@
 The model's tensors are plain arrays.  A recorded op's output is a ``Node``
 that ``Tape.record`` appends to the tape, with a hand-written backward
 pass; ``Tape.backward`` runs those passes in reverse order, a valid
-topological order for backpropagation, and they add the model's
-gradients into ``Tape.grads``, keyed by the ``id`` of each array.
+topological order for backpropagation, and they hand the model's
+gradients to ``Tape.grads`` (``Gradients``), each tensor's into its view
+of one flat buffer: the first block is written there, later ones added.
 
 The graph is acyclic: a node holds its parents and the tape's ``grads``
-dict (through its backward closure) and a weak proxy of its tape, never
+(through its backward closure) and a weak proxy of its tape, never
 itself or its tape, so a finished step's graph is freed by reference
 counting alone.
 
@@ -28,6 +29,7 @@ all the sequence models need.  Everything is float64.
 
 from __future__ import annotations
 
+import functools
 import weakref
 
 import numpy as np
@@ -59,13 +61,13 @@ class Node:
 
 class Tape:
     """Execution-ordered record of ops for one forward pass, and the
-    gradients of the model's plain arrays (``grads``, by ``id``) that their
+    ``Gradients`` of the model's tensors ``named`` (``grads``) that their
     backward passes hand over.  Nodes hold the tape weakly, so the caller
     keeps it referenced while it records."""
 
-    def __init__(self):
+    def __init__(self, named: dict | None = None):
         self._nodes: list[Node] = []
-        self.grads: dict = {}
+        self.grads = Gradients(named or {})
         self._proxy = weakref.proxy(self)  # what nodes hold, so no node keeps the tape alive
 
     def record(self, value, backward) -> Node:
@@ -93,8 +95,33 @@ class Tape:
     def gradients(self, named: dict) -> dict:
         """{name: the gradient of ``named[name]``}; a tensor that got none
         gets zeros."""
-        return {name: self.grads[id(t)] if id(t) in self.grads else np.zeros_like(t)
-                for name, t in named.items()}
+        for t in named.values():
+            if id(t) not in self.grads:
+                self.grads.slot(t).fill(0.0)
+        return {name: self.grads[id(t)] for name, t in named.items()}
+
+
+def flat_views(buf: np.ndarray, tensors) -> list:
+    """Views of the flat buffer ``buf`` shaped as ``tensors``, end to end."""
+    ends = np.cumsum([0, *(t.size for t in tensors)]).tolist()
+    return [buf[a:b].reshape(t.shape) for t, a, b in zip(tensors, ends, ends[1:])]
+
+
+class Gradients(dict):
+    """One pass's gradients by array ``id``; the tensors ``named`` take theirs
+    in their views of one buffer, ``flat`` (np.full, so no pass takes its page faults)."""
+
+    def __init__(self, named: dict):
+        super().__init__()
+        tensors = named.values()
+        self.flat = np.full(sum(t.size for t in tensors), 0.0)
+        self.views = {id(t): v for t, v in zip(tensors, flat_views(self.flat, tensors))}
+
+    def slot(self, x) -> np.ndarray:
+        """Enter and return the array that takes ``x``'s gradient: its view,
+        else a new array."""
+        self[id(x)] = self.views[id(x)] if id(x) in self.views else np.empty_like(x)
+        return self[id(x)]
 
 
 def unwrap(x):
@@ -128,28 +155,30 @@ class Grads:
         entry[3].append(g)
         entry[4].append(x)
 
-    def hand(self, out: dict) -> None:
-        """Add every gathered gradient into ``out`` (tensor ``id`` ->
-        gradient); a block of weight columns gets the sum of all its rows,
-        as ``g.T @ x`` products of ``STACK_ROWS`` rows each."""
+    def hand(self, out: Gradients) -> None:
+        """Hand every gathered gradient to ``out``: a tensor's first block is
+        computed into its ``slot`` (zero-filled first unless the block is of
+        its shape), later blocks are added; a block of weight columns gets
+        the sum of all its rows, as ``g.T @ x`` products of ``STACK_ROWS``."""
 
-        def accumulate(x, g, col=0):
-            if id(x) not in out and g.shape == x.shape:
-                out[id(x)] = g  # fresh and of the tensor's shape: taken, not copied
-                return
+        def accumulate(x, into, shape, col=0):
             if id(x) not in out:
-                out[id(x)] = np.zeros_like(x)
-            out[id(x)][..., col:col + g.shape[-1]] += g
+                if shape == x.shape:
+                    into(out=out.slot(x))
+                    return
+                out.slot(x).fill(0.0)
+            out[id(x)][..., col:col + shape[-1]] += into()
 
         for x, total in self._sums.values():
-            accumulate(x, total)
+            accumulate(x, functools.partial(np.positive, total), total.shape)  # keeps -0.0
         for w, col, bias, gs, xs in self._rows.values():
-            g = np.concatenate(gs)
+            g = gs[0] if len(gs) == 1 else np.concatenate(gs)
             if bias is not None:
-                accumulate(bias, g.sum(axis=0))
-            x = np.concatenate(xs)
+                accumulate(bias, functools.partial(np.sum, g, 0), bias.shape)
+            x = xs[0] if len(xs) == 1 else np.concatenate(xs)
             for a in range(0, len(g), STACK_ROWS):
-                accumulate(w, g[a:a + STACK_ROWS].T @ x[a:a + STACK_ROWS], col)
+                ga, xa = g[a:a + STACK_ROWS].T, x[a:a + STACK_ROWS]
+                accumulate(w, functools.partial(np.matmul, ga, xa), (len(ga), xa.shape[1]), col)
 
 
 def nll(probs, targets):

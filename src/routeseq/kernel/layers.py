@@ -4,7 +4,8 @@ Everything here works on plain arrays, the model's tensors included, and
 records nothing.  The forward passes ``lstm_sequence`` (the encoder),
 ``lstm_step``, ``softmax``, ``mlp_values``, ``pair_terms``, ``pair_scores``
 and ``pointer_scores`` compute the model's values and keep what their
-backward passes read.  The backward passes
+backward passes read (``lstm_step``, ``mlp_values`` and ``pair_scores``
+into the step arrays ``out`` when given).  The backward passes
 ``lstm_sequence_backward``, ``lstm_factors``/``lstm_backward_step``,
 ``mlp_backward``, ``PairScoresBackward`` and ``pointer_scores_backward``
 hand a ``Grads`` their weight gradients; they run inside the one op that
@@ -87,12 +88,12 @@ def zero_state(hidden_dim: int) -> LstmState:
     return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
 
 
-def _sigmoid_np(x):
+def _sigmoid_np(x, out=None):
     """The logistic function, branch-free: 1/(1+e^-x) for x >= 0 and
     e^x/(1+e^x) below, both from e = exp(-|x|), so no exp overflows, and
-    with one division."""
+    with one division (into ``out`` when given)."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class LstmStep(NamedTuple):
@@ -108,27 +109,33 @@ class LstmStep(NamedTuple):
     h: np.ndarray
 
 
-def lstm_step(w, u, b, x, h, c) -> LstmStep:
+_NO_ROWS = (None,) * 7  # where an lstm_step given no ``out`` writes: new arrays
+
+
+def lstm_step(w, u, b, x, h, c, out=None) -> LstmStep:
     """One LSTM step on plain arrays, from the weights, the input ``x`` and
     the state (``h``, ``c``): ``z = W x + U h + b``; the logistic gates f, i
     and o; the candidate cell value ``g = tanh(z_c)``; ``c_new = f*c + i*g``
-    and ``tanh(c_new)``; and ``h_new = o*tanh(c_new)``, in that order."""
+    and ``tanh(c_new)``; and ``h_new = o*tanh(c_new)``, in that order, each
+    written into its row of ``out`` (7, hidden, C-contiguous) when given."""
     z = w @ x + u @ h + b
-    n = c.shape[0]
-    s = _sigmoid_np(z[:3 * n])
+    n = len(c)
+    rows = _NO_ROWS if out is None else out
+    s = _sigmoid_np(z[:3 * n], None if out is None else out[:3].reshape(-1))
     f, i, o = s[:n], s[n:2 * n], s[2 * n:]
-    g = np.tanh(z[3 * n:])
-    c_new = f * c + i * g
-    t = np.tanh(c_new)
-    return LstmStep(f, i, o, g, c_new, t, o * t)
+    g = np.tanh(z[3 * n:], out=rows[3])
+    c_new = np.multiply(f, c, out=rows[4])
+    c_new += i * g
+    t = np.tanh(c_new, out=rows[5])
+    return LstmStep(f, i, o, g, c_new, t, np.multiply(o, t, out=rows[6]))
 
 
 def lstm_factors(steps, c0):
     """The gate-derivative factors of the consecutive ``lstm_step`` values
-    ``steps`` from the cell state ``c0``, stacked once per sequence: per
-    step the forget gate f, dz/d(c, c, h, c) and dc/dh (see
+    ``steps`` (m, 7, hidden) from the cell state ``c0``: per step the
+    forget gate f, dz/d(c, c, h, c) and dc/dh (see
     ``lstm_backward_step``)."""
-    f, i, o, g, c_all, t, _ = np.array(steps).transpose(1, 0, 2)
+    f, i, o, g, c_all, t, _ = steps.transpose(1, 0, 2)
     c_prev = np.vstack([c0, c_all[:-1]])
     dz_dch = np.concatenate([c_prev * f * (1.0 - f), g * i * (1.0 - i),
                              t * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
@@ -151,16 +158,15 @@ def lstm_backward_step(k, dh, dc, factors, u, gz):
 def lstm_sequence(x, state: LstmState, params: LstmCellParams):
     """The LSTM over the rows of ``x`` (n, input) from ``state``: returns the
     outputs (n, hidden), the final state and the ``lstm_step`` values of
-    every row, which ``lstm_sequence_backward`` reads."""
+    every row (n, 7, hidden), which ``lstm_sequence_backward`` reads."""
     if not np.all(np.isfinite(x)):
         raise NumericError("lstm_sequence received a non-finite input")
     w, u, b = params.w, params.u, params.b
-    steps = []
+    steps = np.empty((len(x), 7, len(state.h)))
     h, c = state.h, state.c
-    for xt in x:
-        steps.append(lstm_step(w, u, b, xt, h, c))
-        h, c = steps[-1].h, steps[-1].c
-    return np.stack([step.h for step in steps]), LstmState(h, c), steps
+    for xt, out in zip(x, steps):
+        _, _, _, _, c, _, h = lstm_step(w, u, b, xt, h, c, out)
+    return steps[:, 6].copy(), LstmState(h, c), steps
 
 
 def lstm_sequence_backward(x, state: LstmState, params: LstmCellParams, steps, g_out, dh, dc,
@@ -175,7 +181,7 @@ def lstm_sequence_backward(x, state: LstmState, params: LstmCellParams, steps, g
     for k in reversed(range(len(steps))):
         dh, dc = lstm_backward_step(k, dh + g_out[k], dc, factors, params.u, gz)
     grads.outer(params.w, gz, x, bias=params.b)
-    grads.outer(params.u, gz, np.vstack([state.h, *(step.h for step in steps[:-1])]))
+    grads.outer(params.u, gz, np.vstack([state.h, steps[:-1, 6]]))
 
 
 def softmax(u, allowed=None):
@@ -196,10 +202,11 @@ def softmax(u, allowed=None):
     return e / e.sum()
 
 
-def mlp_values(x, layers):
+def mlp_values(x, layers, out=None):
     """The MLP ``layers`` on a vector (d,) or on rows (m, d), on plain
-    arrays: its output and each layer's input.  Each layer is ``W a + b``
-    (``a @ W.T + b`` for rows), ReLU on all but the last."""
+    arrays: its output and each layer's input, the hidden layers' outputs
+    written into the arrays ``out`` when given, else in place.  Each layer
+    is ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but the last."""
     rows = x.ndim == 2
     last = len(layers) - 1
     ins = []
@@ -208,9 +215,9 @@ def mlp_values(x, layers):
         ins.append(a)
         a = a @ layer.w.T if rows else layer.w @ a
         if layer.b is not None:
-            a = a + layer.b
+            a += layer.b
         if k != last:
-            a = np.maximum(a, 0.0)
+            a = np.maximum(a, 0.0, out=a if out is None else out[k])
     return a, ins
 
 
@@ -282,28 +289,28 @@ def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
     )
 
 
-def pair_scores(terms: PairTerms, src: int, d=None):
+def pair_scores(terms: PairTerms, src: int, d=None, out=None):
     """The pair MLP's score of every key from source node ``src`` with the
     query ``d`` (q,), or with the route-constant query of ``src`` when ``d``
     is None, on plain arrays: the value of the MLP over the rows [pair;
     query; key], its first layer's sum formed as ``pair_term[src] +
-    key_term + W_q query``.  Returns the scores and what
-    ``PairScoresBackward`` reads: the query and the later layers' inputs."""
+    key_term + W_q query``.  The later layers' inputs, which
+    ``PairScoresBackward`` reads, are written into the arrays ``out`` (one
+    per later layer) when given."""
     w_q = terms.w_q
     if d is None:
-        qv, q_term = terms.queries[src], terms.query_term[src]
+        q_term = terms.query_term[src]
     else:
-        qv = d
-        if qv.shape != (w_q.shape[1],):
-            raise InvalidInputError(f"pair MLP query shape {qv.shape} does not match "
+        if d.shape != (w_q.shape[1],):
+            raise InvalidInputError(f"pair MLP query shape {d.shape} does not match "
                                     f"({w_q.shape[1]},)")
-        q_term = w_q @ qv
+        q_term = w_q @ d
     pre = terms.pair_term[src] + terms.key_term
     pre += q_term
     if not terms.rest.layers:  # a pair MLP of one layer scores with the sum itself
-        return pre.reshape(-1), (qv, [])
-    a, ins = mlp_values(np.maximum(pre, 0.0), terms.rest.layers)
-    return a.reshape(-1), (qv, ins)
+        return pre.reshape(-1)
+    x = np.maximum(pre, 0.0, out=pre if out is None else out[0])
+    return mlp_values(x, terms.rest.layers, None if out is None else out[1:])[0].reshape(-1)
 
 
 class PairScoresBackward:
@@ -321,17 +328,17 @@ class PairScoresBackward:
     ``s``, hands ``grads`` every layer's weight rows and bias, and runs the
     key term's backward pass, once."""
 
-    def __init__(self, terms: PairTerms, srcs, saved, probs):
-        """``srcs`` holds each scored step's source node, ``saved`` its
-        ``pair_scores`` values and ``probs`` its probabilities (m, n)."""
+    def __init__(self, terms: PairTerms, srcs, queries, ins, probs):
+        """``srcs`` holds each scored step's source node, ``queries`` its
+        query (m, q), ``ins`` per later layer its ``pair_scores`` inputs (m,
+        n, width) and ``probs`` its probabilities (m, n)."""
         self.terms = terms
         steps, self.pos = np.nonzero(probs)  # the rows, step by step
         self.ends = np.cumsum(np.count_nonzero(probs, axis=1)).tolist()
         self.pair = terms.pair[np.asarray(srcs)[steps], self.pos]
-        self.queries = np.array([qv for qv, _ in saved])
+        self.queries = queries
         rest = terms.rest.layers
-        self.ins = [np.array([ins[k] for _, ins in saved])[steps, self.pos]
-                    for k in range(len(rest))]
+        self.ins = [a[steps, self.pos] for a in ins]
         # Per later layer, its pre-activation gradient rows for unit scores:
         # ones for the one-unit output layer, whose input gradient is then
         # its weight row in every row.
@@ -347,7 +354,7 @@ class PairScoresBackward:
             g = g * (self.ins[0] > 0.0)  # the first layer's ReLU output feeds the rest
         self.v = g
         self.s = np.empty(len(self.pos))
-        self.gq = np.empty((len(saved), self.v.shape[1]))
+        self.gq = np.empty((len(probs), self.v.shape[1]))
 
     def query(self, k: int, s):
         """Step ``k``'s query gradient from its scores' gradient ``s``."""

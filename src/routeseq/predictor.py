@@ -62,6 +62,7 @@ from .kernel import (
     Tape,
     checkpoint_id,
     deserialize_checkpoint,
+    flat_views,
     init_lstm,
     init_mlp,
     lstm_backward_step,
@@ -278,6 +279,17 @@ def model_tensors(params: ModelParams) -> dict:
     return out
 
 
+def flatten_model(params: ModelParams) -> np.ndarray:
+    """Move the learnable tensors into one buffer, returned, each becoming
+    its view (``flat_views``, in ``model_tensors`` order)."""
+    tensors = model_tensors(params).values()
+    flat = np.concatenate([t.ravel() for t in tensors])
+    views = iter(flat_views(flat, tensors))
+    for name in _COMPONENTS:
+        setattr(params, name, map_tensors(getattr(params, name), lambda *_: next(views)))
+    return flat
+
+
 def encode(params: ModelParams, scaled: ScaledRoute):
     """The route's attention keys by input position, the decoder's initial
     state and the encoder's steps, as ``(keys, state, steps)``.  The
@@ -300,12 +312,13 @@ def _pair_terms(params: ModelParams, scaled: ScaledRoute, keys):
     return pair_terms(scaled.pair, keys, params.asnn, queries)
 
 
-def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms):
+def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms, out=None):
     """One decoder step's scores by input position (by head slot for
     ``lstm_ed``), from the last stop's node ``src``, the query ``d``, the
     keys ``keys`` and the route's ``_pair_terms``, on plain arrays, with
-    what ``_scores_backward`` reads.  ``pointer`` adds its linear local term
-    on the pair features from ``src`` to the additive attention; ``lstm_ed``
+    what ``_scores_backward`` reads (None for the pair MLP, whose layer
+    inputs go into ``out`` when given).  ``pointer`` adds its linear local
+    term on the pair features from ``src`` to the additive attention; ``lstm_ed``
     scores with its fully-connected head; ``pairwise`` and ``asnn`` score
     [pair features from ``src``; query; key] per candidate with the shared
     pair MLP, whose pair and key terms ``terms`` holds (``asnn``'s query,
@@ -316,7 +329,7 @@ def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms):
         return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4)
     if variant == "lstm_ed":
         return mlp_values(d, params.fc.layers)
-    return pair_scores(terms, src, None if variant == "asnn" else d)
+    return pair_scores(terms, src, None if variant == "asnn" else d, out), None
 
 
 def _scores_backward(params: ModelParams, scaled: ScaledRoute, keys, src: int, d, saved, g,
@@ -332,16 +345,18 @@ def _scores_backward(params: ModelParams, scaled: ScaledRoute, keys, src: int, d
     return mlp_backward(params.fc.layers, [v[None] for v in saved], g[None], grads)[0]
 
 
-def decode_step(params: ModelParams, x_last, w_prev, state):
+def decode_step(params: ModelParams, x_last, w_prev, state, out=(None, None)):
     """One decoder LSTM step on [features of the last stop; context] (the
     lstm_ed variant feeds the features alone) from the state (``h``,
     ``c``), on plain arrays: the step's ``lstm_step`` values, whose ``h``
-    and ``c`` are the new state."""
-    x = x_last if params.config.variant == "lstm_ed" else np.concatenate([x_last, w_prev])
+    and ``c`` are the new state.  The input row and the values are written
+    into ``out`` (the arrays (in,) and (7, hidden)) when it holds them."""
+    parts = [x_last] if params.config.variant == "lstm_ed" else [x_last, w_prev]
+    x = np.concatenate(parts, out=out[0])
     if not np.isfinite(x).all():
         raise NumericError("the decoder LSTM received a non-finite input vector")
     dec = params.decoder
-    return lstm_step(dec.w, dec.u, dec.b, x, state.h, state.c)
+    return lstm_step(dec.w, dec.u, dec.b, x, state.h, state.c, out[1])
 
 
 def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
@@ -353,50 +368,67 @@ def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
 
 @dataclass(eq=False)
 class DecoderInputs:
-    """What every decoder step of a route reads besides its own state."""
+    """What every decoder step of a route reads besides its own state and,
+    in a taped decoding, the step arrays that its scored steps write, row
+    ``k`` for step ``k``."""
 
     encoded: tuple  # ``encode``'s (keys, state, steps)
     terms: object   # ``_pair_terms``, None without the pair MLP
+    ins: list | None = None         # the pair MLP's later layers' inputs, each (m, n, width)
+    x: np.ndarray | None = None     # the decoder LSTM's input rows (m, in)
+    lstm: np.ndarray | None = None  # the decoder LSTM's ``lstm_step`` values (m, 7, hidden)
 
 
-def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state, src: int,
-          w_prev, allowed):
-    """One decoder step from the last stop's node ``src`` over the candidates
+def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state, i: int,
+          src: int, w_prev, allowed):
+    """Step ``i`` from the last stop's node ``src`` over the candidates
     ``allowed``, on plain arrays: the decoder state after it, the
     probabilities by input position (by head slot for ``lstm_ed``), the
     context the next step reads (``pairwise`` and ``pointer``, else None)
     and, for a scored step, what the decoder's backward pass reads of it
-    (else None).  The query is node ``src``'s features, through the decoder
+    besides the step arrays, which it writes in a taped decoding (else
+    None).  The query is node ``src``'s features, through the decoder
     LSTM for the recurrent variants (``asnn`` has no state), and a masked
     softmax scores the candidates.  That softmax would give one candidate
     exactly 1, and with none (an ``lstm_ed`` head narrower than the route,
     its slots visited) every probability is 0, so then ``allowed`` is taken
     as the probabilities and neither the LSTM nor the scorer runs."""
-    saved = None
+    saved, taped = None, inputs.ins is not None
     if np.count_nonzero(allowed) > 1:
         d, lstm = scaled.nodes[src], None
         if state is not None:
-            lstm = state = decode_step(params, d, w_prev, state)
+            lstm = state = decode_step(params, d, w_prev, state,
+                                       (inputs.x[i], inputs.lstm[i]) if taped else (None, None))
             d = lstm.h
-        scores, scored = _scores(params, scaled, src, d, inputs.encoded[0], inputs.terms)
+        scores, scored = _scores(params, scaled, src, d, inputs.encoded[0], inputs.terms,
+                                 [a[i] for a in inputs.ins] if taped else None)
         # softmax keeps no reference to the mask, so decode clears it in place.
         probs = softmax(scores, allowed)
-        saved = (src, w_prev, lstm, scored)
+        saved = (src, scored)
     else:
         probs = allowed.astype(np.float64)
     w_ctx = probs @ inputs.encoded[0] if params.config.variant in ("pairwise", "pointer") else None
     return state, probs, w_ctx, saved
 
 
-def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
+def first_step(params: ModelParams, scaled: ScaledRoute, encoded, tape: Tape | None = None):
     """Where every decoding of the route starts, from its ``encode`` result
     ``encoded``: the ``DecoderInputs``, with the pair MLP's route-constant
     terms (``_pair_terms``), and step 0, the depot's query over all the
     zones, which comes before any pick.  Rollouts of one route that start
-    from the same ``first_step`` share it."""
+    from the same ``first_step`` share it.  A decoding recorded on a
+    ``tape`` starts from a ``first_step`` given it, which makes the step
+    arrays of the at most n - 1 scored steps of an n-zone route."""
     keys, state, _ = encoded
     inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys))
-    return inputs, _step(params, scaled, inputs, state, 0, np.zeros(params.config.hidden),
+    if tape is not None:
+        n = scaled.prep.n_zones
+        m, later = max(n - 1, 0), params.asnn.layers[1:] if params.asnn else []
+        inputs.ins = [np.empty((m, n, layer.w.shape[1])) for layer in later]
+        if state is not None:
+            inputs.x = np.empty((m, params.decoder.w.shape[1]))
+            inputs.lstm = np.empty((m, 7, params.config.hidden))
+    return inputs, _step(params, scaled, inputs, state, 0, 0, np.zeros(params.config.hidden),
                          _mask(params, scaled))
 
 
@@ -440,10 +472,11 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick, tape: Tape | N
     step's probabilities by input position.
 
     Returns ``(probs, traces)``: the scored steps' probabilities by input
-    position stacked (m, width), and the ``StepTraces``.  Given a ``tape``,
-    every step still runs on plain arrays, keeping the values its backward
-    pass reads, and ``probs`` is one op recorded on it
-    (``_decode_backward``), unless no step was scored.
+    position stacked (m, width), and the ``StepTraces``.  Given a ``tape``
+    and a ``start`` given it, every step still runs on plain arrays,
+    writing what its backward pass reads into the step arrays, and ``probs``
+    is one op recorded on it (``_decode_backward``), unless no step was
+    scored.
     """
     n = scaled.prep.n_zones
     inputs, (state, probs, w_ctx, saved) = start
@@ -454,7 +487,8 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick, tape: Tape | N
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
         if i:
-            state, probs, w_ctx, saved = _step(params, scaled, inputs, state, src, w_ctx, allowed)
+            state, probs, w_ctx, saved = _step(params, scaled, inputs, state, i, src, w_ctx,
+                                               allowed)
         if saved is not None:
             scored.append(probs)
             if tape is not None:
@@ -481,30 +515,34 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
     decoder LSTM, whose gradient reaches the step before through the LSTM
     state and through the context it read; then the pair MLP's key term
     and the encoder, from the keys' gradients (the contexts' ``Pᵀ·dC`` and
-    the key term's included) and the final state's.  Every weight gradient
-    is added into ``out`` (the tape's ``grads``) once, at the end."""
+    the key term's included) and the final state's; the steps' values are
+    read from the step arrays.  Every weight gradient is handed to ``out``
+    (the tape's ``grads``) once, at the end."""
     grads = Grads()
     keys, state, encoder = inputs.encoded
+    m = len(steps)
+    srcs = [src for src, _ in steps]
     d_keys = np.zeros_like(keys)
     has_context = params.config.variant in ("pairwise", "pointer")
     if has_context:
-        d_ctx = np.zeros((len(steps), keys.shape[1]))  # gradient of each step's context
+        d_ctx = np.zeros((m, keys.shape[1]))  # gradient of each step's context
     if state is not None:
-        lstms = [lstm for _, _, lstm, _ in steps]
+        lstms = inputs.lstm[:m]
         factors = lstm_factors(lstms, state.c)
         gz = np.empty_like(factors[1])
         dec = params.decoder
         u, w_ctx = dec.u, dec.w[:, N_FEATURES:]
         dh = dc = 0.0
     pair = None if inputs.terms is None else PairScoresBackward(
-        inputs.terms, [src for src, _, _, _ in steps], [scored for _, _, _, scored in steps], probs)
-    for k in range(len(steps) - 1, -1, -1):
-        src, _, lstm, scored = steps[k]
+        inputs.terms, srcs, inputs.terms.queries[srcs] if state is None else lstms[:, 6],
+        [a[:m] for a in inputs.ins], probs)
+    for k in range(m - 1, -1, -1):
+        src, scored = steps[k]
         p, gp = probs[k], g[k]
         if has_context:
             gp = gp + keys @ d_ctx[k]
         s = p * (gp - gp @ p)
-        dq = pair.query(k, s) if pair else _scores_backward(params, scaled, keys, src, lstm.h,
+        dq = pair.query(k, s) if pair else _scores_backward(params, scaled, keys, src, lstms[k, 6],
                                                              scored, s, grads, d_keys)
         if state is not None:
             dh, dc = lstm_backward_step(k, dh + dq, dc, factors, u, gz)
@@ -513,11 +551,8 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
     if has_context:
         d_keys += probs.T @ d_ctx
     if state is not None:
-        x = scaled.nodes[[src for src, _, _, _ in steps]]
-        if has_context:
-            x = np.hstack([x, np.stack([w_prev for _, w_prev, _, _ in steps])])
-        grads.outer(dec.w, gz, x, bias=dec.b)
-        grads.outer(dec.u, gz, np.stack([state.h, *(lstm.h for lstm in lstms[:-1])]))
+        grads.outer(dec.w, gz, inputs.x[:m], bias=dec.b)
+        grads.outer(dec.u, gz, np.vstack([state.h, lstms[:-1, 6]]))
     if pair:
         pair.hand(grads, None if encoder is None else d_keys)
     if encoder is not None:
@@ -546,7 +581,7 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute, tape: Tape | None 
     if n > len(_mask(params, scaled)):
         raise InvalidInputError(f"a route of {n} zones does not fit the lstm_ed head "
                                 f"of {params.config.kz} slots")
-    probs, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
+    probs, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled), tape),
                            lambda i, _: targets[i], tape)
     return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])]), traces
 

@@ -1,10 +1,11 @@
 """Dataset splitting and the per-route stochastic training loop.
 
 ``train`` returns the trained model and its report and writes no file;
-``predictor.save_model`` writes the checkpoint.  A ``train`` call takes
-every Adam step on one tape, emptied before each route: the model's tensors
-stay plain arrays, which ``adam_step`` updates in place, and the tape keeps
-their gradients.
+``predictor.save_model`` writes the checkpoint.  A ``train`` call keeps its
+state in three flat buffers: the model's tensors become views of one, the
+one tape that records every route (emptied before each) hands their
+gradients into views of another, and ``adam_step`` updates the first in
+one pass with Adam's moments in the third.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .predictor import (
     ModelConfig,
     checkpoint_tensors,
     fit_scaler,
+    flatten_model,
     forward_logprob,
     init_model,
     model_meta,
@@ -115,9 +117,10 @@ def train(routes, config: TrainConfig):
     params.scaler = fit_scaler(preps)
     scaled = [scale_route(p, params) for p in preps]
 
+    flat = flatten_model(params)
     named = model_tensors(params)
     opt = adam_init(named, lr=config.lr)
-    tape = Tape()
+    tape = Tape(named)
     epoch_losses = []
     for epoch in range(config.epochs):
         total = 0.0
@@ -133,10 +136,10 @@ def train(routes, config: TrainConfig):
                 )
             if isinstance(loss, Node):  # else a one-zone route: all gradients are 0
                 tape.backward(loss)
-            grads = tape.gradients(named)
+            grads = tape.gradients(named)  # views of tape.grads.flat, 0 where no op reached
             if config.grad_clip is not None:
-                grads = clip_gradients(grads, config.grad_clip)
-            adam_step(named, grads, opt)
+                clip_gradients(grads, config.grad_clip)
+            adam_step(flat, tape.grads.flat, opt)
             total += value
         epoch_losses.append(total / len(scaled))
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written from first principles (exhaustive
 enumeration, direct formula evaluation) and never calls the code under test,
 except ``zone_path_per_pair_ref``, which calls the per-pair ``tsp`` solvers
-that ``test_tsp`` checks against ``held_karp_loop``.
+that ``test_tsp`` checks against ``held_karp_loop``, and ``train_ref``, the
+training loop tensor by tensor, which runs the model's forward and backward
+passes.
 """
 
 import re
@@ -451,3 +453,77 @@ def zone_path_per_pair_ref(route, members, entry_from, next_nodes):
                     or (cost == best_cost and tuple(path) < tuple(best_path))):
                 best_path, best_cost = path, cost
     return best_path, float(best_cost)
+
+
+def adam_per_tensor(params: dict, grads: dict, state: dict, lr: float) -> None:
+    """One bias-corrected Adam update in place, tensor by tensor, each in its
+    own two temporaries: the loop that the flat ``adam_step`` replaced.
+    ``state`` holds the step count and the moments ``m`` and ``v`` by name."""
+    state["step"] += 1
+    t = state["step"]
+    bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    for name, p in params.items():
+        g, m, v = grads[name], state["m"][name], state["v"][name]
+        step, denom = np.multiply(g, 1.0 - 0.9), np.multiply(g, 1.0 - 0.999)
+        m *= 0.9
+        m += step
+        denom *= g
+        v *= 0.999
+        v += denom
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+        denom += 1e-8
+        step /= denom
+        p -= step
+
+
+def tape_gradients_ref(tape, named: dict) -> dict:
+    """{name: gradient} of a tape that kept no flat buffer: its own array
+    for a tensor that got one, a new array of zeros for any other."""
+    return {name: tape.grads[id(t)] if id(t) in tape.grads else np.zeros_like(t)
+            for name, t in named.items()}
+
+
+def clip_ref(grads: dict, max_norm: float) -> dict:
+    """New gradients scaled to the joint L2 norm ``max_norm`` when theirs
+    (finite) is larger, the squares summed tensor by tensor."""
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    return {name: g * (max_norm / norm) for name, g in grads.items()} if norm > max_norm else grads
+
+
+def train_ref(routes, config):
+    """``training.train``'s loop with every tensor apart: the model as
+    ``init_model`` makes it, each route on a new tape whose gradients are
+    new arrays, ``clip_ref`` and ``adam_per_tensor``.  Returns the model
+    and the epoch losses."""
+    from routeseq import predictor
+    from routeseq.kernel import Node, Tape, unwrap
+
+    preps = [predictor.prepare_route(r) for r in routes]
+    model_cfg = predictor.ModelConfig(
+        variant=config.variant, hidden=config.hidden, asnn_hidden=tuple(config.asnn_hidden),
+        att_dim=config.att_dim, input_order_mode=config.input_order, order_seed=config.seed,
+        kz=max(p.n_zones for p in preps) if config.variant == "lstm_ed" else None)
+    rng = np.random.default_rng(config.seed)
+    params = predictor.init_model(model_cfg, rng)
+    params.scaler = predictor.fit_scaler(preps)
+    scaled = [predictor.scale_route(p, params) for p in preps]
+    named = predictor.model_tensors(params)
+    state = {"step": 0, "m": {name: np.zeros_like(t) for name, t in named.items()},
+             "v": {name: np.zeros_like(t) for name, t in named.items()}}
+    losses = []
+    for _ in range(config.epochs):
+        total = 0.0
+        for idx in rng.permutation(len(scaled)):
+            tape = Tape()
+            loss, _ = predictor.forward_logprob(params, scaled[idx], tape)
+            if isinstance(loss, Node):
+                tape.backward(loss)
+            grads = tape_gradients_ref(tape, named)
+            if config.grad_clip is not None:
+                grads = clip_ref(grads, config.grad_clip)
+            adam_per_tensor(named, grads, state, config.lr)
+            total += float(unwrap(loss))
+        losses.append(total / len(scaled))
+    return params, losses

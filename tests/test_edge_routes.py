@@ -13,7 +13,14 @@ from routeseq.completion import complete_sequence
 from routeseq.errors import InvalidInputError, MalformedRouteError
 from routeseq.inference import BEST_FIRST, GREEDY, predict
 from routeseq.kernel import adam_init, adam_step
-from routeseq.predictor import VARIANTS, ModelConfig, init_model, model_tensors, prepare_route
+from routeseq.predictor import (
+    VARIANTS,
+    ModelConfig,
+    flatten_model,
+    init_model,
+    model_tensors,
+    prepare_route,
+)
 from routeseq.scoring import evaluate_testset, score_route
 from routeseq.training import TrainConfig, train
 
@@ -54,9 +61,9 @@ def test_one_zone_route_takes_a_zero_gradient_adam_step():
                                        asnn_hidden=SMALL.asnn_hidden, att_dim=SMALL.att_dim,
                                        kz=1 if variant == "lstm_ed" else None),
                            np.random.default_rng(SMALL.seed))
+        flat = flatten_model(model)
         expected = model_tensors(model)
-        adam_step(expected, {name: np.zeros_like(t) for name, t in expected.items()},
-                  adam_init(expected, lr=SMALL.lr))
+        adam_step(flat, np.zeros_like(flat), adam_init(expected, lr=SMALL.lr))
         for name, tensor in model_tensors(params).items():
             assert np.array_equal(tensor, expected[name]), (variant, name)
 

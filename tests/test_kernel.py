@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from dataclasses import replace
 from itertools import zip_longest
@@ -20,7 +21,9 @@ from routeseq.kernel import (
     Tape,
     adam_init,
     adam_step,
+    clip_gradients,
     deserialize_checkpoint,
+    flat_views,
     init_lstm,
     init_mlp,
     lstm_sequence,
@@ -181,7 +184,7 @@ def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,), tape=None)
                                 for name in ("encoder", "decoder", "asnn", "pointer", "fc")})
     scaled = scale_route(_ROUTE, params)
     targets = _ROUTE.targets
-    probs, _ = decode(params, scaled, first_step(params, scaled, encode(params, scaled)),
+    probs, _ = decode(params, scaled, first_step(params, scaled, encode(params, scaled), tape),
                       lambda i, _: targets[i], tape)
     if not loss:
         return probs
@@ -359,7 +362,8 @@ def test_lstm_sequence_is_a_loop_of_lstm_cell_bit_for_bit(rng):
     keys, final, steps = lstm_sequence(x, start, p)
     assert np.array_equal(keys, np.stack(outputs))
     assert np.array_equal(final.h, state.h) and np.array_equal(final.c, state.c)
-    assert len(steps) == len(x) and steps[-1].c is final.c
+    assert steps.shape == (len(x), 7, 6) and np.array_equal(steps[:, 6], keys)
+    assert np.array_equal(steps[-1, 4], final.c)
 
 
 def test_lstm_zero_everything():
@@ -469,10 +473,10 @@ def test_pair_scores_add_the_route_terms_then_run_the_mlp(rng):
     pair_term = (pair.reshape(12, 2) @ w[:, :2].T).reshape(4, 3, 5)[2]
     key_term = keys @ w[:, 5:].T + b
     rest = MlpParams(p.layers[1:])
-    got, _ = pair_scores(pair_terms(pair, keys, p), 2, d)
+    got = pair_scores(pair_terms(pair, keys, p), 2, d)
     assert np.array_equal(got, mlp_forward(np.maximum(pair_term + key_term + w[:, 2:5] @ d, 0.0),
                                            rest))
-    got, _ = pair_scores(pair_terms(pair, keys, p, nodes), 2)  # route-constant queries
+    got = pair_scores(pair_terms(pair, keys, p, nodes), 2)  # route-constant queries
     query_term = (nodes @ w[:, 2:5].T)[2]
     assert np.array_equal(got, mlp_forward(np.maximum(pair_term + key_term + query_term, 0.0),
                                            rest))
@@ -606,44 +610,52 @@ def test_softmax_cross_entropy_gradient(rng):
 
 # --- adam ----------------------------------------------------------------------
 
+def _flat(named):
+    """The tensors ``named`` copied into one flat buffer, and its views by
+    name, as ``training.train`` lays out the model's."""
+    flat = np.concatenate([np.ravel(t) for t in named.values()])
+    return flat, dict(zip(named, flat_views(flat, named.values())))
+
+
 def test_adam_zero_gradient_keeps_parameters():
-    params = {"w": np.array([1.0, -2.0])}
+    flat, params = _flat({"w": np.array([1.0, -2.0])})
     state = adam_init(params)
     before = params["w"].copy()
-    adam_step(params, {"w": np.zeros(2)}, state)
+    adam_step(flat, np.zeros(2), state)
     assert np.all(params["w"] == before)
 
 
 def test_adam_single_step_hand_value():
     # one step with g = 1: bias-corrected ratio is 1, so the move is -lr
-    params = {"w": np.array([0.5])}
+    flat, params = _flat({"w": np.array([0.5])})
     state = adam_init(params, lr=0.001)
-    adam_step(params, {"w": np.array([1.0])}, state)
+    adam_step(flat, np.array([1.0]), state)
     delta = params["w"][0] - 0.5
     assert delta == pytest.approx(-0.001, rel=1e-6)
 
 
 def test_adam_monotone_shrink():
-    params = {"w": np.array([1.0])}
+    flat, params = _flat({"w": np.array([1.0])})
     state = adam_init(params, lr=0.01)
     v0 = params["w"][0]
-    adam_step(params, {"w": np.array([1.0])}, state)
+    adam_step(flat, np.array([1.0]), state)
     v1 = params["w"][0]
-    adam_step(params, {"w": np.array([1.0])}, state)
+    adam_step(flat, np.array([1.0]), state)
     v2 = params["w"][0]
     assert v2 < v1 < v0
 
 
 def test_adam_step_bits_match_the_one_line_update(rng):
-    # adam_step works in temporaries; its bits are those of the textbook lines
-    params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+    # adam_step works in scratch rows; its bits are those of the textbook
+    # lines, tensor by tensor
+    flat, params = _flat({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)})
     ref = {name: p.copy() for name, p in params.items()}
     m = {name: np.zeros_like(p) for name, p in ref.items()}
     v = {name: np.zeros_like(p) for name, p in ref.items()}
     state = adam_init(params, lr=0.01)
     for t in range(1, 6):
         grads = {name: rng.normal(size=p.shape) for name, p in ref.items()}
-        adam_step(params, grads, state)
+        adam_step(flat, _flat(grads)[0], state)
         for name, g in grads.items():
             m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
             v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
@@ -653,12 +665,43 @@ def test_adam_step_bits_match_the_one_line_update(rng):
 
 
 def test_adam_rejects_nan_without_touching():
-    params = {"w": np.array([1.0]), "b": np.array([2.0])}
+    # after one step, so the moments are not zeros; the first non-finite
+    # entry is b's, and u's comes after it
+    flat, params = _flat({"w": np.array([1.0, -1.0]), "b": np.array([2.0]), "u": np.array([3.0])})
     state = adam_init(params)
-    with pytest.raises(NumericError):
-        adam_step(params, {"w": np.array([np.nan]), "b": np.array([0.0])}, state)
-    assert params["w"][0] == 1.0 and params["b"][0] == 2.0
-    assert state.step == 0
+    adam_step(flat, np.array([0.5, -0.25, 0.125, 1.0]), state)
+    before = flat.copy(), state.buf[:2].copy()
+    for bad in ([0.5, 0.0, np.nan, np.inf], [0.5, 0.0, -np.inf, 0.0]):
+        with pytest.raises(NumericError, match="'b'"):
+            adam_step(flat, np.array(bad), state)
+    with pytest.raises(NumericError, match="'w'"):
+        adam_step(flat, np.array([0.0, np.nan, 0.0, 0.0]), state)
+    assert flat.tobytes() == before[0].tobytes()
+    assert state.buf[:2].tobytes() == before[1].tobytes()  # m and v
+    assert state.step == 1
+
+
+def test_clip_gradients_scales_in_place_to_the_joint_norm():
+    grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
+    clip_gradients(grads, 2.5)  # norm 5: halved
+    assert np.array_equal(grads["a"], [1.5, 0.0]) and np.array_equal(grads["b"], [[2.0]])
+    clip_gradients(grads, 5.0)  # a norm below the cap keeps its bits
+    assert np.array_equal(grads["a"], [1.5, 0.0]) and np.array_equal(grads["b"], [[2.0]])
+
+
+def test_clip_gradients_when_the_sum_of_squares_overflows():
+    # 1e200 squared overflows; the joint norm is still 1e200 (to the last
+    # bits), so the clipped gradients keep their directions, not zeros
+    grads = {"a": np.array([1e200, 1.0]), "b": np.array([3.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clip_gradients(grads, 5.0)
+    assert grads["a"][0] == pytest.approx(5.0, rel=1e-15)
+    assert grads["a"][1] == pytest.approx(5e-200, rel=1e-15)
+    assert grads["b"][0] == pytest.approx(1.5e-199, rel=1e-15)
+    huge = {"a": np.full(4, 1e300)}  # norm 2e300: every entry clipped to 2.5
+    clip_gradients(huge, 5.0)
+    assert np.allclose(huge["a"], 2.5, rtol=1e-15, atol=0.0)
 
 
 # --- checkpoints -----------------------------------------------------------------

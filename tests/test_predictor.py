@@ -40,6 +40,7 @@ from routeseq.predictor import (
     encode,
     first_step,
     fit_scaler,
+    flatten_model,
     forward_logprob,
     identity_scaler,
     init_model,
@@ -456,7 +457,7 @@ def test_decoder_op_gradients_with_lstm_ed_head_narrower_and_wider(kz):
     weights = np.random.default_rng(kz).normal(size=(4, kz))
 
     def reduced(tape=None):
-        probs, _ = decode(params, sc, first_step(params, sc, encode(params, sc)),
+        probs, _ = decode(params, sc, first_step(params, sc, encode(params, sc), tape),
                           lambda i, _: order[i], tape)
         return probs, weights[:len(unwrap(probs))]
 
@@ -526,14 +527,16 @@ def test_forward_logprob_training_sanity_loss_decreases():
     prep = _prep()
     params = _model("pairwise", prep, seed=6)
     sc = scale_route(prep, params)
+    flat = flatten_model(params)
     named = model_tensors(params)
     opt = adam_init(named, lr=0.01)
     first = last = None
     for _ in range(50):
-        tape = Tape()
+        tape = Tape(named)
         loss, _ = forward_logprob(params, sc, tape)
         tape.backward(loss)
-        adam_step(named, tape.gradients(named), opt)
+        tape.gradients(named)
+        adam_step(flat, tape.grads.flat, opt)
         last = float(loss.value)
         first = first if first is not None else last
     assert last < first

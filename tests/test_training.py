@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import make_route
+from oracles import train_ref
 from routeseq import datagen, predictor, training
 from routeseq.errors import InvalidInputError, TrainingDivergedError
-from routeseq.kernel import Tape, checkpoint_id
+from routeseq.kernel import Grads, MlpLayer, Tape, checkpoint_id, serialize_checkpoint
 from routeseq.predictor import (
+    checkpoint_tensors,
     forward_logprob,
     load_model,
+    model_meta,
     prepare_route,
     save_model,
     scale_route,
@@ -137,9 +140,9 @@ def test_one_tape_per_call_and_no_trace_built_in_training(monkeypatch):
     built = {"tape": 0, "trace": 0}
 
     class CountedTape(Tape):
-        def __init__(self):
+        def __init__(self, *args):
             built["tape"] += 1
-            super().__init__()
+            super().__init__(*args)
 
     def counted_trace(*args, trace=predictor.DecoderStepTrace):
         built["trace"] += 1
@@ -162,6 +165,43 @@ def test_one_tape_per_call_and_no_trace_built_in_training(monkeypatch):
         assert a.attention.tobytes() == b.attention.tobytes()
         assert a.context.tobytes() == b.context.tobytes()
     assert built["trace"] == 2 * sc.prep.n_zones
+
+
+@pytest.mark.parametrize("variant", predictor.VARIANTS)
+def test_flat_training_state_matches_the_per_tensor_loop(variant):
+    # training.train keeps the model, its gradients and Adam's moments in
+    # flat buffers; train_ref keeps every tensor apart, as a new array per
+    # gradient, and steps Adam tensor by tensor.  A one-zone route (a step
+    # whose every gradient is 0) is in the set.
+    routes = [*_routes(n=4, seed=5), make_route(["A-1.1A"] * 3)]
+    for clip in (None, 1.0):
+        config = TrainConfig(variant=variant, epochs=3, lr=0.01, seed=2, hidden=6,
+                             asnn_hidden=(8, 8), att_dim=5, grad_clip=clip)
+        params, report = train(routes, config)
+        ref, losses = train_ref(routes, config)
+        assert [v.hex() for v in report.epoch_losses] == [v.hex() for v in losses], clip
+        assert (serialize_checkpoint(checkpoint_tensors(params), model_meta(params))
+                == serialize_checkpoint(checkpoint_tensors(ref), model_meta(ref))), clip
+
+
+def test_a_negative_zero_first_gradient_block_keeps_its_sign():
+    # A tensor's first gradient block of its full shape is written into its
+    # view of the tape's flat buffer, not added to zeros, which would turn
+    # -0.0 into +0.0.  numpy's sums and BLAS products start from +0.0, so no
+    # block that the model hands over is -0.0; the pin sets one sum block to
+    # -0.0 by hand.
+    layer = MlpLayer(np.ones((2, 2)), np.ones(2))
+    named = {"w": layer.w, "b": layer.b}
+    tape = Tape(named)
+    tape.grads.flat[:] = np.nan  # what an earlier step left behind
+    grads = Grads()
+    grads.add(layer.b, np.zeros(2))
+    grads._sums[id(layer.b)][1][:] = [-0.0, -1.0]
+    grads.outer(layer.w, np.array([[0.5, -1.0]]), np.array([[2.0, 3.0]]))
+    grads.hand(tape.grads)
+    g = tape.gradients(named)
+    assert np.shares_memory(g["b"], tape.grads.flat) and np.shares_memory(g["w"], tape.grads.flat)
+    assert tape.grads.flat.tobytes() == np.array([1.0, 1.5, -2.0, -3.0, -0.0, -1.0]).tobytes()
 
 
 def test_checkpoint_file_written_and_loadable(tmp_path):
