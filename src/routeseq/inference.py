@@ -64,7 +64,7 @@ def _rollout(params: ModelParams, scaled: ScaledRoute, start, m: np.ndarray,
         visited[z] = True
         return z
 
-    _, traces = decode(params, scaled, start, pick)
+    traces = decode(params, scaled, start, pick)[1]
     order = [t.chosen for t in traces]  # builds every step's trace
     return PredictedSequence(order, traces, _seq_cost([0, *(z + 1 for z in order)], m, True),
                              mode)

@@ -1,22 +1,17 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode differentiation over float64 numpy arrays, written by hand.
 
-The model's tensors are plain arrays.  A recorded op's output is a ``Node``
-that ``Tape.record`` appends to the tape, with a hand-written backward
-pass; ``Tape.backward`` runs those passes in reverse order, a valid
-topological order for backpropagation, and they hand the model's
-gradients to ``Tape.grads`` (``Gradients``), each tensor's into its view
-of one flat buffer: the first block is written there, later ones added.
+The model's tensors are plain arrays, and every forward pass runs on plain
+arrays.  A training step records its backward passes, functions of no
+argument, on a ``Tape``: ``predictor.forward_logprob`` records one per
+route, the decoder's backward pass from ``nll``'s gradient rows, which runs
+the decoder's, the pair MLP's key term's and the encoder's backpropagation
+through time.  ``Tape.backward`` runs the passes in reverse order, and they
+hand the model's gradients to ``Tape.grads`` (``Gradients``), each tensor's
+into its view of one flat buffer: the first block is written there, later
+ones added.  A pass holds the tape's ``grads``, never the tape, so a
+finished step's tape is freed by reference counting alone.
 
-The graph is acyclic: a node holds its parents and the tape's ``grads``
-(through its backward closure) and a weak proxy of its tape, never
-itself or its tape, so a finished step's graph is freed by reference
-counting alone.
-
-Two ops record: the one op per route that ``predictor.decode`` records
-when given a tape, whose backward pass runs the decoder's, the pair MLP's
-key term's and the encoder's backpropagation on plain arrays, and ``nll``
-(the teacher-forced loss over that op's stacked step probabilities).  The
-decoder op's pass gathers every weight gradient in one ``Grads`` and hands
+The decoder's pass gathers every weight gradient in one ``Grads`` and hands
 each over once, at its end: sums into a tensor, and weight gradients that
 are sums of outer products (one per step or per candidate row), summed
 from their rows in stacks of at most ``STACK_ROWS``, by block of columns
@@ -30,7 +25,6 @@ all the sequence models need.  Everything is float64.
 from __future__ import annotations
 
 import functools
-import weakref
 
 import numpy as np
 
@@ -47,50 +41,30 @@ NLL_CLAMP = 1e-12
 STACK_ROWS = 32
 
 
-class Node:
-    """A recorded value plus its gradient slot."""
-
-    __slots__ = ("value", "grad", "tape", "_backward")
-
-    def __init__(self, value: np.ndarray, tape: "Tape", backward):
-        self.value = value
-        self.grad = None
-        self.tape = tape
-        self._backward = backward
-
-
 class Tape:
-    """Execution-ordered record of ops for one forward pass, and the
-    ``Gradients`` of the model's tensors ``named`` (``grads``) that their
-    backward passes hand over.  Nodes hold the tape weakly, so the caller
-    keeps it referenced while it records."""
+    """The backward passes that one training step recorded, and the
+    ``Gradients`` of the model's tensors ``named`` (``grads``) that they
+    hand over.  A pass holds ``grads``, never the tape, so a finished
+    step's tape is freed by reference counting alone."""
 
     def __init__(self, named: dict | None = None):
-        self._nodes: list[Node] = []
+        self._nodes: list = []  # the recorded passes, under the name perfbench/spans.py reads
         self.grads = Gradients(named or {})
-        self._proxy = weakref.proxy(self)  # what nodes hold, so no node keeps the tape alive
 
-    def record(self, value, backward) -> Node:
-        """Record ``value`` as an op's output, with ``backward(g)`` pushing
-        the output gradient ``g`` to the op's inputs."""
-        node = Node(value, self._proxy, backward)
-        self._nodes.append(node)
-        return node
+    def record(self, backward) -> None:
+        """Record a backward pass, a function of no argument."""
+        self._nodes.append(backward)
 
     def reset(self) -> None:
-        """Forget every recorded op and every gradient to record a new pass."""
+        """Forget every recorded pass and every gradient to record a new step."""
         self._nodes.clear()
         self.grads.clear()
 
-    def backward(self, loss: Node) -> None:
-        """Run every recorded op's backward pass that the loss reaches, in
-        reverse order, which hands the model's gradients to ``grads``."""
-        if not isinstance(loss, Node) or loss.value.shape != ():
-            raise InvalidInputError("backward expects a scalar Node loss")
-        loss.grad = np.ones((), dtype=np.float64)
-        for node in reversed(self._nodes):
-            if node.grad is not None:
-                node._backward(node.grad)
+    def backward(self) -> None:
+        """Run the recorded passes in reverse order, which hands the model's
+        gradients to ``grads``."""
+        for backward in reversed(self._nodes):
+            backward()
 
     def gradients(self, named: dict) -> dict:
         """{name: the gradient of ``named[name]``}; a tensor that got none
@@ -124,15 +98,10 @@ class Gradients(dict):
         return self[id(x)]
 
 
-def unwrap(x):
-    """The array behind ``x``: a ``Node``'s value, anything else as is."""
-    return x.value if isinstance(x, Node) else x
-
-
 class Grads:
-    """The gradients a recorded op's backward pass gathers step by step and
-    hands over once, at its end (``hand``): sums into a tensor (``add``)
-    and weight-gradient rows (``outer``)."""
+    """The gradients a backward pass gathers step by step and hands over
+    once, at its end (``hand``): sums into a tensor (``add``) and
+    weight-gradient rows (``outer``)."""
 
     def __init__(self):
         self._sums: dict = {}   # id -> (tensor, running sum)
@@ -182,31 +151,27 @@ class Grads:
 
 
 def nll(probs, targets):
-    """Total negative log probability of a sequence of picks: row ``k`` of
-    ``probs`` (m, classes) is step k's probability vector and ``targets[k]``
-    its pick; each term is clamped at 1e-12, and the terms are summed in
-    step order.
+    """Total negative log probability of a sequence of picks, and its
+    gradient rows: row ``k`` of ``probs`` (m, classes) is step k's
+    probability vector and ``targets[k]`` its pick; each term is clamped at
+    1e-12, and the terms are summed in step order.  Returns ``(loss, g)``,
+    the loss a 0-d array and ``g`` of the shape of ``probs``: -1/p at each
+    target whose probability p is above the clamp, 0 elsewhere.
 
     The clamp makes a vanishing probability yield -ln(1e-12) with zero
-    gradient rather than an infinity.  The loss is recorded on the tape of
-    ``probs`` when they are a recorded op's output, else it is plain.
+    gradient rather than an infinity.
     """
-    pv, t = unwrap(probs), np.asarray(targets, dtype=np.intp)
-    if pv.ndim != 2 or t.shape != (len(pv),):
+    t = np.asarray(targets, dtype=np.intp)
+    if probs.ndim != 2 or t.shape != (len(probs),):
         raise InvalidInputError("nll expects one probability row per target")
-    bad = t[(t < 0) | (t >= pv.shape[1])]
+    bad = t[(t < 0) | (t >= probs.shape[1])]
     if len(bad):
-        raise InvalidInputError(f"target index {bad[0]} out of range for {pv.shape[1]} classes")
-    if np.any(np.abs(pv.sum(axis=1) - 1.0) > 1e-6):
+        raise InvalidInputError(f"target index {bad[0]} out of range for {probs.shape[1]} classes")
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6):
         raise InvalidInputError("probabilities must sum to 1 within 1e-6")
-    pts = pv[np.arange(len(t)), t].tolist()
-
-    def backward(g):
-        live = [k for k, pt in enumerate(pts) if pt > NLL_CLAMP]
-        if live:
-            gp = np.zeros_like(pv)
-            gp[live, t[live]] = [-float(g) / pts[k] for k in live]
-            probs.grad = gp if probs.grad is None else probs.grad + gp
-
-    out_v = np.asarray(sum(float(-np.log(max(pt, NLL_CLAMP))) for pt in pts), dtype=np.float64)
-    return probs.tape.record(out_v, backward) if isinstance(probs, Node) else out_v
+    pts = probs[np.arange(len(t)), t].tolist()
+    live = [k for k, pt in enumerate(pts) if pt > NLL_CLAMP]
+    g = np.zeros_like(probs)
+    g[live, t[live]] = [-1.0 / pts[k] for k in live]
+    loss = np.asarray(sum(float(-np.log(max(pt, NLL_CLAMP))) for pt in pts), dtype=np.float64)
+    return loss, g

@@ -32,14 +32,14 @@ features and the keys go through it once per route, and a step adds only
 its query's term.
 
 The model's tensors are plain arrays, and everything runs on plain arrays,
-in training too.  Given a tape, ``decode`` keeps each scored step's values
-and records one op per route, the scored steps' stacked probabilities,
-which ``nll`` reads.  Its backward pass (``_decode_backward``) runs the
-route's chain back in one function: the decoder's steps in reverse (masked
-softmax, scorer, decoder LSTM), the pair MLP's key term and the encoder,
-and hands every weight gradient over once, to the tape's ``grads``.  A
-decoding's traces are built when first read (``StepTraces``), so training,
-which reads none, builds none.
+in training too.  Given a tape, ``forward_logprob`` records one backward
+pass per route (``_decode_backward``), from ``nll``'s gradient rows of the
+scored steps' stacked probabilities.  It runs the route's chain back in
+one function: the decoder's steps in reverse (masked softmax, scorer,
+decoder LSTM), the pair MLP's key term and the encoder, and hands every
+weight gradient over once, to the tape's ``grads``.  A decoding's traces
+are built when first read (``StepTraces``), so training, which reads none,
+builds none.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ from .kernel import (
     serialize_checkpoint,
     softmax,
     uniform_init,
-    unwrap,
     zero_state,
 )
 from .tsp import solve_tour
@@ -111,8 +110,17 @@ class ModelConfig:
             raise ConfigError(f"unknown input order mode {self.input_order_mode!r}")
         if self.kz is not None and self.variant != "lstm_ed":
             raise ConfigError(f"kz is the lstm_ed head width; {self.variant} has no such head")
-        if self.variant == "lstm_ed" and (not self.kz or self.kz < 1):
+        if self.variant == "lstm_ed" and self.kz is None:
             raise ConfigError("lstm_ed requires kz (the largest route size in training)")
+        # Layer widths; a JSON boolean or float is not one.
+        widths = [("hidden", self.hidden), ("att_dim", self.att_dim),
+                  ("kz", 1 if self.kz is None else self.kz),
+                  *(("asnn_hidden", v) for v in self.asnn_hidden)]
+        for name, value in widths:
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+        if type(self.order_seed) is not int:
+            raise ConfigError(f"order_seed must be an integer, got {self.order_seed!r}")
 
 
 @dataclass(eq=False)
@@ -416,9 +424,9 @@ def first_step(params: ModelParams, scaled: ScaledRoute, encoded, tape: Tape | N
     ``encoded``: the ``DecoderInputs``, with the pair MLP's route-constant
     terms (``_pair_terms``), and step 0, the depot's query over all the
     zones, which comes before any pick.  Rollouts of one route that start
-    from the same ``first_step`` share it.  A decoding recorded on a
-    ``tape`` starts from a ``first_step`` given it, which makes the step
-    arrays of the at most n - 1 scored steps of an n-zone route."""
+    from the same ``first_step`` share it.  Given a ``tape``, it makes the
+    step arrays of the at most n - 1 scored steps of an n-zone route, which
+    the decoder's backward pass reads."""
     keys, state, _ = encoded
     inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys))
     if tape is not None:
@@ -458,7 +466,7 @@ class StepTraces(Sequence):
         return len(self.steps)
 
 
-def decode(params: ModelParams, scaled: ScaledRoute, start, pick, tape: Tape | None = None):
+def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     """The decoder loop that training and inference share, from the route's
     ``first_step`` result ``start``.
 
@@ -471,18 +479,17 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick, tape: Tape | N
     first.  ``pick(i, probs)`` names the zone visited at step ``i`` from the
     step's probabilities by input position.
 
-    Returns ``(probs, traces)``: the scored steps' probabilities by input
-    position stacked (m, width), and the ``StepTraces``.  Given a ``tape``
-    and a ``start`` given it, every step still runs on plain arrays,
-    writing what its backward pass reads into the step arrays, and ``probs``
-    is one op recorded on it (``_decode_backward``), unless no step was
-    scored.
+    Returns ``(probs, traces, steps)``: the scored steps' probabilities by
+    input position stacked (m, width), the ``StepTraces`` and what
+    ``_decode_backward`` reads of each scored step besides the step arrays,
+    which the steps write when ``start`` came from a ``first_step`` given a
+    tape.
     """
     n = scaled.prep.n_zones
     inputs, (state, probs, w_ctx, saved) = start
     allowed = _mask(params, scaled)
     width = len(allowed)
-    scored, kept = [], []  # the scored steps' probabilities and, given a tape, saved values
+    scored, steps = [], []  # the scored steps' probabilities and saved values
     traces = StepTraces(scaled)
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
@@ -491,33 +498,27 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick, tape: Tape | N
                                                allowed)
         if saved is not None:
             scored.append(probs)
-            if tape is not None:
-                kept.append(saved)
+            steps.append(saved)
         chosen = pick(i, probs)
         traces.steps.append((probs, chosen, w_ctx))
         pos = int(scaled.pos_of_zone[chosen])
         if pos < width:
             allowed[pos] = False
         src = pos + 1
-    stacked = np.stack(scored) if scored else np.zeros((0, width))
-    if not kept:
-        return stacked, traces
-    grads = tape.grads  # not the tape: the tape holds this op, so that would be a cycle
-    return tape.record(stacked, lambda g: _decode_backward(params, scaled, inputs, kept, stacked,
-                                                           g, grads)), traces
+    return np.stack(scored) if scored else np.zeros((0, width)), traces, steps
 
 
 def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, steps,
                      probs, g, out: dict):
-    """The decoder op's backward pass from the gradient ``g`` of the scored
+    """The decoder's backward pass from the gradient ``g`` of the scored
     steps' stacked probabilities ``probs``: one reverse loop over the steps,
     each through its masked softmax, its scorer and (recurrent variants) the
     decoder LSTM, whose gradient reaches the step before through the LSTM
     state and through the context it read; then the pair MLP's key term
     and the encoder, from the keys' gradients (the contexts' ``Pᵀ·dC`` and
     the key term's included) and the final state's; the steps' values are
-    read from the step arrays.  Every weight gradient is handed to ``out``
-    (the tape's ``grads``) once, at the end."""
+    read from ``steps`` (``decode``'s) and the step arrays.  Every weight
+    gradient is handed to ``out`` (the tape's ``grads``) once, at the end."""
     grads = Grads()
     keys, state, encoder = inputs.encoded
     m = len(steps)
@@ -568,11 +569,13 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute, tape: Tape | None 
     Step ``i`` normalizes over the zones not yet visited in the target
     prefix (see ``decode``), the distribution that greedy decoding picks
     from; the last step has one zone left and adds exactly 0, so ``nll``
-    reads the scored steps only.  Given a ``tape``, the loss is recorded on
-    it, and ``tape.backward(loss)`` hands the gradients of the model's
-    tensors to ``tape.grads``.  A one-zone route scores no step, so its loss
-    depends on no parameter: it is a plain 0-d array of 0, not a tape node.  An ``lstm_ed`` head narrower than the route has no slot for
-    some target: an ``InvalidInputError``.
+    reads the scored steps only.  The loss is a 0-d array.  Given a
+    ``tape``, the route's backward pass is recorded on it, and
+    ``tape.backward()`` hands the gradients of the model's tensors to
+    ``tape.grads``.  A one-zone route scores no step, so its loss, 0,
+    depends on no parameter and records nothing.  An ``lstm_ed`` head
+    narrower than the route has no slot for some target: an
+    ``InvalidInputError``.
     """
     n = scaled.prep.n_zones
     targets = scaled.prep.targets
@@ -581,9 +584,13 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute, tape: Tape | None 
     if n > len(_mask(params, scaled)):
         raise InvalidInputError(f"a route of {n} zones does not fit the lstm_ed head "
                                 f"of {params.config.kz} slots")
-    probs, traces = decode(params, scaled, first_step(params, scaled, encode(params, scaled), tape),
-                           lambda i, _: targets[i], tape)
-    return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])]), traces
+    start = first_step(params, scaled, encode(params, scaled), tape)
+    probs, traces, steps = decode(params, scaled, start, lambda i, _: targets[i])
+    loss, g = nll(probs, scaled.pos_of_zone[list(targets[:len(probs)])])
+    if tape is not None and steps:
+        grads = tape.grads  # not the tape: the tape holds this pass, so that would be a cycle
+        tape.record(lambda: _decode_backward(params, scaled, start[0], steps, probs, g, grads))
+    return loss, traces
 
 
 # --- checkpoint round trip ---------------------------------------------------
@@ -595,16 +602,6 @@ def model_meta(params: ModelParams) -> dict:
 
 def checkpoint_tensors(params: ModelParams) -> dict:
     return {**model_tensors(params), **named_tensors(params.scaler, "scaler")}
-
-
-def _integer(value, least=1) -> int:
-    """An integer read from checkpoint meta (a JSON boolean is not one), at
-    least ``least`` unless that is None."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"expected an integer of at least {least}, got {value!r}")
-    return value
 
 
 def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
@@ -621,12 +618,12 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
     try:
         config = ModelConfig(
             variant=meta["variant"],
-            hidden=_integer(meta["hidden"]),
-            asnn_hidden=tuple(_integer(v) for v in meta["asnn_hidden"]),
-            att_dim=_integer(meta["att_dim"]),
-            kz=None if meta.get("kz") is None else _integer(meta["kz"]),
+            hidden=meta["hidden"],
+            asnn_hidden=tuple(meta["asnn_hidden"]),
+            att_dim=meta["att_dim"],
+            kz=meta.get("kz"),
             input_order_mode=meta.get("input_order_mode", "tsp"),
-            order_seed=_integer(meta.get("order_seed", 0), least=None),
+            order_seed=meta.get("order_seed", 0),
         )
     except KeyError as exc:
         raise SchemaError("meta", f"missing field {exc}") from exc

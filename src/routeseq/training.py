@@ -3,9 +3,10 @@
 ``train`` returns the trained model and its report and writes no file;
 ``predictor.save_model`` writes the checkpoint.  A ``train`` call keeps its
 state in three flat buffers: the model's tensors become views of one, the
-one tape that records every route (emptied before each) hands their
-gradients into views of another, and ``adam_step`` updates the first in
-one pass with Adam's moments in the third.
+one tape that records each route's backward pass (emptied before each)
+hands their gradients into views of another, and ``adam_step`` updates
+the first in one pass with Adam's moments in the third.  A one-zone route
+records no pass, so its step's gradients are all 0.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
 from .kernel import (
-    Node,
     Tape,
     adam_init,
     adam_step,
     checkpoint_id,
     clip_gradients,
     serialize_checkpoint,
-    unwrap,
 )
 from .predictor import (
     ModelConfig,
@@ -128,15 +127,14 @@ def train(routes, config: TrainConfig):
             sc = scaled[idx]
             tape.reset()
             loss, _ = forward_logprob(params, sc, tape)
-            value = float(unwrap(loss))
+            value = float(loss)
             if not np.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1} on route "
                     f"{sc.prep.route.route_id!r}"
                 )
-            if isinstance(loss, Node):  # else a one-zone route: all gradients are 0
-                tape.backward(loss)
-            grads = tape.gradients(named)  # views of tape.grads.flat, 0 where no op reached
+            tape.backward()
+            grads = tape.gradients(named)  # views of tape.grads.flat, 0 where no pass reached
             if config.grad_clip is not None:
                 clip_gradients(grads, config.grad_clip)
             adam_step(flat, tape.grads.flat, opt)

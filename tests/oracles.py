@@ -498,7 +498,7 @@ def train_ref(routes, config):
     new arrays, ``clip_ref`` and ``adam_per_tensor``.  Returns the model
     and the epoch losses."""
     from routeseq import predictor
-    from routeseq.kernel import Node, Tape, unwrap
+    from routeseq.kernel import Tape
 
     preps = [predictor.prepare_route(r) for r in routes]
     model_cfg = predictor.ModelConfig(
@@ -518,12 +518,11 @@ def train_ref(routes, config):
         for idx in rng.permutation(len(scaled)):
             tape = Tape()
             loss, _ = predictor.forward_logprob(params, scaled[idx], tape)
-            if isinstance(loss, Node):
-                tape.backward(loss)
+            tape.backward()
             grads = tape_gradients_ref(tape, named)
             if config.grad_clip is not None:
                 grads = clip_ref(grads, config.grad_clip)
             adam_per_tensor(named, grads, state, config.lr)
-            total += float(unwrap(loss))
+            total += float(loss)
         losses.append(total / len(scaled))
     return params, losses

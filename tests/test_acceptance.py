@@ -75,7 +75,7 @@ def test_criterion_2_gradient_fidelity():
             sc = scale_route(prep, params)
             tape = Tape()
             loss, _ = forward_logprob(params, sc, tape)
-            tape.backward(loss)
+            tape.backward()
             named = model_tensors(params)
             grads = tape.gradients(named)
             for name, arr in named.items():

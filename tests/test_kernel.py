@@ -17,7 +17,6 @@ from routeseq.kernel import (
     LstmState,
     MlpLayer,
     MlpParams,
-    Node,
     Tape,
     adam_init,
     adam_step,
@@ -38,13 +37,14 @@ from routeseq.kernel import (
     pair_terms,
     serialize_checkpoint,
     softmax,
-    unwrap,
     zero_state,
 )
+from routeseq.kernel.autodiff import Gradients
 from routeseq.kernel.layers import _sigmoid_np
 from routeseq.predictor import (
     VARIANTS,
     ModelConfig,
+    _decode_backward,
     decode,
     encode,
     first_step,
@@ -62,43 +62,12 @@ def _zero_lstm(input_dim, hidden):
     return map_tensors(p, lambda _, t: np.zeros_like(t))
 
 
-def _push(grads, x, g):
-    """Add the gradient ``g`` into ``x``: into a recorded value's ``grad``,
-    or, for a plain tensor, into its entry of the tape's ``grads``, as a
-    model tensor's is handed over."""
-    if isinstance(x, Node):
-        x.grad = g if x.grad is None else x.grad + g
-    else:
-        acc = Grads()
-        acc.add(x, g)
-        acc.hand(grads)
-
-
-def _recorded(tape, x):
-    """``x`` as a recorded op's output whose gradient goes to ``x``'s entry
-    of the tape's ``grads``."""
-    grads = tape.grads
-    return tape.record(x, lambda g: _push(grads, x, g))
-
-
-def matmul(a, b, tape=None):
-    """The product ``a @ b`` of vectors and matrices, recorded on ``tape``
-    or on the tape of a recorded input (else plain): what the gradient
-    checks reduce an op's output with."""
-    av, bv = unwrap(a), unwrap(b)
-    tape = next((x.tape for x in (a, b) if isinstance(x, Node)), tape)
-    if tape is None:
-        return av @ bv
-    grads = tape.grads
-
-    def backward(g):
-        _push(grads, a, g @ bv.T if bv.ndim == 2 else np.multiply.outer(g, bv))
-        _push(grads, b, av.T @ g if av.ndim == 2 else np.multiply.outer(av, g))
-
-    return tape.record(av @ bv, backward)
-
-
-# --- autodiff ops ------------------------------------------------------------
+# --- backward passes ---------------------------------------------------------
+#
+# Each case is an op over plain arrays that returns its output and its
+# backward pass, ``backward(g, grads)``, which hands the gradients of the
+# op's inputs, from the gradient ``g`` of its output, to ``grads`` (a
+# ``Gradients``).
 
 def _arrays(*shapes):
     """Input maker: entries of magnitude 0.2-1.5 with random signs, so no
@@ -109,24 +78,25 @@ def _arrays(*shapes):
     return make
 
 
-def mlp_forward(x, params, tape=None):
-    """The MLP over ``mlp_values`` and ``mlp_backward``, on a vector or on
-    rows, recorded on ``tape`` when given; a one-unit output layer over rows
-    gives one score per row, as the pair scorer reads it."""
+def _mlp_op(x, params):
+    """The MLP over ``mlp_values`` on a vector or on rows, and its backward
+    pass over ``mlp_backward``; a one-unit output layer over rows gives one
+    score per row, as the pair scorer reads it."""
     a, ins = mlp_values(x, params.layers)
     m = len(x) if x.ndim == 2 else 1
-    out = a.reshape(-1) if x.ndim == 2 and a.shape[1] == 1 else a
-    if tape is None:
-        return out
-    grads = tape.grads
 
-    def backward(g):
+    def backward(g, grads):
         acc = Grads()
         g_in = mlp_backward(params.layers, [v.reshape(m, -1) for v in ins], g.reshape(m, -1), acc)
+        acc.add(x, g_in.reshape(x.shape))
         acc.hand(grads)
-        _push(grads, x, g_in.reshape(x.shape))
 
-    return tape.record(out, backward)
+    return (a.reshape(-1) if x.ndim == 2 and a.shape[1] == 1 else a), backward
+
+
+def mlp_forward(x, params):
+    """The output of ``_mlp_op``."""
+    return _mlp_op(x, params)[0]
 
 
 # The encoder's cases read four rows of width 2 from a non-zero state.
@@ -134,47 +104,52 @@ _X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 2))
 _START = LstmState(np.full(3, 0.3), np.full(3, -0.2))
 
 
-def _lstm_sequence(w, u, b, outputs=True, tape=None):
-    """lstm_sequence over its plain forward and backward, recorded on
-    ``tape`` when given: a weighted sum of its output rows, then its final h
-    and c.  Every weight is non-zero, or (``outputs=False``) every weight is
-    0, so the gradient comes through the final state alone, as ``lstm_ed``
-    reads it."""
+def _lstm_sequence(w, u, b, outputs=True):
+    """lstm_sequence over its plain forward and backward: a weighted sum of
+    its output rows, then its final h and c.  Every weight is non-zero, or
+    (``outputs=False``) every weight is 0, so the gradient comes through
+    the final state alone, as ``lstm_ed`` reads it."""
     params = LstmCellParams(w, u, b)
     out, state, steps = lstm_sequence(_X, _START, params)
     mix = np.linspace(1.0, 2.0, len(_X)) * outputs
     n = len(state.h)
-    value = np.concatenate([mix @ out, state.h, state.c])
-    if tape is None:
-        return value
-    grads = tape.grads
 
-    def backward(g):
+    def backward(g, grads):
         acc = Grads()
         lstm_sequence_backward(_X, _START, params, steps, np.outer(mix, g[:n]), g[n:2 * n],
                                g[2 * n:], acc)
         acc.hand(grads)
 
-    return tape.record(value, backward)
+    return np.concatenate([mix @ out, state.h, state.c]), backward
 
 
-def _mlp(x, *wb, tape=None):
-    """mlp_forward over layers (w0, b0, w1, b1, ...); an odd count leaves
-    the output layer without bias."""
-    return mlp_forward(x, MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]),
-                       tape)
+def _mlp(x, *wb):
+    """_mlp_op over layers (w0, b0, w1, b1, ...); an odd count leaves the
+    output layer without bias."""
+    return _mlp_op(x, MlpParams([MlpLayer(w, b) for w, b in zip_longest(wb[::2], wb[1::2])]))
 
 
-# The decoder op's cases run on one 5-zone route, teacher-forced along a
+def _nll(p):
+    """``nll`` of three steps of ``p``, whose gradient rows make the
+    backward pass."""
+    loss, g_p = nll(p, [2, 0, 1])
+
+    def backward(g, grads):
+        grads[id(p)] = g * g_p
+
+    return loss, backward
+
+
+# The decoder's cases run on one 5-zone route, teacher-forced along a
 # driven order that is not the reading order, with hidden width 3, a pair
 # MLP of one hidden layer of 4 units (asnn_hidden=(4,)) and attention width 4.
 _ROUTE = prepare_route(make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A"],
                                   actual=[3, 0, 4, 1, 2]))
 
-def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,), tape=None):
-    """The decoder op over ``_ROUTE``, teacher-forced and recorded on
-    ``tape`` when given, for a seeded model of ``variant`` whose tensors
-    named in ``tensors`` are replaced: the scored steps' stacked
+def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,)):
+    """The decoder over ``_ROUTE``, teacher-forced, for a seeded model of
+    ``variant`` whose tensors named in ``tensors`` are replaced, with its
+    backward pass, ``_decode_backward``: the scored steps' stacked
     probabilities, or with ``loss`` their ``nll``."""
     params = init_model(ModelConfig(variant, hidden=3, asnn_hidden=asnn_hidden, att_dim=4, kz=kz),
                         np.random.default_rng(0))
@@ -184,17 +159,21 @@ def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,), tape=None)
                                 for name in ("encoder", "decoder", "asnn", "pointer", "fc")})
     scaled = scale_route(_ROUTE, params)
     targets = _ROUTE.targets
-    probs, _ = decode(params, scaled, first_step(params, scaled, encode(params, scaled), tape),
-                      lambda i, _: targets[i], tape)
+    start = first_step(params, scaled, encode(params, scaled), Tape())  # with the step arrays
+    probs, _, steps = decode(params, scaled, start, lambda i, _: targets[i])
+
+    def backward(g, grads):
+        _decode_backward(params, scaled, start[0], steps, probs, g, grads)
+
     if not loss:
-        return probs
-    return nll(probs, scaled.pos_of_zone[list(targets[:len(unwrap(probs))])])
+        return probs, backward
+    value, g_probs = nll(probs, scaled.pos_of_zone[list(targets[:len(probs)])])
+    return value, lambda g, grads: backward(g * g_probs, grads)
 
 
 def _model(variant, names, loss=False, kz=None, asnn_hidden=(4,)):
     """A ``_decoder`` case whose inputs are the model's tensors ``names``."""
-    return lambda *ts, tape=None: _decoder(variant, dict(zip(names, ts)), kz, loss, asnn_hidden,
-                                           tape)
+    return lambda *ts: _decoder(variant, dict(zip(names, ts)), kz, loss, asnn_hidden)
 
 
 def _probs(rows, width):
@@ -206,14 +185,10 @@ _ENCODER = ("encoder.w", "encoder.u", "encoder.b")
 _LSTM = ("decoder.w", "decoder.u", "decoder.b")
 _PAIR_MLP = ("asnn.0.w", "asnn.0.b", "asnn.1.w")
 
-# name -> (op over the inputs, recorded on its ``tape`` argument when given,
-# input maker, finite-difference step).  The decoder op's cases are named
-# after the parts of its backward pass that they single out.
+# name -> (op over the inputs, returning its output and backward pass, input
+# maker, finite-difference step).  The decoder's cases are named after the
+# parts of its backward pass that they single out.
 OP_CASES = {
-    "matmul_2d_2d": (matmul, _arrays((3, 4), (4, 2)), 1e-5),
-    "matmul_2d_1d": (matmul, _arrays((3, 4), (4,)), 1e-5),
-    "matmul_1d_2d": (matmul, _arrays((4,), (4, 3)), 1e-5),
-    "matmul_1d_1d": (matmul, _arrays((4,), (4,)), 1e-5),
     # the decoder LSTM fed the last stop's features alone (lstm_ed), from
     # the encoder's final state, into the head: the encoder's gradients
     # come through its final state only
@@ -227,7 +202,7 @@ OP_CASES = {
     # the encoder alone, from the gradients of its outputs and final state
     "lstm_sequence": (_lstm_sequence, _arrays((12, 2), (12, 3), (12,)), 1e-5),
     "lstm_sequence_final_state": (
-        lambda *args, tape=None: _lstm_sequence(*args, outputs=False, tape=tape),
+        lambda *args: _lstm_sequence(*args, outputs=False),
         _arrays((12, 2), (12, 3), (12,)), 1e-5),
     # at this seed every hidden pre-activation of the MLP cases is >= 0.005 from the kink
     "mlp_vector": (_mlp, _arrays((3,), (4, 3), (4,), (2, 4), (2,)), 1e-5),
@@ -261,8 +236,7 @@ OP_CASES = {
                        1e-5),
     # a step small enough that the perturbed probabilities still sum to 1
     # within nll's 1e-6 check
-    "nll": (lambda p, tape=None: nll(p if tape is None else _recorded(tape, p), [2, 0, 1]),
-            _probs(3, 5), 1e-7),
+    "nll": (_nll, _probs(3, 5), 1e-7),
 }
 
 
@@ -274,11 +248,12 @@ def _weights(rng, shape):
 
 
 def _reduce(out, weights):
-    """``out`` as a scalar through matmul only: ``a·(out b)`` for a matrix,
-    ``out·w`` for a vector, a scalar as it is."""
+    """``out`` as a scalar, ``a·(out b)`` for a matrix, ``out·w`` for a
+    vector, a scalar as it is, and the gradient of that scalar by ``out``."""
     if len(weights) == 2:
-        return matmul(weights[0], matmul(out, weights[1]))
-    return matmul(out, weights[0]) if weights else out
+        a, b = weights
+        return a @ (out @ b), np.outer(a, b)
+    return (out @ weights[0], weights[0]) if weights else (out, np.ones(()))
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -286,17 +261,16 @@ def test_op_gradient_matches_central_difference(name):
     op, make, eps = OP_CASES[name]
     rng = np.random.default_rng(7)
     inputs = make(rng)
-    plain = op(*inputs)
-    assert not isinstance(plain, Node)  # nothing is recorded without a tape
-    w = _weights(rng, np.shape(plain))
+    out, backward = op(*inputs)
+    w = _weights(rng, np.shape(out))
 
     def loss_fn():
-        return float(_reduce(op(*inputs), w))
+        return float(_reduce(op(*inputs)[0], w)[0])
 
-    tape = Tape()
-    tape.backward(_reduce(op(*inputs, tape=tape), w))
+    grads = Gradients({})
+    backward(_reduce(out, w)[1], grads)
     for k, x in enumerate(inputs):
-        grad = tape.grads[id(x)]
+        grad = grads[id(x)]
         assert grad.shape == x.shape
         for idx in range(x.size):
             fd = finite_difference(loss_fn, x, idx, eps)
@@ -306,7 +280,7 @@ def test_op_gradient_matches_central_difference(name):
 
 def test_finished_tape_is_freed_without_cyclic_gc():
     # One whole training step per variant: the taped forward of a route and
-    # backward.
+    # backward.  The recorded pass holds the tape's gradients, not the tape.
     prep = prepare_route(make_route(["A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C"]))
     was_enabled = gc.isenabled()
     gc.disable()
@@ -319,11 +293,13 @@ def test_finished_tape_is_freed_without_cyclic_gc():
             gc.collect()
             tape = Tape()
             loss, _ = forward_logprob(params, scale_route(prep, params), tape)
-            tape.backward(loss)
-            tape_ref, value_ref = weakref.ref(tape), weakref.ref(loss.value)
+            tape.backward()
+            tape_ref, value_ref = weakref.ref(tape), weakref.ref(loss)
+            pass_ref = weakref.ref(tape._nodes[0])
             del tape, loss
             assert tape_ref() is None, variant
             assert value_ref() is None, variant
+            assert pass_ref() is None, variant
             assert gc.collect() == 0, variant  # no cycle was left for the collector
     finally:
         if was_enabled:
@@ -537,37 +513,34 @@ def test_masked_softmax(rng):
     # the mask leaves out at every step, and their head rows get gradient
     # exactly 0 (the "softmax_masked" case checks the rest against central
     # differences).
-    tape = Tape()
     w, b = rng.normal(size=(7, 3)), rng.normal(size=7)
-    tape.backward(_decoder("lstm_ed", {"fc.0.w": w, "fc.0.b": b}, kz=7, loss=True, tape=tape))
-    gw, gb = tape.grads[id(w)], tape.grads[id(b)]
+    _, backward = _decoder("lstm_ed", {"fc.0.w": w, "fc.0.b": b}, kz=7, loss=True)
+    grads = Gradients({})
+    backward(1.0, grads)
+    gw, gb = grads[id(w)], grads[id(b)]
     assert np.all(gw[5:] == 0.0) and np.all(gb[5:] == 0.0)
     assert np.all(gw[:5] != 0.0)
 
 
 def test_cross_entropy_uniform():
-    assert nll(np.full((1, 5), 0.2), [3]) == pytest.approx(math.log(5), abs=1e-12)
+    assert nll(np.full((1, 5), 0.2), [3])[0] == pytest.approx(math.log(5), abs=1e-12)
     two = np.array([[0.2] * 5, [0.5, 0.5, 0.0, 0.0, 0.0]])
-    assert nll(two, [3, 0]) == pytest.approx(math.log(10), abs=1e-12)
+    assert nll(two, [3, 0])[0] == pytest.approx(math.log(10), abs=1e-12)
 
 
 def test_cross_entropy_certain():
     p = np.zeros((1, 4))
     p[0, 1] = 1.0
-    assert nll(p, [1]) == 0.0
-    assert nll(np.zeros((0, 4)), []) == 0.0
+    assert nll(p, [1])[0] == 0.0
+    assert nll(np.zeros((0, 4)), [])[0] == 0.0
 
 
 def test_cross_entropy_clamp():
     p = np.array([[1.0 - 1e-15, 1e-15], [0.25, 0.75]])
-    assert nll(p[:1], [1]) == pytest.approx(-math.log(1e-12), rel=1e-12)
-    tape = Tape()
-    clamped = tape.record(p[:1], lambda g: None)
-    tape.backward(nll(clamped, [1]))
-    assert clamped.grad is None  # the clamped term passes no gradient
-    both = tape.record(p, lambda g: None)
-    tape.backward(nll(both, [1, 0]))
-    assert np.array_equal(both.grad, [[0.0, 0.0], [-4.0, 0.0]])
+    loss, g = nll(p[:1], [1])
+    assert loss == pytest.approx(-math.log(1e-12), rel=1e-12)
+    assert np.array_equal(g, [[0.0, 0.0]])  # the clamped term passes no gradient
+    assert np.array_equal(nll(p, [1, 0])[1], [[0.0, 0.0], [-4.0, 0.0]])
 
 
 def test_cross_entropy_validation():
@@ -594,7 +567,7 @@ def test_softmax_cross_entropy_gradient(rng):
     sc = scale_route(prep, params)
     tape = Tape()
     loss, traces = forward_logprob(params, sc, tape)
-    tape.backward(loss)
+    tape.backward()
     grads = tape.gradients(model_tensors(params))
     p = traces[0].attention[list(sc.order)]
     target = sc.pos_of_zone[prep.targets[0]]

@@ -20,18 +20,17 @@ from routeseq.kernel import (
     LstmState,
     MlpLayer,
     MlpParams,
-    Node,
     Tape,
     deserialize_checkpoint,
     init_lstm,
     serialize_checkpoint,
     softmax,
-    unwrap,
     zero_state,
 )
 from routeseq.predictor import (
     VARIANTS,
     ModelConfig,
+    _decode_backward,
     _pair_terms,
     _scores,
     checkpoint_tensors,
@@ -398,17 +397,27 @@ def test_forward_logprob_deterministic():
         assert float(l1) == float(l2)
 
 
-def test_taped_forward_node_counts():
-    # Tape nodes of one taped forward on a 15-zone route: the decoder op,
-    # whose backward pass runs the encoder's and the key term's too, and
-    # nll, whatever the variant and the route's length.
-    n = 15
-    prep = _prep(zone_ids=[f"{a}-{k}.1A" for a in "AB" for k in range(1, 9)][:n])
-    for variant in VARIANTS:
-        params = _model(variant, prep)
-        tape = Tape()
-        forward_logprob(params, scale_route(prep, params), tape)
-        assert len(tape._nodes) == 2, variant
+def test_taped_forward_node_counts(monkeypatch):
+    # Backward passes that one forward records: one on its tape for a route
+    # of 15 zones or of 2, the decoder's, whose pass runs the encoder's and
+    # the key term's too, whatever the variant; none for a one-zone route,
+    # whose loss depends on no parameter, and none on any tape without one.
+    recorded = []
+    record = Tape.record
+    monkeypatch.setattr(Tape, "record", lambda tape, backward: (recorded.append(backward),
+                                                                record(tape, backward)))
+    ids = [f"{a}-{k}.1A" for a in "AB" for k in range(1, 9)]
+    for n, want in ((15, 1), (2, 1), (1, 0)):
+        prep = _prep(zone_ids=ids[:n])
+        for variant in VARIANTS:
+            params = _model(variant, prep)
+            sc = scale_route(prep, params)
+            tape = Tape()
+            forward_logprob(params, sc, tape)
+            assert len(tape._nodes) == want, (n, variant)
+            forward_logprob(params, sc)
+            assert len(recorded) == want, (n, variant)
+            recorded.clear()
 
 
 _ZONE_IDS = ("A-1.1A", "A-2.1B", "B-1.1A", "B-2.2C", "C-1.1A")
@@ -427,9 +436,9 @@ def _fd_check(params, loss_of, grads):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_decoder_op_gradients_match_central_differences(variant):
-    # Routes of 1 zone (no scored step: a plain 0 loss), 2 zones (one
-    # scored step) and 5 zones, driven in an order that is not the reading
-    # order; every tensor entry against its central difference.
+    # Routes of 1 zone (no scored step: a 0 loss, no pass recorded), 2
+    # zones (one scored step) and 5 zones, driven in an order that is not
+    # the reading order; every tensor entry against its central difference.
     for n, actual in ((1, None), (2, [1, 0]), (5, [3, 0, 4, 1, 2])):
         prep = _prep(zone_ids=_ZONE_IDS[:n], actual=actual)
         params = _model(variant, prep, seed=n, **_TINY)
@@ -437,9 +446,9 @@ def test_decoder_op_gradients_match_central_differences(variant):
         tape = Tape()
         loss, _ = forward_logprob(params, sc, tape)
         if n == 1:
-            assert not isinstance(loss, Node) and float(loss) == 0.0
+            assert not tape._nodes and float(loss) == 0.0
             continue
-        tape.backward(loss)
+        tape.backward()
         _fd_check(params, lambda: float(forward_logprob(params, sc)[0]),
                   tape.gradients(model_tensors(params)))
 
@@ -449,7 +458,8 @@ def test_decoder_op_gradients_with_lstm_ed_head_narrower_and_wider(kz):
     # A head of 3 slots on a 5-zone route scores only while two of its
     # slots are unvisited; one of 7 masks its last two slots at every step.
     # The stacked probabilities of a fixed rollout, reduced by fixed
-    # weights, against central differences.
+    # weights, whose gradient the decoder's backward pass takes, against
+    # central differences.
     prep = _prep(zone_ids=_ZONE_IDS, actual=[3, 0, 4, 1, 2])
     params = _model("lstm_ed", prep, seed=4, kz=kz, **_TINY)
     sc = scale_route(prep, params)
@@ -457,18 +467,17 @@ def test_decoder_op_gradients_with_lstm_ed_head_narrower_and_wider(kz):
     weights = np.random.default_rng(kz).normal(size=(4, kz))
 
     def reduced(tape=None):
-        probs, _ = decode(params, sc, first_step(params, sc, encode(params, sc), tape),
-                          lambda i, _: order[i], tape)
-        return probs, weights[:len(unwrap(probs))]
+        start = first_step(params, sc, encode(params, sc), tape)
+        probs, _, steps = decode(params, sc, start, lambda i, _: order[i])
+        return start, probs, steps, weights[:len(probs)]
 
-    probs, w = reduced()
+    start, probs, steps, w = reduced(Tape())
     assert len(probs) == (2 if kz == 3 else 4)
     tape = Tape()
-    probs, w = reduced(tape)
-    tape.backward(tape.record(np.sum(probs.value * w), lambda g: setattr(probs, "grad", g * w)))
+    _decode_backward(params, sc, start[0], steps, probs, w, tape.grads)
 
     def loss_of():
-        p, w = reduced()
+        _, p, _, w = reduced()
         return float(np.sum(p * w))
 
     _fd_check(params, loss_of, tape.gradients(model_tensors(params)))
@@ -488,8 +497,8 @@ def test_target_below_the_nll_clamp_gets_zero_gradient():
     tape = Tape()
     loss, traces = forward_logprob(params, sc, tape)
     assert traces[0].attention[prep.targets[0]] < 1e-12
-    assert float(loss.value) == -math.log(1e-12)
-    tape.backward(loss)
+    assert float(loss) == -math.log(1e-12)
+    tape.backward()
     assert all(np.all(g == 0.0) for g in tape.gradients(model_tensors(params)).values())
 
 
@@ -503,7 +512,7 @@ def test_taped_and_plain_decoding_give_the_same_bytes(variant):
     plain_loss, plain = forward_logprob(params, sc)
     tape = Tape()
     taped_loss, taped = forward_logprob(params, sc, tape)
-    assert float(taped_loss.value).hex() == float(plain_loss).hex()
+    assert float(taped_loss).hex() == float(plain_loss).hex()
     for a, b in zip(plain, taped, strict=True):
         assert a.chosen == b.chosen and a.attention.tobytes() == b.attention.tobytes()
         contexts = [b"-" if t.context is None else t.context.tobytes() for t in (a, b)]
@@ -534,10 +543,10 @@ def test_forward_logprob_training_sanity_loss_decreases():
     for _ in range(50):
         tape = Tape(named)
         loss, _ = forward_logprob(params, sc, tape)
-        tape.backward(loss)
+        tape.backward()
         tape.gradients(named)
         adam_step(flat, tape.grads.flat, opt)
-        last = float(loss.value)
+        last = float(loss)
         first = first if first is not None else last
     assert last < first
 
@@ -585,7 +594,7 @@ def test_gradient_check_all_variants_small():
         sc = scale_route(prep, params)
         tape = Tape()
         loss, _ = forward_logprob(params, sc, tape)
-        tape.backward(loss)
+        tape.backward()
         named = model_tensors(params)
         grads = tape.gradients(named)
 
@@ -741,6 +750,15 @@ def test_init_model_validation():
     for variant in ("pairwise", "pointer", "asnn"):  # kz is the lstm_ed head width
         with pytest.raises(ConfigError):
             init_model(ModelConfig(variant, kz=3), np.random.default_rng(0))
+    # Layer widths are integers of at least 1, and the order seed an integer;
+    # a pair MLP with no hidden layer stays valid.
+    for variant, bad in (("pairwise", {"hidden": 0}), ("pairwise", {"hidden": True}),
+                         ("pairwise", {"hidden": 8.0}), ("pointer", {"att_dim": 0}),
+                         ("asnn", {"asnn_hidden": (16, False)}), ("lstm_ed", {"kz": 0}),
+                         ("lstm_ed", {"kz": True}), ("pairwise", {"order_seed": 1.0})):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ModelConfig(variant, **{"kz": 3 if variant == "lstm_ed" else None, **bad})
+    assert init_model(ModelConfig("asnn", asnn_hidden=()), np.random.default_rng(0)).asnn
 
 
 def test_mlp_reference_on_asnn_shape(rng):

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_route
 from oracles import train_ref
 from routeseq import datagen, predictor, training
-from routeseq.errors import InvalidInputError, TrainingDivergedError
+from routeseq.errors import ConfigError, InvalidInputError, TrainingDivergedError
 from routeseq.kernel import Grads, MlpLayer, Tape, checkpoint_id, serialize_checkpoint
 from routeseq.predictor import (
     checkpoint_tensors,
@@ -85,6 +85,15 @@ def test_empty_training_set_rejected():
         train([], TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("bad", [{"hidden": 0}, {"hidden": -1}, {"asnn_hidden": (0,)},
+                                 {"variant": "pointer", "att_dim": 0}])
+def test_a_layer_width_below_one_is_a_config_error(bad):
+    # It once failed in init_model's rng.uniform: an untyped OverflowError
+    # after a divide-by-zero warning, or numpy's bare ValueError.
+    with pytest.raises(ConfigError):
+        train(_routes(2), TrainConfig(epochs=1, **bad))
+
+
 def test_overfits_single_route():
     # a single 3-zone route, 200 epochs: the loss collapses
     route = make_route(["A-1.1A", "A-2.1B", "B-1.1A"])
@@ -124,7 +133,7 @@ def test_nan_loss_aborts_with_route_and_epoch(monkeypatch):
     routes = _routes(n=2, seed=3)
 
     def bad_forward(params, scaled, tape):
-        return tape.record(np.asarray(np.nan), lambda g: None), []
+        return np.asarray(np.nan), []
 
     monkeypatch.setattr(training, "forward_logprob", bad_forward)
     with pytest.raises(TrainingDivergedError) as err:
@@ -134,15 +143,21 @@ def test_nan_loss_aborts_with_route_and_epoch(monkeypatch):
 
 
 def test_one_tape_per_call_and_no_trace_built_in_training(monkeypatch):
-    # A train call records every step on one tape and reads no trace, so it
-    # builds none; a taped forward's traces are built when read, with the
-    # bytes of the plain forward's.
-    built = {"tape": 0, "trace": 0}
+    # A train call records every step on one tape, runs its backward passes
+    # once per step, one per route here, and reads no trace, so it builds
+    # none; a taped forward's traces are built when read, with the bytes of
+    # the plain forward's.
+    built = {"tape": 0, "trace": 0, "backward": 0, "passes": 0}
 
     class CountedTape(Tape):
         def __init__(self, *args):
             built["tape"] += 1
             super().__init__(*args)
+
+        def backward(self):
+            built["backward"] += 1
+            built["passes"] += len(self._nodes)
+            super().backward()
 
     def counted_trace(*args, trace=predictor.DecoderStepTrace):
         built["trace"] += 1
@@ -152,7 +167,7 @@ def test_one_tape_per_call_and_no_trace_built_in_training(monkeypatch):
     monkeypatch.setattr(predictor, "DecoderStepTrace", counted_trace)
     routes = _routes(n=3, seed=4)
     params, report = train(routes, TrainConfig(epochs=2, hidden=8, asnn_hidden=(16, 16)))
-    assert built == {"tape": 1, "trace": 0}
+    assert built == {"tape": 1, "trace": 0, "backward": 6, "passes": 6}
     assert len(report.epoch_losses) == 2
 
     sc = scale_route(prepare_route(routes[0]), params)

@@ -237,8 +237,8 @@ def main() -> None:
                     tape = Tape()
                     scaled = scale_route(prepare_route(route), params)
                     loss, _ = forward_logprob(params, scaled, tape)
-                    tape.backward(loss)
-                    parts.append(float(loss.value).hex())
+                    tape.backward()
+                    parts.append(float(loss).hex())
                     for name, g in sorted(tape.gradients(model_tensors(params)).items()):
                         parts += [name, g.tobytes()]
                 print(f"grad {tag}", _sha(parts))

@@ -5,13 +5,15 @@ median milliseconds over repeated runs on one generated route,
 ``SynthConfig(n_routes=1, zones_per_route=(z, z), seed=1)``, with the
 variant's default model at seed 0 (``lstm_ed``'s head as wide as the route):
 
-- forward+backward: the teacher-forced forward pass recorded on a new tape
-  (``forward_logprob(params, scaled, tape)``) and ``Tape.backward``;
+- forward+backward: the teacher-forced forward pass, which records the
+  route's backward pass on a new tape
+  (``forward_logprob(params, scaled, tape)``), and ``tape.backward()``;
   gradient collection is outside the timed span;
 - whole step: the step as ``training.train`` takes it, on that route alone:
   the tape reset, the same passes, the gradient collection and
-  ``adam_step``, timed from the first ``forward_logprob`` call of a
-  two-epoch ``train`` call to its second.
+  ``adam_step``, timed from the second ``forward_logprob`` call of a
+  three-epoch ``train`` call to its third, so the first step's page faults
+  on the call's new buffers stay out of it.
 
 The two are timed run by run in turn, so a change of machine load moves
 both columns alike.
@@ -67,16 +69,16 @@ def step_ms(variant: str, zones: int, runs: int) -> tuple:
     for _ in range(runs):
         tape = Tape()
         start = time.perf_counter()
-        loss, _ = forward_logprob(params, scaled, tape)
-        tape.backward(loss)
+        forward_logprob(params, scaled, tape)
+        tape.backward()
         times.append(time.perf_counter() - start)
         starts.clear()
         training.forward_logprob = timed_forward
         try:
-            training.train([route], training.TrainConfig(variant, epochs=2))
+            training.train([route], training.TrainConfig(variant, epochs=3))
         finally:
             training.forward_logprob = forward_logprob
-        steps.append(starts[1] - starts[0])
+        steps.append(starts[2] - starts[1])
     return statistics.median(times) * 1e3, statistics.median(steps) * 1e3
 
 
