@@ -58,12 +58,14 @@ class SynthConfig:
 
 def _validate_config(config: SynthConfig):
     for name, least in (("n_routes", 1), ("seed", 0)):
-        if getattr(config, name) < least:
-            raise InvalidInputError(f"{name} must be >= {least}")
-    for name, (lo, hi) in (("zones_per_route", config.zones_per_route),
-                           ("stops_per_zone", config.stops_per_zone)):
-        if lo < 1 or hi < lo:
-            raise InvalidInputError(f"{name} range {lo}..{hi} is impossible")
+        value = getattr(config, name)
+        if type(value) is not int or value < least:
+            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    for name in ("zones_per_route", "stops_per_zone"):
+        pair = getattr(config, name)
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(type(v) is int for v in pair)) or not 1 <= pair[0] <= pair[1]:
+            raise InvalidInputError(f"{name} must be integers lo..hi, 1 <= lo <= hi: {pair!r}")
     for name in ("extent_km", "speed_kmph"):
         value = getattr(config, name)
         if not (math.isfinite(value) and value > 0):

@@ -2,10 +2,10 @@
 training step's backward passes, which keeps the model tensors' gradients
 in views of a flat buffer, the ``Grads`` that hands a backward pass's
 weight gradients to it, the sequence NLL and its gradient rows, the LSTM
-(one step and a whole sequence), softmax, MLP, the pair MLP's
-route-constant terms and the pair-MLP and pointer scorers, each with the
-backward piece that ``predictor``'s decoder backward pass runs, Adam over a
-flat buffer, and the bit-exact checkpoint byte codec (no file I/O)."""
+(one step and a whole sequence), softmax, MLP, the pair MLP's terms and
+the pair-MLP and pointer scorers (a decoder step's pieces compute into its
+rows of the step arrays), each with its backward piece, Adam over a flat
+buffer, and the bit-exact checkpoint byte codec (no file I/O)."""
 
 from .autodiff import (
     Grads,

@@ -4,12 +4,12 @@ Everything here works on plain arrays, the model's tensors included, and
 records nothing.  The forward passes ``lstm_sequence`` (the encoder),
 ``lstm_step``, ``softmax``, ``mlp_values``, ``pair_terms``, ``pair_scores``
 and ``pointer_scores`` compute the model's values and keep what their
-backward passes read (``lstm_step``, ``mlp_values`` and ``pair_scores``
-into the step arrays ``out`` when given).  The backward passes
+backward passes read, a decoder step's in its rows of the step arrays,
+which it gives them as ``out``.  The backward passes
 ``lstm_sequence_backward``, ``lstm_factors``/``lstm_backward_step``,
 ``mlp_backward``, ``PairScoresBackward`` and ``pointer_scores_backward``
-hand a ``Grads`` their weight gradients; they run inside the one op that
-``predictor.decode`` records per route, whose backward pass runs the
+hand a ``Grads`` their weight gradients; they run inside the one backward
+pass that ``predictor.forward_logprob`` records per route, which runs the
 decoder's, the pair MLP's and the encoder's in turn.  The pair MLP splits
 its first layer by columns: the terms of the route-constant blocks are
 formed once per route (``pair_terms``) and each step adds its query's term
@@ -19,7 +19,6 @@ to them (``pair_scores``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,46 +87,30 @@ def zero_state(hidden_dim: int) -> LstmState:
     return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
 
 
-def _sigmoid_np(x, out=None):
+def _sigmoid_np(x, out):
     """The logistic function, branch-free: 1/(1+e^-x) for x >= 0 and
     e^x/(1+e^x) below, both from e = exp(-|x|), so no exp overflows, and
-    with one division (into ``out`` when given)."""
+    with one division, into ``out``."""
     e = np.exp(-np.abs(x))
     return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-class LstmStep(NamedTuple):
-    """One LSTM step's values: the logistic gates f, i and o, the candidate
-    cell value g, the new cell state c, tanh(c) and the new hidden state h."""
-
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    c: np.ndarray
-    t: np.ndarray
-    h: np.ndarray
-
-
-_NO_ROWS = (None,) * 7  # where an lstm_step given no ``out`` writes: new arrays
-
-
-def lstm_step(w, u, b, x, h, c, out=None) -> LstmStep:
+def lstm_step(w, u, b, x, h, c, out) -> LstmState:
     """One LSTM step on plain arrays, from the weights, the input ``x`` and
     the state (``h``, ``c``): ``z = W x + U h + b``; the logistic gates f, i
     and o; the candidate cell value ``g = tanh(z_c)``; ``c_new = f*c + i*g``
-    and ``tanh(c_new)``; and ``h_new = o*tanh(c_new)``, in that order, each
-    written into its row of ``out`` (7, hidden, C-contiguous) when given."""
+    and ``tanh(c_new)``; and ``h_new = o*tanh(c_new)``, the step's values,
+    in that order, each written into its row of ``out`` (7, hidden,
+    C-contiguous).  Returns the new state, ``h_new`` and ``c_new``."""
     z = w @ x + u @ h + b
     n = len(c)
-    rows = _NO_ROWS if out is None else out
-    s = _sigmoid_np(z[:3 * n], None if out is None else out[:3].reshape(-1))
-    f, i, o = s[:n], s[n:2 * n], s[2 * n:]
-    g = np.tanh(z[3 * n:], out=rows[3])
-    c_new = np.multiply(f, c, out=rows[4])
+    f, i, o, g, c_new, t, h_new = out
+    _sigmoid_np(z[:3 * n], out[:3].reshape(-1))
+    np.tanh(z[3 * n:], out=g)
+    np.multiply(f, c, out=c_new)
     c_new += i * g
-    t = np.tanh(c_new, out=rows[5])
-    return LstmStep(f, i, o, g, c_new, t, np.multiply(o, t, out=rows[6]))
+    np.multiply(o, np.tanh(c_new, out=t), out=h_new)
+    return LstmState(h_new, c_new)
 
 
 def lstm_factors(steps, c0):
@@ -163,10 +146,9 @@ def lstm_sequence(x, state: LstmState, params: LstmCellParams):
         raise NumericError("lstm_sequence received a non-finite input")
     w, u, b = params.w, params.u, params.b
     steps = np.empty((len(x), 7, len(state.h)))
-    h, c = state.h, state.c
     for xt, out in zip(x, steps):
-        _, _, _, _, c, _, h = lstm_step(w, u, b, xt, h, c, out)
-    return steps[:, 6].copy(), LstmState(h, c), steps
+        state = lstm_step(w, u, b, xt, state.h, state.c, out)
+    return steps[:, 6].copy(), state, steps
 
 
 def lstm_sequence_backward(x, state: LstmState, params: LstmCellParams, steps, g_out, dh, dc,
@@ -202,22 +184,20 @@ def softmax(u, allowed=None):
     return e / e.sum()
 
 
-def mlp_values(x, layers, out=None):
+def mlp_values(x, layers, out):
     """The MLP ``layers`` on a vector (d,) or on rows (m, d), on plain
-    arrays: its output and each layer's input, the hidden layers' outputs
-    written into the arrays ``out`` when given, else in place.  Each layer
-    is ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but the last."""
-    rows = x.ndim == 2
-    last = len(layers) - 1
+    arrays: its output and each layer's input, each hidden layer's output
+    computed in its array of ``out`` (one per hidden layer).  Each layer is
+    ``W a + b`` (``a @ W.T + b`` for rows), ReLU on all but the last."""
     ins = []
     a = x
-    for k, layer in enumerate(layers):
+    for layer, dst in zip(layers, [*out, None], strict=True):  # the output's values are new
         ins.append(a)
-        a = a @ layer.w.T if rows else layer.w @ a
+        a = np.matmul(a, layer.w.T, out=dst) if x.ndim == 2 else np.matmul(layer.w, a, out=dst)
         if layer.b is not None:
             a += layer.b
-        if k != last:
-            a = np.maximum(a, 0.0, out=a if out is None else out[k])
+        if layer is not layers[-1]:
+            np.maximum(a, 0.0, out=a)
     return a, ins
 
 
@@ -289,14 +269,14 @@ def pair_terms(pair, keys, params: MlpParams, queries=None) -> PairTerms:
     )
 
 
-def pair_scores(terms: PairTerms, src: int, d=None, out=None):
+def pair_scores(terms: PairTerms, src: int, d, out):
     """The pair MLP's score of every key from source node ``src`` with the
     query ``d`` (q,), or with the route-constant query of ``src`` when ``d``
     is None, on plain arrays: the value of the MLP over the rows [pair;
     query; key], its first layer's sum formed as ``pair_term[src] +
     key_term + W_q query``.  The later layers' inputs, which
-    ``PairScoresBackward`` reads, are written into the arrays ``out`` (one
-    per later layer) when given."""
+    ``PairScoresBackward`` reads, are computed in the arrays ``out`` (n,
+    width), one per later layer."""
     w_q = terms.w_q
     if d is None:
         q_term = terms.query_term[src]
@@ -305,12 +285,12 @@ def pair_scores(terms: PairTerms, src: int, d=None, out=None):
             raise InvalidInputError(f"pair MLP query shape {d.shape} does not match "
                                     f"({w_q.shape[1]},)")
         q_term = w_q @ d
-    pre = terms.pair_term[src] + terms.key_term
-    pre += q_term
     if not terms.rest.layers:  # a pair MLP of one layer scores with the sum itself
-        return pre.reshape(-1)
-    x = np.maximum(pre, 0.0, out=pre if out is None else out[0])
-    return mlp_values(x, terms.rest.layers, None if out is None else out[1:])[0].reshape(-1)
+        return (terms.pair_term[src] + terms.key_term + q_term).reshape(-1)
+    x = np.add(terms.pair_term[src], terms.key_term, out=out[0])
+    x += q_term
+    np.maximum(x, 0.0, out=x)
+    return mlp_values(x, terms.rest.layers, out[1:])[0].reshape(-1)
 
 
 class PairScoresBackward:
@@ -382,13 +362,13 @@ class PairScoresBackward:
             d_keys += key @ terms.first.w[:, p + q:]
 
 
-def pointer_scores(kv, dv, zv, w1, w2, w3, w4):
+def pointer_scores(kv, dv, zv, w1, w2, w3, w4, out):
     """Additive pointer scores with a linear local term, one per row of the
     keys K (n, h), on plain arrays: ``tanh(K W2ᵀ + W3 d)·w1 + Z·w4`` for
-    the query d (h,) and the pair rows Z (n, p).  Returns the scores and
-    the tanh, which ``pointer_scores_backward`` reads."""
-    t = np.tanh(kv @ w2.T + w3 @ dv)
-    return t @ w1 + zv @ w4, t
+    the query d (h,) and the pair rows Z (n, p), the tanh, which
+    ``pointer_scores_backward`` reads, computed in ``out`` (n, att)."""
+    t = np.tanh(kv @ w2.T + w3 @ dv, out=out)
+    return t @ w1 + zv @ w4
 
 
 def pointer_scores_backward(kv, dv, zv, t, weights, g, grads: Grads, d_keys):

@@ -29,17 +29,18 @@ from ``first_step``, the depot's step before any pick, which rollouts share.
 ``first_step`` also forms the pair MLP's route-constant terms
 (``_pair_terms``): its first layer's weight split by columns, the pair
 features and the keys go through it once per route, and a step adds only
-its query's term.
+its query's term.  It makes the route's step arrays too, into which every
+scored step computes its values, row k for step k: a decoding has one
+forward path, whether a backward pass reads the rows or not.
 
-The model's tensors are plain arrays, and everything runs on plain arrays,
-in training too.  Given a tape, ``forward_logprob`` records one backward
-pass per route (``_decode_backward``), from ``nll``'s gradient rows of the
-scored steps' stacked probabilities.  It runs the route's chain back in
-one function: the decoder's steps in reverse (masked softmax, scorer,
-decoder LSTM), the pair MLP's key term and the encoder, and hands every
-weight gradient over once, to the tape's ``grads``.  A decoding's traces
-are built when first read (``StepTraces``), so training, which reads none,
-builds none.
+The model's tensors are plain arrays, and everything runs on plain arrays.
+Given a tape, ``forward_logprob`` records one backward pass per route
+(``_decode_backward``), from ``nll``'s gradient rows of the scored steps'
+stacked probabilities.  It runs the route's chain back in one function:
+the decoder's steps in reverse (masked softmax, scorer, decoder LSTM), the
+pair MLP's key term and the encoder, and hands every weight gradient over
+once, to the tape's ``grads``.  A decoding's traces are built when first
+read (``StepTraces``), so training, which reads none, builds none.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ class ModelConfig:
             raise ConfigError(f"kz is the lstm_ed head width; {self.variant} has no such head")
         if self.variant == "lstm_ed" and self.kz is None:
             raise ConfigError("lstm_ed requires kz (the largest route size in training)")
+        if not isinstance(self.asnn_hidden, (tuple, list)):
+            raise ConfigError(f"asnn_hidden must be a sequence of widths, got {self.asnn_hidden!r}")
+        self.asnn_hidden = tuple(self.asnn_hidden)
         # Layer widths; a JSON boolean or float is not one.
         widths = [("hidden", self.hidden), ("att_dim", self.att_dim),
                   ("kz", 1 if self.kz is None else self.kz),
@@ -320,13 +324,13 @@ def _pair_terms(params: ModelParams, scaled: ScaledRoute, keys):
     return pair_terms(scaled.pair, keys, params.asnn, queries)
 
 
-def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms, out=None):
+def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms, out):
     """One decoder step's scores by input position (by head slot for
     ``lstm_ed``), from the last stop's node ``src``, the query ``d``, the
-    keys ``keys`` and the route's ``_pair_terms``, on plain arrays, with
-    what ``_scores_backward`` reads (None for the pair MLP, whose layer
-    inputs go into ``out`` when given).  ``pointer`` adds its linear local
-    term on the pair features from ``src`` to the additive attention; ``lstm_ed``
+    keys ``keys`` and the route's ``_pair_terms``, on plain arrays, the
+    inputs of the scorer's later layers computed in the step's rows ``out``
+    (see ``DecoderInputs.ins``).  ``pointer`` adds its linear local term on
+    the pair features from ``src`` to the additive attention; ``lstm_ed``
     scores with its fully-connected head; ``pairwise`` and ``asnn`` score
     [pair features from ``src``; query; key] per candidate with the shared
     pair MLP, whose pair and key terms ``terms`` holds (``asnn``'s query,
@@ -334,31 +338,18 @@ def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms, 
     variant = params.config.variant
     if variant == "pointer":
         p = params.pointer
-        return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4)
+        return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4, out[0])
     if variant == "lstm_ed":
-        return mlp_values(d, params.fc.layers)
-    return pair_scores(terms, src, None if variant == "asnn" else d, out), None
+        return mlp_values(d, params.fc.layers, out)[0]
+    return pair_scores(terms, src, None if variant == "asnn" else d, out)
 
 
-def _scores_backward(params: ModelParams, scaled: ScaledRoute, keys, src: int, d, saved, g,
-                     grads, d_keys):
-    """Back through one ``pointer`` or ``lstm_ed`` ``_scores`` step from the
-    scores' gradient ``g``: hands ``grads`` the scorer's gradients, adds the
-    keys' into ``d_keys`` and returns the query's (the pair MLP's steps go
-    through ``PairScoresBackward``)."""
-    if params.config.variant == "pointer":
-        p = params.pointer
-        return pointer_scores_backward(keys, d, scaled.pair[src], saved,
-                                       (p.w1, p.w2, p.w3, p.w4), g, grads, d_keys)
-    return mlp_backward(params.fc.layers, [v[None] for v in saved], g[None], grads)[0]
-
-
-def decode_step(params: ModelParams, x_last, w_prev, state, out=(None, None)):
+def decode_step(params: ModelParams, x_last, w_prev, state, out):
     """One decoder LSTM step on [features of the last stop; context] (the
     lstm_ed variant feeds the features alone) from the state (``h``,
-    ``c``), on plain arrays: the step's ``lstm_step`` values, whose ``h``
-    and ``c`` are the new state.  The input row and the values are written
-    into ``out`` (the arrays (in,) and (7, hidden)) when it holds them."""
+    ``c``), on plain arrays: the new state.  The input row and the step's
+    ``lstm_step`` values are written into its rows ``out``, the arrays
+    (in,) and (7, hidden)."""
     parts = [x_last] if params.config.variant == "lstm_ed" else [x_last, w_prev]
     x = np.concatenate(parts, out=out[0])
     if not np.isfinite(x).all():
@@ -376,15 +367,16 @@ def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
 
 @dataclass(eq=False)
 class DecoderInputs:
-    """What every decoder step of a route reads besides its own state and,
-    in a taped decoding, the step arrays that its scored steps write, row
-    ``k`` for step ``k``."""
+    """What every decoder step of a route reads besides its own state, and
+    the step arrays that its scored steps write, row ``k`` for step ``k``
+    (``ins`` holds the pair MLP's later layers' inputs or the pointer's
+    tanh; ``x`` and ``lstm`` are 0 wide for ``asnn``, which has no LSTM)."""
 
-    encoded: tuple  # ``encode``'s (keys, state, steps)
-    terms: object   # ``_pair_terms``, None without the pair MLP
-    ins: list | None = None         # the pair MLP's later layers' inputs, each (m, n, width)
-    x: np.ndarray | None = None     # the decoder LSTM's input rows (m, in)
-    lstm: np.ndarray | None = None  # the decoder LSTM's ``lstm_step`` values (m, 7, hidden)
+    encoded: tuple     # ``encode``'s (keys, state, steps)
+    terms: object      # ``_pair_terms``, None without the pair MLP
+    ins: list          # the scorer's later layers' inputs, each (m, n, width)
+    x: np.ndarray      # the decoder LSTM's input rows (m, in)
+    lstm: np.ndarray   # the decoder LSTM's ``lstm_step`` values (m, 7, hidden)
 
 
 def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state, i: int,
@@ -393,49 +385,45 @@ def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state
     ``allowed``, on plain arrays: the decoder state after it, the
     probabilities by input position (by head slot for ``lstm_ed``), the
     context the next step reads (``pairwise`` and ``pointer``, else None)
-    and, for a scored step, what the decoder's backward pass reads of it
-    besides the step arrays, which it writes in a taped decoding (else
-    None).  The query is node ``src``'s features, through the decoder
-    LSTM for the recurrent variants (``asnn`` has no state), and a masked
+    and whether it was scored; a scored step writes row ``i`` of the step
+    arrays.  The query is node ``src``'s features, through the decoder LSTM
+    for the recurrent variants (``asnn`` has no state), and a masked
     softmax scores the candidates.  That softmax would give one candidate
     exactly 1, and with none (an ``lstm_ed`` head narrower than the route,
     its slots visited) every probability is 0, so then ``allowed`` is taken
     as the probabilities and neither the LSTM nor the scorer runs."""
-    saved, taped = None, inputs.ins is not None
-    if np.count_nonzero(allowed) > 1:
-        d, lstm = scaled.nodes[src], None
+    scored = np.count_nonzero(allowed) > 1
+    if scored:
+        d = scaled.nodes[src]
         if state is not None:
-            lstm = state = decode_step(params, d, w_prev, state,
-                                       (inputs.x[i], inputs.lstm[i]) if taped else (None, None))
-            d = lstm.h
-        scores, scored = _scores(params, scaled, src, d, inputs.encoded[0], inputs.terms,
-                                 [a[i] for a in inputs.ins] if taped else None)
+            state = decode_step(params, d, w_prev, state, (inputs.x[i], inputs.lstm[i]))
+            d = state.h
         # softmax keeps no reference to the mask, so decode clears it in place.
-        probs = softmax(scores, allowed)
-        saved = (src, scored)
+        probs = softmax(_scores(params, scaled, src, d, inputs.encoded[0], inputs.terms,
+                                [a[i] for a in inputs.ins]), allowed)
     else:
         probs = allowed.astype(np.float64)
     w_ctx = probs @ inputs.encoded[0] if params.config.variant in ("pairwise", "pointer") else None
-    return state, probs, w_ctx, saved
+    return state, probs, w_ctx, scored
 
 
-def first_step(params: ModelParams, scaled: ScaledRoute, encoded, tape: Tape | None = None):
+def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
     """Where every decoding of the route starts, from its ``encode`` result
     ``encoded``: the ``DecoderInputs``, with the pair MLP's route-constant
-    terms (``_pair_terms``), and step 0, the depot's query over all the
-    zones, which comes before any pick.  Rollouts of one route that start
-    from the same ``first_step`` share it.  Given a ``tape``, it makes the
-    step arrays of the at most n - 1 scored steps of an n-zone route, which
-    the decoder's backward pass reads."""
+    terms (``_pair_terms``) and the step arrays of the at most n - 1 scored
+    steps of an n-zone route, and step 0, the depot's query over all the
+    zones, which comes before any pick and writes row 0.  Rollouts of one
+    route that start from the same ``first_step`` share it: each writes
+    rows 1 on, and reads only the rows it wrote and row 0."""
     keys, state, _ = encoded
-    inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys))
-    if tape is not None:
-        n = scaled.prep.n_zones
-        m, later = max(n - 1, 0), params.asnn.layers[1:] if params.asnn else []
-        inputs.ins = [np.empty((m, n, layer.w.shape[1])) for layer in later]
-        if state is not None:
-            inputs.x = np.empty((m, params.decoder.w.shape[1]))
-            inputs.lstm = np.empty((m, 7, params.config.hidden))
+    n, dec = scaled.prep.n_zones, params.decoder
+    m = max(n - 1, 0)
+    widths = ([layer.w.shape[1] for layer in params.asnn.layers[1:]] if params.asnn
+              else [len(params.pointer.w1)] if params.pointer else [])
+    inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys),
+                           [np.empty((m, n, width)) for width in widths],
+                           np.empty((m, dec.w.shape[1] if dec else 0)),
+                           np.empty((m, 7, params.config.hidden if dec else 0)))
     return inputs, _step(params, scaled, inputs, state, 0, 0, np.zeros(params.config.hidden),
                          _mask(params, scaled))
 
@@ -479,36 +467,35 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     first.  ``pick(i, probs)`` names the zone visited at step ``i`` from the
     step's probabilities by input position.
 
-    Returns ``(probs, traces, steps)``: the scored steps' probabilities by
-    input position stacked (m, width), the ``StepTraces`` and what
-    ``_decode_backward`` reads of each scored step besides the step arrays,
-    which the steps write when ``start`` came from a ``first_step`` given a
-    tape.
+    Returns ``(probs, traces, srcs)``: the scored steps' probabilities by
+    input position stacked (m, width), the ``StepTraces`` and the scored
+    steps' source nodes, which ``_decode_backward`` reads besides the step
+    arrays that the scored steps write.
     """
     n = scaled.prep.n_zones
-    inputs, (state, probs, w_ctx, saved) = start
+    inputs, (state, probs, w_ctx, scored) = start
     allowed = _mask(params, scaled)
     width = len(allowed)
-    scored, steps = [], []  # the scored steps' probabilities and saved values
+    rows, srcs = [], []  # the scored steps' probabilities and source nodes
     traces = StepTraces(scaled)
     src = 0  # node of the last stop: the depot, then the last zone picked
     for i in range(n):
         if i:
-            state, probs, w_ctx, saved = _step(params, scaled, inputs, state, i, src, w_ctx,
-                                               allowed)
-        if saved is not None:
-            scored.append(probs)
-            steps.append(saved)
+            state, probs, w_ctx, scored = _step(params, scaled, inputs, state, i, src, w_ctx,
+                                                allowed)
+        if scored:
+            rows.append(probs)
+            srcs.append(src)
         chosen = pick(i, probs)
         traces.steps.append((probs, chosen, w_ctx))
         pos = int(scaled.pos_of_zone[chosen])
         if pos < width:
             allowed[pos] = False
         src = pos + 1
-    return np.stack(scored) if scored else np.zeros((0, width)), traces, steps
+    return np.stack(rows) if rows else np.zeros((0, width)), traces, srcs
 
 
-def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, steps,
+def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, srcs,
                      probs, g, out: dict):
     """The decoder's backward pass from the gradient ``g`` of the scored
     steps' stacked probabilities ``probs``: one reverse loop over the steps,
@@ -516,13 +503,13 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
     decoder LSTM, whose gradient reaches the step before through the LSTM
     state and through the context it read; then the pair MLP's key term
     and the encoder, from the keys' gradients (the contexts' ``Pᵀ·dC`` and
-    the key term's included) and the final state's; the steps' values are
-    read from ``steps`` (``decode``'s) and the step arrays.  Every weight
-    gradient is handed to ``out`` (the tape's ``grads``) once, at the end."""
+    the key term's included) and the final state's.  The steps' values are
+    read from the step arrays, their source nodes from ``srcs`` (``decode``'s),
+    and every weight gradient is handed to ``out`` (the tape's ``grads``)
+    once, at the end."""
     grads = Grads()
     keys, state, encoder = inputs.encoded
-    m = len(steps)
-    srcs = [src for src, _ in steps]
+    m = len(srcs)
     d_keys = np.zeros_like(keys)
     has_context = params.config.variant in ("pairwise", "pointer")
     if has_context:
@@ -538,13 +525,18 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
         inputs.terms, srcs, inputs.terms.queries[srcs] if state is None else lstms[:, 6],
         [a[:m] for a in inputs.ins], probs)
     for k in range(m - 1, -1, -1):
-        src, scored = steps[k]
         p, gp = probs[k], g[k]
         if has_context:
             gp = gp + keys @ d_ctx[k]
         s = p * (gp - gp @ p)
-        dq = pair.query(k, s) if pair else _scores_backward(params, scaled, keys, src, lstms[k, 6],
-                                                             scored, s, grads, d_keys)
+        if pair:
+            dq = pair.query(k, s)
+        elif params.pointer:
+            w = params.pointer
+            dq = pointer_scores_backward(keys, lstms[k, 6], scaled.pair[srcs[k]], inputs.ins[0][k],
+                                         (w.w1, w.w2, w.w3, w.w4), s, grads, d_keys)
+        else:  # the lstm_ed head
+            dq = mlp_backward(params.fc.layers, [lstms[k, 6][None]], s[None], grads)[0]
         if state is not None:
             dh, dc = lstm_backward_step(k, dh + dq, dc, factors, u, gz)
             if has_context and k:
@@ -584,12 +576,12 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute, tape: Tape | None 
     if n > len(_mask(params, scaled)):
         raise InvalidInputError(f"a route of {n} zones does not fit the lstm_ed head "
                                 f"of {params.config.kz} slots")
-    start = first_step(params, scaled, encode(params, scaled), tape)
-    probs, traces, steps = decode(params, scaled, start, lambda i, _: targets[i])
+    start = first_step(params, scaled, encode(params, scaled))
+    probs, traces, srcs = decode(params, scaled, start, lambda i, _: targets[i])
     loss, g = nll(probs, scaled.pos_of_zone[list(targets[:len(probs)])])
-    if tape is not None and steps:
+    if tape is not None and srcs:
         grads = tape.grads  # not the tape: the tape holds this pass, so that would be a cycle
-        tape.record(lambda: _decode_backward(params, scaled, start[0], steps, probs, g, grads))
+        tape.record(lambda: _decode_backward(params, scaled, start[0], srcs, probs, g, grads))
     return loss, traces
 
 
@@ -619,7 +611,7 @@ def params_from_checkpoint(tensors: dict, meta: dict) -> ModelParams:
         config = ModelConfig(
             variant=meta["variant"],
             hidden=meta["hidden"],
-            asnn_hidden=tuple(meta["asnn_hidden"]),
+            asnn_hidden=meta["asnn_hidden"],
             att_dim=meta["att_dim"],
             kz=meta.get("kz"),
             input_order_mode=meta.get("input_order_mode", "tsp"),

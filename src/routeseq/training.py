@@ -68,8 +68,8 @@ def split_dataset(routes, fractions=(0.8, 0.2), seed: int = 0):
     """Seed-deterministic disjoint exhaustive shuffle split into train and
     test by the pair ``fractions``."""
     n = len(routes)
-    if seed < 0:
-        raise InvalidInputError("seed must be >= 0")
+    if type(seed) is not int or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     if n < 2:
         raise InvalidInputError("need at least 2 routes to split")
     if len(fractions) != 2:
@@ -93,19 +93,21 @@ def train(routes, config: TrainConfig):
     checkpoints; ``report.checkpoint_id`` names the checkpoint bytes.
     """
     for name, least in (("epochs", 1), ("seed", 0)):
-        if getattr(config, name) < least:
-            raise InvalidInputError(f"{name} must be >= {least}")
+        value = getattr(config, name)
+        if type(value) is not int or value < least:
+            raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
     if not routes:
         raise InvalidInputError("training set is empty")
     for name, value in (("lr", config.lr), ("grad_clip", config.grad_clip)):
-        if value is not None and not (np.isfinite(value) and value > 0):
+        if value is not None and not (isinstance(value, (int, float))
+                                      and np.isfinite(value) and value > 0):
             raise InvalidInputError(f"{name} must be finite and positive, got {value}")
     t0 = time.perf_counter()
     preps = [prepare_route(r) for r in routes]
     model_cfg = ModelConfig(
         variant=config.variant,
         hidden=config.hidden,
-        asnn_hidden=tuple(config.asnn_hidden),
+        asnn_hidden=config.asnn_hidden,
         att_dim=config.att_dim,
         kz=max(p.n_zones for p in preps) if config.variant == "lstm_ed" else None,
         input_order_mode=config.input_order,

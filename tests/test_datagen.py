@@ -90,7 +90,8 @@ def test_impossible_ranges_rejected():
         datagen.generate(_cfg(stops_per_zone=(0, 3)))
     for bad in ({"speed_kmph": 0.0}, {"speed_kmph": math.inf}, {"speed_kmph": math.nan},
                 {"extent_km": math.nan}, {"extent_km": -1.0}, {"noise_sigma": -0.1},
-                {"noise_sigma": math.nan}, {"noise_sigma": math.inf}, {"seed": -1}):
+                {"noise_sigma": math.nan}, {"noise_sigma": math.inf}, {"seed": -1},
+                {"zones_per_route": (5,)}, {"n_routes": 2.5}, {"zones_per_route": (5.5, 6)}):
         with pytest.raises(InvalidInputError):
             datagen.generate(_cfg(**bad))
     with pytest.raises(InvalidInputError):

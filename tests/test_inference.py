@@ -8,6 +8,8 @@ from routeseq.errors import InvalidInputError
 from routeseq.inference import (
     BEST_FIRST,
     GREEDY,
+    _rollout,
+    _start,
     generate_best_first,
     greedy_decode,
     operational_cost,
@@ -156,6 +158,24 @@ def test_best_first_is_the_cheapest_independent_forced_rollout(variant, input_or
                         key=lambda c: (c.operational_cost, c.zone_order[0]))
             best = generate_best_first(params, prep)
             assert _rollout_bits(best) == _rollout_bits(alone), (zone_ids, kz, seed)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_best_first_rollouts_share_step_arrays_without_reading_each_others_rows(variant):
+    # best-first's rollouts share one first_step, so one set of step arrays
+    # whose row 0 step 0 wrote; each rollout writes rows 1 on.  Run in either
+    # order, each must be bit for bit the rollout from its own first_step,
+    # and best-first the cheapest of those.
+    for zone_ids, kz in _rollout_cases(variant):
+        prep, params = _setup(zone_ids=zone_ids, variant=variant, seed=1, kz=kz)
+        n = prep.n_zones
+        own = [_rollout(params, *_start(params, prep), z, BEST_FIRST) for z in range(n)]
+        shared = _start(params, prep)
+        for order in (range(n), range(n - 1, -1, -1)):
+            bits = {z: _rollout_bits(_rollout(params, *shared, z, BEST_FIRST)) for z in order}
+            assert [bits[z] for z in range(n)] == [_rollout_bits(r) for r in own], (zone_ids, kz)
+        cheapest = min(own, key=lambda c: (c.operational_cost, c.zone_order[0]))
+        assert _rollout_bits(generate_best_first(params, prep)) == _rollout_bits(cheapest)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -82,7 +82,8 @@ def _mlp_op(x, params):
     """The MLP over ``mlp_values`` on a vector or on rows, and its backward
     pass over ``mlp_backward``; a one-unit output layer over rows gives one
     score per row, as the pair scorer reads it."""
-    a, ins = mlp_values(x, params.layers)
+    a, ins = mlp_values(x, params.layers,
+                        [np.empty((*x.shape[:-1], l.w.shape[0])) for l in params.layers[:-1]])
     m = len(x) if x.ndim == 2 else 1
 
     def backward(g, grads):
@@ -159,7 +160,7 @@ def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,)):
                                 for name in ("encoder", "decoder", "asnn", "pointer", "fc")})
     scaled = scale_route(_ROUTE, params)
     targets = _ROUTE.targets
-    start = first_step(params, scaled, encode(params, scaled), Tape())  # with the step arrays
+    start = first_step(params, scaled, encode(params, scaled))
     probs, _, steps = decode(params, scaled, start, lambda i, _: targets[i])
 
     def backward(g, grads):
@@ -308,7 +309,7 @@ def test_finished_tape_is_freed_without_cyclic_gc():
 
 def _lstm_cell(x, state, p):
     """One LSTM step of the cell ``p`` on plain arrays: (h, c)."""
-    step = lstm_step(p.w, p.u, p.b, x, state.h, state.c)
+    step = lstm_step(p.w, p.u, p.b, x, state.h, state.c, np.empty((7, len(state.h))))
     return step.h, step.c
 
 
@@ -321,7 +322,7 @@ def test_sigmoid_one_division_matches_the_two_branch_form():
         x = np.concatenate([rng.normal(scale=10.0 ** (k % 4), size=16), edges])
         e = np.exp(-np.abs(x))
         two_branch = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        assert _sigmoid_np(x).tobytes() == two_branch.tobytes()
+        assert _sigmoid_np(x, np.empty_like(x)).tobytes() == two_branch.tobytes()
 
 
 # --- lstm --------------------------------------------------------------------
@@ -449,10 +450,11 @@ def test_pair_scores_add_the_route_terms_then_run_the_mlp(rng):
     pair_term = (pair.reshape(12, 2) @ w[:, :2].T).reshape(4, 3, 5)[2]
     key_term = keys @ w[:, 5:].T + b
     rest = MlpParams(p.layers[1:])
-    got = pair_scores(pair_terms(pair, keys, p), 2, d)
+    got = pair_scores(pair_terms(pair, keys, p), 2, d, [np.empty((3, 5))])
     assert np.array_equal(got, mlp_forward(np.maximum(pair_term + key_term + w[:, 2:5] @ d, 0.0),
                                            rest))
-    got = pair_scores(pair_terms(pair, keys, p, nodes), 2)  # route-constant queries
+    got = pair_scores(pair_terms(pair, keys, p, nodes), 2, None,  # route-constant queries
+                      [np.empty((3, 5))])
     query_term = (nodes @ w[:, 2:5].T)[2]
     assert np.array_equal(got, mlp_forward(np.maximum(pair_term + key_term + query_term, 0.0),
                                            rest))
@@ -463,7 +465,7 @@ def test_mlp_width_mismatch():
     p = init_mlp((8, 4, 1), np.random.default_rng(0))
     pair, keys = np.zeros((3, 2, 2)), np.zeros((2, 3))
     with pytest.raises(InvalidInputError):
-        pair_scores(pair_terms(pair, keys, p), 0, np.zeros(4))
+        pair_scores(pair_terms(pair, keys, p), 0, np.zeros(4), [np.empty((2, 4))])
     with pytest.raises(InvalidInputError):
         pair_terms(pair, keys, p, np.zeros((3, 2)))
     with pytest.raises(InvalidInputError):

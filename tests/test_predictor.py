@@ -75,9 +75,16 @@ def _reading_at_random(params, seed):
                                           order_seed=seed))
 
 
+def _rows(params, keys):
+    """One step's rows for the scorer's later layers' inputs over ``keys``."""
+    widths = ([layer.w.shape[1] for layer in params.asnn.layers[1:]] if params.asnn
+              else [len(params.pointer.w1)] if params.pointer else [])
+    return [np.empty((len(keys), width)) for width in widths]
+
+
 def _depot_scores(params, sc, d, keys):
     """Step 0's scores, from the depot, with the query ``d`` over ``keys``."""
-    return _scores(params, sc, 0, d, keys, _pair_terms(params, sc, keys))[0]
+    return _scores(params, sc, 0, d, keys, _pair_terms(params, sc, keys), _rows(params, keys))
 
 
 def _zeroed(params):
@@ -255,7 +262,7 @@ def test_pair_scores_match_the_mlp_reference_over_joined_rows():
                 d = rng.uniform(-1.0, 1.0, size=8) if variant == "pairwise" else sc.nodes[src]
                 ref = [mlp_ref(np.concatenate([sc.pair[src, j], d, keys[j]]), layers)[0]
                        for j in range(n)]
-                got, _ = _scores(params, sc, src, d, keys, terms)
+                got = _scores(params, sc, src, d, keys, terms, _rows(params, keys))
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0, err_msg=variant)
 
 
@@ -336,7 +343,8 @@ def test_decode_step_zero_params():
     prep = _prep()
     params = _zeroed(_model("pairwise", prep))
     sc = scale_route(prep, params)
-    step = decode_step(params, sc.nodes[0], np.zeros(8), zero_state(8))
+    step = decode_step(params, sc.nodes[0], np.zeros(8), zero_state(8),
+                       (np.empty(params.decoder.w.shape[1]), np.empty((7, 8))))
     assert np.all(step.h == 0.0) and np.all(step.c == 0.0)
 
 
@@ -346,8 +354,10 @@ def test_decode_step_state_matters():
     sc = scale_route(prep, params)
     s0 = zero_state(8)
     s1 = LstmState(np.ones(8), np.ones(8))
-    d0 = decode_step(params, sc.nodes[0], np.zeros(8), s0).h
-    d1 = decode_step(params, sc.nodes[0], np.zeros(8), s1).h
+    d0 = decode_step(params, sc.nodes[0], np.zeros(8), s0,
+                     (np.empty(params.decoder.w.shape[1]), np.empty((7, 8)))).h
+    d1 = decode_step(params, sc.nodes[0], np.zeros(8), s1,
+                     (np.empty(params.decoder.w.shape[1]), np.empty((7, 8)))).h
     assert not np.allclose(d0, d1)
 
 
@@ -466,12 +476,12 @@ def test_decoder_op_gradients_with_lstm_ed_head_narrower_and_wider(kz):
     order = [sc.order[pos] for pos in (2, 0, 4, 1, 3)]  # zones, by input position
     weights = np.random.default_rng(kz).normal(size=(4, kz))
 
-    def reduced(tape=None):
-        start = first_step(params, sc, encode(params, sc), tape)
+    def reduced():
+        start = first_step(params, sc, encode(params, sc))
         probs, _, steps = decode(params, sc, start, lambda i, _: order[i])
         return start, probs, steps, weights[:len(probs)]
 
-    start, probs, steps, w = reduced(Tape())
+    start, probs, steps, w = reduced()
     assert len(probs) == (2 if kz == 3 else 4)
     tape = Tape()
     _decode_backward(params, sc, start[0], steps, probs, w, tape.grads)
@@ -755,7 +765,8 @@ def test_init_model_validation():
     for variant, bad in (("pairwise", {"hidden": 0}), ("pairwise", {"hidden": True}),
                          ("pairwise", {"hidden": 8.0}), ("pointer", {"att_dim": 0}),
                          ("asnn", {"asnn_hidden": (16, False)}), ("lstm_ed", {"kz": 0}),
-                         ("lstm_ed", {"kz": True}), ("pairwise", {"order_seed": 1.0})):
+                         ("lstm_ed", {"kz": True}), ("pairwise", {"order_seed": 1.0}),
+                         ("asnn", {"asnn_hidden": 5})):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             ModelConfig(variant, **{"kz": 3 if variant == "lstm_ed" else None, **bad})
     assert init_model(ModelConfig("asnn", asnn_hidden=()), np.random.default_rng(0)).asnn
@@ -769,9 +780,10 @@ def test_mlp_reference_on_asnn_shape(rng):
     for layer in p.layers:
         layer.b = rng.normal(size=layer.b.shape)
     x = rng.normal(size=70)
-    assert np.allclose(mlp_values(x, p.layers)[0], mlp_ref(x, [(l.w, l.b) for l in p.layers]),
+    out = [np.empty(l.w.shape[0]) for l in p.layers[:-1]]
+    assert np.allclose(mlp_values(x, p.layers, out)[0], mlp_ref(x, [(l.w, l.b) for l in p.layers]),
                        atol=1e-12)
     # the pair MLP's output layer has no bias: same as a zero one
     ref = mlp_ref(x, [(l.w, l.b) for l in p.layers[:-1]] + [(p.layers[-1].w, np.zeros(1))])
     p.layers[-1].b = None
-    assert np.allclose(mlp_values(x, p.layers)[0], ref, atol=1e-12)
+    assert np.allclose(mlp_values(x, p.layers, out)[0], ref, atol=1e-12)

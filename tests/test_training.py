@@ -51,8 +51,9 @@ def test_split_validation():
         split_dataset(list(range(10)), (0.7, 0.2))
     with pytest.raises(InvalidInputError):
         split_dataset(list(range(3)), (0.99, 0.01))
-    with pytest.raises(InvalidInputError):
-        split_dataset(list(range(10)), (0.8, 0.2), seed=-1)
+    for seed in (-1, 1.5):
+        with pytest.raises(InvalidInputError):
+            split_dataset(list(range(10)), (0.8, 0.2), seed=seed)
     with pytest.raises(InvalidInputError):  # sums to 1, but is not a pair
         split_dataset(list(range(10)), (0.5, 0.3, 0.2))
     with pytest.raises(InvalidInputError):
@@ -60,8 +61,9 @@ def test_split_validation():
 
 
 def test_epochs_must_be_positive():
-    with pytest.raises(InvalidInputError):
-        train(_routes(2), TrainConfig(epochs=0))
+    for epochs in (0, 1.5, True):  # a count: 1.5 once failed in range, True trained 1 epoch
+        with pytest.raises(InvalidInputError):
+            train(_routes(2), TrainConfig(epochs=epochs))
 
 
 def test_seed_must_be_non_negative():
@@ -72,6 +74,7 @@ def test_seed_must_be_non_negative():
 @pytest.mark.parametrize("bad", [
     {"lr": 0.0}, {"lr": -0.01}, {"lr": math.nan}, {"lr": math.inf},
     {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"grad_clip": math.nan}, {"grad_clip": math.inf},
+    {"lr": "x"},
 ])
 def test_learning_rate_and_clip_norm_must_be_finite_and_positive(bad):
     # a negative step climbs the loss, a zero one or a zero clip norm never
@@ -86,7 +89,7 @@ def test_empty_training_set_rejected():
 
 
 @pytest.mark.parametrize("bad", [{"hidden": 0}, {"hidden": -1}, {"asnn_hidden": (0,)},
-                                 {"variant": "pointer", "att_dim": 0}])
+                                 {"variant": "pointer", "att_dim": 0}, {"asnn_hidden": 5}])
 def test_a_layer_width_below_one_is_a_config_error(bad):
     # It once failed in init_model's rng.uniform: an untyped OverflowError
     # after a divide-by-zero warning, or numpy's bare ValueError.

@@ -1,7 +1,8 @@
-"""Print each model variant's forward+backward and whole-step time per route by zone count.
+"""Print each variant's forward+backward, whole-step and best-first ms per route by zone count.
 
-One training step, layer by layer: for each zone count and each variant the
-median milliseconds over repeated runs on one generated route,
+One training step, layer by layer, and best-first decoding: for each zone
+count and each variant the median milliseconds over repeated runs on one
+generated route,
 ``SynthConfig(n_routes=1, zones_per_route=(z, z), seed=1)``, with the
 variant's default model at seed 0 (``lstm_ed``'s head as wide as the route):
 
@@ -13,10 +14,13 @@ variant's default model at seed 0 (``lstm_ed``'s head as wide as the route):
   the tape reset, the same passes, the gradient collection and
   ``adam_step``, timed from the second ``forward_logprob`` call of a
   three-epoch ``train`` call to its third, so the first step's page faults
-  on the call's new buffers stay out of it.
+  on the call's new buffers stay out of it;
+- best-first: ``inference.generate_best_first`` on the same model and
+  route, the paper's first-stop iteration: one encoding, one first step
+  and a greedy rollout from each forced first zone.
 
-The two are timed run by run in turn, so a change of machine load moves
-both columns alike.
+The three are timed run by run in turn, so a change of machine load moves
+every column alike.
 
     python3 tools/train_step_ms.py [--zones 5 10 15] [--runs 50]
 
@@ -40,6 +44,7 @@ import numpy as np  # noqa: E402
 
 from routeseq import training  # noqa: E402
 from routeseq.datagen import SynthConfig, generate  # noqa: E402
+from routeseq.inference import generate_best_first  # noqa: E402
 from routeseq.kernel import Tape  # noqa: E402
 from routeseq.predictor import (  # noqa: E402
     VARIANTS,
@@ -53,14 +58,15 @@ from routeseq.predictor import (  # noqa: E402
 
 
 def step_ms(variant: str, zones: int, runs: int) -> tuple:
-    """Median ms of forward+backward and of the whole training step."""
+    """Median ms of forward+backward, of the whole training step and of
+    best-first decoding."""
     route = generate(SynthConfig(n_routes=1, zones_per_route=(zones, zones), seed=1))[0]
     prep = prepare_route(route)
     kz = zones if variant == "lstm_ed" else None
     params = init_model(ModelConfig(variant, kz=kz), np.random.default_rng(0))
     params.scaler = fit_scaler([prep])
     scaled = scale_route(prep, params)
-    times, steps, starts = [], [], []
+    times, steps, best_first, starts = [], [], [], []
 
     def timed_forward(*args):
         starts.append(time.perf_counter())
@@ -79,7 +85,10 @@ def step_ms(variant: str, zones: int, runs: int) -> tuple:
         finally:
             training.forward_logprob = forward_logprob
         steps.append(starts[2] - starts[1])
-    return statistics.median(times) * 1e3, statistics.median(steps) * 1e3
+        start = time.perf_counter()
+        generate_best_first(params, prep)
+        best_first.append(time.perf_counter() - start)
+    return tuple(statistics.median(t) * 1e3 for t in (times, steps, best_first))
 
 
 def main() -> None:
@@ -90,9 +99,10 @@ def main() -> None:
     print(f"python {platform.python_version()}, numpy {np.__version__}, nproc {os.cpu_count()}")
     for zones in args.zones:
         for variant in VARIANTS:
-            fb, whole = step_ms(variant, zones, args.runs)
+            fb, whole, best_first = step_ms(variant, zones, args.runs)
             print(f"{variant} forward+backward, {zones} zones: {fb:.2f} ms, "
-                  f"whole step {whole:.2f} ms (median of {args.runs} runs)")
+                  f"whole step {whole:.2f} ms, best-first {best_first:.2f} ms "
+                  f"(median of {args.runs} runs)")
 
 
 if __name__ == "__main__":
