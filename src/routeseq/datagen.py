@@ -33,7 +33,7 @@ import numpy as np
 
 from .completion import complete_sequence
 from .domain import RouteInstance, StopRecord, build_zone_instance, parse_zone_id, validate_route
-from .errors import InvalidInputError, MalformedRouteError, SchemaError
+from .errors import InvalidInputError, MalformedRouteError, SchemaError, is_number
 from .tsp import _as_matrix, _nearest_neighbor, _seq_cost, solve_tour
 
 SCHEMA_VERSION = "routeseq/1"
@@ -68,10 +68,10 @@ def _validate_config(config: SynthConfig):
             raise InvalidInputError(f"{name} must be integers lo..hi, 1 <= lo <= hi: {pair!r}")
     for name in ("extent_km", "speed_kmph"):
         value = getattr(config, name)
-        if not (math.isfinite(value) and value > 0):
-            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
-    if not (math.isfinite(config.noise_sigma) and config.noise_sigma >= 0):
-        raise InvalidInputError(f"noise_sigma must be finite and >= 0, got {config.noise_sigma}")
+        if not (is_number(value) and value > 0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+    if not (is_number(config.noise_sigma) and config.noise_sigma >= 0):
+        raise InvalidInputError(f"noise_sigma must be finite and >= 0, got {config.noise_sigma!r}")
     if config.behavior not in BEHAVIORS:
         raise InvalidInputError(f"behavior must be one of {BEHAVIORS}")
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its number check."""
+
+import sys
 
 
 class RouteSeqError(Exception):
@@ -34,3 +36,9 @@ class SchemaError(RouteSeqError, ValueError):
 
 class TrainingDivergedError(RouteSeqError, ArithmeticError):
     """Training loss became non-finite; carries the route and epoch."""
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is a finite real number, a bool counting as none."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)

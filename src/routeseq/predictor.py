@@ -16,20 +16,21 @@ log-likelihood:
 
 The variants differ only in how one decoder step scores its candidates
 (``_scores``); everything else is one decoder loop (``decode``) that
-training and decoding share.  Every variant indexes its candidates by
-*input position* (the encoder reading order): ``scale_route(prep, params)``
-reads a route in the model's own reading order and scaling, and per-step
-probabilities are mapped back to zone-index order for the traces and for
-picking.  ``decode`` keeps one candidate mask: at every step one masked
-softmax turns the scores into probabilities over the zones not yet visited
-only, so visited zones get probability exactly 0 and the context fed to the
-next step is the same quantity in training and decoding.  A step with one
-candidate left gives it probability 1 unscored, and every decoding starts
-from ``first_step``, the depot's step before any pick, which rollouts share.
-``first_step`` also forms the pair MLP's route-constant terms
-(``_pair_terms``): its first layer's weight split by columns, the pair
-features and the keys go through it once per route, and a step adds only
-its query's term.  It makes the route's step arrays too, into which every
+training and decoding share: it visits the zones of a given prefix (all
+the targets when teacher-forced), then the most probable unvisited zone.
+Every variant indexes its candidates by *input position* (the encoder
+reading order): ``scale_route(prep, params)`` reads a route in the model's
+own reading order and scaling, and per-step probabilities are mapped back
+to zone-index order for the traces and for picking.  ``decode`` keeps one
+candidate mask: at every step one masked softmax turns the scores into
+probabilities over the zones not yet visited only, so visited zones get
+probability exactly 0 and the context fed to the next step is the same
+quantity in training and decoding.  A step with one candidate left gives
+it probability 1 unscored.  Every decoding starts from ``first_step``,
+which rollouts share: the encoding and the depot's step before any pick.
+It also forms the pair MLP's route-constant terms (``_pair_terms``): its
+first layer's weight split by columns, the pair features and the keys go
+through it once per route, and a step adds only its query's term.  It makes the route's step arrays too, into which every
 scored step computes its values, row k for step k: a decoding has one
 forward path, whether a backward pass reads the rows or not.
 
@@ -40,7 +41,8 @@ stacked probabilities.  It runs the route's chain back in one function:
 the decoder's steps in reverse (masked softmax, scorer, decoder LSTM), the
 pair MLP's key term and the encoder, and hands every weight gradient over
 once, to the tape's ``grads``.  A decoding's traces are built when first
-read (``StepTraces``), so training, which reads none, builds none.
+read (``StepTraces``), so training and a losing rollout, which read none,
+build none.
 """
 
 from __future__ import annotations
@@ -358,11 +360,14 @@ def decode_step(params: ModelParams, x_last, w_prev, state, out):
     return lstm_step(dec.w, dec.u, dec.b, x, state.h, state.c, out[1])
 
 
-def _mask(params: ModelParams, scaled: ScaledRoute) -> np.ndarray:
-    """A route's candidate mask before any pick: by input position, or by
-    head slot for ``lstm_ed`` (true for the slots the route's zones fill)."""
+def _mask(params: ModelParams, scaled: ScaledRoute):
+    """A route's candidate mask before any pick, true for its zones, by
+    input position and by head slot as far as an ``lstm_ed`` head reaches;
+    and its view of the head's slots, which a step's softmax reads."""
     n = scaled.prep.n_zones
-    return np.arange(n if params.config.kz is None else params.config.kz) < n
+    width = params.config.kz or n
+    mask = np.arange(max(n, width)) < n
+    return mask, mask[:width]
 
 
 @dataclass(eq=False)
@@ -407,14 +412,15 @@ def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state
     return state, probs, w_ctx, scored
 
 
-def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
-    """Where every decoding of the route starts, from its ``encode`` result
-    ``encoded``: the ``DecoderInputs``, with the pair MLP's route-constant
-    terms (``_pair_terms``) and the step arrays of the at most n - 1 scored
-    steps of an n-zone route, and step 0, the depot's query over all the
-    zones, which comes before any pick and writes row 0.  Rollouts of one
-    route that start from the same ``first_step`` share it: each writes
-    rows 1 on, and reads only the rows it wrote and row 0."""
+def first_step(params: ModelParams, scaled: ScaledRoute):
+    """Where every decoding of the route starts: the ``DecoderInputs``, with
+    the route's ``encode`` result, the pair MLP's route-constant terms
+    (``_pair_terms``) and the step arrays of the at most n - 1 scored steps
+    of an n-zone route, and step 0, the depot's query over all the zones,
+    which comes before any pick and writes row 0.  Rollouts of one route
+    that start from the same ``first_step`` share it: each writes rows 1
+    on, and reads only the rows it wrote and row 0."""
+    encoded = encode(params, scaled)
     keys, state, _ = encoded
     n, dec = scaled.prep.n_zones, params.decoder
     m = max(n - 1, 0)
@@ -425,7 +431,7 @@ def first_step(params: ModelParams, scaled: ScaledRoute, encoded):
                            np.empty((m, dec.w.shape[1] if dec else 0)),
                            np.empty((m, 7, params.config.hidden if dec else 0)))
     return inputs, _step(params, scaled, inputs, state, 0, 0, np.zeros(params.config.hidden),
-                         _mask(params, scaled))
+                         _mask(params, scaled)[1])
 
 
 def zone_probs(scaled: ScaledRoute, probs) -> np.ndarray:
@@ -454,9 +460,11 @@ class StepTraces(Sequence):
         return len(self.steps)
 
 
-def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
-    """The decoder loop that training and inference share, from the route's
-    ``first_step`` result ``start``.
+def decode(params: ModelParams, scaled: ScaledRoute, start, prefix=()):
+    """Every decoding of the route, from its ``first_step`` result
+    ``start``: step ``i`` visits ``prefix[i]`` while the prefix lasts (the
+    targets when teacher-forced, a forced rollout's first zone), then the
+    most probable unvisited zone, a tie going to the smallest zone index.
 
     Every step's softmax runs over one candidate mask by input position (by
     head slot for ``lstm_ed``): the unvisited zones', so visited zones get
@@ -464,35 +472,30 @@ def decode(params: ModelParams, scaled: ScaledRoute, start, pick):
     masked weighting whether the step was teacher-forced or decoded.  A step
     with one candidate left is not scored (``_step``), so an n-zone route
     scores n - 1 steps, the first in ``start``, and the scored steps come
-    first.  ``pick(i, probs)`` names the zone visited at step ``i`` from the
-    step's probabilities by input position.
+    first.
 
-    Returns ``(probs, traces, srcs)``: the scored steps' probabilities by
-    input position stacked (m, width), the ``StepTraces`` and the scored
-    steps' source nodes, which ``_decode_backward`` reads besides the step
-    arrays that the scored steps write.
+    Returns ``(traces, srcs)``: the ``StepTraces``, whose ``steps`` hold
+    each step's probabilities by input position, pick and context, and the
+    scored steps' source nodes, which ``_decode_backward`` reads besides
+    the step arrays that the scored steps write.
     """
-    n = scaled.prep.n_zones
     inputs, (state, probs, w_ctx, scored) = start
-    allowed = _mask(params, scaled)
-    width = len(allowed)
-    rows, srcs = [], []  # the scored steps' probabilities and source nodes
-    traces = StepTraces(scaled)
+    left, allowed = _mask(params, scaled)
+    traces, srcs = StepTraces(scaled), []
     src = 0  # node of the last stop: the depot, then the last zone picked
-    for i in range(n):
+    for i in range(scaled.prep.n_zones):
         if i:
             state, probs, w_ctx, scored = _step(params, scaled, inputs, state, i, src, w_ctx,
                                                 allowed)
         if scored:
-            rows.append(probs)
             srcs.append(src)
-        chosen = pick(i, probs)
+        chosen = prefix[i] if i < len(prefix) else int(np.argmax(  # a tie: the smallest zone
+            np.where(left[scaled.pos_of_zone], zone_probs(scaled, probs), -np.inf)))
         traces.steps.append((probs, chosen, w_ctx))
         pos = int(scaled.pos_of_zone[chosen])
-        if pos < width:
-            allowed[pos] = False
+        left[pos] = False
         src = pos + 1
-    return np.stack(rows) if rows else np.zeros((0, width)), traces, srcs
+    return traces, srcs
 
 
 def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, srcs,
@@ -573,12 +576,14 @@ def forward_logprob(params: ModelParams, scaled: ScaledRoute, tape: Tape | None 
     targets = scaled.prep.targets
     if sorted(targets) != list(range(n)):
         raise InvalidInputError("target sequence must be a permutation of the zones")
-    if n > len(_mask(params, scaled)):
+    if n > (params.config.kz or n):
         raise InvalidInputError(f"a route of {n} zones does not fit the lstm_ed head "
                                 f"of {params.config.kz} slots")
-    start = first_step(params, scaled, encode(params, scaled))
-    probs, traces, srcs = decode(params, scaled, start, lambda i, _: targets[i])
-    loss, g = nll(probs, scaled.pos_of_zone[list(targets[:len(probs)])])
+    start = first_step(params, scaled)
+    traces, srcs = decode(params, scaled, start, targets)
+    m = len(srcs)
+    probs = np.stack([step[0] for step in traces.steps[:m]]) if m else np.zeros((0, 1))
+    loss, g = nll(probs, scaled.pos_of_zone[list(targets[:m])])
     if tape is not None and srcs:
         grads = tape.grads  # not the tape: the tape holds this pass, so that would be a cycle
         tape.record(lambda: _decode_backward(params, scaled, start[0], srcs, probs, g, grads))

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, TrainingDivergedError
+from .errors import InvalidInputError, TrainingDivergedError, is_number
 from .kernel import (
     Tape,
     adam_init,
@@ -72,10 +72,10 @@ def split_dataset(routes, fractions=(0.8, 0.2), seed: int = 0):
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     if n < 2:
         raise InvalidInputError("need at least 2 routes to split")
-    if len(fractions) != 2:
-        raise InvalidInputError(f"split fractions must be a (train, test) pair, got {fractions}")
-    if not np.isfinite(fractions).all() or abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidInputError(f"split fractions must be finite and sum to 1, got {fractions}")
+    if not isinstance(fractions, (tuple, list)) or len(fractions) != 2:
+        raise InvalidInputError(f"split fractions must be a (train, test) pair, got {fractions!r}")
+    if not all(map(is_number, fractions)) or abs(sum(fractions) - 1.0) > 1e-9:
+        raise InvalidInputError(f"split fractions must be finite and sum to 1, got {fractions!r}")
     n_train = int(round(fractions[0] * n))
     if n_train <= 0 or n_train >= n:
         raise InvalidInputError(f"fractions {fractions} produce an empty split for {n} routes")
@@ -99,9 +99,8 @@ def train(routes, config: TrainConfig):
     if not routes:
         raise InvalidInputError("training set is empty")
     for name, value in (("lr", config.lr), ("grad_clip", config.grad_clip)):
-        if value is not None and not (isinstance(value, (int, float))
-                                      and np.isfinite(value) and value > 0):
-            raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+        if (value is not None or name == "lr") and not (is_number(value) and value > 0):
+            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
     t0 = time.perf_counter()
     preps = [prepare_route(r) for r in routes]
     model_cfg = ModelConfig(

@@ -175,38 +175,44 @@ def _two_opt(order: list, m: np.ndarray, close: bool, fixed_last: bool):
     return order, cur_cost
 
 
-def _solve(m: np.ndarray, start: int, end: int | None, exact_threshold: int) -> TspSolution:
-    """``solve_path`` from ``start`` to ``end``, or ``solve_tour`` when ``end`` is None."""
-    n = m.shape[0]
-    if n == 1:
-        return TspSolution([start], 0.0, "exact")
-    if n <= exact_threshold:
-        interior, ends, path = _held_karp(m, [start])[0]
-        if end is None:
-            ends = ends + m[interior, start]
-            u = int(ends.argmin())
-        else:
-            u = interior.index(end)
-        return TspSolution(path(u), float(ends[u]), "exact")
-    order = _nearest_neighbor(m, start, [v for v in range(n) if v not in (start, end)], end)
+def _heuristic(m: np.ndarray, start: int, end: int | None) -> TspSolution:
+    """Nearest neighbor refined by 2-opt: the path from ``start`` to
+    ``end``, or the tour from ``start`` when ``end`` is None."""
+    order = _nearest_neighbor(m, start, [v for v in range(len(m)) if v not in (start, end)], end)
     order, cost = _two_opt(order, m, close=end is None, fixed_last=end is not None)
     return TspSolution(order, cost, "heuristic")
 
 
-def solve_tour(costs, origin: int = 0, exact_threshold: int = EXACT_THRESHOLD) -> TspSolution:
+def _solve(m: np.ndarray, start: int, end: int | None) -> TspSolution:
+    """``solve_path`` from ``start`` to ``end``, or ``solve_tour`` when ``end`` is None."""
+    n = m.shape[0]
+    if n == 1:
+        return TspSolution([start], 0.0, "exact")
+    if n > EXACT_THRESHOLD:
+        return _heuristic(m, start, end)
+    interior, ends, path = _held_karp(m, [start])[0]
+    if end is None:
+        ends = ends + m[interior, start]
+        u = int(ends.argmin())
+    else:
+        u = interior.index(end)
+    return TspSolution(path(u), float(ends[u]), "exact")
+
+
+def solve_tour(costs, origin: int = 0) -> TspSolution:
     """Minimum-cost tour starting and ending at ``origin``.
 
-    Exact (Held-Karp) for n <= exact_threshold, otherwise nearest-neighbor
+    Exact (Held-Karp) for n <= EXACT_THRESHOLD, otherwise nearest-neighbor
     construction refined by 2-opt.
     """
     m = _as_matrix(costs)
     n = m.shape[0]
     if not 0 <= origin < n:
         raise InvalidInputError(f"origin {origin} out of range for {n} nodes")
-    return _solve(m, origin, None, exact_threshold)
+    return _solve(m, origin, None)
 
 
-def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESHOLD) -> TspSolution:
+def solve_path(costs, first: int, last: int) -> TspSolution:
     """Minimum-cost Hamiltonian path from ``first`` to ``last``.
 
     ``first == last`` is only meaningful for a single-node instance; larger
@@ -219,4 +225,4 @@ def solve_path(costs, first: int, last: int, exact_threshold: int = EXACT_THRESH
             raise InvalidInputError(f"{name} node {v} out of range for {n} nodes")
     if first == last and n > 1:
         raise InvalidInputError("first == last is only valid for a single-node path")
-    return _solve(m, first, last, exact_threshold)
+    return _solve(m, first, last)

@@ -26,7 +26,7 @@ from routeseq.predictor import (
     scale_route,
 )
 from routeseq.scoring import erp, sequence_deviation
-from routeseq.tsp import _nearest_neighbor, _two_opt, route_cost, solve_path, solve_tour
+from routeseq.tsp import _heuristic, _nearest_neighbor, _two_opt, route_cost, solve_path, solve_tour
 
 SEED = 2024
 
@@ -112,7 +112,7 @@ def test_criterion_3_tsp_correctness():
         path = solve_path(m, first, last)
         _, ref_path = brute_force_path(m, first, last)
         assert abs(path.cost - ref_path) <= 1e-9 * max(1.0, ref_path)
-        heur = solve_tour(m, origin=0, exact_threshold=3)
+        heur = _heuristic(m, 0, None)
         assert heur.cost >= tour.cost - 1e-9
         nn = _nearest_neighbor(m, 0, list(range(1, n)), None)
         nn_cost = route_cost(nn, m, close_tour=True)

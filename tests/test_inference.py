@@ -8,8 +8,7 @@ from routeseq.errors import InvalidInputError
 from routeseq.inference import (
     BEST_FIRST,
     GREEDY,
-    _rollout,
-    _start,
+    _rollouts,
     generate_best_first,
     greedy_decode,
     operational_cost,
@@ -169,10 +168,10 @@ def test_best_first_rollouts_share_step_arrays_without_reading_each_others_rows(
     for zone_ids, kz in _rollout_cases(variant):
         prep, params = _setup(zone_ids=zone_ids, variant=variant, seed=1, kz=kz)
         n = prep.n_zones
-        own = [_rollout(params, *_start(params, prep), z, BEST_FIRST) for z in range(n)]
-        shared = _start(params, prep)
+        own = [next(_rollouts(params, prep, [z], BEST_FIRST)) for z in range(n)]
         for order in (range(n), range(n - 1, -1, -1)):
-            bits = {z: _rollout_bits(_rollout(params, *shared, z, BEST_FIRST)) for z in order}
+            rollouts = _rollouts(params, prep, order, BEST_FIRST)
+            bits = {r.zone_order[0]: _rollout_bits(r) for r in rollouts}
             assert [bits[z] for z in range(n)] == [_rollout_bits(r) for r in own], (zone_ids, kz)
         cheapest = min(own, key=lambda c: (c.operational_cost, c.zone_order[0]))
         assert _rollout_bits(generate_best_first(params, prep)) == _rollout_bits(cheapest)
@@ -210,7 +209,7 @@ def test_decoder_steps_per_route(variant, monkeypatch):
 def test_best_first_encodes_once_per_route(monkeypatch):
     # one encoding, and for the pair MLP one set of its route-constant terms
     calls = []
-    encode = routeseq.inference.encode
+    encode = routeseq.predictor.encode
     pair_terms = routeseq.predictor.pair_terms
 
     def counting_encode(params, scaled):
@@ -221,7 +220,7 @@ def test_best_first_encodes_once_per_route(monkeypatch):
         calls.append("pair_terms")
         return pair_terms(*args)
 
-    monkeypatch.setattr(routeseq.inference, "encode", counting_encode)
+    monkeypatch.setattr(routeseq.predictor, "encode", counting_encode)
     monkeypatch.setattr(routeseq.predictor, "pair_terms", counting_pair_terms)
     for variant in VARIANTS:
         expected = ["encode", "pair_terms"] if variant in ("pairwise", "asnn") else ["encode"]
@@ -232,6 +231,27 @@ def test_best_first_encodes_once_per_route(monkeypatch):
         calls.clear()
         predict(params, prep, BEST_FIRST)
         assert calls == expected, variant
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_best_first_builds_only_the_winners_traces_and_only_when_read(variant, monkeypatch):
+    # a rollout reads its order from its steps' picks, so best-first builds
+    # no DecoderStepTrace until the returned prediction's traces are read,
+    # and then that prediction's n only, none of the losing rollouts'
+    built = []
+    trace = routeseq.predictor.DecoderStepTrace
+
+    def counting(*args):
+        built.append(args[0])
+        return trace(*args)
+
+    monkeypatch.setattr(routeseq.predictor, "DecoderStepTrace", counting)
+    for zone_ids, kz in _rollout_cases(variant)[2:]:  # 5 zones; lstm_ed's 2-slot head too
+        prep, params = _setup(zone_ids=zone_ids, variant=variant, seed=1, kz=kz)
+        built.clear()
+        best = generate_best_first(params, prep)
+        assert built == [], kz
+        assert [t.step for t in best.traces] == built == list(range(prep.n_zones)), kz
 
 
 def test_best_first_single_zone_equals_greedy():

@@ -46,7 +46,6 @@ from routeseq.predictor import (
     ModelConfig,
     _decode_backward,
     decode,
-    encode,
     first_step,
     fit_scaler,
     forward_logprob,
@@ -160,8 +159,9 @@ def _decoder(variant, tensors, kz=None, loss=False, asnn_hidden=(4,)):
                                 for name in ("encoder", "decoder", "asnn", "pointer", "fc")})
     scaled = scale_route(_ROUTE, params)
     targets = _ROUTE.targets
-    start = first_step(params, scaled, encode(params, scaled))
-    probs, _, steps = decode(params, scaled, start, lambda i, _: targets[i])
+    start = first_step(params, scaled)
+    traces, steps = decode(params, scaled, start, targets)
+    probs = np.stack([step[0] for step in traces.steps[:len(steps)]])
 
     def backward(g, grads):
         _decode_backward(params, scaled, start[0], steps, probs, g, grads)

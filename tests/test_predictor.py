@@ -477,8 +477,9 @@ def test_decoder_op_gradients_with_lstm_ed_head_narrower_and_wider(kz):
     weights = np.random.default_rng(kz).normal(size=(4, kz))
 
     def reduced():
-        start = first_step(params, sc, encode(params, sc))
-        probs, _, steps = decode(params, sc, start, lambda i, _: order[i])
+        start = first_step(params, sc)
+        traces, steps = decode(params, sc, start, order)
+        probs = np.stack([step[0] for step in traces.steps[:len(steps)]])
         return start, probs, steps, weights[:len(probs)]
 
     start, probs, steps, w = reduced()

@@ -58,6 +58,9 @@ def test_split_validation():
         split_dataset(list(range(10)), (0.5, 0.3, 0.2))
     with pytest.raises(InvalidInputError):
         split_dataset(list(range(10)), (1.0,))
+    for fractions in (("a", "b"), (0.8, None), 0.8):  # once a bare TypeError
+        with pytest.raises(InvalidInputError):
+            split_dataset(list(range(10)), fractions)
 
 
 def test_epochs_must_be_positive():
@@ -74,7 +77,7 @@ def test_seed_must_be_non_negative():
 @pytest.mark.parametrize("bad", [
     {"lr": 0.0}, {"lr": -0.01}, {"lr": math.nan}, {"lr": math.inf},
     {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"grad_clip": math.nan}, {"grad_clip": math.inf},
-    {"lr": "x"},
+    {"lr": "x"}, {"lr": True}, {"grad_clip": True}, {"lr": None},
 ])
 def test_learning_rate_and_clip_norm_must_be_finite_and_positive(bad):
     # a negative step climbs the loss, a zero one or a zero clip norm never

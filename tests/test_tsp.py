@@ -18,6 +18,7 @@ from routeseq import tsp
 from routeseq.errors import InvalidInputError
 from routeseq.tsp import (
     _held_karp,
+    _heuristic,
     _nearest_neighbor,
     _seq_cost,
     _two_opt,
@@ -219,7 +220,7 @@ def test_heuristic_never_beats_exact(rng):
     for _ in range(10):
         m = random_cost_matrix(rng, 9)
         exact = solve_tour(m, origin=0)
-        heur = solve_tour(m, origin=0, exact_threshold=3)
+        heur = _heuristic(m, 0, None)
         assert heur.method == "heuristic"
         assert heur.cost >= exact.cost - 1e-9
         assert sorted(heur.order) == list(range(9))
@@ -324,7 +325,7 @@ def test_tour_cost_invariant_to_relabeling(rng):
 
 def test_heuristic_path_respects_endpoints(rng):
     m = random_cost_matrix(rng, 16)
-    sol = solve_path(m, 2, 9, exact_threshold=5)
+    sol = solve_path(m, 2, 9)
     assert sol.order[0] == 2 and sol.order[-1] == 9
     assert sorted(sol.order) == list(range(16))
     assert sol.method == "heuristic"
