@@ -1,6 +1,11 @@
 """Synthetic route generation with planted driver behavior, and the
 canonical JSON dataset format.
 
+The dataset format is ``routeseq/2``: a route's (n+1)x(n+1) travel-time
+matrix is one base64 string of its row-major little-endian float64 bytes
+(``kernel.encode_float64``), exact to the bit.  ``load_routes`` still reads
+``routeseq/1``, whose matrix is a list of JSON numbers.
+
 Geometry: stops live in a square city of ``extent_km`` per side, grouped
 into spatially coherent zones that in turn cluster into a few higher-level
 blocks; zone ids follow ``<area>-<major>.<minor><letter>`` so id
@@ -34,9 +39,10 @@ import numpy as np
 from .completion import complete_sequence
 from .domain import RouteInstance, StopRecord, build_zone_instance, parse_zone_id, validate_route
 from .errors import InvalidInputError, MalformedRouteError, SchemaError, is_number
+from .kernel import decode_float64, encode_float64
 from .tsp import _as_matrix, _nearest_neighbor, _seq_cost, solve_tour
 
-SCHEMA_VERSION = "routeseq/1"
+SCHEMA_VERSION = "routeseq/2"
 BEHAVIORS = ("tsp", "nearest_zone", "cluster_biased")
 
 _BASE_LAT = 47.0
@@ -203,7 +209,7 @@ def route_to_dict(route: RouteInstance) -> dict:
             }
             for s in route.stops
         ],
-        "travel_time_s": route.travel_time.ravel().tolist(),
+        "travel_time_s": encode_float64(route.travel_time),
         "actual_sequence": [route.stops[i].stop_id for i in route.actual_stop_sequence],
         "metadata": route.metadata,
     }
@@ -238,7 +244,10 @@ def require_field(mapping, key, path, kind=None, default=None, least=None):
     return value
 
 
-def route_from_dict(rd: dict, path: str) -> RouteInstance:
+def route_from_dict(rd: dict, path: str, version: str = SCHEMA_VERSION) -> RouteInstance:
+    """The route of the dataset element ``rd`` at ``path``, else a
+    ``SchemaError`` at the offending element; only the travel-time matrix
+    is read by ``version``: a base64 string, or a ``routeseq/1`` list."""
     route_id = require_field(rd, "route_id", path, str)
     depot_d = require_field(rd, "depot", path, dict)
     depot = StopRecord("depot", "", float(require_field(depot_d, "lat", f"{path}.depot", (int, float))),
@@ -263,19 +272,24 @@ def route_from_dict(rd: dict, path: str) -> RouteInstance:
         if not stops[-1].zone_id:
             raise SchemaError(f"{spath}.zone_id", "expected a non-empty zone id")
     n = len(stops)
-    flat = require_field(rd, "travel_time_s", path, list)
-    if len(flat) != (n + 1) ** 2:
-        raise SchemaError(
-            f"{path}.travel_time_s",
-            f"route {route_id!r}: expected {(n + 1) ** 2} entries for {n} stops, got {len(flat)}",
-        )
-    if not set(map(type, flat)) <= {int, float}:
-        raise SchemaError(f"{path}.travel_time_s", f"route {route_id!r}: entries must be numbers")
-    try:
-        tt = np.array(flat, dtype=float).reshape(n + 1, n + 1)
-    except OverflowError:
-        raise SchemaError(f"{path}.travel_time_s",
-                          f"route {route_id!r}: an entry exceeds the float range") from None
+    count, tt_path = (n + 1) ** 2, f"{path}.travel_time_s"
+    flat = require_field(rd, "travel_time_s", path, None if version == SCHEMA_VERSION else list)
+    if version == SCHEMA_VERSION:
+        try:
+            flat = decode_float64(flat, count)
+        except ValueError as exc:
+            raise SchemaError(tt_path, f"route {route_id!r}, {n} stops: {exc}") from None
+    else:
+        if len(flat) != count:
+            raise SchemaError(tt_path, f"route {route_id!r}: expected {count} entries for {n} stops, "
+                                       f"got {len(flat)}")
+        if not set(map(type, flat)) <= {int, float}:
+            raise SchemaError(tt_path, f"route {route_id!r}: entries must be numbers")
+        try:
+            flat = np.array(flat, dtype=float)
+        except OverflowError:
+            raise SchemaError(tt_path, f"route {route_id!r}: an entry exceeds the float range") from None
+    tt = flat.reshape(n + 1, n + 1)
     seq_ids = require_field(rd, "actual_sequence", path, list)
     if not all(isinstance(sid, str) for sid in seq_ids):
         raise SchemaError(f"{path}.actual_sequence", f"route {route_id!r}: stop ids must be strings")
@@ -312,10 +326,10 @@ def read_json_object(path) -> dict:
 def load_routes(path) -> list:
     payload = read_json_object(path)
     version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise SchemaError("version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
+    if version not in ("routeseq/1", SCHEMA_VERSION):
+        raise SchemaError("version", f"expected {SCHEMA_VERSION!r} or 'routeseq/1', got {version!r}")
     routes_raw = require_field(payload, "routes", "$", list)
-    routes = [route_from_dict(rd, f"routes[{i}]") for i, rd in enumerate(routes_raw)]
+    routes = [route_from_dict(rd, f"routes[{i}]", version) for i, rd in enumerate(routes_raw)]
     require_unique_route_ids([r.route_id for r in routes], "routes")
     return routes
 

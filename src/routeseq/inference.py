@@ -17,6 +17,7 @@ dispatches on the generation mode.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -57,10 +58,13 @@ def _rollouts(params: ModelParams, prep: PreparedRoute, firsts, mode: str):
 
 def greedy_decode(params: ModelParams, prep: PreparedRoute,
                   forced_first: int | None = None) -> PredictedSequence:
-    """Greedy rollout; ``forced_first`` overrides the first pick and decoding
-    resumes from it."""
-    if forced_first is not None and not 0 <= forced_first < prep.n_zones:
-        raise InvalidInputError(f"forced first zone {forced_first} not in this route")
+    """Greedy rollout; ``forced_first`` (an integer zone index, not a bool)
+    overrides the first pick and decoding resumes from it."""
+    if forced_first is not None:
+        if (isinstance(forced_first, bool) or not isinstance(forced_first, numbers.Integral)
+                or not 0 <= forced_first < prep.n_zones):
+            raise InvalidInputError(f"forced first zone {forced_first!r} not in this route")
+        forced_first = int(forced_first)
     return next(_rollouts(params, prep, [forced_first], GREEDY))
 
 

@@ -5,7 +5,8 @@ weight gradients to it, the sequence NLL and its gradient rows, the LSTM
 (one step and a whole sequence), softmax, MLP, the pair MLP's terms and
 the pair-MLP and pointer scorers (a decoder step's pieces compute into its
 rows of the step arrays), each with its backward piece, Adam over a flat
-buffer, and the bit-exact checkpoint byte codec (no file I/O)."""
+buffer, and the bit-exact checkpoint byte codec with its float64 array
+format (no file I/O)."""
 
 from .autodiff import (
     Grads,
@@ -16,7 +17,9 @@ from .autodiff import (
 from .checkpoint import (
     CHECKPOINT_FORMAT,
     checkpoint_id,
+    decode_float64,
     deserialize_checkpoint,
+    encode_float64,
     serialize_checkpoint,
 )
 from .layers import (
@@ -48,7 +51,8 @@ from .optim import AdamState, adam_init, adam_step, clip_gradients
 
 __all__ = [
     "Grads", "Tape", "flat_views", "nll",
-    "CHECKPOINT_FORMAT", "checkpoint_id", "deserialize_checkpoint", "serialize_checkpoint",
+    "CHECKPOINT_FORMAT", "checkpoint_id", "decode_float64", "deserialize_checkpoint",
+    "encode_float64", "serialize_checkpoint",
     "LstmCellParams", "LstmState", "MlpLayer", "MlpParams", "PairScoresBackward",
     "init_lstm", "init_mlp", "lstm_backward_step", "lstm_factors", "lstm_sequence",
     "lstm_sequence_backward", "lstm_step",

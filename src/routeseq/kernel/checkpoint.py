@@ -10,7 +10,9 @@ Layout (JSON, sorted keys, compact separators, hence byte-deterministic):
       }
     }
 
-The base64 round trip is bit-exact for 64-bit values.  The codec reads and
+The base64 round trip is bit-exact for 64-bit values.  ``encode_float64``
+and ``decode_float64`` are the repository's one format for float64 arrays;
+the dataset's travel-time matrices use them too.  The codec reads and
 writes bytes only; ``predictor.save_model`` and ``load_model`` are the file
 path.
 """
@@ -20,12 +22,31 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 
 import numpy as np
 
 from ..errors import SchemaError
 
 CHECKPOINT_FORMAT = "routeseq-checkpoint/1"
+
+
+def encode_float64(array) -> str:
+    """Base64 of the little-endian float64 bytes of ``array`` in C order."""
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_float64(data, count: int) -> np.ndarray:
+    """The ``count`` values that ``encode_float64`` wrote into ``data``, as an
+    owned, writable, flat float64 array.  A ``ValueError`` when ``data`` is
+    not a string of strict base64 (no character outside the alphabet) that
+    holds exactly ``8 * count`` bytes."""
+    if not isinstance(data, str):
+        raise ValueError(f"expected a base64 string, got {type(data).__name__}")
+    raw = base64.b64decode(data, validate=True)
+    if len(raw) != 8 * count:
+        raise ValueError(f"expected {count} float64 values, got {len(raw)} bytes")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def serialize_checkpoint(tensors: dict, meta: dict) -> bytes:
@@ -35,7 +56,7 @@ def serialize_checkpoint(tensors: dict, meta: dict) -> bytes:
         "tensors": {
             name: {
                 "shape": list(np.asarray(t).shape),
-                "data": base64.b64encode(np.ascontiguousarray(t, dtype="<f8").tobytes()).decode("ascii"),
+                "data": encode_float64(t),
             }
             for name, t in tensors.items()
         },
@@ -63,15 +84,10 @@ def deserialize_checkpoint(raw: bytes):
         shape = entry["shape"]
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise SchemaError(path, f"shape must be a list of non-negative integers, got {shape!r}")
-        shape = tuple(shape)
         try:
-            flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(path, f"undecodable tensor data: {exc}") from exc
-        expected = int(np.prod(shape)) if shape else 1
-        if flat.size != expected:
-            raise SchemaError(path, f"expected {expected} values for shape {shape}, got {flat.size}")
-        tensors[name] = flat.reshape(shape).astype(np.float64).copy()
+            tensors[name] = decode_float64(entry["data"], math.prod(shape)).reshape(shape)
+        except ValueError as exc:
+            raise SchemaError(path, f"undecodable tensor data for shape {shape}: {exc}") from exc
     return tensors, meta
 
 

@@ -1,3 +1,6 @@
+import base64
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,16 @@ def make_route(zone_ids, times=None, actual=None, route_id="T0", depot_latlng=(4
         actual = list(range(n))
     depot = StopRecord("depot", "", depot_latlng[0], depot_latlng[1])
     return RouteInstance(route_id, depot, stops, times, list(actual), {})
+
+
+def as_routeseq_1(doc: dict) -> dict:
+    """A ``routeseq/2`` dataset document rewritten as ``routeseq/1``, each
+    travel-time matrix as the list of its numbers."""
+    doc = copy.deepcopy(doc)
+    doc["version"] = "routeseq/1"
+    for rd in doc["routes"]:
+        rd["travel_time_s"] = np.frombuffer(base64.b64decode(rd["travel_time_s"]), "<f8").tolist()
+    return doc
 
 
 @pytest.fixture

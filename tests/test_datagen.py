@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conftest import as_routeseq_1
 from routeseq import datagen
 from routeseq.domain import build_zone_instance, parse_zone_id
 from routeseq.errors import InvalidInputError, SchemaError
@@ -109,6 +111,18 @@ def test_roundtrip_identity(tmp_path):
     assert len(loaded) == len(routes)
     for a, b in zip(routes, loaded):
         assert datagen.routes_equal(a, b)
+
+
+def test_routeseq_1_file_loads_equal_to_the_routeseq_2_round_trip(tmp_path):
+    routes = datagen.generate(_cfg())
+    doc = json.loads(datagen.routes_to_json(routes))
+    assert doc["version"] == "routeseq/2" and isinstance(doc["routes"][0]["travel_time_s"], str)
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    v1.write_text(json.dumps(as_routeseq_1(doc)))
+    v2.write_text(json.dumps(doc))
+    for a, b, route in zip(datagen.load_routes(v1), datagen.load_routes(v2), routes):
+        assert datagen.routes_equal(a, b)
+        assert a.travel_time.tobytes() == b.travel_time.tobytes() == route.travel_time.tobytes()
 
 
 def test_double_roundtrip_bytes_stable(tmp_path):

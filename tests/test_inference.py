@@ -82,15 +82,18 @@ def test_hand_built_model_picks_far_zone_first():
 def test_forced_first_resumes_decoding():
     prep, params = _setup(seed=11)
     for z in range(prep.n_zones):
-        pred = greedy_decode(params, prep, forced_first=z)
-        assert pred.zone_order[0] == z
-        assert sorted(pred.zone_order) == list(range(prep.n_zones))
+        for first in (z, np.int64(z)):
+            pred = greedy_decode(params, prep, forced_first=first)
+            assert pred.zone_order[0] == z
+            assert sorted(pred.zone_order) == list(range(prep.n_zones))
+            assert all(type(zone) is int for zone in pred.zone_order)
 
 
 def test_forced_first_out_of_range():
     prep, params = _setup()
-    with pytest.raises(InvalidInputError):
-        greedy_decode(params, prep, forced_first=7)
+    for first in (7, -1, True, np.True_, 1.5, "0"):
+        with pytest.raises(InvalidInputError):
+            greedy_decode(params, prep, forced_first=first)
 
 
 def test_predicted_sequence_oc_matches_route_cost():

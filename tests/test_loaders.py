@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_routeseq_1
 from routeseq.cli import PREDICTIONS_VERSION, _load_predictions
 from routeseq.datagen import SynthConfig, generate, load_routes, routes_to_json
 from routeseq.errors import SchemaError
 from routeseq.inference import GREEDY
-from routeseq.kernel import serialize_checkpoint
+from routeseq.kernel import encode_float64, serialize_checkpoint
 from routeseq.predictor import (
     ModelConfig,
     checkpoint_tensors,
@@ -29,6 +30,7 @@ ROUTES = generate(SynthConfig(n_routes=2, zones_per_route=(2, 3), stops_per_zone
 MODEL = init_model(ModelConfig("pairwise", hidden=4, asnn_hidden=(8,), att_dim=4),
                    np.random.default_rng(0))
 DATASET = json.loads(routes_to_json(ROUTES))
+DATASET_V1 = as_routeseq_1(DATASET)
 CHECKPOINT = json.loads(serialize_checkpoint(checkpoint_tensors(MODEL), model_meta(MODEL)))
 PREDICTIONS = {"version": PREDICTIONS_VERSION, "mode": "tsp", "predictions": [
     {"route_id": r.route_id, "mode": "tsp",
@@ -60,6 +62,25 @@ def _at(doc, path):
     return doc
 
 
+def _dataset(path):
+    """The dataset document that ``path`` is a path into: only the
+    ``routeseq/1`` list form of a travel-time matrix has entries."""
+    return DATASET_V1 if path[2:3] == ("travel_time_s",) and len(path) > 3 else DATASET
+
+
+def _matrix(route, row=None, col=None, value=None, drop=0):
+    """``route``'s travel times as a ``routeseq/2`` string, with entry
+    (``row``, ``col``) set to ``value`` when that is given and the last
+    ``drop`` values left out."""
+    tt = route.travel_time.copy()
+    if value is not None:
+        tt[row, col] = value
+    return encode_float64(tt.ravel()[:tt.size - drop])
+
+
+_TT = ("routes", 0, "travel_time_s")
+
+
 # --- one malformed field, named by its JSON path -----------------------------
 
 @pytest.mark.parametrize("path, value, json_path", [
@@ -76,10 +97,17 @@ def _at(doc, path):
     (("routes", 1, "stops", 1, "volume_cm3"), float("inf"), "routes[1].stops[1].volume_cm3"),
     (("routes", 0, "depot", "lng"), float("-inf"), "routes[0].depot.lng"),
     (("routes", 0, "stops", 0, "zone_id"), "", "routes[0].stops[0].zone_id"),
+    pytest.param(_TT, [0.0] * 9, "routes[0].travel_time_s", id="v2-matrix-not-a-string"),
+    pytest.param(_TT, "!" + _matrix(ROUTES[0]), "routes[0].travel_time_s", id="v2-matrix-not-base64"),
+    pytest.param(_TT, _matrix(ROUTES[0], drop=1), "routes[0].travel_time_s",
+                 id="v2-matrix-one-value-short"),
+    pytest.param(_TT, _matrix(ROUTES[0], 1, 2, float("nan")), "routes[0]", id="v2-matrix-nan"),
+    pytest.param(_TT, _matrix(ROUTES[0], 2, 1, -1.0), "routes[0]", id="v2-matrix-negative"),
+    pytest.param(_TT, _matrix(ROUTES[0], 1, 1, 5.0), "routes[0]", id="v2-matrix-nonzero-diagonal"),
 ])
 def test_dataset_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, json_path):
     with pytest.raises(SchemaError) as err:
-        load_routes(_write(tmp_path, _with(DATASET, path, value)))
+        load_routes(_write(tmp_path, _with(_dataset(path), path, value)))
     assert err.value.json_path == json_path
 
 
@@ -101,7 +129,7 @@ def test_dataset_negative_load_is_a_schema_error(tmp_path, path, value, json_pat
 ])
 def test_dataset_integer_beyond_float_range_is_a_schema_error(tmp_path, path, json_path):
     with pytest.raises(SchemaError) as err:
-        load_routes(_write(tmp_path, _with(DATASET, path, 10 ** 400)))
+        load_routes(_write(tmp_path, _with(_dataset(path), path, 10 ** 400)))
     assert err.value.json_path == json_path
 
 
@@ -121,6 +149,10 @@ def test_dataset_integer_beyond_float_range_is_a_schema_error(tmp_path, path, js
     (("meta", "pair_dim"), 7, "meta.pair_dim"),
     (("meta", "zone_feature_names"), CHECKPOINT["meta"]["zone_feature_names"][::-1],
      "meta.zone_feature_names"),
+    # b64decode drops characters outside the alphabet unless it validates
+    pytest.param(("tensors", "encoder.b", "data"),
+                 "!\n*" + CHECKPOINT["tensors"]["encoder.b"]["data"], "tensors.encoder.b",
+                 id="data-stray-characters-tensors.encoder.b"),
 ])
 def test_checkpoint_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, json_path):
     with pytest.raises(SchemaError) as err:
