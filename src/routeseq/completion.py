@@ -4,17 +4,16 @@ For each zone, in order: three candidate entry stops (closest in travel time
 to the previous zone's exit), three candidate exit stops (closest on average
 to the next zone's stops; the depot plays "next zone" for the final zone),
 and the cheapest within-zone path of each (entry, exit) pair; the cheapest
-path wins, ties to the smallest, and only the cheapest pairs walk their
-path.  A zone of at most ``EXACT_THRESHOLD`` stops builds the Held-Karp
-tables of its entries as one stacked DP and reads every exit from its
-entry's table, larger ones solve each pair heuristically; an entry that is
-also the exit takes its tour without the closing edge.  The travel times
+path wins, ties to the smallest.  The zone's rows are gathered once, and one
+scan of the pairs keeps the least cost and the pairs tied at it: only those
+walk their path.  A zone of at most ``EXACT_THRESHOLD`` stops builds the
+Held-Karp tables of its entries as one stacked DP and reads every exit from
+its entry's table, larger ones solve each pair heuristically; an entry that
+is also the exit takes its tour without the closing edge.  The travel times
 are checked once per route, not per zone.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -34,26 +33,25 @@ def _closest(members, scores):
 
 
 def _pair_paths(m, firsts, lasts):
-    """(cost, path) of the within-zone path of each (entry, exit) pair over
-    the zone's block ``m`` of a checked matrix, where ``path()`` gives the
-    order as positions in ``m``; an entry that is also the exit gives its
-    tour minus the closing leg."""
+    """(cost, walk, u) of the within-zone path of each (entry, exit) pair
+    over the zone's block ``m`` of a checked matrix, where ``walk(u)`` gives
+    the order as positions in ``m``; an entry that is also the exit gives
+    its tour minus the closing leg."""
     if len(m) > EXACT_THRESHOLD:
         for f in firsts:
             for l in lasts:
                 sol = _heuristic(m, f, None if f == l else l)
-                cost = sol.cost - (float(m[sol.order[-1], f]) if f == l else 0.0)
-                yield cost, lambda order=sol.order: order
+                yield sol.cost - (float(m[sol.order[-1], f]) if f == l else 0.0), list, sol.order
         return
-    for f, (interior, ends, path) in zip(firsts, _held_karp(m, firsts)):
+    for f, (interior, ends, walk) in zip(firsts, _held_karp(m, firsts)):
         for l in lasts:
             if f == l:
                 tours = ends + m[interior, f]
                 u = int(tours.argmin())
-                yield float(tours[u]) - float(m[interior[u], f]), functools.partial(path, u)
+                yield float(tours[u]) - float(m[interior[u], f]), walk, u
             else:
                 u = interior.index(l)
-                yield float(ends[u]), functools.partial(path, u)
+                yield float(ends[u]), walk, u
 
 
 def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_nodes: list):
@@ -61,20 +59,28 @@ def best_zone_path(route: RouteInstance, members: list, entry_from: int, next_no
     matrix nodes of the next zone.  Returns (stop indices, travel time).
 
     ``members`` are stop indices; ``entry_from``/``next_nodes`` are matrix
-    indices (0 = depot).  Only the pairs of the least cost walk their path,
-    and a tie goes to the smallest path.  ``route.travel_time`` is read as
-    checked: ``complete_sequence`` checks it once per route.
+    indices (0 = depot).  One scan of the pairs keeps the least cost and the
+    pairs tied at it; only those walk their path, and a tie goes to the
+    smallest path.  ``route.travel_time`` is read as checked:
+    ``complete_sequence`` checks it once per route.
     """
     if len(members) == 1:
         return [members[0]], 0.0
     tt = route.travel_time
     nodes = [m + 1 for m in members]
+    rows = tt[nodes]
     firsts = _closest(members, tt[entry_from, nodes].tolist())
-    lasts = _closest(members, tt[np.ix_(nodes, next_nodes)].mean(axis=1).tolist())
-    pairs = list(_pair_paths(tt[np.ix_(nodes, nodes)], firsts, lasts))
-    best_cost = min(cost for cost, _ in pairs)
-    best_path = min([members[k] for k in path()] for cost, path in pairs if cost == best_cost)
-    return best_path, float(best_cost)
+    # Each exit's mean time to the next zone: the bits of .mean(axis=1)
+    # without its Python wrapper, as domain._mean.
+    exits = np.add.reduce(rows[:, next_nodes], axis=1) / len(next_nodes)
+    lasts = _closest(members, exits.tolist())
+    best, tied = np.inf, []
+    for cost, walk, u in _pair_paths(rows[:, nodes], firsts, lasts):
+        if cost < best:
+            best, tied = cost, []
+        if cost == best:
+            tied.append((walk, u))
+    return min([members[k] for k in walk(u)] for walk, u in tied), best
 
 
 def complete_sequence(zone_order, instance: ZoneInstance, route: RouteInstance) -> list:

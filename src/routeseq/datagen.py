@@ -4,7 +4,8 @@ canonical JSON dataset format.
 The dataset format is ``routeseq/2``: a route's (n+1)x(n+1) travel-time
 matrix is one base64 string of its row-major little-endian float64 bytes
 (``kernel.encode_float64``), exact to the bit.  ``load_routes`` still reads
-``routeseq/1``, whose matrix is a list of JSON numbers.
+``routeseq/1``, whose matrix is a list of JSON numbers.  A stop's fields are
+checked in one pass; a stop that fails goes through ``require_field``.
 
 Geometry: stops live in a square city of ``extent_km`` per side, grouped
 into spatially coherent zones that in turn cluster into a few higher-level
@@ -21,7 +22,7 @@ Planted behaviors set the executed zone order:
   current major cluster, falling back to the nearest unvisited zone; the
   route starts at whichever first zone gives that rule the lowest total
   operational cost (drivers habitually finish blocks, and pick the start
-  that makes the day cheapest overall).
+  that makes the day cheapest overall).  Both read the zone matrix as lists.
 
 Within zones, drivers take the cheapest path as produced by the completion
 procedure, so zone order is the only learnable signal.
@@ -40,7 +41,7 @@ from .completion import complete_sequence
 from .domain import RouteInstance, StopRecord, build_zone_instance, parse_zone_id, validate_route
 from .errors import InvalidInputError, MalformedRouteError, SchemaError, is_number
 from .kernel import decode_float64, encode_float64
-from .tsp import _as_matrix, _nearest_neighbor, _seq_cost, solve_tour
+from .tsp import _as_matrix, _nearest_neighbor, solve_tour
 
 SCHEMA_VERSION = "routeseq/2"
 BEHAVIORS = ("tsp", "nearest_zone", "cluster_biased")
@@ -83,23 +84,27 @@ def _validate_config(config: SynthConfig):
 
 
 def _to_latlng(xy: np.ndarray) -> tuple:
-    lat = _BASE_LAT + xy[1] / _KM_PER_DEG_LAT
-    lng = _BASE_LNG + xy[0] / (_KM_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT)))
-    return float(lat), float(lng)
+    x, y = xy.tolist()
+    return (_BASE_LAT + y / _KM_PER_DEG_LAT,
+            _BASE_LNG + x / (_KM_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT))))
 
 
-def _cluster_rollout(ztt: np.ndarray, majors: list, first: int) -> list:
-    """The cluster rule's zone order from zone ``first``: the nearest
-    unvisited zone of the current major cluster, else the nearest unvisited
-    zone; a tie goes to the smallest zone index."""
-    order = [first]
-    left = [z for z in range(ztt.shape[0] - 1) if z != first]
+def _cluster_rollout(ztt: list, majors: list, first: int) -> tuple:
+    """The cluster rule's zone order from zone ``first`` over the rows of the
+    zone matrix: the nearest unvisited zone of the current major cluster,
+    else the nearest unvisited zone, a tie going to the smallest zone index.
+    Returns (its cost as a depot-to-depot tour, summed in ``tsp._seq_cost``'s
+    order, the order)."""
+    order, cost = [first], ztt[0][first + 1]
+    left = [z for z in range(len(ztt) - 1) if z != first]
     while left:
+        row = ztt[order[-1] + 1]
         pool = [z for z in left if majors[z] == majors[order[-1]]] or left
-        nearest = min(pool, key=lambda z: ztt[order[-1] + 1, z + 1])
+        nearest = min(pool, key=lambda z: row[z + 1])
+        cost += row[nearest + 1]
         order.append(nearest)
         left.remove(nearest)
-    return order
+    return cost + ztt[order[-1] + 1][0], order
 
 
 def _gen_route(rng: np.random.Generator, config: SynthConfig, route_id: str) -> RouteInstance:
@@ -164,10 +169,9 @@ def _gen_route(rng: np.random.Generator, config: SynthConfig, route_id: str) -> 
     else:
         majors = [parse_zone_id(z.zone_id)[1] for z in zinst.zones]
         # The start whose rollout is cheapest as a tour; a tie goes to the
-        # smallest first zone.
-        m = _as_matrix(ztt)
-        zone_order = min((_cluster_rollout(m, majors, first) for first in range(len(majors))),
-                         key=lambda order: _seq_cost([0, *(z + 1 for z in order)], m, True))
+        # smallest first zone, the first of the orders.
+        rows = _as_matrix(ztt).tolist()
+        zone_order = min(_cluster_rollout(rows, majors, first) for first in range(len(majors)))[1]
     route.actual_stop_sequence = complete_sequence(zone_order, zinst, route)
 
     hour = int(rng.integers(6, 11))
@@ -244,33 +248,43 @@ def require_field(mapping, key, path, kind=None, default=None, least=None):
     return value
 
 
+_REAL = (int, float)
+_MAX = sys.float_info.max
+# (key, kind, default) of a stop's fields; a default makes one optional and >= 0.
+_STOP_FIELDS = (("id", str, None), ("zone_id", str, None), ("lat", _REAL, None),
+                ("lng", _REAL, None), ("n_packages", int, 0), ("service_time_s", _REAL, 0.0),
+                ("volume_cm3", _REAL, 0.0))
+
+
 def route_from_dict(rd: dict, path: str, version: str = SCHEMA_VERSION) -> RouteInstance:
     """The route of the dataset element ``rd`` at ``path``, else a
     ``SchemaError`` at the offending element; only the travel-time matrix
     is read by ``version``: a base64 string, or a ``routeseq/1`` list."""
     route_id = require_field(rd, "route_id", path, str)
     depot_d = require_field(rd, "depot", path, dict)
-    depot = StopRecord("depot", "", float(require_field(depot_d, "lat", f"{path}.depot", (int, float))),
-                       float(require_field(depot_d, "lng", f"{path}.depot", (int, float))))
+    depot = StopRecord("depot", "", float(require_field(depot_d, "lat", f"{path}.depot", _REAL)),
+                       float(require_field(depot_d, "lng", f"{path}.depot", _REAL)))
     stops_raw = require_field(rd, "stops", path, list)
     if not stops_raw:
         raise SchemaError(f"{path}.stops", f"route {route_id!r} has no stops")
     stops = []
     for k, sd in enumerate(stops_raw):
-        spath = f"{path}.stops[{k}]"
-        stops.append(StopRecord(
-            stop_id=require_field(sd, "id", spath, str),
-            zone_id=require_field(sd, "zone_id", spath, str),
-            lat=float(require_field(sd, "lat", spath, (int, float))),
-            lng=float(require_field(sd, "lng", spath, (int, float))),
-            n_packages=require_field(sd, "n_packages", spath, int, 0, least=0),
-            service_time=float(require_field(sd, "service_time_s", spath, (int, float), 0.0,
-                                             least=0)),
-            package_volume=float(require_field(sd, "volume_cm3", spath, (int, float), 0.0,
-                                               least=0)),
-        ))
-        if not stops[-1].zone_id:
-            raise SchemaError(f"{spath}.zone_id", "expected a non-empty zone id")
+        get = sd.get if isinstance(sd, dict) else {}.get
+        sid, zid, lat, lng = get("id"), get("zone_id"), get("lat"), get("lng")
+        pkg, st, vol = get("n_packages", 0), get("service_time_s", 0.0), get("volume_cm3", 0.0)
+        if not (type(sid) is str and type(zid) is str and zid
+                and type(lat) in _REAL and -_MAX <= lat <= _MAX
+                and type(lng) in _REAL and -_MAX <= lng <= _MAX
+                and type(pkg) is int and 0 <= pkg <= _MAX
+                and type(st) in _REAL and 0 <= st <= _MAX
+                and type(vol) in _REAL and 0 <= vol <= _MAX):
+            # The first bad field's error, field by field as require_field words it.
+            spath = f"{path}.stops[{k}]"
+            for key, kind, default in _STOP_FIELDS:
+                require_field(sd, key, spath, kind, default, None if default is None else 0)
+            if not zid:
+                raise SchemaError(f"{spath}.zone_id", "expected a non-empty zone id")
+        stops.append(StopRecord(sid, zid, float(lat), float(lng), pkg, float(st), float(vol)))
     n = len(stops)
     count, tt_path = (n + 1) ** 2, f"{path}.travel_time_s"
     flat = require_field(rd, "travel_time_s", path, None if version == SCHEMA_VERSION else list)

@@ -13,7 +13,8 @@ pass that ``predictor.forward_logprob`` records per route, which runs the
 decoder's, the pair MLP's and the encoder's in turn.  The pair MLP splits
 its first layer by columns: the terms of the route-constant blocks are
 formed once per route (``pair_terms``) and each step adds its query's term
-to them (``pair_scores``).
+to them (``pair_scores``); the pointer's key term ``K W2ᵀ`` is formed once
+per route as well, and ``pointer_scores`` adds the query's.
 """
 
 from __future__ import annotations
@@ -362,12 +363,13 @@ class PairScoresBackward:
             d_keys += key @ terms.first.w[:, p + q:]
 
 
-def pointer_scores(kv, dv, zv, w1, w2, w3, w4, out):
+def pointer_scores(key_term, dv, zv, w1, w3, w4, out):
     """Additive pointer scores with a linear local term, one per row of the
     keys K (n, h), on plain arrays: ``tanh(K W2ᵀ + W3 d)·w1 + Z·w4`` for
-    the query d (h,) and the pair rows Z (n, p), the tanh, which
-    ``pointer_scores_backward`` reads, computed in ``out`` (n, att)."""
-    t = np.tanh(kv @ w2.T + w3 @ dv, out=out)
+    the route's key term ``K W2ᵀ`` (n, att), the query d (h,) and the pair
+    rows Z (n, p), the tanh, which ``pointer_scores_backward`` reads,
+    computed in ``out`` (n, att)."""
+    t = np.tanh(key_term + w3 @ dv, out=out)
     return t @ w1 + zv @ w4
 
 

@@ -28,11 +28,13 @@ probability exactly 0 and the context fed to the next step is the same
 quantity in training and decoding.  A step with one candidate left gives
 it probability 1 unscored.  Every decoding starts from ``first_step``,
 which rollouts share: the encoding and the depot's step before any pick.
-It also forms the pair MLP's route-constant terms (``_pair_terms``): its
-first layer's weight split by columns, the pair features and the keys go
-through it once per route, and a step adds only its query's term.  It makes the route's step arrays too, into which every
-scored step computes its values, row k for step k: a decoding has one
-forward path, whether a backward pass reads the rows or not.
+It also forms the scorer's route-constant terms (``_route_terms``): the
+pair MLP's first layer's weight split by columns, the pair features and
+the keys go through it once per route, and a step adds only its query's
+term; the pointer's key term ``K W2ᵀ`` too.  It makes the route's step
+arrays, into which every scored step computes its values, row k for step
+k: a decoding has one forward path, whether a backward pass reads the rows
+or not.
 
 The model's tensors are plain arrays, and everything runs on plain arrays.
 Given a tape, ``forward_logprob`` records one backward pass per route
@@ -316,10 +318,13 @@ def encode(params: ModelParams, scaled: ScaledRoute):
     return lstm_sequence(scaled.nodes[1:], zero_state(params.config.hidden), params.encoder)
 
 
-def _pair_terms(params: ModelParams, scaled: ScaledRoute, keys):
-    """The pair MLP's route-constant terms (``kernel.pair_terms``) over the
-    route's pair rows and the ``encode`` keys, with ``asnn``'s queries, the
-    node features; None for the variants without the pair MLP."""
+def _route_terms(params: ModelParams, scaled: ScaledRoute, keys):
+    """The scorer's route-constant terms over the ``encode`` keys: the
+    pointer's key term ``K W2ᵀ``, the pair MLP's (``kernel.pair_terms``)
+    over the route's pair rows, with ``asnn``'s queries, the node features;
+    None for ``lstm_ed``."""
+    if params.pointer is not None:
+        return keys @ params.pointer.w2.T
     if params.asnn is None:
         return None
     queries = scaled.nodes if params.config.variant == "asnn" else None
@@ -329,10 +334,11 @@ def _pair_terms(params: ModelParams, scaled: ScaledRoute, keys):
 def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms, out):
     """One decoder step's scores by input position (by head slot for
     ``lstm_ed``), from the last stop's node ``src``, the query ``d``, the
-    keys ``keys`` and the route's ``_pair_terms``, on plain arrays, the
+    keys ``keys`` and the route's ``_route_terms``, on plain arrays, the
     inputs of the scorer's later layers computed in the step's rows ``out``
     (see ``DecoderInputs.ins``).  ``pointer`` adds its linear local term on
-    the pair features from ``src`` to the additive attention; ``lstm_ed``
+    the pair features from ``src`` to the additive attention over its key
+    term ``terms``; ``lstm_ed``
     scores with its fully-connected head; ``pairwise`` and ``asnn`` score
     [pair features from ``src``; query; key] per candidate with the shared
     pair MLP, whose pair and key terms ``terms`` holds (``asnn``'s query,
@@ -340,7 +346,7 @@ def _scores(params: ModelParams, scaled: ScaledRoute, src: int, d, keys, terms, 
     variant = params.config.variant
     if variant == "pointer":
         p = params.pointer
-        return pointer_scores(keys, d, scaled.pair[src], p.w1, p.w2, p.w3, p.w4, out[0])
+        return pointer_scores(terms, d, scaled.pair[src], p.w1, p.w3, p.w4, out[0])
     if variant == "lstm_ed":
         return mlp_values(d, params.fc.layers, out)[0]
     return pair_scores(terms, src, None if variant == "asnn" else d, out)
@@ -378,7 +384,7 @@ class DecoderInputs:
     tanh; ``x`` and ``lstm`` are 0 wide for ``asnn``, which has no LSTM)."""
 
     encoded: tuple     # ``encode``'s (keys, state, steps)
-    terms: object      # ``_pair_terms``, None without the pair MLP
+    terms: object      # ``_route_terms``, None for ``lstm_ed``
     ins: list          # the scorer's later layers' inputs, each (m, n, width)
     x: np.ndarray      # the decoder LSTM's input rows (m, in)
     lstm: np.ndarray   # the decoder LSTM's ``lstm_step`` values (m, 7, hidden)
@@ -414,8 +420,8 @@ def _step(params: ModelParams, scaled: ScaledRoute, inputs: DecoderInputs, state
 
 def first_step(params: ModelParams, scaled: ScaledRoute):
     """Where every decoding of the route starts: the ``DecoderInputs``, with
-    the route's ``encode`` result, the pair MLP's route-constant terms
-    (``_pair_terms``) and the step arrays of the at most n - 1 scored steps
+    the route's ``encode`` result, the scorer's route-constant terms
+    (``_route_terms``) and the step arrays of the at most n - 1 scored steps
     of an n-zone route, and step 0, the depot's query over all the zones,
     which comes before any pick and writes row 0.  Rollouts of one route
     that start from the same ``first_step`` share it: each writes rows 1
@@ -426,7 +432,7 @@ def first_step(params: ModelParams, scaled: ScaledRoute):
     m = max(n - 1, 0)
     widths = ([layer.w.shape[1] for layer in params.asnn.layers[1:]] if params.asnn
               else [len(params.pointer.w1)] if params.pointer else [])
-    inputs = DecoderInputs(encoded, _pair_terms(params, scaled, keys),
+    inputs = DecoderInputs(encoded, _route_terms(params, scaled, keys),
                            [np.empty((m, n, width)) for width in widths],
                            np.empty((m, dec.w.shape[1] if dec else 0)),
                            np.empty((m, 7, params.config.hidden if dec else 0)))
@@ -524,7 +530,7 @@ def _decode_backward(params: ModelParams, scaled: ScaledRoute, inputs: DecoderIn
         dec = params.decoder
         u, w_ctx = dec.u, dec.w[:, N_FEATURES:]
         dh = dc = 0.0
-    pair = None if inputs.terms is None else PairScoresBackward(
+    pair = None if params.asnn is None else PairScoresBackward(
         inputs.terms, srcs, inputs.terms.queries[srcs] if state is None else lstms[:, 6],
         [a[:m] for a in inputs.ins], probs)
     for k in range(m - 1, -1, -1):

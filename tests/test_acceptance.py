@@ -2,10 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Criteria 6 and 7 share one trained setup (module
-fixture) and dominate the runtime (a few minutes).
+fixture), whose two trainings run in two worker processes, and dominate
+the runtime.
 """
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -175,6 +177,15 @@ def test_criterion_5_zone_completion():
 
 # -- criteria 6 and 7: planted-signal learning -------------------------------------------
 
+def _planted_report(train_routes, test_routes, order_mode):
+    """The best-first report on ``test_routes`` of the pairwise model
+    trained on ``train_routes`` in input order ``order_mode``."""
+    tc = training.TrainConfig(variant="pairwise", epochs=30, lr=0.001,
+                              seed=SEED, input_order=order_mode)
+    params, _ = training.train(train_routes, tc)
+    return scoring.evaluate_testset(test_routes, params=params, mode="best_first")
+
+
 @pytest.fixture(scope="module")
 def planted_setup():
     cfg = datagen.SynthConfig(n_routes=500, behavior="cluster_biased", seed=SEED)
@@ -182,21 +193,18 @@ def planted_setup():
     train_routes, test_routes = training.split_dataset(routes, (0.8, 0.2), seed=SEED)
     assert len(train_routes) == 400 and len(test_routes) == 100
 
-    tsp_sequences = {}
-    for r in test_routes:
-        prep = prepare_route(r)
-        tour = solve_tour(prep.zinst.zone_travel_time, origin=0)
-        tsp_sequences[r.route_id] = {
-            "zone_sequence": [prep.zinst.zones[v - 1].zone_id for v in tour.order[1:]]}
-    tsp_report = scoring.evaluate_testset(test_routes, sequences=tsp_sequences)
-
-    reports = {}
-    for order_mode in ("tsp", "random"):
-        tc = training.TrainConfig(variant="pairwise", epochs=30, lr=0.001,
-                                  seed=SEED, input_order=order_mode)
-        params, _ = training.train(train_routes, tc)
-        reports[order_mode] = scoring.evaluate_testset(test_routes, params=params,
-                                                       mode="best_first")
+    # The two input orders train and evaluate independently, one process each.
+    with ProcessPoolExecutor(2) as pool:
+        futures = {order_mode: pool.submit(_planted_report, train_routes, test_routes, order_mode)
+                   for order_mode in ("tsp", "random")}
+        tsp_sequences = {}
+        for r in test_routes:
+            prep = prepare_route(r)
+            tour = solve_tour(prep.zinst.zone_travel_time, origin=0)
+            tsp_sequences[r.route_id] = {
+                "zone_sequence": [prep.zinst.zones[v - 1].zone_id for v in tour.order[1:]]}
+        tsp_report = scoring.evaluate_testset(test_routes, sequences=tsp_sequences)
+        reports = {order_mode: future.result() for order_mode, future in futures.items()}
     return tsp_report, reports
 
 

@@ -45,14 +45,20 @@ def _write(tmp_path, doc, name="f.json"):
     return path
 
 
+_MISSING = object()  # a value for ``_with`` that removes the element
+
+
 def _with(doc, path, value):
     """A copy of ``doc`` with the element at ``path`` (keys and indices)
-    replaced by ``value``."""
+    replaced by ``value``, or removed when that is ``_MISSING``."""
     doc = copy.deepcopy(doc)
     target = doc
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is _MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     return doc
 
 
@@ -83,32 +89,82 @@ _TT = ("routes", 0, "travel_time_s")
 
 # --- one malformed field, named by its JSON path -----------------------------
 
+def _case(path, value, json_path, message, **kw):
+    """A malformed element whose error must read ``<json_path>: <message>``,
+    so a reader that checks a stop in one pass keeps ``require_field``'s
+    words."""
+    return pytest.param(path, value, json_path, marks=pytest.mark.says(message), **kw)
+
+
+_INT, _NUM, _STR = "<class 'int'>", "(<class 'int'>, <class 'float'>)", "<class 'str'>"
+_S0, _S1 = ("routes", 0, "stops", 0), ("routes", 0, "stops", 1)
+_BAD_TIMES = "route R00000: travel times must be finite and >= 0"
+
+
 @pytest.mark.parametrize("path, value, json_path", [
-    (("routes", 0, "stops", 1, "n_packages"), "abc", "routes[0].stops[1].n_packages"),
-    (("routes", 0, "stops", 1, "n_packages"), None, "routes[0].stops[1].n_packages"),
-    (("routes", 0, "stops", 0, "n_packages"), 2.5, "routes[0].stops[0].n_packages"),
-    (("routes", 1, "stops", 0, "service_time_s"), "x", "routes[1].stops[0].service_time_s"),
-    (("routes", 1, "stops", 1, "volume_cm3"), [], "routes[1].stops[1].volume_cm3"),
-    (("routes", 0, "travel_time_s", 3), "x", "routes[0].travel_time_s"),
-    (("routes", 0, "actual_sequence", 0), 7, "routes[0].actual_sequence"),
-    (("routes", 0, "stops", 0, "lat"), True, "routes[0].stops[0].lat"),
-    (("routes", 0, "stops", 1, "n_packages"), True, "routes[0].stops[1].n_packages"),
-    (("routes", 1, "stops", 0, "service_time_s"), float("nan"), "routes[1].stops[0].service_time_s"),
-    (("routes", 1, "stops", 1, "volume_cm3"), float("inf"), "routes[1].stops[1].volume_cm3"),
-    (("routes", 0, "depot", "lng"), float("-inf"), "routes[0].depot.lng"),
-    (("routes", 0, "stops", 0, "zone_id"), "", "routes[0].stops[0].zone_id"),
-    pytest.param(_TT, [0.0] * 9, "routes[0].travel_time_s", id="v2-matrix-not-a-string"),
+    _case(("routes", 0, "stops", 1, "n_packages"), "abc", "routes[0].stops[1].n_packages",
+          f"expected {_INT}, got str"),
+    _case(("routes", 0, "stops", 1, "n_packages"), None, "routes[0].stops[1].n_packages",
+          f"expected {_INT}, got NoneType"),
+    _case(("routes", 0, "stops", 0, "n_packages"), 2.5, "routes[0].stops[0].n_packages",
+          f"expected {_INT}, got float"),
+    _case(("routes", 1, "stops", 0, "service_time_s"), "x", "routes[1].stops[0].service_time_s",
+          f"expected {_NUM}, got str"),
+    _case(("routes", 1, "stops", 1, "volume_cm3"), [], "routes[1].stops[1].volume_cm3",
+          f"expected {_NUM}, got list"),
+    _case(("routes", 0, "travel_time_s", 3), "x", "routes[0].travel_time_s",
+          "route 'R00000': entries must be numbers"),
+    _case(("routes", 0, "actual_sequence", 0), 7, "routes[0].actual_sequence",
+          "route 'R00000': stop ids must be strings"),
+    _case(("routes", 0, "stops", 0, "lat"), True, "routes[0].stops[0].lat",
+          f"expected {_NUM}, got bool"),
+    _case(("routes", 0, "stops", 1, "n_packages"), True, "routes[0].stops[1].n_packages",
+          f"expected {_INT}, got bool"),
+    _case(("routes", 1, "stops", 0, "service_time_s"), float("nan"),
+          "routes[1].stops[0].service_time_s", "expected a finite number within float range"),
+    _case(("routes", 1, "stops", 1, "volume_cm3"), float("inf"), "routes[1].stops[1].volume_cm3",
+          "expected a finite number within float range"),
+    _case(("routes", 0, "depot", "lng"), float("-inf"), "routes[0].depot.lng",
+          "expected a finite number within float range"),
+    _case(("routes", 0, "stops", 0, "zone_id"), "", "routes[0].stops[0].zone_id",
+          "expected a non-empty zone id"),
+    _case(_TT, [0.0] * 9, "routes[0].travel_time_s",
+          "route 'R00000', 4 stops: expected a base64 string, got list", id="v2-matrix-not-a-string"),
+    # The rest of this message is the base64 decoder's, which Python words.
     pytest.param(_TT, "!" + _matrix(ROUTES[0]), "routes[0].travel_time_s", id="v2-matrix-not-base64"),
-    pytest.param(_TT, _matrix(ROUTES[0], drop=1), "routes[0].travel_time_s",
-                 id="v2-matrix-one-value-short"),
-    pytest.param(_TT, _matrix(ROUTES[0], 1, 2, float("nan")), "routes[0]", id="v2-matrix-nan"),
-    pytest.param(_TT, _matrix(ROUTES[0], 2, 1, -1.0), "routes[0]", id="v2-matrix-negative"),
-    pytest.param(_TT, _matrix(ROUTES[0], 1, 1, 5.0), "routes[0]", id="v2-matrix-nonzero-diagonal"),
+    _case(_TT, _matrix(ROUTES[0], drop=1), "routes[0].travel_time_s",
+          "route 'R00000', 4 stops: expected 25 float64 values, got 192 bytes",
+          id="v2-matrix-one-value-short"),
+    _case(_TT, _matrix(ROUTES[0], 1, 2, float("nan")), "routes[0]",
+          _BAD_TIMES, id="v2-matrix-nan"),
+    _case(_TT, _matrix(ROUTES[0], 2, 1, -1.0), "routes[0]",
+          _BAD_TIMES, id="v2-matrix-negative"),
+    _case(_TT, _matrix(ROUTES[0], 1, 1, 5.0), "routes[0]",
+          "route R00000: travel_time diagonal must be zero", id="v2-matrix-nonzero-diagonal"),
+    _case(_S0, 7, "routes[0].stops[0].id", "missing required field", id="stop-not-an-object"),
+    _case(_S0, ["S0000"], "routes[0].stops[0].id", "missing required field",
+          id="stop-a-list"),
+    *(_case((*_S0, key), _MISSING, f"routes[0].stops[0].{key}", "missing required field",
+            id=f"stop-without-{key}") for key in ("id", "zone_id", "lat", "lng")),
+    _case((*_S0, "id"), 7, "routes[0].stops[0].id", f"expected {_STR}, got int",
+          id="stop-id-an-int"),
+    _case((*_S0, "zone_id"), None, "routes[0].stops[0].zone_id", f"expected {_STR}, got NoneType",
+          id="stop-zone-id-null"),
+    _case((*_S0, "lat"), "47.1", "routes[0].stops[0].lat", f"expected {_NUM}, got str",
+          id="stop-lat-a-string"),
+    _case(("routes", 1, "stops", 0, "service_time_s"), False, "routes[1].stops[0].service_time_s",
+          f"expected {_NUM}, got bool", id="stop-service-time-a-bool"),
+    _case((*_S1, "id"), 3.5, "routes[0].stops[1].id", f"expected {_STR}, got float",
+          id="second-stop-id-a-float"),
+    _case((*_S1, "lng"), "x", "routes[0].stops[1].lng", f"expected {_NUM}, got str",
+          id="second-stop-lng-a-string"),
 ])
-def test_dataset_field_of_wrong_type_is_a_schema_error(tmp_path, path, value, json_path):
+def test_dataset_field_of_wrong_type_is_a_schema_error(tmp_path, request, path, value, json_path):
     with pytest.raises(SchemaError) as err:
         load_routes(_write(tmp_path, _with(_dataset(path), path, value)))
     assert err.value.json_path == json_path
+    if says := request.node.get_closest_marker("says"):
+        assert str(err.value) == f"{json_path}: {says.args[0]}"
 
 
 @pytest.mark.parametrize("path, value, json_path", [
@@ -126,6 +182,10 @@ def test_dataset_negative_load_is_a_schema_error(tmp_path, path, value, json_pat
     (("routes", 1, "stops", 0, "lng"), "routes[1].stops[0].lng"),
     (("routes", 0, "stops", 1, "n_packages"), "routes[0].stops[1].n_packages"),
     (("routes", 0, "travel_time_s", 2), "routes[0].travel_time_s"),
+    (("routes", 0, "stops", 0, "lat"), "routes[0].stops[0].lat"),
+    (("routes", 1, "stops", 2, "service_time_s"), "routes[1].stops[2].service_time_s"),
+    (("routes", 1, "stops", 3, "volume_cm3"), "routes[1].stops[3].volume_cm3"),
+    (("routes", 0, "depot", "lat"), "routes[0].depot.lat"),
 ])
 def test_dataset_integer_beyond_float_range_is_a_schema_error(tmp_path, path, json_path):
     with pytest.raises(SchemaError) as err:

@@ -31,7 +31,7 @@ from routeseq.predictor import (
     VARIANTS,
     ModelConfig,
     _decode_backward,
-    _pair_terms,
+    _route_terms,
     _scores,
     checkpoint_tensors,
     decode,
@@ -84,7 +84,7 @@ def _rows(params, keys):
 
 def _depot_scores(params, sc, d, keys):
     """Step 0's scores, from the depot, with the query ``d`` over ``keys``."""
-    return _scores(params, sc, 0, d, keys, _pair_terms(params, sc, keys), _rows(params, keys))
+    return _scores(params, sc, 0, d, keys, _route_terms(params, sc, keys), _rows(params, keys))
 
 
 def _zeroed(params):
@@ -255,7 +255,7 @@ def test_pair_scores_match_the_mlp_reference_over_joined_rows():
             params = _model(variant, prep, seed=n)
             sc = scale_route(prep, params)
             keys, *_ = encode(params, sc)
-            terms = _pair_terms(params, sc, keys)
+            terms = _route_terms(params, sc, keys)
             layers = [(l.w, np.zeros(1) if l.b is None else l.b) for l in params.asnn.layers]
             rng = np.random.default_rng(n)
             for src in range(n + 1):
